@@ -9,8 +9,6 @@
 //	ctxflow      library packages under internal/ (context must flow end to end)
 //	allocfree    everywhere — it fires only inside //cpsdyn:allocfree functions
 //	determinism  the kernel packages: internal/mat, switching, lti, sim, pwl
-//	metricsync   everywhere — it fires only in packages annotating their
-//	             statsz/metrics handler pair
 //	lockguard    internal/ and cmd/ — mutexes released on all paths, never
 //	             held across blocking operations
 //	goroleak     internal/ — every go statement joins or watches ctx.Done()
@@ -41,7 +39,6 @@ import (
 	"cpsdyn/internal/analysis/determinism"
 	"cpsdyn/internal/analysis/goroleak"
 	"cpsdyn/internal/analysis/lockguard"
-	"cpsdyn/internal/analysis/metricsync"
 )
 
 // kernelPkgs are the packages whose output must stay byte-deterministic at
@@ -65,7 +62,6 @@ var checks = []struct {
 	}},
 	{allocfree.Analyzer, func(string) bool { return true }},
 	{determinism.Analyzer, func(p string) bool { return kernelPkgs[p] }},
-	{metricsync.Analyzer, func(string) bool { return true }},
 	{lockguard.Analyzer, func(p string) bool {
 		return strings.Contains(p, "/internal/") || strings.Contains(p, "/cmd/")
 	}},

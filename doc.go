@@ -187,7 +187,9 @@
 // under saturation rather than stalling derivations. cpsdynd -cache-dir
 // enables it (off by default; -cache-dir-bytes caps the on-disk footprint,
 // oldest records evicted first) and surfaces store loads/stores/
-// loadErrors/records/bytes in /statsz and as cpsdynd_store_* in /metrics.
+// loadErrors/dropped/writeErrors/records/bytes in /statsz and as
+// cpsdynd_store_* in /metrics — a write lost to a full queue or a failed
+// disk write is counted, not silent.
 // The operational payoff is warm rejoin: a replica restarted onto the
 // same directory serves its consistent-hash shard from disk instead of
 // re-deriving it — CI kill −9s a replica and asserts the restarted
@@ -204,9 +206,10 @@
 // derivation), allocation-free and pinned by AllocsPerRun tests; /statsz
 // serves each histogram as a snapshot with cumulative buckets and
 // interpolated p50/p90/p99, /metrics as a Prometheus
-// _bucket/_sum/_count triplet, and the metricsync analyzer knows the
-// cpsdyn:"histogram" tag that maps the one JSON field to the three
-// series. Per-endpoint request histograms live on the service.Server;
+// _bucket/_sum/_count triplet. Both pages render one StatszResponse
+// snapshot: /metrics is generated from the metric and help struct tags on
+// its fields (see Enforced invariants), so the two pages cannot drift.
+// Per-endpoint request histograms live on the service.Server;
 // the pipeline histograms (per-row derive on the memo-cache slow path,
 // store load/store, peer round trip) are process-wide like the caches
 // they instrument — and the warm derive path stays uninstrumented: a
@@ -229,7 +232,7 @@
 //
 // # Enforced invariants
 //
-// Seven project invariants are machine-checked by the internal/analysis
+// Six project invariants are machine-checked by the internal/analysis
 // suite, run as a blocking CI gate via cmd/cpsdynlint:
 //
 //   - Context flow (ctxflow): library code under internal/ neither mints
@@ -245,9 +248,6 @@
 //     or process-global rand, no unindexed goroutine fan-in. This is the
 //     contract the cache keys, the streaming golden diffs and the cluster
 //     sharding all rest on.
-//   - Observability parity (metricsync): every counter in the /statsz JSON
-//     has a /metrics Prometheus twin and vice versa, statically at the AST
-//     level and dynamically by internal/service's scrape-based parity test.
 //   - Lock discipline (lockguard): a mutex acquired in internal/ or cmd/
 //     code is released on every path to a function exit, and is never held
 //     across an operation that may block — channel operations, network
@@ -275,10 +275,6 @@
 //	//cpsdyn:ctx-compat <why>     on a function: may use context.Background
 //	//cpsdyn:allocfree <why>      on a function: body must not allocate
 //	//cpsdyn:order-invariant <why> on a function: exempt from determinism
-//	//cpsdyn:statsz-source        on the /statsz handler (metricsync input)
-//	//cpsdyn:metrics-source       on the /metrics handler (metricsync input)
-//	//cpsdyn:metrics-only <why>   line comment: metric with no JSON twin
-//	cpsdyn:"statsz-only"          struct tag: JSON counter with no metric
 //	//cpsdyn:lock-across <why>    on a function: may hold a lock across a
 //	                              blocking operation (leaks still flagged)
 //	//cpsdyn:detached <why>       on or above a go statement: deliberately
@@ -288,4 +284,14 @@
 //
 // See internal/analysis/README.md for the analyzer framework and how to
 // add a check.
+//
+// Observability parity needs no analyzer: every family on /metrics is
+// declared once, on the /statsz field that holds it, by two struct tags —
+// metric:"<name without the cpsdynd_ prefix>" and help:"<text>" — and
+// internal/service renders the page by walking the snapshot. An
+// obs.Snapshot field is a histogram, a name ending in _total a counter,
+// anything else a gauge; a tagged slice renders its length plus the sums
+// of its elements' tagged fields, and metric:"-" marks a JSON-only field.
+// A reflective test fails on an untagged numeric field, empty help text or
+// a duplicate name, and a golden test holds every family's bytes.
 package cpsdyn

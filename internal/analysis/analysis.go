@@ -9,9 +9,9 @@
 // analyzers port mechanically.
 //
 // The project invariants themselves live in the subpackages ctxflow,
-// allocfree, determinism and metricsync; cmd/cpsdynlint is the
-// multichecker driver that CI runs as a blocking gate. See README.md for
-// how to add an analyzer.
+// allocfree, determinism, lockguard, goroleak and atomicmix;
+// cmd/cpsdynlint is the multichecker that CI runs as a blocking gate. See
+// README.md for how to add an analyzer.
 package analysis
 
 import (

@@ -41,9 +41,9 @@ type Config struct {
 
 // Stats is the gateway's /statsz snapshot.
 type Stats struct {
-	Peers         []PeerStats `json:"peers"`
-	PeerRows      uint64      `json:"peerRows"`      // rows answered by replicas
-	PeerFallbacks uint64      `json:"peerFallbacks"` // rows computed locally because a peer was down/slow
+	Peers         []PeerStats `json:"peers" metric:"peers" help:"Replica peers configured in sharding-gateway mode."`
+	PeerRows      uint64      `json:"peerRows" metric:"peer_rows_total" help:"Derive rows answered by replica peers."`
+	PeerFallbacks uint64      `json:"peerFallbacks" metric:"peer_fallbacks_total" help:"Derive rows computed locally because a peer was down or slow."`
 }
 
 // Gateway is the process-wide sharding state of a cpsdynd gateway: the
@@ -129,8 +129,8 @@ func (g *Gateway) Stats() Stats {
 }
 
 // Session is one incoming request's fan-out state: at most one streaming
-// sub-request per peer, opened lazily on the first row routed there and torn
-// down by Close. maxInFlight (the caller's worker/window bound) caps how
+// sub-request per peer, opened lazily on the first row routed there and
+// ended by Close. maxInFlight (the caller's worker/window bound) caps how
 // many rows can await a single peer at once. Sessions are safe for
 // concurrent Do calls.
 type Session struct {
@@ -172,15 +172,37 @@ func (g *Gateway) Session(ctx context.Context, maxInFlight int) *Session {
 	return s
 }
 
-// Close tears down every sub-stream. Replicas see their sub-requests end;
-// rows already answered are unaffected.
+// Close ends every sub-stream. While the session's context is live — the
+// request ended normally — each live sub-stream is half-closed, and Close
+// waits, at most the peer timeout, until every replica has ended its
+// response. A replica thus books its sub-stream as complete, with every
+// row it read answered, and has recorded its span before the gateway
+// answers. A cancelled session tears its sub-streams down at once.
 func (s *Session) Close() {
+	var live []*peerStream
 	for _, slot := range s.slots {
 		slot.mu.Lock()
-		if slot.st != nil {
-			slot.st.fail(errStreamDead)
+		if slot.st != nil && slot.st.alive() {
+			live = append(live, slot.st)
 		}
 		slot.mu.Unlock()
+	}
+	if s.ctx.Err() == nil {
+		for _, st := range live {
+			st.closeSend()
+		}
+		deadline := time.After(s.g.timeout)
+	wait:
+		for _, st := range live {
+			select {
+			case <-st.dead:
+			case <-deadline:
+				break wait
+			}
+		}
+	}
+	for _, st := range live {
+		st.fail(errStreamDead)
 	}
 	s.cancel()
 }

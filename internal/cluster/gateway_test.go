@@ -18,7 +18,15 @@ import (
 // row, in input order — the protocol the peer transport depends on.
 func echoReplica(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(echoHandler(nil))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// echoHandler is echoReplica's handler; a non-nil ended receives how the
+// request body ended (nil for a clean EOF) before the response ends.
+func echoHandler(ended chan<- error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		rc := http.NewResponseController(w)
 		_ = rc.EnableFullDuplex()
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -34,9 +42,36 @@ func echoReplica(t *testing.T) *httptest.Server {
 			_ = rc.Flush()
 			i++
 		}
-	}))
+		if ended != nil {
+			ended <- sc.Err()
+		}
+	}
+}
+
+// A normal Close half-closes the sub-stream: the replica reads a clean EOF
+// and ends its stream before Close returns, and that end of the response
+// is not charged to the peer.
+func TestSessionCloseEndsSubStreamCleanly(t *testing.T) {
+	ended := make(chan error, 1)
+	ts := httptest.NewServer(echoHandler(ended))
 	t.Cleanup(ts.Close)
-	return ts
+	g := testGateway(t, Config{Peers: []string{ts.URL}, Path: "/", Timeout: 30 * time.Second})
+	sess := g.Session(context.Background(), 2)
+	if _, ok := sess.Do(context.Background(), "k", []byte(`{}`), nil); !ok {
+		t.Fatal("row fell back against a healthy peer")
+	}
+	sess.Close()
+	select {
+	case err := <-ended:
+		if err != nil {
+			t.Fatalf("replica's request body ended with %v, want a clean EOF", err)
+		}
+	default:
+		t.Fatal("Close returned before the replica ended its stream")
+	}
+	if st := g.Stats().Peers[0]; st.Failures != 0 || st.Down {
+		t.Fatalf("peer stats = %+v; a clean close was charged against the peer", st)
+	}
 }
 
 func testGateway(t *testing.T, cfg Config) *Gateway {

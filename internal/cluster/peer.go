@@ -29,12 +29,14 @@ type Peer struct {
 	failures atomic.Uint64 // failed exchanges (dial, timeout, stream death)
 }
 
-// PeerStats is one peer's health snapshot for /statsz.
+// PeerStats is one peer's health snapshot for /statsz. /metrics sums the
+// tagged fields over all peers; Rows is JSON-only, since its sum is
+// Stats.PeerRows.
 type PeerStats struct {
 	Name     string `json:"name"`
-	Down     bool   `json:"down"` // circuit currently open
-	Rows     uint64 `json:"rows"`
-	Failures uint64 `json:"failures"`
+	Down     bool   `json:"down" metric:"peers_down" help:"Peers whose circuit breaker is currently open."`
+	Rows     uint64 `json:"rows" metric:"-"`
+	Failures uint64 `json:"failures" metric:"peer_failures_total" help:"Failed peer calls summed over all peers (each failure trips the breaker closer to open)."`
 }
 
 // errStreamDead reports a sub-stream torn down by its session's Close.
@@ -70,6 +72,7 @@ type peerStream struct {
 	closeOnce sync.Once
 	dead      chan struct{} // closed by fail(); err is set before that
 	err       error
+	ending    atomic.Bool // closeSend ran: the response's end is expected
 }
 
 type pendingRow struct {
@@ -175,15 +178,16 @@ func (st *peerStream) read(body io.ReadCloser) {
 }
 
 // fail tears the stream down exactly once: it records the cause, charges
-// the peer — unless the session is closing or the caller's context killed
-// the stream (ending a request is not peer misbehaviour; the ctx check
-// runs before the teardown cancels the stream's own context) — then wakes
-// every current and future waiter via dead, aborts the HTTP exchange and
-// unblocks any in-flight pipe write.
+// the peer — unless the session is closing (the response ending after
+// closeSend is the expected end, not a failure) or the caller's context
+// killed the stream (ending a request is not peer misbehaviour; the ctx
+// check runs before the teardown cancels the stream's own context) — then
+// wakes every current and future waiter via dead, aborts the HTTP exchange
+// and unblocks any in-flight pipe write.
 func (st *peerStream) fail(err error) {
 	st.closeOnce.Do(func() {
 		st.err = err
-		callerKilled := errors.Is(err, errStreamDead) ||
+		callerKilled := errors.Is(err, errStreamDead) || st.ending.Load() ||
 			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
 			st.ctx.Err() != nil
 		if st.onFail != nil && !callerKilled {
@@ -193,6 +197,14 @@ func (st *peerStream) fail(err error) {
 		st.cancel()
 		st.pw.CloseWithError(err)
 	})
+}
+
+// closeSend half-closes the sub-request: the replica reads a clean EOF,
+// finishes its stream and ends its response, which the reader then sees
+// as the stream's expected end.
+func (st *peerStream) closeSend() {
+	st.ending.Store(true)
+	st.pw.Close()
 }
 
 // alive reports whether the stream can still carry rows.
@@ -241,7 +253,16 @@ func (st *peerStream) roundTrip(ctx context.Context, line []byte, timeout time.D
 	_, err := st.pw.Write(buf)
 	st.sendMu.Unlock()
 	if err != nil {
-		return nil, err
+		// The pipe closes as the exchange dies (a failed dial closes the
+		// request body before client.Do returns). Wait for the teardown,
+		// which charges the peer, so the row never falls back before the
+		// failure is on the books; the watchdog bounds the wait.
+		select {
+		case <-st.dead:
+			return nil, st.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	select {
 	case row := <-cell.done:

@@ -161,28 +161,3 @@ func realCharPoly(poles []complex128) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// SettlingSteps simulates the autonomous system x[k+1] = A·x[k] from x0 and
-// returns the smallest k such that ‖x[j]‖₂ ≤ eth for all j ≥ k within the
-// horizon (the norm is taken over the first normDims components; pass 0 or
-// len(x0) for the full state). The boolean result reports whether the
-// trajectory settled inside the horizon at all.
-func SettlingSteps(a *mat.Matrix, x0 []float64, eth float64, normDims, horizon int) (int, bool) {
-	if normDims <= 0 || normDims > len(x0) {
-		normDims = len(x0)
-	}
-	x := append([]float64(nil), x0...)
-	lastAbove := -1
-	for k := 0; k <= horizon; k++ {
-		if mat.VecNorm2(x[:normDims]) > eth {
-			lastAbove = k
-		}
-		if k < horizon {
-			x = a.MulVec(x)
-		}
-	}
-	if lastAbove == horizon {
-		return horizon, false // still above threshold at the end
-	}
-	return lastAbove + 1, true
-}

@@ -141,41 +141,6 @@ func TestAckermannUncontrollable(t *testing.T) {
 	}
 }
 
-func TestSettlingSteps(t *testing.T) {
-	// x[k+1] = 0.5·x[k] from x0 = 1, eth = 0.1: norms 1, .5, .25, .125, .0625;
-	// first k with everything ≤ eth afterwards is k = 4.
-	a := mat.FromRows([][]float64{{0.5}})
-	steps, ok := SettlingSteps(a, []float64{1}, 0.1, 0, 100)
-	if !ok || steps != 4 {
-		t.Fatalf("SettlingSteps = %d ok=%v, want 4 true", steps, ok)
-	}
-}
-
-func TestSettlingStepsImmediate(t *testing.T) {
-	a := mat.FromRows([][]float64{{0.5}})
-	steps, ok := SettlingSteps(a, []float64{0.05}, 0.1, 0, 10)
-	if !ok || steps != 0 {
-		t.Fatalf("SettlingSteps = %d ok=%v, want 0 true", steps, ok)
-	}
-}
-
-func TestSettlingStepsNeverSettles(t *testing.T) {
-	a := mat.FromRows([][]float64{{1.0}})
-	_, ok := SettlingSteps(a, []float64{1}, 0.1, 0, 50)
-	if ok {
-		t.Fatal("constant system must not settle")
-	}
-}
-
-func TestSettlingStepsPartialNorm(t *testing.T) {
-	// Second component stays large but is excluded from the norm.
-	a := mat.Diag(0.5, 1.0)
-	steps, ok := SettlingSteps(a, []float64{1, 5}, 0.1, 1, 100)
-	if !ok || steps != 4 {
-		t.Fatalf("partial-norm SettlingSteps = %d ok=%v, want 4 true", steps, ok)
-	}
-}
-
 // Property: LQR closed loop is Schur stable for random controllable systems.
 func TestPropLQRStabilizes(t *testing.T) {
 	f := func(seed int64) bool {

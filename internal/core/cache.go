@@ -304,12 +304,12 @@ func matElems(m *mat.Matrix) int {
 // actually started (a warm replica rejoining its shard from disk keeps
 // this near zero).
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	DiskHits  uint64 `json:"diskHits"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
+	Hits      uint64 `json:"hits" metric:"cache_hits_total" help:"Derivation-cache hits."`
+	Misses    uint64 `json:"misses" metric:"cache_misses_total" help:"Derivation-cache misses (computations started)."`
+	DiskHits  uint64 `json:"diskHits" metric:"cache_disk_hits_total" help:"Derivation-cache memory misses answered by the persistent store instead of a computation."`
+	Evictions uint64 `json:"evictions" metric:"cache_evictions_total" help:"Derivation-cache LRU evictions."`
+	Entries   int    `json:"entries" metric:"cache_entries" help:"Derivation-cache current entry count."`
+	Bytes     int64  `json:"bytes" metric:"cache_bytes" help:"Derivation-cache approximate retained bytes."`
 }
 
 // deriveCache holds discretisations and dwell curves across Derive calls.

@@ -25,11 +25,11 @@ var SharedPool Pool
 // PoolStats is a snapshot of a Pool's counters, shaped for /statsz.
 type PoolStats struct {
 	// Hits counts Gets served by a pooled workspace.
-	Hits uint64 `json:"hits"`
+	Hits uint64 `json:"hits" metric:"pool_hits_total" help:"Matrix-exponential workspace pool hits (reused workspaces)."`
 	// Misses counts Gets that had to build a fresh workspace.
-	Misses uint64 `json:"misses"`
+	Misses uint64 `json:"misses" metric:"pool_misses_total" help:"Matrix-exponential workspace pool misses (workspaces built)."`
 	// Puts counts workspaces returned for reuse.
-	Puts uint64 `json:"puts"`
+	Puts uint64 `json:"puts" metric:"pool_puts_total" help:"Matrix-exponential workspaces returned to the pool for reuse."`
 }
 
 // Get rents an order-n workspace, building one only when the pool has

@@ -398,6 +398,46 @@ func TestGatewayRejectsBadPeerConfig(t *testing.T) {
 	}
 }
 
+// A healthy gateway stream ends its sub-streams cleanly: each replica reads
+// a clean EOF, so none books a cancelled stream or computation, every row
+// it read was answered, and together the replicas wrote exactly the rows
+// the gateway counts as answered by peers.
+func TestGatewayEndsSubStreamsCleanly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a 2-replica cluster")
+	}
+	// A peer timeout far above the run time: no row may fall back.
+	gw, replicas := newGatewayCluster(t, 2, Config{PeerTimeout: 5 * time.Minute})
+	req := shardedDeriveRequest(6)
+	resp, err := http.Post(gw.URL+"/v1/derive/stream", "application/x-ndjson", ndjsonBody(t, req.Apps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("gateway stream status = %d", resp.StatusCode)
+	}
+	g := gatewayStats(t, gw.URL).Gateway
+	if g.PeerRows != uint64(len(req.Apps)) || g.PeerFallbacks != 0 {
+		t.Fatalf("gateway peerRows = %d, peerFallbacks = %d; want %d, 0", g.PeerRows, g.PeerFallbacks, len(req.Apps))
+	}
+	var rowsOut uint64
+	for i, r := range replicas {
+		st := gatewayStats(t, r.URL).Server
+		if st.StreamCancelled != 0 || st.Cancelled != 0 || st.RowsIn != st.RowsOut {
+			t.Errorf("replica %d: streamCancelled = %d, cancelled = %d, rowsIn = %d, rowsOut = %d; want 0, 0 and rowsIn == rowsOut",
+				i, st.StreamCancelled, st.Cancelled, st.RowsIn, st.RowsOut)
+		}
+		rowsOut += st.RowsOut
+	}
+	if rowsOut != g.PeerRows {
+		t.Errorf("replicas wrote %d rows, gateway counts %d peer rows", rowsOut, g.PeerRows)
+	}
+}
+
 // Gateway metrics ride /metrics next to the single-node counters.
 func TestGatewayMetricsExported(t *testing.T) {
 	gw, _ := newGatewayCluster(t, 2, Config{})

@@ -91,25 +91,25 @@ func (c Config) withDefaults() Config {
 }
 
 // ServerStats are the service-level counters reported by GET /statsz next
-// to the derivation-cache counters.
+// to the derivation-cache counters. Workers and StreamWindow report the
+// effective configuration (defaults resolved), so a gateway — or any
+// operator — can introspect a replica's capacity over /statsz instead of
+// parsing its flags.
 type ServerStats struct {
-	Requests    uint64 `json:"requests"`    // compute requests completed
-	Rejected    uint64 `json:"rejected"`    // gave up waiting for a slot
-	TimedOut    uint64 `json:"timedOut"`    // exceeded the compute budget
-	Cancelled   uint64 `json:"cancelled"`   // computations aborted by cancellation
-	InFlight    int64  `json:"inFlight"`    // currently computing
-	MaxInFlight int    `json:"maxInFlight"` // the semaphore bound
+	Requests    uint64 `json:"requests" metric:"requests_total" help:"Compute requests completed (including failed and cancelled ones)."`
+	Rejected    uint64 `json:"rejected" metric:"rejected_total" help:"Requests rejected after waiting out their budget for an in-flight slot."`
+	TimedOut    uint64 `json:"timedOut" metric:"timed_out_total" help:"Requests whose compute budget expired."`
+	Cancelled   uint64 `json:"cancelled" metric:"cancelled_total" help:"Computations aborted by budget expiry or client disconnect."`
+	InFlight    int64  `json:"inFlight" metric:"in_flight" help:"Requests currently computing."`
+	MaxInFlight int    `json:"maxInFlight" metric:"max_in_flight" help:"The in-flight concurrency bound."`
 
-	Streams         uint64 `json:"streams"`         // NDJSON stream requests completed
-	RowsIn          uint64 `json:"rowsIn"`          // stream request rows consumed
-	RowsOut         uint64 `json:"rowsOut"`         // stream result rows written
-	StreamCancelled uint64 `json:"streamCancelled"` // streams cut short by budget/disconnect
+	Streams         uint64 `json:"streams" metric:"streams_total" help:"NDJSON streams completed across derive, allocate and calibrate (including cancelled ones)."`
+	RowsIn          uint64 `json:"rowsIn" metric:"stream_rows_in_total" help:"NDJSON request rows consumed across all streams."`
+	RowsOut         uint64 `json:"rowsOut" metric:"stream_rows_out_total" help:"NDJSON result rows written across all streams."`
+	StreamCancelled uint64 `json:"streamCancelled" metric:"stream_cancelled_total" help:"Streams cut short by budget expiry, disconnect or write failure."`
 
-	// Workers and StreamWindow report the effective configuration (defaults
-	// resolved), so a gateway — or any operator — can introspect a replica's
-	// capacity over /statsz instead of parsing its flags.
-	Workers      int `json:"workers"`      // per-request worker ceiling
-	StreamWindow int `json:"streamWindow"` // per-stream reorder window
+	Workers      int `json:"workers" metric:"workers" help:"Per-request worker ceiling (defaults resolved)."`
+	StreamWindow int `json:"streamWindow" metric:"stream_window" help:"Per-stream NDJSON reorder window (defaults resolved)."`
 }
 
 // Server is the cpsdynd HTTP handler: batch derivation, calibration and
@@ -232,28 +232,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// StatszResponse is the GET /statsz body. SimSteps is the cumulative
-// closed-loop simulation step counter (switching.SimSteps) — a live compute
-// gauge: it stops climbing when cancelled computations actually stop.
-// Gateway is only present in sharding-gateway mode: the peer list with
-// per-peer health plus the peerRows/peerFallbacks counters. Store is only
-// present when the operator enabled the persistent derivation store
-// (-cache-dir): its load/store/error counters plus the on-disk footprint.
+// StatszResponse is the GET /statsz body, and /metrics renders the same
+// snapshot from the metric/help tags on its fields (see writeMetrics).
+// SimSteps is the cumulative closed-loop simulation step counter
+// (switching.SimSteps) — a live compute gauge: it stops climbing when
+// cancelled computations actually stop. Gateway is only present in
+// sharding-gateway mode: the peer list with per-peer health plus the
+// peerRows/peerFallbacks counters. Store is only present when the operator
+// enabled the persistent derivation store (-cache-dir): its load/store/
+// error counters plus the on-disk footprint.
 type StatszResponse struct {
 	Cache    core.CacheStats `json:"cache"`
 	Pool     mat.PoolStats   `json:"pool"`
 	Server   ServerStats     `json:"server"`
 	Latency  LatencyStats    `json:"latency"`
-	SimSteps uint64          `json:"simSteps"`
+	SimSteps uint64          `json:"simSteps" metric:"sim_steps_total" help:"Cumulative closed-loop simulation steps across all derivations."`
 	Gateway  *cluster.Stats  `json:"gateway,omitempty"`
 	Store    *store.Stats    `json:"store,omitempty"`
 }
 
-// handleStatsz is the JSON twin of handleMetrics; the metricsync analyzer
-// and TestStatszMetricsParity both hold the two counter sets together.
-//
-//cpsdyn:statsz-source
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
+// statsz snapshots every counter both /statsz and /metrics serve.
+func (s *Server) statsz() StatszResponse {
 	resp := StatszResponse{
 		Cache:    core.DeriveCacheStats(),
 		Pool:     mat.SharedPool.Stats(),
@@ -269,7 +268,11 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		sst := s.cfg.Store.Stats()
 		resp.Store = &sst
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
+}
+
+func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, s.statsz())
 }
 
 // endpoint decodes its body and computes a response; a returned error is a

@@ -103,27 +103,11 @@ func TestServerWarmRejoinFromStore(t *testing.T) {
 	}
 }
 
-// The parity contract must hold with the store block present: every store
-// leaf needs a covering /metrics series and vice versa.
-func TestStatszMetricsParityStore(t *testing.T) {
-	ts := newStoreServer(t, t.TempDir())
-	code, _ := postJSON(t, ts.URL+"/v1/derive", servoDeriveRequest(1))
-	if code != http.StatusOK {
-		t.Fatalf("derive status = %d", code)
-	}
-	ts.store.Flush()
-	leaves := scrapeStatszLeaves(t, ts.URL)
-	if _, ok := leaves["store.loads"]; !ok {
-		t.Fatal("store statsz block missing — fixture broken")
-	}
-	assertParity(t, leaves, scrapeMetricNames(t, ts.URL))
-}
-
 // The store-only series must really be absent on a plain server rather
 // than served as zeros, matching the omitempty store statsz block.
 func TestPlainServerServesNoStoreSeries(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	for name := range scrapeMetricNames(t, ts.URL) {
+	for name := range metricFamilies(scrapeMetrics(t, ts.URL)) {
 		if strings.HasPrefix(name, "cpsdynd_store") {
 			t.Errorf("plain server serves store series %q", name)
 		}

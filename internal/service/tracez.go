@@ -29,20 +29,19 @@ type latencyHistograms struct {
 // LatencyStats is the latency block of /statsz: per-endpoint request
 // latency, the shared per-row derive latency, and — when the matching
 // subsystem is enabled — store and peer latency. Each field is one
-// histogram snapshot; the cpsdyn:"histogram" tag tells the metricsync
-// analyzer the field maps to one Prometheus histogram family
-// (_bucket/_sum/_count) rather than a struct to expand.
+// histogram snapshot, which /metrics renders as one Prometheus histogram
+// family (_bucket/_sum/_count).
 type LatencyStats struct {
-	Derive          obs.Snapshot  `json:"derive" cpsdyn:"histogram"`
-	DeriveStream    obs.Snapshot  `json:"deriveStream" cpsdyn:"histogram"`
-	Allocate        obs.Snapshot  `json:"allocate" cpsdyn:"histogram"`
-	AllocateStream  obs.Snapshot  `json:"allocateStream" cpsdyn:"histogram"`
-	Calibrate       obs.Snapshot  `json:"calibrate" cpsdyn:"histogram"`
-	CalibrateStream obs.Snapshot  `json:"calibrateStream" cpsdyn:"histogram"`
-	DeriveRow       obs.Snapshot  `json:"deriveRow" cpsdyn:"histogram"`
-	StoreLoad       *obs.Snapshot `json:"storeLoad,omitempty" cpsdyn:"histogram"`
-	StoreStore      *obs.Snapshot `json:"storeStore,omitempty" cpsdyn:"histogram"`
-	PeerRoundTrip   *obs.Snapshot `json:"peerRoundTrip,omitempty" cpsdyn:"histogram"`
+	Derive          obs.Snapshot  `json:"derive" metric:"latency_derive_seconds" help:"Buffered /v1/derive request latency."`
+	DeriveStream    obs.Snapshot  `json:"deriveStream" metric:"latency_derive_stream_seconds" help:"/v1/derive/stream request latency (whole stream)."`
+	Allocate        obs.Snapshot  `json:"allocate" metric:"latency_allocate_seconds" help:"Buffered /v1/allocate request latency."`
+	AllocateStream  obs.Snapshot  `json:"allocateStream" metric:"latency_allocate_stream_seconds" help:"/v1/allocate/stream request latency (whole stream)."`
+	Calibrate       obs.Snapshot  `json:"calibrate" metric:"latency_calibrate_seconds" help:"Buffered /v1/calibrate request latency."`
+	CalibrateStream obs.Snapshot  `json:"calibrateStream" metric:"latency_calibrate_stream_seconds" help:"/v1/calibrate/stream request latency (whole stream)."`
+	DeriveRow       obs.Snapshot  `json:"deriveRow" metric:"latency_derive_row_seconds" help:"Per-row derivation latency on the memo-cache slow path."`
+	StoreLoad       *obs.Snapshot `json:"storeLoad,omitempty" metric:"latency_store_load_seconds" help:"Persistent-store load latency (disk-touching attempts, hit or corrupt)."`
+	StoreStore      *obs.Snapshot `json:"storeStore,omitempty" metric:"latency_store_store_seconds" help:"Persistent-store write latency."`
+	PeerRoundTrip   *obs.Snapshot `json:"peerRoundTrip,omitempty" metric:"latency_peer_round_trip_seconds" help:"Settled peer exchange round-trip latency in sharding-gateway mode."`
 }
 
 // latencyStats snapshots every histogram the server exports. The store and

@@ -20,10 +20,10 @@
 //
 // Writes are write-behind: Put enqueues onto a bounded queue drained by a
 // single background writer, so cache fills never wait on disk; a saturated
-// queue drops the write (the artefact stays in memory and can be
-// re-offered after a future re-derivation). Loads are synchronous reads on
-// the cache-miss path. An optional byte cap bounds the directory:
-// least-recently-loaded records are deleted first.
+// queue drops the write (counted in Stats.Dropped; the artefact stays in
+// memory and can be re-offered after a future re-derivation). Loads are
+// synchronous reads on the cache-miss path. An optional byte cap bounds
+// the directory: least-recently-loaded records are deleted first.
 package store
 
 import (
@@ -55,11 +55,16 @@ type Options struct {
 // Stats is a snapshot of the store's counters, exported by cpsdynd's
 // /statsz and /metrics endpoints.
 type Stats struct {
-	Loads      uint64 `json:"loads"`      // records served from disk
-	Stores     uint64 `json:"stores"`     // records written to disk
-	LoadErrors uint64 `json:"loadErrors"` // corrupt or unreadable records rejected
-	Records    int    `json:"records"`    // records currently on disk
-	Bytes      int64  `json:"bytes"`      // total on-disk record bytes
+	Loads      uint64 `json:"loads" metric:"store_loads_total" help:"Records loaded from the persistent derivation store."`
+	Stores     uint64 `json:"stores" metric:"store_stores_total" help:"Records written to the persistent derivation store."`
+	LoadErrors uint64 `json:"loadErrors" metric:"store_load_errors_total" help:"Corrupt or torn records rejected (and deleted) on load."`
+	// Dropped and WriteErrors count the writes the store loses: Puts
+	// refused by a full write-behind queue, and queued writes whose
+	// encode, mkdir, write or rename failed.
+	Dropped     uint64 `json:"dropped" metric:"store_dropped_total" help:"Writes dropped because the write-behind queue was full."`
+	WriteErrors uint64 `json:"writeErrors" metric:"store_write_errors_total" help:"Queued writes lost to an encode, mkdir, write or rename failure."`
+	Records     int    `json:"records" metric:"store_records" help:"Records currently indexed in the persistent derivation store."`
+	Bytes       int64  `json:"bytes" metric:"store_bytes" help:"On-disk bytes retained by the persistent derivation store."`
 }
 
 // record is the in-memory index entry for one on-disk record.
@@ -79,9 +84,11 @@ type Store struct {
 	dir      string
 	maxBytes int64
 
-	loads      atomic.Uint64
-	stores     atomic.Uint64
-	loadErrors atomic.Uint64
+	loads       atomic.Uint64
+	stores      atomic.Uint64
+	loadErrors  atomic.Uint64
+	dropped     atomic.Uint64
+	writeErrors atomic.Uint64
 
 	mu     sync.Mutex
 	index  map[string]*list.Element // hash → element holding *record
@@ -258,23 +265,27 @@ func (s *Store) Put(key string, v any) {
 		// Queue saturated: drop. Write-behind is advisory — the artefact
 		// stays in the memory cache and the fleet re-offers it on the next
 		// cold derivation.
+		s.dropped.Add(1)
 	}
 	s.mu.Unlock()
 }
 
 // write persists one queued artefact: encode, write to a temp file in the
 // same directory, atomically rename over the live name, then account the
-// record and enforce the byte cap.
+// record and enforce the byte cap. A failed step loses the write and
+// counts it.
 func (s *Store) write(req writeReq) {
 	defer obs.StoreStoreLatency.Since(time.Now())
 	h := keyHash(req.key)
 	rec, err := encodeRecord(h, req.v)
 	if err != nil {
+		s.writeErrors.Add(1)
 		return
 	}
 	hash := hex.EncodeToString(h[:])
 	path := s.path(hash)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		s.writeErrors.Add(1)
 		return
 	}
 	// The single writer goroutine owns all temp names, so the suffix needs
@@ -283,10 +294,12 @@ func (s *Store) write(req writeReq) {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, rec, 0o644); err != nil {
 		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
+		s.writeErrors.Add(1)
 		return
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
+		s.writeErrors.Add(1)
 		return
 	}
 	s.stores.Add(1)
@@ -346,10 +359,12 @@ func (s *Store) Stats() Stats {
 	records, bytes := s.lru.Len(), s.bytes
 	s.mu.Unlock()
 	return Stats{
-		Loads:      s.loads.Load(),
-		Stores:     s.stores.Load(),
-		LoadErrors: s.loadErrors.Load(),
-		Records:    records,
-		Bytes:      bytes,
+		Loads:       s.loads.Load(),
+		Stores:      s.stores.Load(),
+		LoadErrors:  s.loadErrors.Load(),
+		Dropped:     s.dropped.Load(),
+		WriteErrors: s.writeErrors.Load(),
+		Records:     records,
+		Bytes:       bytes,
 	}
 }

@@ -403,3 +403,33 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		t.Fatalf("concurrent churn stored nothing: %+v", st)
 	}
 }
+
+// Every encodable Put is accounted once Flush returns: stored, lost to a
+// write error, or dropped by the full queue. A regular file where the
+// first record's <hh> fan-out directory belongs fails its mkdir even for
+// root; a one-slot queue fed faster than the writer drops the rest.
+func TestStoreCountsLostWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	dir := t.TempDir()
+	s := openTestStore(t, dir, Options{QueueLen: 1})
+	h := keyHash("disc|blocked")
+	if err := os.WriteFile(filepath.Join(dir, hex.EncodeToString(h[:1])), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	disc := randDiscrete(rng)
+	s.Put("disc|blocked", disc) // the queue is empty, so this one is written
+	const puts = 64
+	for i := 1; i < puts; i++ {
+		s.Put(fmt.Sprintf("disc|%d", i), disc)
+	}
+	s.Put("weird", "not an artefact") // not encodable: not a lost write
+	s.Flush()
+	st := s.Stats()
+	if got := st.Stores + st.WriteErrors + st.Dropped; got != puts {
+		t.Fatalf("stores %d + write errors %d + dropped %d = %d, want %d encodable puts",
+			st.Stores, st.WriteErrors, st.Dropped, got, puts)
+	}
+	if st.WriteErrors == 0 || st.Dropped == 0 {
+		t.Fatalf("want both loss paths counted: %+v", st)
+	}
+}

@@ -66,6 +66,37 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// The settle step count itself, on systems small enough to count by hand.
+// ResponseStepsTT runs settle on A2 from X0 without validating stability,
+// so a loop that never decays is a legal input.
+func TestResponseStepsTTSettleCounts(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		a2       *mat.Matrix
+		x0       []float64
+		normDims int
+		horizon  int
+		steps    int
+		settled  bool
+	}{
+		// Norms 1, .5, .25, .125, .0625 against Eth 0.1: the first step
+		// with everything after it below the threshold is k = 4.
+		{"scalar", mat.FromRows([][]float64{{0.5}}), []float64{1}, 0, 100, 4, true},
+		{"immediate", mat.FromRows([][]float64{{0.5}}), []float64{0.05}, 0, 10, 0, true},
+		{"never-settles", mat.FromRows([][]float64{{1}}), []float64{1}, 0, 50, 50, false},
+		// The second component stays at 5 but is outside the norm.
+		{"partial-norm", mat.Diag(0.5, 1), []float64{1, 5}, 1, 100, 4, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := &System{Name: c.name, A1: c.a2, A2: c.a2, X0: c.x0, Eth: 0.1, NormDims: c.normDims, H: 0.02}
+			steps, settled := s.ResponseStepsTT(c.horizon)
+			if steps != c.steps || settled != c.settled {
+				t.Fatalf("ResponseStepsTT = %d, %v; want %d, %v", steps, settled, c.steps, c.settled)
+			}
+		})
+	}
+}
+
 func TestDwellAtZeroEqualsTTResponse(t *testing.T) {
 	s := nonNormalSystem()
 	kTT, ok1 := s.ResponseStepsTT(10000)
