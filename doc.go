@@ -41,7 +41,25 @@
 // width, defaulting to every core). The sampled curve is byte-identical
 // for any worker count. The settling kernel steps in reusable scratch
 // buffers (mat.MulVecTo), so simulation allocates nothing per step, and
-// advances the process-wide switching.SimSteps gauge.
+// advances the process-wide switching.SimSteps gauge and the request
+// trace's simulated-step count (simSteps on /tracez).
+//
+// Each settling walk looks for the last threshold excursion, which the
+// full walk only finds by stepping to the horizon (20 000 steps from
+// Derive, 60 000 in the calibration probes) while the dwells are a few
+// hundred steps. A stop certificate, computed once per loop matrix,
+// proves from where on the walk can never cross Eth again: it balances
+// the loop with a power-of-two diagonal, finds the first power that
+// contracts 4× in the balanced ∞-norm, and bounds the rounding of both
+// the walk and the computed powers (switching/certificate.go states the
+// proof). The walk then stops at the first below-threshold state inside
+// the certified box, which gives exactly the full walk's (kdw, settled).
+// The curve sampler certifies A1 and A2 once per curve, the pure-mode
+// probes (ResponseSteps*) once per call; a loop without a certificate —
+// marginal, unstable, or too ill-conditioned for the rounding bound —
+// falls back to the full walk. switching.System.DwellSteps keeps the
+// exhaustive walk as the reference oracle that the property and fixture
+// tests compare against.
 //
 // The hot paths are cancellable end to end: context.Context threads from
 // core.DeriveFleet / (*core.Application).DeriveContext through the memo
@@ -87,6 +105,14 @@
 // Mutating any derivation input in place invalidates the memo on the
 // next call. Because the memo embeds an atomic.Pointer, Application
 // values must not be copied; use CloneShallow.
+//
+// The settling walks stop at their certificates (see Sharded sampling
+// and cancellation), so a cold derive simulates hundreds of steps per
+// kwait instead of the horizon: the CI probe stream of 20 curves costs
+// about 28 000 simulated steps instead of 19 million, and it never reaches
+// the subnormal tails that made each full-horizon step ~40× slower than a
+// normal-range one. CI pins this with a simSteps bound on the gateway
+// e2e's reference stream.
 //
 // The benchmark trajectory is CI-gated: cpsrepro bench-export runs the
 // kernel suite hermetically (testing.Benchmark in-process) and writes a

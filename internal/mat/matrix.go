@@ -34,6 +34,18 @@ func New(r, c int) *Matrix {
 	return &Matrix{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
+// Wrap returns an r×c matrix backed by data, row-major, without copying:
+// writes through the matrix and through data see each other. It lets a
+// caller carve several workspace matrices out of one flat allocation; it
+// is small enough to inline, so a header that stays local to the caller
+// is not heap-allocated either.
+func Wrap(r, c int, data []float64) *Matrix {
+	if r < 0 || c < 0 || len(data) != r*c {
+		panic("mat: Wrap shape does not match the data length")
+	}
+	return &Matrix{rows: r, cols: c, data: data}
+}
+
 // FromRows builds a matrix from a slice of equally long rows.
 func FromRows(rows [][]float64) *Matrix {
 	r := len(rows)

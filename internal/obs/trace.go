@@ -75,9 +75,10 @@ type Trace struct {
 	Op     string
 	Start  time.Time
 
-	rows   atomic.Int64
-	counts [NumStages]atomic.Uint64
-	ns     [NumStages]atomic.Int64
+	rows     atomic.Int64
+	simSteps atomic.Uint64
+	counts   [NumStages]atomic.Uint64
+	ns       [NumStages]atomic.Int64
 }
 
 // NewTrace starts a span. parent is the inbound TraceHeader value, or ""
@@ -124,6 +125,18 @@ func (t *Trace) AddRows(n int) {
 	t.rows.Add(int64(n))
 }
 
+// AddSimSteps counts closed-loop simulation steps paid for by the span's
+// request; the settling walks report them at the same flush points as the
+// process-wide switching.SimSteps counter.
+//
+//cpsdyn:allocfree called from the settle hot path
+func (t *Trace) AddSimSteps(n uint64) {
+	if t == nil {
+		return
+	}
+	t.simSteps.Add(n)
+}
+
 // StageBreakdown is one aggregated stage line of a finished trace.
 type StageBreakdown struct {
 	Stage   string  `json:"stage"`
@@ -133,13 +146,16 @@ type StageBreakdown struct {
 
 // TraceSnapshot is a finished trace as served by /tracez.
 type TraceSnapshot struct {
-	ID      string           `json:"id"`
-	Parent  string           `json:"parent,omitempty"`
-	Op      string           `json:"op"`
-	Start   time.Time        `json:"start"`
-	Seconds float64          `json:"seconds"`
-	Rows    int64            `json:"rows,omitempty"`
-	Stages  []StageBreakdown `json:"stages"`
+	ID      string    `json:"id"`
+	Parent  string    `json:"parent,omitempty"`
+	Op      string    `json:"op"`
+	Start   time.Time `json:"start"`
+	Seconds float64   `json:"seconds"`
+	Rows    int64     `json:"rows,omitempty"`
+	// SimSteps is the number of simulation steps the request's cache
+	// misses ran; a warm request ran none.
+	SimSteps uint64           `json:"simSteps,omitempty"`
+	Stages   []StageBreakdown `json:"stages"`
 }
 
 // Finish closes the span and returns its snapshot, with stages ordered
@@ -149,12 +165,13 @@ func (t *Trace) Finish() TraceSnapshot {
 		return TraceSnapshot{}
 	}
 	ts := TraceSnapshot{
-		ID:      t.ID,
-		Parent:  t.Parent,
-		Op:      t.Op,
-		Start:   t.Start,
-		Seconds: time.Since(t.Start).Seconds(),
-		Rows:    t.rows.Load(),
+		ID:       t.ID,
+		Parent:   t.Parent,
+		Op:       t.Op,
+		Start:    t.Start,
+		Seconds:  time.Since(t.Start).Seconds(),
+		Rows:     t.rows.Load(),
+		SimSteps: t.simSteps.Load(),
 	}
 	for s := 0; s < NumStages; s++ {
 		n := t.counts[s].Load()

@@ -555,12 +555,16 @@ func TestComputeRecoversPanic(t *testing.T) {
 	}
 }
 
-// slowDeriveRequest builds a single-app derive whose ET design settles
-// glacially (poles just inside the unit circle), so the exhaustive curve
-// sampling runs long enough for cancellation races to be deterministic.
+// slowDeriveRequest builds a single-app derive whose ET and TT designs
+// both settle glacially (poles just inside the unit circle), so the curve
+// sampling runs long enough for cancellation races to be deterministic:
+// the slow ET loop gives over 13 000 kwaits, and the slow TT loop makes
+// each kwait's walk thousands of steps long even when it stops early at
+// its certificate.
 func slowDeriveRequest() *DeriveRequest {
 	req := servoDeriveRequest(1)
 	req.Apps[0].Name = "glacial"
+	req.Apps[0].PolesTT = []float64{0.999, 0.998, 0.05}
 	req.Apps[0].PolesET = []float64{0.9995, 0.999, 0.10}
 	return req
 }

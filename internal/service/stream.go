@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"cpsdyn/internal/conc"
@@ -366,6 +367,11 @@ func (fw *flushWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// drainTimeout bounds how long the server may spend reading the unread
+// rest of a cancelled stream's request body before it reuses the
+// connection; a client stalled past it loses the connection.
+const drainTimeout = time.Second
+
 // streamEngine is one NDJSON pipeline: request lines from r, result rows to
 // w in input order, under opts. DeriveStream, AllocateStream,
 // CalibrateStream and the gateway's sharded derive all fit it, so the HTTP
@@ -444,8 +450,15 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 		// a cancellation must also fail any read the decoder is blocked in —
 		// otherwise a stalled-but-connected client would pin the stream past
 		// its budget.
-		stopKick := context.AfterFunc(ctx, func() { _ = rc.SetReadDeadline(time.Now()) })
-		defer stopKick()
+		var kickMu sync.Mutex
+		engineDone := false
+		stopKick := context.AfterFunc(ctx, func() {
+			kickMu.Lock()
+			defer kickMu.Unlock()
+			if !engineDone {
+				_ = rc.SetReadDeadline(time.Now())
+			}
+		})
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		fw := newFlushWriter(w)
@@ -454,6 +467,19 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 			Window:  s.cfg.StreamWindow,
 			MaxLine: s.cfg.MaxBodyBytes,
 		})
+		// After the handler the server drains the unread rest of the body
+		// (up to 256 KiB) to keep the connection. Under the kicked deadline
+		// that drain fails at once without marking the body closed early,
+		// so the server kept the connection, parsed the leftover request
+		// lines as the next request and wrote a 400 that the client read
+		// as the reply to its next request on that connection. A kicked
+		// stream gets a fresh, bounded window for the drain instead.
+		kickMu.Lock()
+		engineDone = true
+		kickMu.Unlock()
+		if !stopKick() {
+			_ = rc.SetReadDeadline(time.Now().Add(drainTimeout))
+		}
 		tr.AddRows(stats.RowsOut)
 		s.rowsIn.Add(uint64(stats.RowsIn))
 		s.rowsOut.Add(uint64(stats.RowsOut))

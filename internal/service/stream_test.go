@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -452,6 +453,53 @@ func TestStreamBudgetExpiryCancelsMidStream(t *testing.T) {
 	}
 	if stats.Server.Streams != 1 || stats.Server.StreamCancelled != 1 || stats.Server.TimedOut != 1 {
 		t.Fatalf("counters = %+v, want 1 stream / 1 cancelled / 1 timed out", stats.Server)
+	}
+}
+
+// A budget-killed stream leaves most of its request body unread, and the
+// server must not treat that rest as a new request. Before the drain
+// window the expired read deadline failed the server's post-handler drain,
+// the server kept the connection, parsed the leftover lines as a request
+// and wrote a 400 that a client reusing the connection read as the reply
+// to its next request. Nothing may follow the stream's response unasked:
+// the server keeps the connection for a next request or closes it.
+func TestStreamBudgetExpiryLeavesNoStrayResponse(t *testing.T) {
+	ts := newTestServer(t, Config{Timeout: 50 * time.Millisecond})
+	glacial := slowDeriveRequest().Apps[0]
+	specs := make([]DeriveAppSpec, 64)
+	for i := range specs {
+		specs[i] = glacial
+		specs[i].Name = fmt.Sprintf("G%d", i+1)
+	}
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/derive/stream", ndjsonBody(t, specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !strings.Contains(string(rows), "compute budget") {
+		t.Fatalf("stream = %q (%v), want a budget-killed stream", rows, err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(br)
+	var ne net.Error
+	if len(rest) > 0 || (err != nil && !(errors.As(err, &ne) && ne.Timeout())) {
+		t.Fatalf("after the stream's response the server sent %q (%v), unasked", rest, err)
 	}
 }
 

@@ -142,3 +142,42 @@ func TestGatewayTracePropagation(t *testing.T) {
 			childRows, len(req.Apps))
 	}
 }
+
+// A cold derive's span reports exactly the simulation steps it paid for —
+// the /statsz simSteps delta across the request — and a warm replay of
+// the same request reports none.
+func TestTracezReportsSimSteps(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	req := servoDeriveRequest(1)
+	var before, after StatszResponse
+	if code := getJSON(t, ts.URL+"/statsz", &before); code != http.StatusOK {
+		t.Fatalf("statsz status = %d", code)
+	}
+	for i := 0; i < 2; i++ {
+		if code, out := postJSON(t, ts.URL+"/v1/derive", req); code != http.StatusOK {
+			t.Fatalf("derive %d status = %d: %s", i, code, out)
+		}
+		if i == 0 {
+			if code := getJSON(t, ts.URL+"/statsz", &after); code != http.StatusOK {
+				t.Fatalf("statsz status = %d", code)
+			}
+		}
+	}
+	cold := after.SimSteps - before.SimSteps
+	if cold == 0 {
+		t.Fatal("the cold derive simulated nothing")
+	}
+	var tz TracezResponse
+	if code := getJSON(t, ts.URL+"/tracez", &tz); code != http.StatusOK {
+		t.Fatalf("/tracez status = %d", code)
+	}
+	var steps []uint64
+	for _, tr := range tz.Traces {
+		if tr.Op == "derive" {
+			steps = append(steps, tr.SimSteps)
+		}
+	}
+	if len(steps) != 2 || steps[0]+steps[1] != cold || (steps[0] != 0 && steps[1] != 0) {
+		t.Fatalf("derive spans report %v simulated steps, want %d for the cold one and 0 for the warm one", steps, cold)
+	}
+}

@@ -258,13 +258,17 @@ func (s *Store) Put(key string, v any) {
 		s.mu.Unlock()
 		return
 	}
+	// Count the write before the send: the writer may take it and call
+	// Done before a later Add could run, which would drive the counter
+	// negative (a panic) and let Flush return before the write lands.
+	s.pending.Add(1)
 	select {
 	case s.queue <- writeReq{key: key, v: v}:
-		s.pending.Add(1)
 	default:
 		// Queue saturated: drop. Write-behind is advisory — the artefact
 		// stays in the memory cache and the fleet re-offers it on the next
 		// cold derivation.
+		s.pending.Done()
 		s.dropped.Add(1)
 	}
 	s.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"cpsdyn/internal/lti"
@@ -431,5 +432,40 @@ func TestStoreCountsLostWrites(t *testing.T) {
 	}
 	if st.WriteErrors == 0 || st.Dropped == 0 {
 		t.Fatalf("want both loss paths counted: %+v", st)
+	}
+}
+
+// Puts racing from several goroutines onto a small queue, then a Flush:
+// every encodable Put ends up stored, failed or dropped, and Flush waits
+// for the ones the writer took. Put counts a write as pending before it
+// can reach the writer, so the writer's Done can never run first (which
+// panicked with a negative WaitGroup counter). The race is not
+// reproducible on demand; run with -race, this pins the accounting.
+func TestConcurrentPutsAreAccounted(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), Options{QueueLen: 2})
+	disc := randDiscrete(rand.New(rand.NewSource(15)))
+	const writers, perWriter = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				s.Put(fmt.Sprintf("disc|%d|%d", w, i), disc)
+				if i%8 == 0 {
+					s.Put("skip", "not an artefact")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.Flush()
+	st := s.Stats()
+	if got := st.Stores + st.WriteErrors + st.Dropped; got != writers*perWriter {
+		t.Fatalf("stores %d + write errors %d + dropped %d = %d, want %d encodable puts",
+			st.Stores, st.WriteErrors, st.Dropped, got, writers*perWriter)
+	}
+	if st.Records != int(st.Stores) {
+		t.Fatalf("%d records indexed after Flush, want the %d stored", st.Records, st.Stores)
 	}
 }

@@ -1,0 +1,166 @@
+package switching
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"cpsdyn/internal/mat"
+)
+
+// randomLoop draws a Schur-stable, non-normal, badly scaled order-n loop
+// with spectral radius rho: A = D·V·T·V⁻¹·D⁻¹, where T is quasi upper
+// triangular (real eigenvalues and rotation blocks, the largest of modulus
+// rho, with a random strictly upper part that makes A non-normal), V is a
+// random dense basis and D spreads the state scales over six decades.
+func randomLoop(r *rand.Rand, n int, rho float64) *mat.Matrix {
+	for {
+		t := mat.New(n, n)
+		for i := 0; i < n; {
+			mod := rho
+			if i > 0 {
+				mod = rho * r.Float64()
+			}
+			if i+1 < n && r.Intn(2) == 0 {
+				th := math.Pi * r.Float64()
+				t.Set(i, i, mod*math.Cos(th))
+				t.Set(i+1, i+1, mod*math.Cos(th))
+				t.Set(i, i+1, mod*math.Sin(th))
+				t.Set(i+1, i, -mod*math.Sin(th))
+				i += 2
+				continue
+			}
+			if r.Intn(2) == 0 {
+				mod = -mod
+			}
+			t.Set(i, i, mod)
+			i++
+		}
+		skew := math.Pow(10, -1+1.5*r.Float64())
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if t.At(i, j) == 0 {
+					t.Set(i, j, skew*r.NormFloat64())
+				}
+			}
+		}
+		v := mat.New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				v.Set(i, j, r.NormFloat64())
+			}
+		}
+		vi, err := mat.Inverse(v)
+		if err != nil {
+			continue
+		}
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = math.Pow(10, -3+6*r.Float64())
+		}
+		a := v.Mul(t).Mul(vi)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, a.At(i, j)*d[i]/d[j])
+			}
+		}
+		if sr, err := mat.SpectralRadius(a); err == nil && sr < 1 {
+			return a
+		}
+	}
+}
+
+// The certified walk must return exactly the full walk's (k, ok) on random
+// stable loops: non-normal, badly scaled, spectral radius up to 0.9999,
+// with random start states, thresholds and norm dimensions.
+func TestPropCertifiedWalkMatchesFullWalk(t *testing.T) {
+	trials := 4000
+	if testing.Short() {
+		trials = 400
+	}
+	r := rand.New(rand.NewSource(15))
+	certified, early := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + r.Intn(8)
+		// One loop in ten is slow, 0.99 ≤ ρ ≤ 0.9999; the rest spread
+		// over 0.05 ≤ ρ ≤ 0.99.
+		rho := 0.05 + 0.94*r.Float64()
+		if r.Intn(10) == 0 {
+			rho = 1 - math.Pow(10, -4+2*r.Float64())
+		}
+		a := randomLoop(r, n, rho)
+		x0 := make([]float64, n)
+		for i := range x0 {
+			x0[i] = r.NormFloat64() * math.Pow(10, -2+4*r.Float64())
+		}
+		s := &System{Name: "random", A1: a, A2: a, X0: x0, NormDims: r.Intn(n + 1), H: 0.01}
+		s.Eth = s.Norm(x0) * math.Pow(10, -3+3*r.Float64())
+		if s.Eth == 0 {
+			s.Eth = 1e-3
+		}
+		horizon := min(20000, 50+int(30/(1-rho)))
+		cert := s.certified(nil, a, horizon)
+		full := newScratch(n)
+		wantK, wantOK, _ := s.settle(nil, a, x0, horizon, full, nil)
+		before := SimSteps()
+		gotK, gotOK, _ := s.settle(nil, a, x0, horizon, newScratch(n), cert)
+		if gotK != wantK || gotOK != wantOK {
+			t.Fatalf("trial %d (n=%d, ρ=%.6f, d=%d, Eth=%g, horizon %d, certified %v): certified walk (%d, %v), full walk (%d, %v)\nA =\n%v x0 = %v",
+				trial, n, rho, s.NormDims, s.Eth, horizon, cert != nil, gotK, gotOK, wantK, wantOK, a, x0)
+		}
+		if cert != nil {
+			certified++
+			if SimSteps()-before < uint64(horizon) {
+				early++
+			}
+		}
+	}
+	t.Logf("%d of %d random loops certified, %d walks stopped early", certified, trials, early)
+	if certified < trials*9/10 {
+		t.Fatalf("only %d of %d random stable loops certified", certified, trials)
+	}
+}
+
+// Marginal and unstable loops have no certificate, so their walks run to
+// the horizon exactly as before.
+func TestCertificateFallsBack(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a    *mat.Matrix
+	}{
+		{"identity", mat.Identity(2)},
+		{"rotation", mat.FromRows([][]float64{{0, 1}, {-1, 0}})},
+		{"jordan", mat.FromRows([][]float64{{1, 1}, {0, 1}})},
+		{"unstable", mat.Diag(1.1, 0.5)},
+		{"nan", mat.FromRows([][]float64{{math.NaN()}})},
+		// ρ = 0.9999 needs more than 13 000 steps to contract 4×.
+		{"short-horizon", mat.Diag(0.9999, 0.5)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := &System{Name: c.name, A1: c.a, A2: c.a, X0: make([]float64, c.a.Rows()), Eth: 0.1, H: 0.02}
+			if cert := s.certified(nil, c.a, 2000); cert != nil {
+				t.Fatalf("certificate %v for a loop that does not contract", cert)
+			}
+		})
+	}
+	s := &System{Name: "stable", A1: mat.Diag(0.5, 0.4), A2: mat.Diag(0.5, 0.4), X0: []float64{1, 1}, Eth: 0.1, H: 0.02}
+	if s.certified(nil, s.A2, 2000) == nil {
+		t.Fatal("no certificate for a diagonal contraction")
+	}
+}
+
+// ResponseStepsTT stops at its certificate long before the horizon, and
+// the step counter shows it.
+func TestCertifiedWalkStopsEarly(t *testing.T) {
+	s := nonNormalSystem()
+	before := SimSteps()
+	k, ok := s.ResponseStepsTT(20000)
+	steps := SimSteps() - before
+	wantK, wantOK := s.DwellSteps(0, 20000)
+	if k != wantK || ok != wantOK {
+		t.Fatalf("ResponseStepsTT = (%d, %v), DwellSteps(0) = (%d, %v)", k, ok, wantK, wantOK)
+	}
+	if steps > 200 {
+		t.Fatalf("certified TT walk simulated %d steps, want it to stop within a few dozen", steps)
+	}
+}

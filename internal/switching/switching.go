@@ -21,6 +21,7 @@ import (
 
 	"cpsdyn/internal/conc"
 	"cpsdyn/internal/mat"
+	"cpsdyn/internal/obs"
 	"cpsdyn/internal/pwl"
 )
 
@@ -92,6 +93,15 @@ var simSteps atomic.Uint64
 // SimSteps returns the cumulative number of simulated state-update steps.
 func SimSteps() uint64 { return simSteps.Load() }
 
+// countSteps adds n simulated steps to the process-wide counter and to the
+// request trace tr (nil for an untraced walk).
+//
+//cpsdyn:allocfree called at every flush point of the settle hot path
+func countSteps(tr *obs.Trace, n uint64) {
+	simSteps.Add(n)
+	tr.AddSimSteps(n)
+}
+
 // stepFlush is how many simulation steps run between context checks and
 // counter flushes inside one settling run. At ~40 flops per step this is a
 // sub-millisecond cancellation latency even on slow hardware.
@@ -108,22 +118,29 @@ func newScratch(n int) *scratch {
 // settle returns the first step index k such that the trajectory of a from
 // x0 satisfies ‖x[j]‖ ≤ Eth for all j ∈ [k, horizon]. The state is stepped
 // in sc's buffers (x0 may alias sc.cur); a nil ctx disables cancellation
-// checks, a cancelled ctx aborts mid-run with its error.
+// checks, a cancelled ctx aborts mid-run with its error. With a
+// certificate for a (see certificate.go) the walk ends at the first
+// below-threshold state inside the certified box, which yields the same
+// (k, ok) as walking on to the horizon; a nil cert walks the whole way.
+// Steps are counted in SimSteps and in ctx's trace.
 //
 //cpsdyn:allocfree the dwell-curve sampler calls this tens of thousands of times per curve; an allocation here shows up directly in BenchmarkSampleCurve
-func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizon int, sc *scratch) (int, bool, error) {
+func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizon int, sc *scratch, cert certificate) (int, bool, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return 0, false, err
 		}
 	}
+	tr := obs.FromContext(ctx)
 	cur, nxt := sc.cur, sc.nxt
 	copy(cur, x0)
 	lastAbove := -1
-	pending := 0 // steps not yet flushed to the global counter
+	pending := 0 // steps not yet flushed to the counters
 	for k := 0; k <= horizon; k++ {
 		if s.Norm(cur) > s.Eth {
 			lastAbove = k
+		} else if cert.holds(cur) {
+			break
 		}
 		if k == horizon {
 			break
@@ -131,7 +148,7 @@ func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizo
 		a.MulVecTo(nxt, cur)
 		cur, nxt = nxt, cur
 		if pending++; pending == stepFlush {
-			simSteps.Add(stepFlush)
+			countSteps(tr, stepFlush)
 			pending = 0
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
@@ -140,42 +157,57 @@ func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizo
 			}
 		}
 	}
-	simSteps.Add(uint64(pending))
+	countSteps(tr, uint64(pending))
 	if lastAbove == horizon {
 		return horizon, false, nil
 	}
 	return lastAbove + 1, true, nil
 }
 
+// certified computes the stop certificate of loop matrix a in a fresh
+// workspace (one allocation); nil when there is none.
+func (s *System) certified(ctx context.Context, a *mat.Matrix, horizon int) certificate {
+	n := a.Rows()
+	buf := make([]float64, certWorkLen(n)+n)
+	return s.certify(ctx, a, horizon, buf[n:], buf[:n])
+}
+
+// response is the pure-mode settling walk of loop a from x0, stopped at
+// a's certificate.
+func (s *System) response(ctx context.Context, a *mat.Matrix, horizon int) (int, bool, error) {
+	return s.settle(ctx, a, s.X0, horizon, newScratch(len(s.X0)), s.certified(ctx, a, horizon))
+}
+
 // ResponseStepsET returns the settling step count under pure ET
 // communication (the paper's ξET in samples).
 func (s *System) ResponseStepsET(horizon int) (int, bool) {
-	k, ok, _ := s.settle(nil, s.A1, s.X0, horizon, newScratch(len(s.X0)))
+	k, ok, _ := s.response(nil, s.A1, horizon)
 	return k, ok
 }
 
 // ResponseStepsTT returns the settling step count under pure TT
 // communication (the paper's ξTT in samples).
 func (s *System) ResponseStepsTT(horizon int) (int, bool) {
-	k, ok, _ := s.settle(nil, s.A2, s.X0, horizon, newScratch(len(s.X0)))
+	k, ok, _ := s.response(nil, s.A2, horizon)
 	return k, ok
 }
 
 // ResponseStepsETContext is ResponseStepsET with cooperative cancellation:
 // the error is non-nil exactly when ctx expired mid-simulation.
 func (s *System) ResponseStepsETContext(ctx context.Context, horizon int) (int, bool, error) {
-	return s.settle(ctx, s.A1, s.X0, horizon, newScratch(len(s.X0)))
+	return s.response(ctx, s.A1, horizon)
 }
 
 // ResponseStepsTTContext is ResponseStepsTT with cooperative cancellation.
 func (s *System) ResponseStepsTTContext(ctx context.Context, horizon int) (int, bool, error) {
-	return s.settle(ctx, s.A2, s.X0, horizon, newScratch(len(s.X0)))
+	return s.response(ctx, s.A2, horizon)
 }
 
 // DwellSteps returns kdw for a given kwait (both in samples): the settling
-// step count of A2 started from A1^kwait·x0. The whole walk runs in one
-// pair of scratch buffers, so the cost is independent of allocation no
-// matter how large kwait and the horizon are.
+// step count of A2 started from A1^kwait·x0. It is the reference oracle
+// for the certified walks: no certificate, every step to the horizon. The
+// whole walk runs in one pair of scratch buffers, so the cost is
+// independent of allocation no matter how large kwait and the horizon are.
 func (s *System) DwellSteps(kwait, horizon int) (int, bool) {
 	sc := newScratch(len(s.X0))
 	copy(sc.cur, s.X0)
@@ -184,7 +216,7 @@ func (s *System) DwellSteps(kwait, horizon int) (int, bool) {
 		sc.cur, sc.nxt = sc.nxt, sc.cur
 	}
 	simSteps.Add(uint64(kwait))
-	k, ok, _ := s.settle(nil, s.A2, sc.cur, horizon, sc)
+	k, ok, _ := s.settle(nil, s.A2, sc.cur, horizon, sc, nil)
 	return k, ok
 }
 
@@ -236,14 +268,18 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	}
 	n := len(s.X0)
 	sc := newScratch(n)
-	kET, ok, err := s.settle(ctx, s.A1, s.X0, horizon, sc)
+	// One workspace serves both certificates; their bounds sit in front.
+	certBuf := make([]float64, 2*n+certWorkLen(n))
+	cert1 := s.certify(ctx, s.A1, horizon, certBuf[2*n:], certBuf[:n])
+	cert2 := s.certify(ctx, s.A2, horizon, certBuf[2*n:], certBuf[n:2*n])
+	kET, ok, err := s.settle(ctx, s.A1, s.X0, horizon, sc, cert1)
 	if err != nil {
 		return nil, fmt.Errorf("switching: %s: sampling cancelled: %w", s.Name, err)
 	}
 	if !ok {
 		return nil, fmt.Errorf("switching: %s: ET loop did not settle within %d steps", s.Name, horizon)
 	}
-	kTT, ok, err := s.settle(ctx, s.A2, s.X0, horizon, sc)
+	kTT, ok, err := s.settle(ctx, s.A2, s.X0, horizon, sc, cert2)
 	if err != nil {
 		return nil, fmt.Errorf("switching: %s: sampling cancelled: %w", s.Name, err)
 	}
@@ -260,7 +296,7 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 		for k := 1; k < kET; k++ {
 			s.A1.MulVecTo(states[k*n:(k+1)*n], states[(k-1)*n:k*n])
 		}
-		simSteps.Add(uint64(kET - 1))
+		countSteps(obs.FromContext(ctx), uint64(kET-1))
 	}
 	// Fan-out: the settling runs are independent; shard them across the
 	// pool, one scratch pair per worker.
@@ -283,7 +319,7 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	}
 	kdw := make([]int, kET)
 	err = conc.ForEachWorkerCtx(ctx, kET, workers, func(w, kwait int) error {
-		k, ok, err := s.settle(ctx, s.A2, states[kwait*n:(kwait+1)*n], horizon, &scratches[w])
+		k, ok, err := s.settle(ctx, s.A2, states[kwait*n:(kwait+1)*n], horizon, &scratches[w], cert2)
 		if err != nil {
 			return err
 		}
