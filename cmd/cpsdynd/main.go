@@ -155,7 +155,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8700", "listen address")
 		debugAddr    = flag.String("debug-addr", "", "listen address for net/http/pprof profiling handlers (empty = no profiling listener)")
-		cacheEntries = flag.Int("cache-entries", 1024, "derivation cache capacity in entries (clamped to ≥ 1)")
+		cacheEntries = flag.Int("cache-entries", 1024, "derivation cache capacity in entries, clamped to ≥ 1; a design takes up to 4 (2 discretisations, 1 curve, 1 derivation bundle)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "derivation cache budget in approximate bytes (0 = unbounded)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the persistent derivation store (empty = no persistence)")
 		cacheDirMax  = flag.Int64("cache-dir-bytes", 0, "on-disk byte cap for -cache-dir, oldest records evicted first (0 = unbounded)")

@@ -2,7 +2,8 @@ package main
 
 // bench-export runs the kernel benchmarks that gate this repository's
 // performance trajectory (matrix exponentials, discretisation, the warm
-// fleet sweep) hermetically via testing.Benchmark — no `go test`
+// fleet sweep, the service's warm row path and its cache key)
+// hermetically via testing.Benchmark — no `go test`
 // subprocess — and writes them as one JSON report (BENCH_N.json is the
 // committed artefact per perf PR). bench-compare diffs two such reports
 // with benchstat-style semantics: it fails on a >threshold geometric-mean
@@ -82,6 +83,22 @@ func benchFleet() []*core.Application {
 	return apps
 }
 
+// probeApp compiles design 0 of the CI probe family the way cpsdynd
+// compiles a request row: a fresh Application with fresh matrices, so no
+// per-Application memo can serve it.
+func probeApp() *core.Application {
+	return &core.Application{
+		Name: "probe-0",
+		Plant: &lti.Continuous{Name: "probe",
+			A: mat.FromRows([][]float64{{0, 1}, {-2, -3}}),
+			B: mat.FromRows([][]float64{{0}, {1}})},
+		H: 0.02, DelayTT: 0.002, DelayET: 0.02, Eth: 0.1, X0: []float64{0, 2},
+		R: 8, Deadline: 3, FrameID: 1,
+		PolesTT: []complex128{0.70, 0.7, 0.05},
+		PolesET: []complex128{0.93, 0.88, 0.1},
+	}
+}
+
 // kernelBenchmarks is the fixed suite both bench-export and the CI gate
 // run; names are stable across PRs so reports stay comparable.
 func kernelBenchmarks() []struct {
@@ -147,6 +164,31 @@ func kernelBenchmarks() []struct {
 			if err := core.DeriveFleetInto(ctx, warm, apps, core.FleetOptions{}); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}})
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"DeriveRowWarm", func(b *testing.B) {
+		if _, err := probeApp().DeriveContext(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := probeApp().DeriveContext(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
+	probe := probeApp()
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"CacheKey", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = probe.CacheKey()
 		}
 	}})
 	return out

@@ -31,6 +31,32 @@
 // core.DeriveCacheStats reports hit/miss/eviction counters plus current
 // occupancy.
 //
+// The cache holds two levels under one LRU, one capacity and one
+// single-flight discipline. Beneath are the persisted artefacts: two
+// discretisations ("disc|" keys) and one dwell curve ("curve|") per
+// application. Above them sits one derivation bundle per
+// core.Application.CacheKey ("app|"): the name-free Derived, i.e. the
+// discretisations, gains, closed loops, switched system, curve and the
+// three fitted models. A warm derivation of a fresh Application (every
+// cpsdynd row is one) is therefore one key build and one lookup, and the
+// app itself is attached per row. The counters keep their meaning. A
+// bundle served from memory counts one hit, also for a waiter on a fill
+// in flight. A bundle fill counts only through the lookups it makes, so
+// misses still count discretisations and curves computed: 3 for a cold
+// app, and 0 (with 3 diskHits) for a warm rejoin from disk. Bundles are
+// memory-only and never reach the ArtifactStore: they only point at
+// artefacts the store already persists, and a restarted replica refills
+// each one from three disk hits. The bundle and the curve are shared by
+// every app with the key, so their errors carry no app name;
+// DeriveContext renders a shared failure under its own app's name. The
+// keys are built by appending hex and decimal digits, without fmt; their
+// bytes are the store's record addresses and a golden test pins them.
+//
+// The per-Application derive memo (see Performance) stays above the
+// bundle. It serves a re-derivation of the very same Application with
+// pointer loads and no key, lock or allocation, which is what the gated
+// DeriveFleetWarm benchmark measures.
+//
 // # Sharded sampling and cancellation
 //
 // The dominant cost of a cache-miss derive — measuring the non-monotone
@@ -116,10 +142,12 @@
 //
 // The benchmark trajectory is CI-gated: cpsrepro bench-export runs the
 // kernel suite hermetically (testing.Benchmark in-process) and writes a
-// JSON report (BENCH_8.json is the committed artefact), and the CI
-// bench-compare job diffs every PR against its merge base, failing on a
-// >15% geometric-mean ns/op regression or on any benchmark whose
-// allocs/op increased.
+// JSON report (BENCH_8.json and BENCH_16.json are committed artefacts),
+// and the CI bench-compare job diffs every PR against its merge base,
+// failing on a >15% geometric-mean ns/op regression or on any benchmark
+// whose allocs/op increased. Besides the kernels, the suite times the
+// service's row path (DeriveRowWarm: a freshly compiled probe app on a
+// warm cache) and the CacheKey the gateway computes for every routed row.
 //
 // # Service mode (cmd/cpsdynd)
 //

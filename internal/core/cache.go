@@ -3,11 +3,12 @@ package core
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,17 +16,20 @@ import (
 	"cpsdyn/internal/lti"
 	"cpsdyn/internal/mat"
 	"cpsdyn/internal/obs"
+	"cpsdyn/internal/pwl"
 	"cpsdyn/internal/switching"
 )
 
-// Derive recomputes two expensive intermediates for every application: the
+// Derive computes two expensive intermediates for every application: the
 // delay-split discretisation (matrix exponentials) and the exhaustively
 // simulated dwell/wait curve. Fleet workloads reuse a handful of plants with
 // identical timing, so both are memoised behind a bounded cache keyed by the
-// exact bit pattern of the plant matrices and timing parameters. Cached
-// values (*lti.Discrete, *switching.Curve) are shared between Derived
-// results and must be treated as immutable, which every package in this
-// module already does.
+// exact bit pattern of the plant matrices and timing parameters. Above
+// them sits one name-free derivation bundle per CacheKey (gains, closed
+// loops, curve and fitted models), so a warm row is one key build and one
+// lookup. Cached values (*lti.Discrete, *switching.Curve, *Derived bundles)
+// are shared between Derived results and must be treated as immutable,
+// which every package in this module already does.
 //
 // The cache is LRU (a hit refreshes the entry) and size-aware: besides the
 // entry-count capacity an optional byte budget bounds the approximate
@@ -138,6 +142,21 @@ func isCancellation(err error) bool {
 // counter a warm-rejoin e2e asserts stays near zero. A disk miss computes
 // as before and, on success, writes the artefact behind to the store.
 func (c *memoCache) get(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, error) {
+	return c.lookup(ctx, key, true, compute)
+}
+
+// getMemory is get for a memory-only entry: the derivation bundles, which
+// only point at artefacts the store already persists. It never touches
+// the store, and its fill counts no miss — the lookups its computation
+// makes count themselves — so misses keep meaning "discretisations and
+// curves computed". Serving it from memory, as a waiter on an in-flight
+// fill too, counts one hit like any other entry.
+func (c *memoCache) getMemory(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, error) {
+	return c.lookup(ctx, key, false, compute)
+}
+
+// lookup implements get (persist) and getMemory (!persist).
+func (c *memoCache) lookup(ctx context.Context, key string, persist bool, compute func(context.Context) (any, error)) (any, error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -178,7 +197,10 @@ func (c *memoCache) get(ctx context.Context, key string, compute func(context.Co
 			}
 			return e.val, e.err
 		}
-		store := c.store
+		var store ArtifactStore
+		if persist {
+			store = c.store
+		}
 		e := &memoEntry{key: key, ready: make(chan struct{})}
 		e.elem = c.lru.PushFront(e)
 		c.m[key] = e
@@ -207,14 +229,16 @@ func (c *memoCache) get(ctx context.Context, key string, compute func(context.Co
 		cur, present := c.m[key]
 		switch {
 		case e.err != nil:
-			c.misses++
+			if persist {
+				c.misses++
+			}
 			if present && cur == e {
 				c.removeLocked(e)
 			}
 		default:
 			if fromDisk {
 				c.diskHits++
-			} else {
+			} else if persist {
 				c.misses++
 			}
 			if present && cur == e {
@@ -286,6 +310,15 @@ func approxSize(v any) int64 {
 		return overhead + 8*int64(matElems(x.Phi)+matElems(x.Gamma0)+matElems(x.Gamma1)+matElems(x.C))
 	case *switching.Curve:
 		return overhead + 16*int64(len(x.Samples))
+	case *Derived:
+		// A bundle's own data: gains, closed loops, x0 and the fitted
+		// breakpoints. Its discretisations and curve are entries of
+		// their own and are accounted there.
+		n := matElems(x.KTT) + matElems(x.KET) + matElems(x.Sys.A1) + matElems(x.Sys.A2) + len(x.Sys.X0)
+		for _, m := range [...]*pwl.Model{x.NonMono, x.Conservative, x.Simple} {
+			n += 2 * len(m.Points)
+		}
+		return overhead + 8*int64(n)
 	default:
 		return overhead
 	}
@@ -299,10 +332,15 @@ func matElems(m *mat.Matrix) int {
 }
 
 // CacheStats is a snapshot of the shared derivation cache's counters.
-// Hits are served from memory; DiskHits are memory misses answered by the
-// attached ArtifactStore without recomputing; Misses are computations
-// actually started (a warm replica rejoining its shard from disk keeps
-// this near zero).
+// Hits are served from memory, derivation bundles included (a warm row is
+// exactly one hit); DiskHits are memory misses answered by the attached
+// ArtifactStore without recomputing; Misses are discretisations and curves
+// actually computed (a bundle fill counts only through the lookups it
+// makes, so a cold app shows 3 misses, and a warm replica rejoining its
+// shard from disk keeps this near zero). Entries counts bundles too; Bytes
+// approximates each entry's own data, so a bundle adds its gains, closed
+// loops and fitted models but not the discretisations and curve it shares
+// with their entries.
 type CacheStats struct {
 	Hits      uint64 `json:"hits" metric:"cache_hits_total" help:"Derivation-cache hits."`
 	Misses    uint64 `json:"misses" metric:"cache_misses_total" help:"Derivation-cache misses (computations started)."`
@@ -312,10 +350,11 @@ type CacheStats struct {
 	Bytes     int64  `json:"bytes" metric:"cache_bytes" help:"Derivation-cache approximate retained bytes."`
 }
 
-// deriveCache holds discretisations and dwell curves across Derive calls.
-// 128 entries comfortably covers a fleet reusing a few dozen plant/timing
-// combinations (each application contributes two discretisations and one
-// curve) while bounding memory for adversarial workloads. Long-running
+// deriveCache holds discretisations, dwell curves and the derivation
+// bundles above them across Derive calls. 128 entries comfortably covers a
+// fleet reusing a few dozen plant/timing combinations (each application
+// contributes two discretisations and one curve, and gets one bundle
+// entry) while bounding memory for adversarial workloads. Long-running
 // services can retune it with SetDeriveCacheCapacity.
 var deriveCache = newMemoCache(128, 0)
 
@@ -346,6 +385,12 @@ func SetDeriveCacheCapacity(entries int, maxBytes int64) {
 // lets a restarted replica rejoin its consistent-hash shard warm.
 func SetDeriveStore(s ArtifactStore) { deriveCache.setStore(s) }
 
+// The keys below are built by appending into one stack buffer: a float as
+// the 16 lower-case hex digits of its bit pattern and ';', a dimension or
+// count in decimal. The bytes are the store's record addresses, so they
+// may never change: TestStoreKeysMatchGolden pins them on fixtures and
+// TestKeyAppendersMatchFmt against an fmt reference on random bits.
+
 // keyFloat appends the exact bit pattern of v, so keys distinguish values
 // that differ below formatting precision — including +0 and −0, whose bit
 // patterns differ (0x0 vs 0x8000000000000000). That strictness is
@@ -354,40 +399,61 @@ func SetDeriveStore(s ArtifactStore) { deriveCache.setStore(s) }
 // and every comparison layered above (appMemo.matches) must be equally
 // bit-exact or it would serve a stale value the key discipline would
 // recompute. TestCacheKeyDistinguishesSignedZero pins the contract.
-func keyFloat(b *strings.Builder, v float64) {
-	fmt.Fprintf(b, "%016x;", math.Float64bits(v))
+func keyFloat(b []byte, v float64) []byte {
+	var bits [8]byte
+	binary.BigEndian.PutUint64(bits[:], math.Float64bits(v))
+	return append(hex.AppendEncode(b, bits[:]), ';')
 }
 
-func keyMatrix(b *strings.Builder, m *mat.Matrix) {
+func keyMatrix(b []byte, m *mat.Matrix) []byte {
 	if m == nil {
-		b.WriteString("nil|")
-		return
+		return append(b, "nil|"...)
 	}
-	fmt.Fprintf(b, "%dx%d:", m.Rows(), m.Cols())
+	b = strconv.AppendInt(b, int64(m.Rows()), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(m.Cols()), 10)
+	b = append(b, ':')
 	for i := 0; i < m.Rows(); i++ {
 		for j := 0; j < m.Cols(); j++ {
-			keyFloat(b, m.At(i, j))
+			b = keyFloat(b, m.At(i, j))
 		}
 	}
-	b.WriteByte('|')
+	return append(b, '|')
 }
 
-func keyVec(b *strings.Builder, v []float64) {
-	fmt.Fprintf(b, "v%d:", len(v))
+func keyVec(b []byte, v []float64) []byte {
+	b = append(b, 'v')
+	b = strconv.AppendInt(b, int64(len(v)), 10)
+	b = append(b, ':')
 	for _, x := range v {
-		keyFloat(b, x)
+		b = keyFloat(b, x)
 	}
-	b.WriteByte('|')
+	return append(b, '|')
 }
 
-func keyPoles(b *strings.Builder, ps []complex128) {
-	fmt.Fprintf(b, "p%d:", len(ps))
+func keyPoles(b []byte, ps []complex128) []byte {
+	b = append(b, 'p')
+	b = strconv.AppendInt(b, int64(len(ps)), 10)
+	b = append(b, ':')
 	for _, p := range ps {
-		keyFloat(b, real(p))
-		keyFloat(b, imag(p))
+		b = keyFloat(b, real(p))
+		b = keyFloat(b, imag(p))
 	}
-	b.WriteByte('|')
+	return append(b, '|')
 }
+
+// keyPlant appends the plant's name and matrices.
+func keyPlant(b []byte, c *lti.Continuous) []byte {
+	b = append(b, c.Name...)
+	b = append(b, '|')
+	b = keyMatrix(b, c.A)
+	b = keyMatrix(b, c.B)
+	return keyMatrix(b, c.C)
+}
+
+// keyBufLen sizes the stack buffer the keys are built in; longer keys
+// (plants of order ≥ 4 or so) spill to the heap.
+const keyBufLen = 512
 
 // CacheKey is the canonical derivation-cache key of the application: a
 // deterministic string over the exact bit patterns of everything that selects
@@ -408,27 +474,23 @@ func keyPoles(b *strings.Builder, ps []complex128) {
 // single node, where renaming such an app cools its local cache entries
 // just the same.)
 func (a *Application) CacheKey() string {
-	var b strings.Builder
-	b.WriteString("app|")
+	var buf [keyBufLen]byte
+	b := append(buf[:0], "app|"...)
 	if a.Plant != nil {
-		b.WriteString(a.Plant.Name)
-		b.WriteByte('|')
-		keyMatrix(&b, a.Plant.A)
-		keyMatrix(&b, a.Plant.B)
-		keyMatrix(&b, a.Plant.C)
+		b = keyPlant(b, a.Plant)
 	}
-	keyFloat(&b, a.H)
-	keyFloat(&b, a.DelayTT)
-	keyFloat(&b, a.DelayET)
-	keyFloat(&b, a.Eth)
-	keyVec(&b, a.X0)
-	keyPoles(&b, a.PolesTT)
-	keyPoles(&b, a.PolesET)
-	keyMatrix(&b, a.QTT)
-	keyMatrix(&b, a.RTT)
-	keyMatrix(&b, a.QET)
-	keyMatrix(&b, a.RET)
-	return b.String()
+	b = keyFloat(b, a.H)
+	b = keyFloat(b, a.DelayTT)
+	b = keyFloat(b, a.DelayET)
+	b = keyFloat(b, a.Eth)
+	b = keyVec(b, a.X0)
+	b = keyPoles(b, a.PolesTT)
+	b = keyPoles(b, a.PolesET)
+	b = keyMatrix(b, a.QTT)
+	b = keyMatrix(b, a.RTT)
+	b = keyMatrix(b, a.QET)
+	b = keyMatrix(b, a.RET)
+	return string(b)
 }
 
 // curveWorkers is the process-wide fan-out width for dwell-curve sampling
@@ -460,19 +522,21 @@ func CurveSamplingWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// cachedDiscretize memoises lti.Discretize on (plant, h, d). The plant name
-// participates in the key because it is carried into the Discrete.
+// discKey is the cache key (and store address) of the discretisation of
+// plant c with sampling period h and delay d. The plant name participates
+// because it is carried into the Discrete.
+func discKey(c *lti.Continuous, h, d float64) string {
+	var buf [keyBufLen]byte
+	b := append(buf[:0], "disc|"...)
+	b = keyPlant(b, c)
+	b = keyFloat(b, h)
+	b = keyFloat(b, d)
+	return string(b)
+}
+
+// cachedDiscretize memoises lti.Discretize on (plant, h, d).
 func cachedDiscretize(ctx context.Context, c *lti.Continuous, h, d float64) (*lti.Discrete, error) {
-	var b strings.Builder
-	b.WriteString("disc|")
-	b.WriteString(c.Name)
-	b.WriteByte('|')
-	keyMatrix(&b, c.A)
-	keyMatrix(&b, c.B)
-	keyMatrix(&b, c.C)
-	keyFloat(&b, h)
-	keyFloat(&b, d)
-	v, err := deriveCache.get(ctx, b.String(), func(cctx context.Context) (any, error) {
+	v, err := deriveCache.get(ctx, discKey(c, h, d), func(cctx context.Context) (any, error) {
 		// Discretisation is a handful of small matrix exponentials —
 		// too cheap to need intra-computation cancellation points.
 		defer obs.FromContext(cctx).StageSince(obs.StageDiscretize, time.Now())
@@ -484,20 +548,30 @@ func cachedDiscretize(ctx context.Context, c *lti.Continuous, h, d float64) (*lt
 	return v.(*lti.Discrete), nil
 }
 
-// cachedSampleCurve memoises the exhaustive dwell/wait sampling on the
-// switched system's dynamics (the name is excluded: the Curve does not carry
-// it, so identical dynamics under different names share one sampling; the
-// worker count is excluded because the curve is byte-identical either way).
+// curveKey is the cache key (and store address) of the dwell/wait curve of
+// s sampled to horizon. The name is excluded: the Curve does not carry it,
+// so identical dynamics under different names share one sampling; the
+// worker count is excluded because the curve is byte-identical either way.
+func curveKey(s *switching.System, horizon int) string {
+	var buf [keyBufLen]byte
+	b := append(buf[:0], "curve|"...)
+	b = keyMatrix(b, s.A1)
+	b = keyMatrix(b, s.A2)
+	b = keyVec(b, s.X0)
+	b = keyFloat(b, s.Eth)
+	b = keyFloat(b, s.H)
+	b = append(b, 'n')
+	b = strconv.AppendInt(b, int64(s.NormDims), 10)
+	b = append(b, ";h"...)
+	b = strconv.AppendInt(b, int64(horizon), 10)
+	return string(b)
+}
+
+// cachedSampleCurve memoises the dwell/wait sampling on the switched
+// system's dynamics. s must be unnamed (shared), so a failure carries no
+// app name for a concurrent waiter to inherit.
 func cachedSampleCurve(ctx context.Context, s *switching.System, horizon int) (*switching.Curve, error) {
-	var b strings.Builder
-	b.WriteString("curve|")
-	keyMatrix(&b, s.A1)
-	keyMatrix(&b, s.A2)
-	keyVec(&b, s.X0)
-	keyFloat(&b, s.Eth)
-	keyFloat(&b, s.H)
-	fmt.Fprintf(&b, "n%d;h%d", s.NormDims, horizon)
-	v, err := deriveCache.get(ctx, b.String(), func(ctx context.Context) (any, error) {
+	v, err := deriveCache.get(ctx, curveKey(s, horizon), func(ctx context.Context) (any, error) {
 		defer obs.FromContext(ctx).StageSince(obs.StageCurveSample, time.Now())
 		return s.SampleCurveWith(switching.SampleCurveOptions{
 			Workers: CurveSamplingWorkers(),

@@ -261,12 +261,12 @@ func TestSetDeriveCacheCapacityEvictsShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := DeriveCacheStats()
-	if before.Entries != 3 {
-		t.Fatalf("entries = %d, want 3 (2 discretisations + 1 curve)", before.Entries)
+	if before.Entries != 4 {
+		t.Fatalf("entries = %d, want 4 (2 discretisations + 1 curve + 1 bundle)", before.Entries)
 	}
 	SetDeriveCacheCapacity(1, 0)
 	after := DeriveCacheStats()
-	if after.Entries != 1 || after.Evictions != before.Evictions+2 {
+	if after.Entries != 1 || after.Evictions != before.Evictions+3 {
 		t.Fatalf("after shrink: %+v (before: %+v)", after, before)
 	}
 }

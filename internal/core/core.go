@@ -136,7 +136,9 @@ func (a *Application) Validate() error {
 	return nil
 }
 
-// Derived bundles everything computed from an Application.
+// Derived bundles everything computed from an Application. Every field
+// but App is shared, read-only, with the other applications of the same
+// CacheKey; Sys is therefore unnamed.
 type Derived struct {
 	App            *Application
 	DiscTT, DiscET *lti.Discrete
@@ -151,13 +153,15 @@ type Derived struct {
 // Derive designs both controllers, forms the switched closed loops, samples
 // the dwell/wait curve and fits the three §III models.
 //
-// The discretisations and the dwell-curve sampling are memoised in a shared
-// thread-safe cache keyed by the plant dynamics and timing, so repeated
-// derivations of identical plants (fleets reuse a few plant models heavily)
-// are near-free; see DeriveFleet for the concurrent fleet entry point. The
-// cached intermediates are shared between Derived values and must not be
-// mutated. On a cache miss the dwell-curve sampling itself fans out across
-// the worker pool configured by SetCurveSamplingWorkers.
+// The result, App aside, depends only on the inputs CacheKey covers, so it
+// is memoised once per key in a shared thread-safe cache, above the
+// memoised discretisations and dwell curve it is built from: repeated
+// derivations of identical plants (fleets reuse a few plant models
+// heavily) are one key build and one lookup; see DeriveFleet for the
+// concurrent fleet entry point. The cached values are shared between
+// Derived values and must not be mutated. On a cache miss the dwell-curve
+// sampling itself fans out across the worker pool configured by
+// SetCurveSamplingWorkers.
 //
 //cpsdyn:ctx-compat legacy convenience entry point for the offline CLIs and examples; cancellable callers use DeriveContext
 func (a *Application) Derive() (*Derived, error) {
@@ -168,7 +172,8 @@ func (a *Application) Derive() (*Derived, error) {
 // the in-flight matrix work stops promptly and the error unwraps to
 // ctx.Err(). A cancelled derivation never poisons the shared cache —
 // concurrent derivations of the same artefacts with live contexts retake
-// the computation.
+// the computation. Errors name this application, also when the failed
+// computation was shared with (and run by) a concurrent one.
 func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	// Warm path: the latest successful derivation of this very Application
 	// is kept alongside a bit-exact input snapshot; while nothing has been
@@ -185,7 +190,24 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Derived{App: a}
+	v, err := deriveCache.getMemory(ctx, a.CacheKey(), func(ctx context.Context) (any, error) {
+		return a.derivation(ctx)
+	})
+	if err != nil {
+		return nil, a.nameError(err)
+	}
+	d := *v.(*Derived)
+	d.App = a
+	a.memo.Store(&appMemo{snap: snapshotApp(a), derived: &d})
+	return &d, nil
+}
+
+// derivation computes the name-free bundle DeriveContext caches under
+// a.CacheKey(): everything of a Derived but App, from nothing but the
+// inputs the key covers. Its errors carry no app name either (see
+// nameError), because every concurrent derivation of the key shares them.
+func (a *Application) derivation(ctx context.Context) (*Derived, error) {
+	d := &Derived{}
 	var err error
 	if d.DiscTT, err = cachedDiscretize(ctx, a.Plant, a.H, a.DelayTT); err != nil {
 		return nil, err
@@ -194,10 +216,10 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 		return nil, err
 	}
 	if d.KTT, err = a.designGain(d.DiscTT, a.PolesTT, a.QTT, a.RTT); err != nil {
-		return nil, fmt.Errorf("core: app %q TT controller: %w", a.Name, err)
+		return nil, &controllerError{loop: "TT", err: err}
 	}
 	if d.KET, err = a.designGain(d.DiscET, a.PolesET, a.QET, a.RET); err != nil {
-		return nil, fmt.Errorf("core: app %q ET controller: %w", a.Name, err)
+		return nil, &controllerError{loop: "ET", err: err}
 	}
 	a1, err := d.DiscET.ClosedLoop(d.KET)
 	if err != nil {
@@ -210,7 +232,6 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	x0 := make([]float64, a.Plant.Order()+1)
 	copy(x0, a.X0)
 	d.Sys = &switching.System{
-		Name:     a.Name,
 		A1:       a1,
 		A2:       a2,
 		X0:       x0,
@@ -224,8 +245,32 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	if d.NonMono, d.Conservative, d.Simple, err = d.Curve.FitModels(); err != nil {
 		return nil, err
 	}
-	a.memo.Store(&appMemo{snap: snapshotApp(a), derived: d})
 	return d, nil
+}
+
+// controllerError is a gain-design failure inside the shared derivation.
+type controllerError struct {
+	loop string // "TT" or "ET"
+	err  error
+}
+
+func (e *controllerError) Error() string { return e.loop + " controller: " + e.err.Error() }
+
+func (e *controllerError) Unwrap() error { return e.err }
+
+// nameError renders a failure of the shared, name-free derivation as this
+// application's own: the message an unshared derivation of a would give.
+// Every other failure names only the plant, which the key covers.
+func (a *Application) nameError(err error) error {
+	switch e := err.(type) {
+	case *controllerError:
+		return fmt.Errorf("core: app %q %s controller: %w", a.Name, e.loop, e.err)
+	case *switching.Error:
+		if e.System == "" {
+			return &switching.Error{System: a.Name, Err: e.Err}
+		}
+	}
+	return err
 }
 
 // designGain builds one state-feedback gain on the augmented loop: pole

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -170,8 +171,9 @@ func TestDeriveFleetEmpty(t *testing.T) {
 	}
 }
 
-// Identical plant/timing pairs must be computed once: the second app's
-// discretisations and dwell curve come from the cache.
+// Identical plant/timing pairs must be computed once: the second app is
+// served the first app's derivation bundle, and with it the same
+// discretisations and dwell curve.
 func TestDeriveCacheMemoizesIdenticalPlants(t *testing.T) {
 	ResetDeriveCache()
 	apps := []*Application{servoApp("A", 1, 3), servoApp("B", 2, 3)}
@@ -180,15 +182,16 @@ func TestDeriveCacheMemoizesIdenticalPlants(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := DeriveCacheStats()
-	// 2 discretisations + 1 curve computed; the twin app hits all three.
+	// 2 discretisations + 1 curve computed; the twin app hits the bundle
+	// once, whether it finds it filled or waits on the fill.
 	if st.Misses != 3 {
 		t.Fatalf("misses = %d, want 3 (2 discretisations + 1 curve)", st.Misses)
 	}
-	if st.Hits < 3 {
-		t.Fatalf("hits = %d, want ≥ 3 for the identical twin app", st.Hits)
+	if st.Hits != 1 {
+		t.Fatalf("hits = %d, want 1 (the twin app's bundle lookup)", st.Hits)
 	}
-	if st.Entries != 3 || st.Bytes <= 0 {
-		t.Fatalf("occupancy = %d entries / %d bytes, want 3 entries and positive bytes", st.Entries, st.Bytes)
+	if st.Entries != 4 || st.Bytes <= 0 {
+		t.Fatalf("occupancy = %d entries / %d bytes, want 4 entries (2 discretisations, 1 curve, 1 bundle) and positive bytes", st.Entries, st.Bytes)
 	}
 	// Cache hits share the immutable intermediates outright.
 	if fleet[0].Curve != fleet[1].Curve {
@@ -289,6 +292,46 @@ func TestAllocateSlotsRace(t *testing.T) {
 		}
 		if raced.NumSlots() > al.NumSlots() {
 			t.Fatalf("race used %d slots, %v alone used %d", raced.NumSlots(), p, al.NumSlots())
+		}
+	}
+}
+
+// Concurrent derivations of one key share one failing computation, and each
+// must still get an error that names itself and no other app. Regression:
+// the curve's single-flight entry handed its owner's error, built from the
+// owner's name, to every waiter ("switching: a: …" for app d).
+func TestSharedFailureNamesEachApp(t *testing.T) {
+	ResetDeriveCache()
+	defer ResetDeriveCache()
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for round := 0; round < 300; round++ {
+		start := make(chan struct{})
+		errs := make([]error, len(names))
+		var wg sync.WaitGroup
+		for i, name := range names {
+			app := servoApp(name, i+1, 3)
+			app.PolesET = []complex128{1.2, 0.88, 0.1} // unstable ET loop
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[i] = app.Derive()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, err := range errs {
+			if err == nil {
+				t.Fatalf("round %d: app %s derived an unstable design", round, names[i])
+			}
+			if want := "switching: " + names[i] + ": "; !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("round %d: app %s got %q, want it to start with %q", round, names[i], err, want)
+			}
+			for _, other := range names {
+				if other != names[i] && strings.Contains(err.Error(), "switching: "+other+":") {
+					t.Fatalf("round %d: app %s got an error naming app %s: %v", round, names[i], other, err)
+				}
+			}
 		}
 	}
 }

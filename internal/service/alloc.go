@@ -165,10 +165,10 @@ func (fr *FleetRequest) spec() (sched.BatchSpec, bool, error) {
 			return fail(fmt.Errorf("duplicate app name %q", ia.Name))
 		}
 		seen[ia.Name] = true
-		if err := finiteScalars(map[string]float64{
-			"r": ia.R, "deadline": ia.Deadline,
-			"model.xiTT": ia.Model.XiTT, "model.kp": ia.Model.Kp,
-			"model.xiM": ia.Model.XiM, "model.xiET": ia.Model.XiET,
+		if err := finiteScalars([]scalarField{
+			{"r", ia.R}, {"deadline", ia.Deadline},
+			{"model.xiTT", ia.Model.XiTT}, {"model.kp", ia.Model.Kp},
+			{"model.xiM", ia.Model.XiM}, {"model.xiET", ia.Model.XiET},
 		}, nil); err != nil {
 			return fail(fmt.Errorf("app %q: %w", ia.Name, err))
 		}

@@ -95,17 +95,30 @@ func matrix(field string, rows [][]float64) (*mat.Matrix, error) {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// finiteScalars rejects NaN/±Inf in the spec's scalar and vector fields.
-func finiteScalars(fields map[string]float64, vecs map[string][]float64) error {
-	for name, v := range fields {
-		if !isFinite(v) {
-			return fmt.Errorf("field %s = %g is not finite", name, v)
+// scalarField and vecField name a spec field for finiteScalars.
+type scalarField struct {
+	name string
+	v    float64
+}
+
+type vecField struct {
+	name string
+	v    []float64
+}
+
+// finiteScalars rejects NaN/±Inf in the spec's scalar and vector fields,
+// checked in the order given (declaration order), so a spec with several
+// bad fields always reports the same one.
+func finiteScalars(fields []scalarField, vecs []vecField) error {
+	for _, f := range fields {
+		if !isFinite(f.v) {
+			return fmt.Errorf("field %s = %g is not finite", f.name, f.v)
 		}
 	}
-	for name, vec := range vecs {
-		for i, v := range vec {
+	for _, f := range vecs {
+		for i, v := range f.v {
 			if !isFinite(v) {
-				return fmt.Errorf("field %s[%d] = %g is not finite", name, i, v)
+				return fmt.Errorf("field %s[%d] = %g is not finite", f.name, i, v)
 			}
 		}
 	}
@@ -141,11 +154,11 @@ func (s *DeriveAppSpec) application(i int) (*core.Application, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if err := finiteScalars(map[string]float64{
-		"h": s.H, "delayTT": s.DelayTT, "delayET": s.DelayET,
-		"eth": s.Eth, "r": s.R, "deadline": s.Deadline,
-	}, map[string][]float64{
-		"x0": s.X0, "polesTT": s.PolesTT, "polesET": s.PolesET,
+	if err := finiteScalars([]scalarField{
+		{"h", s.H}, {"delayTT", s.DelayTT}, {"delayET", s.DelayET},
+		{"eth", s.Eth}, {"r", s.R}, {"deadline", s.Deadline},
+	}, []vecField{
+		{"x0", s.X0}, {"polesTT", s.PolesTT}, {"polesET", s.PolesET},
 	}); err != nil {
 		return fail(err)
 	}

@@ -256,6 +256,35 @@ func TestStreamPerLineErrorsDoNotAbort(t *testing.T) {
 	}
 }
 
+// Rows of one failing design share its failed computation, yet every error
+// row names its own app and no other. Regression: the shared curve handed
+// its owner's error, built from the owner's name, to every concurrent row.
+func TestStreamSharedFailureNamesEachRow(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	names := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}
+	specs := servoDeriveRequest(len(names)).Apps
+	for i := range specs {
+		specs[i].Name = names[i]
+		specs[i].PolesET = []float64{1.2, 0.88, 0.1} // unstable ET loop
+	}
+	for round := 0; round < 20; round++ {
+		rows := streamNDJSON(t, ts.URL+"/v1/derive/stream?workers=8", ndjsonBody(t, specs))
+		if len(rows) != len(names) {
+			t.Fatalf("round %d: %d rows, want %d", round, len(rows), len(names))
+		}
+		for i, row := range rows {
+			if row.Result != nil || !strings.Contains(row.Error, "switching: "+names[i]+": ") {
+				t.Fatalf("round %d: row %d (%s) = %+v, want an error naming %s", round, i, names[i], row, names[i])
+			}
+			for _, other := range names {
+				if other != names[i] && strings.Contains(row.Error, other) {
+					t.Fatalf("round %d: row %d (%s) names app %s: %s", round, i, names[i], other, row.Error)
+				}
+			}
+		}
+	}
+}
+
 // Regression for the duplicate-name gap: the buffered /v1/derive decoder
 // used to accept duplicate app names silently, unlike /v1/allocate.
 func TestBufferedDeriveRejectsDuplicateNames(t *testing.T) {
@@ -566,6 +595,36 @@ func TestRequestErrorPrefix(t *testing.T) {
 	err = &RequestError{App: "C3", Err: errors.New(`duplicate app name "C3"`)}
 	if got := err.Error(); strings.Contains(got, "app ") && strings.Count(got, `"C3"`) != 1 {
 		t.Fatalf("error = %q, want no double prefix", got)
+	}
+}
+
+// A spec with several non-finite fields always reports the first in
+// declaration order. Regression: the fields were checked by ranging over a
+// map, so the reported field changed from call to call.
+func TestNonFiniteFieldReportIsDeterministic(t *testing.T) {
+	spec := servoDeriveRequest(1).Apps[0]
+	spec.H, spec.Eth = math.NaN(), math.Inf(1)
+	fleet := FleetRequest{Apps: []AppSpec{{Name: "C1", R: math.NaN(), Deadline: 2,
+		Model: ModelSpec{Kind: "non-monotonic", XiTT: 0.4, Kp: 0.7, XiM: math.Inf(-1), XiET: 4}}}}
+	derive, alloc := map[string]bool{}, map[string]bool{}
+	for i := 0; i < 100; i++ {
+		if _, err := spec.application(0); err != nil {
+			derive[err.Error()] = true
+		}
+		if _, _, err := fleet.spec(); err != nil {
+			alloc[err.Error()] = true
+		}
+	}
+	for what, got := range map[string]map[string]bool{"derive": derive, "allocate": alloc} {
+		if len(got) != 1 {
+			t.Errorf("%s: %d distinct messages over 100 calls, want 1: %v", what, len(got), got)
+		}
+	}
+	if !derive[`app "S1": field h = NaN is not finite`] {
+		t.Errorf("derive reported %v, want field h", derive)
+	}
+	if !alloc[`app "C1": field r = NaN is not finite`] {
+		t.Errorf("allocate reported %v, want field r", alloc)
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // System is one application's pair of switched closed loops on a shared
 // (delay-augmented) state space.
 type System struct {
-	Name     string
+	Name     string      // names the system in errors; "" when shared between applications
 	A1       *mat.Matrix // ET closed-loop matrix (augmented)
 	A2       *mat.Matrix // TT closed-loop matrix (augmented)
 	X0       []float64   // canonical post-disturbance state (augmented)
@@ -37,34 +37,57 @@ type System struct {
 	H        float64     // sampling period in seconds
 }
 
+// Error is a failure of one switched system, rendered as
+// "switching: <System>: <Err>". A system shared between applications is
+// unnamed, and its errors then render without the name, so that whoever
+// owns the failure can attach its own (core names the deriving app).
+type Error struct {
+	System string // the system's Name; "" for a shared system
+	Err    error
+}
+
+func (e *Error) Error() string {
+	if e.System == "" {
+		return "switching: " + e.Err.Error()
+	}
+	return "switching: " + e.System + ": " + e.Err.Error()
+}
+
+// Unwrap exposes the cause, e.g. the context error of a cancelled walk.
+func (e *Error) Unwrap() error { return e.Err }
+
+func (s *System) errorf(format string, args ...any) error {
+	return &Error{System: s.Name, Err: fmt.Errorf(format, args...)}
+}
+
 // Validate checks shapes, threshold and asymptotic stability of both loops
 // (switching stability holds because the scheme switches at most once,
 // §II-B of the paper).
 func (s *System) Validate() error {
 	n := s.A1.Rows()
 	if s.A1.Cols() != n || s.A2.Rows() != n || s.A2.Cols() != n {
-		return fmt.Errorf("switching: %s: A1 (%d×%d) and A2 (%d×%d) must be square and equal-sized",
-			s.Name, s.A1.Rows(), s.A1.Cols(), s.A2.Rows(), s.A2.Cols())
+		return s.errorf("A1 (%d×%d) and A2 (%d×%d) must be square and equal-sized",
+			s.A1.Rows(), s.A1.Cols(), s.A2.Rows(), s.A2.Cols())
 	}
 	if len(s.X0) != n {
-		return fmt.Errorf("switching: %s: x0 has %d entries, want %d", s.Name, len(s.X0), n)
+		return s.errorf("x0 has %d entries, want %d", len(s.X0), n)
 	}
 	if s.Eth <= 0 {
-		return fmt.Errorf("switching: %s: threshold Eth = %g must be positive", s.Name, s.Eth)
+		return s.errorf("threshold Eth = %g must be positive", s.Eth)
 	}
 	if s.H <= 0 {
-		return fmt.Errorf("switching: %s: sampling period %g must be positive", s.Name, s.H)
+		return s.errorf("sampling period %g must be positive", s.H)
 	}
 	if s.NormDims < 0 || s.NormDims > n {
-		return fmt.Errorf("switching: %s: NormDims %d outside [0, %d]", s.Name, s.NormDims, n)
+		return s.errorf("NormDims %d outside [0, %d]", s.NormDims, n)
 	}
 	for _, a := range []*mat.Matrix{s.A1, s.A2} {
 		stable, err := mat.IsSchurStable(a)
 		if err != nil {
-			return fmt.Errorf("switching: %s: %w", s.Name, err)
+			return &Error{System: s.Name, Err: err}
 		}
 		if !stable {
-			return fmt.Errorf("switching: %s: closed loop is not Schur stable", s.Name)
+			return s.errorf("closed loop is not Schur stable")
 		}
 	}
 	return nil
@@ -274,17 +297,17 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	cert2 := s.certify(ctx, s.A2, horizon, certBuf[2*n:], certBuf[n:2*n])
 	kET, ok, err := s.settle(ctx, s.A1, s.X0, horizon, sc, cert1)
 	if err != nil {
-		return nil, fmt.Errorf("switching: %s: sampling cancelled: %w", s.Name, err)
+		return nil, s.errorf("sampling cancelled: %w", err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("switching: %s: ET loop did not settle within %d steps", s.Name, horizon)
+		return nil, s.errorf("ET loop did not settle within %d steps", horizon)
 	}
 	kTT, ok, err := s.settle(ctx, s.A2, s.X0, horizon, sc, cert2)
 	if err != nil {
-		return nil, fmt.Errorf("switching: %s: sampling cancelled: %w", s.Name, err)
+		return nil, s.errorf("sampling cancelled: %w", err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("switching: %s: TT loop did not settle within %d steps", s.Name, horizon)
+		return nil, s.errorf("TT loop did not settle within %d steps", horizon)
 	}
 	// Prepass: the switch states x_kwait = A1^kwait·x0 for every kwait,
 	// row kwait of one flat buffer. kET can be 0 when a user-constructed
@@ -324,15 +347,14 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("switching: %s: TT loop did not settle from kwait=%d within %d steps",
-				s.Name, kwait, horizon)
+			return s.errorf("TT loop did not settle from kwait=%d within %d steps", kwait, horizon)
 		}
 		kdw[kwait] = k
 		return nil
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("switching: %s: sampling cancelled: %w", s.Name, err)
+			return nil, s.errorf("sampling cancelled: %w", err)
 		}
 		return nil, err
 	}
