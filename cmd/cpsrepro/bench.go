@@ -2,7 +2,8 @@ package main
 
 // bench-export runs the kernel benchmarks that gate this repository's
 // performance trajectory (matrix exponentials, discretisation, the warm
-// fleet sweep, the service's warm row path and its cache key)
+// fleet sweep, the service's warm row path, its cache key and the
+// slot-allocation race)
 // hermetically via testing.Benchmark — no `go test`
 // subprocess — and writes them as one JSON report (BENCH_N.json is the
 // committed artefact per perf PR). bench-compare diffs two such reports
@@ -26,6 +27,8 @@ import (
 	"cpsdyn/internal/lti"
 	"cpsdyn/internal/mat"
 	"cpsdyn/internal/plants"
+	"cpsdyn/internal/pwl"
+	"cpsdyn/internal/sched"
 )
 
 type benchResult struct {
@@ -78,6 +81,32 @@ func benchFleet() []*core.Application {
 			FrameID:  i + 1,
 			PolesTT:  poles(1 - 0.01*float64(i)),
 			PolesET:  []complex128{0.93, 0.88, 0.10},
+		}
+	}
+	return apps
+}
+
+// benchSchedFleet builds n paper-style schedulability views from a fixed
+// seed: non-monotonic models with ξM ≥ ξTT, inter-arrival times a few ξET
+// long and deadlines in [1.2 ξTT, r], so every app fits a slot alone.
+func benchSchedFleet(n int) []*sched.App {
+	r := rand.New(rand.NewSource(int64(n)))
+	apps := make([]*sched.App, n)
+	for i := range apps {
+		xiTT := 0.2 + 2*r.Float64()
+		xiET := xiTT * (2 + 4*r.Float64())
+		kp := xiET * (0.05 + 0.3*r.Float64())
+		xiM := xiTT * (1 + r.Float64())
+		m, err := pwl.PaperNonMonotonic(xiTT, kp, xiM, xiET)
+		if err != nil {
+			panic(err) // 0 < kp < ξET and ξM ≥ ξTT by construction
+		}
+		rr := xiET * (1.2 + 6*r.Float64())
+		apps[i] = &sched.App{
+			Name:     fmt.Sprintf("sched-%d", i),
+			R:        rr,
+			Deadline: xiTT*1.2 + (rr-xiTT*1.2)*r.Float64(),
+			Model:    m,
 		}
 	}
 	return apps
@@ -191,6 +220,20 @@ func kernelBenchmarks() []struct {
 			_ = probe.CacheKey()
 		}
 	}})
+	for _, n := range []int{30, 300} {
+		fleet := benchSchedFleet(n)
+		out = append(out, struct {
+			name string
+			fn   func(b *testing.B)
+		}{fmt.Sprintf("AllocateRace/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.AllocateRace(fleet, nil, sched.ClosedForm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}})
+	}
 	return out
 }
 

@@ -57,6 +57,35 @@
 // pointer loads and no key, lock or allocation, which is what the gated
 // DeriveFleetWarm benchmark measures.
 //
+// # Slot allocation
+//
+// sched.Allocate places apps in priority order (deadline, then name), so
+// a joiner is always the lowest-priority member of the slot it joins.
+// Every member's higher-priority set is therefore frozen once it has
+// joined, and a later joiner can only raise the blocking term, and only
+// for the suffix of members whose blocking is below the joiner's ξM. The
+// allocator keeps one state per slot: the members in priority order with
+// their ξM, blocking, wait, response and verdict, plus the running Σ ξM
+// and Σ ξM/r. A candidate check evaluates the joiner from the running
+// sums and re-evaluates only that suffix, stopping at the first miss. It
+// makes no copy, sort, validation, fmt call or heap allocation (the
+// allocfree analyzer and an AllocsPerRun test hold it to that), and
+// over-utilisation is a verdict, not a formatted error. Every step
+// repeats the float operations of sched.MaxWait and sched.AnalyzeSlot in
+// their order, so slots, tie-breaks, error strings and reply bytes are
+// those of the allocator that re-analysed each candidate slot from
+// scratch. AnalyzeSlot stays exported and unchanged as the oracle: a
+// property test compares the allocator against that reference on random
+// fleets with tied deadlines, and each committed slot's per-member
+// results against AnalyzeSlot bit for bit; Verify and the service's
+// reply rows still call it; a golden file pins the reply bytes. The
+// branch-and-bound Exact search takes each join back exactly, from a
+// trail of the records it overwrote. Exact is exponential, so it checks
+// its context every 1 024 search nodes: sched.AllocateContext,
+// sched.AllocateBatchContext and service.AllocateFleetsContext thread the
+// request's context, so cpsdynd's compute budget stops an exact request
+// and frees its in-flight slot.
+//
 // # Sharded sampling and cancellation
 //
 // The dominant cost of a cache-miss derive — measuring the non-monotone

@@ -12,28 +12,17 @@ import (
 	"cpsdyn/internal/sched"
 )
 
-// Deriving the measured fleet is expensive (calibration + curve sampling);
-// every test shares the process-wide instance, and tests that need it skip
-// under -short.
+// derivedFleet returns the measured fleet. Calibrating and deriving it
+// takes tens of milliseconds since the settling walks stop at their
+// certificates, so every test, -short included, runs on the process-wide
+// instance.
 func derivedFleet(t *testing.T) []*core.Derived {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("skipping fleet calibration in -short mode")
-	}
 	fleet, err := SharedFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fleet
-}
-
-// skipIfShort guards tests whose setup calibrates controllers (seconds to
-// tens of seconds of simulation search).
-func skipIfShort(t *testing.T) {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("skipping calibration-heavy test in -short mode")
-	}
 }
 
 // A pre-cancelled context aborts the fleet calibration before any search
@@ -166,7 +155,6 @@ func TestPaperSimpleMonotonicPacksTighter(t *testing.T) {
 }
 
 func TestServoFig3Reproduction(t *testing.T) {
-	skipIfShort(t)
 	r, err := RunFig3()
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +177,6 @@ func TestServoFig3Reproduction(t *testing.T) {
 }
 
 func TestServoFig4Models(t *testing.T) {
-	skipIfShort(t)
 	r, err := RunFig4()
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +217,6 @@ func TestMeasuredFleetMatchesTableITimings(t *testing.T) {
 }
 
 func TestMeasuredSlotCountsOrdering(t *testing.T) {
-	skipIfShort(t)
 	c, err := CompareMeasuredSlotCounts(sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +233,6 @@ func TestMeasuredSlotCountsOrdering(t *testing.T) {
 // Fig. 5: all six measured apps, disturbed at t = 0, meet their deadlines
 // in the event-level FlexRay co-simulation.
 func TestFig5AllDeadlinesMet(t *testing.T) {
-	skipIfShort(t)
 	r, err := RunFig5()
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +311,6 @@ func TestRandomWorkloadsValidation(t *testing.T) {
 }
 
 func TestSweepSegmentsTightensSafely(t *testing.T) {
-	skipIfShort(t)
 	pts, err := SweepSegments([]int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ package pwl
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -40,10 +41,18 @@ type Model struct {
 }
 
 // NewModel builds a model from explicit breakpoints. The final breakpoint
-// defines ξET (its dwell should be 0 for the paper's models).
+// defines ξET (its dwell should be 0 for the paper's models). A NaN
+// coordinate is rejected: every comparison with it is false, so it would
+// slip past the ordering and sign checks and MaxDwell would skip a NaN
+// peak, under-counting interference.
 func NewModel(kind string, points []Point) (*Model, error) {
 	if len(points) < 2 {
 		return nil, fmt.Errorf("pwl: model needs at least 2 breakpoints, got %d", len(points))
+	}
+	for _, p := range points {
+		if math.IsNaN(p.Wait) || math.IsNaN(p.Dwell) {
+			return nil, fmt.Errorf("pwl: NaN breakpoint (%g, %g)", p.Wait, p.Dwell)
+		}
 	}
 	for i := 1; i < len(points); i++ {
 		if points[i].Wait <= points[i-1].Wait {

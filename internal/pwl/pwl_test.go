@@ -213,3 +213,31 @@ func TestPaperModelValidation(t *testing.T) {
 		t.Fatal("want error for ξET = 0")
 	}
 }
+
+// NaN compares false with everything, so without an explicit check a NaN
+// breakpoint passes the ordering and sign checks and MaxDwell skips it.
+func TestNewModelRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	if _, err := PaperNonMonotonic(0.3, 0.5, nan, 2); err == nil {
+		t.Error("PaperNonMonotonic accepted ξM = NaN")
+	}
+	if _, err := PaperConservative(0.5, nan, 2); err == nil {
+		t.Error("PaperConservative accepted ξM = NaN")
+	}
+	if _, err := SimpleMonotonic(nan, 2); err == nil {
+		t.Error("SimpleMonotonic accepted ξTT = NaN")
+	}
+	for _, pts := range [][]Point{
+		{{0, 1}, {nan, 0.5}, {2, 0}},
+		{{0, 1}, {1, nan}, {2, 0}},
+		{{nan, 1}, {2, 0}},
+	} {
+		if _, err := NewModel("x", pts); err == nil {
+			t.Errorf("NewModel accepted %v", pts)
+		}
+	}
+	// ±Inf keep their meaning: an infinite settle-under-ET wait is a model.
+	if _, err := NewModel("x", []Point{{0, 1}, {math.Inf(1), 0}}); err != nil {
+		t.Errorf("NewModel rejected an infinite ξET: %v", err)
+	}
+}

@@ -1,27 +1,38 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 )
 
 // Policy selects the slot-allocation heuristic. Finding the minimum number
 // of slots is NP-hard (§IV), so the paper uses a heuristic; Exact is
 // provided as a branch-and-bound reference for small application sets.
+//
+// Every policy tests a candidate slot incrementally (see slotState): the
+// joiner is evaluated from the slot's running interference sums and only
+// the members whose blocking it raises are re-evaluated, with no copy,
+// sort or allocation. Under the closed form a check costs O(1) plus the
+// raised members; the fixed point adds an O(k) pass per iteration over the
+// k members above each evaluated app.
 type Policy int
 
 const (
 	// FirstFit considers applications in priority order and places each in
 	// the first existing slot on which the whole group stays schedulable,
-	// opening a new slot otherwise.
+	// opening a new slot otherwise. It checks up to one candidate per open
+	// slot per app.
 	FirstFit Policy = iota
 	// Sequential is the paper's literal §IV procedure: applications are
-	// only tried on the most recently opened slot.
+	// only tried on the most recently opened slot, one check per app.
 	Sequential
 	// BestFit places each application on the feasible slot whose resulting
-	// utilisation is highest (tightest packing).
+	// utilisation is highest (tightest packing). It checks every open slot
+	// for every app.
 	BestFit
 	// Exact searches all partitions (with symmetry and bound pruning) for
-	// the minimum number of slots. Exponential; intended for n ≲ 12.
+	// the minimum number of slots. Exponential; intended for n ≲ 12, and
+	// cancellable through AllocateContext.
 	Exact
 )
 
@@ -86,8 +97,19 @@ func (al *Allocation) Verify() error {
 // Allocate assigns the applications to TT slots under the given policy and
 // wait-time method. Apps are processed in priority order (§V starts from
 // the shortest deadline). An app that is unschedulable even alone on a
-// fresh slot yields an error.
+// fresh slot yields an error. See AllocateContext for the cancellable
+// variant this wraps.
+//
+//cpsdyn:ctx-compat convenience entry point for callers without a request context: the offline CLIs, the case study and AllocateRace, whose heuristics never look at one
 func Allocate(apps []*App, policy Policy, method Method) (*Allocation, error) {
+	return AllocateContext(context.Background(), apps, policy, method)
+}
+
+// AllocateContext is Allocate under ctx. The polynomial heuristics do not
+// look at ctx; the exponential Exact search checks it every 1 024 search
+// nodes and, once it has expired, stops with an error that unwraps to
+// ctx.Err().
+func AllocateContext(ctx context.Context, apps []*App, policy Policy, method Method) (*Allocation, error) {
 	for _, a := range apps {
 		if err := a.Validate(); err != nil {
 			return nil, err
@@ -97,136 +119,142 @@ func Allocate(apps []*App, policy Policy, method Method) (*Allocation, error) {
 		return &Allocation{Policy: policy, Method: method}, nil
 	}
 	sorted := SortByPriority(apps)
-	if policy == Exact {
-		return allocateExact(sorted, method)
-	}
-
 	var slots [][]*App
-	for _, app := range sorted {
-		idx, err := pickSlot(slots, app, policy, method)
+	switch policy {
+	case FirstFit, Sequential, BestFit:
+		states, err := allocateGreedy(sorted, policy, method)
 		if err != nil {
 			return nil, err
 		}
-		if idx >= 0 {
-			slots[idx] = append(slots[idx], app)
-			continue
-		}
-		// Open a new slot; the app must at least fit alone.
-		alone := []*App{app}
-		ok, err := SlotSchedulable(alone, method)
-		if err != nil {
+		slots = slotApps(states)
+	case Exact:
+		var err error
+		if slots, err = allocateExact(ctx, sorted, method); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("sched: app %q unschedulable even on a dedicated TT slot (ξTT = %.3f > ξd = %.3f)",
-				app.Name, app.Model.XiTT(), app.Deadline)
-		}
-		slots = append(slots, alone)
+	default:
+		return nil, fmt.Errorf("sched: unknown policy %v", policy)
 	}
 	return &Allocation{Slots: slots, Policy: policy, Method: method}, nil
 }
 
-// pickSlot returns the index of an existing slot that can accept the app,
-// or −1 if a new slot must be opened.
-func pickSlot(slots [][]*App, app *App, policy Policy, method Method) (int, error) {
+// allocateGreedy places the priority-sorted apps one by one under a
+// polynomial policy, opening a slot whenever the policy finds none.
+func allocateGreedy(sorted []*App, policy Policy, method Method) ([]slotState, error) {
+	var slots []slotState
+	for _, app := range sorted {
+		c := candidate(app)
+		idx := pickSlot(slots, c, policy, method)
+		if idx < 0 {
+			// Open a new slot; the app must at least fit alone.
+			slots = append(slots, slotState{})
+			idx = len(slots) - 1
+			if !slots[idx].admits(c, method) {
+				return nil, fmt.Errorf("sched: app %q unschedulable even on a dedicated TT slot (ξTT = %.3f > ξd = %.3f)",
+					app.Name, app.Model.XiTT(), app.Deadline)
+			}
+		}
+		slots[idx].join(c, method, nil)
+	}
+	return slots, nil
+}
+
+// pickSlot returns the index of an existing slot that can accept the
+// candidate, or −1 if a new slot must be opened.
+func pickSlot(slots []slotState, c member, policy Policy, method Method) int {
 	switch policy {
 	case FirstFit:
-		for i, group := range slots {
-			ok, err := SlotSchedulable(append(append([]*App(nil), group...), app), method)
-			if err != nil {
-				return -1, err
-			}
-			if ok {
-				return i, nil
+		for i := range slots {
+			if slots[i].admits(c, method) {
+				return i
 			}
 		}
-		return -1, nil
 	case Sequential:
-		if len(slots) == 0 {
-			return -1, nil
+		if i := len(slots) - 1; i >= 0 && slots[i].admits(c, method) {
+			return i
 		}
-		i := len(slots) - 1
-		ok, err := SlotSchedulable(append(append([]*App(nil), slots[i]...), app), method)
-		if err != nil {
-			return -1, err
-		}
-		if ok {
-			return i, nil
-		}
-		return -1, nil
 	case BestFit:
 		best, bestU := -1, -1.0
-		for i, group := range slots {
-			cand := append(append([]*App(nil), group...), app)
-			ok, err := SlotSchedulable(cand, method)
-			if err != nil {
-				return -1, err
+		for i := range slots {
+			if !slots[i].admits(c, method) {
+				continue
 			}
-			if ok {
-				if u := SlotUtilization(cand); u > bestU {
-					best, bestU = i, u
-				}
+			// SlotUtilization of the slot with c appended: the running sum
+			// plus c's term, added in the same (priority) order.
+			if u := slots[i].util + c.xiM/c.app.R; u > bestU {
+				best, bestU = i, u
 			}
 		}
-		return best, nil
-	default:
-		return -1, fmt.Errorf("sched: unknown policy %v", policy)
+		return best
 	}
+	return -1
 }
+
+// exactCheckEvery is how many Exact search nodes pass between ctx checks.
+const exactCheckEvery = 1024
 
 // allocateExact finds a minimum-slot partition by depth-first search with
 // branch-and-bound. Apps arrive in priority order; each app is tried in
 // every existing group (skipping infeasible ones) and in one new group —
-// opening at most one new group per level kills permutation symmetry.
-func allocateExact(sorted []*App, method Method) (*Allocation, error) {
+// opening at most one new group per level kills permutation symmetry. A
+// group is left exactly as it was before each tried join.
+func allocateExact(ctx context.Context, sorted []*App, method Method) ([][]*App, error) {
 	// Upper bound from first-fit.
-	ff, err := Allocate(sorted, FirstFit, method)
+	ff, err := allocateGreedy(sorted, FirstFit, method)
 	if err != nil {
 		return nil, err
 	}
-	best := ff.Slots
+	best := slotApps(ff)
 	bestN := len(best)
 
-	groups := make([][]*App, 0, len(sorted))
+	cands := make([]member, len(sorted))
+	for i, app := range sorted {
+		cands[i] = candidate(app)
+	}
+	// Opened groups are truncated away, not freed, so a reopened group
+	// reuses its buffers. Joins and leaves nest, so one trail serves all
+	// groups.
+	groups := make([]slotState, 0, len(sorted))
+	var trail []member
+	nodes := 0
 	var dfs func(i int) error
 	dfs = func(i int) error {
+		if nodes++; nodes%exactCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("sched: exact allocation stopped after %d search nodes: %w", nodes, err)
+			}
+		}
 		if len(groups) >= bestN {
 			return nil // cannot improve
 		}
 		if i == len(sorted) {
-			best = cloneGroups(groups)
+			best = slotApps(groups)
 			bestN = len(best)
 			return nil
 		}
-		app := sorted[i]
+		c := cands[i]
 		for g := range groups {
-			cand := append(append([]*App(nil), groups[g]...), app)
-			ok, err := SlotSchedulable(cand, method)
-			if err != nil {
-				return err
-			}
-			if !ok {
+			if !groups[g].admits(c, method) {
 				continue
 			}
-			groups[g] = append(groups[g], app)
+			groups[g].join(c, method, &trail)
 			if err := dfs(i + 1); err != nil {
 				return err
 			}
-			groups[g] = groups[g][:len(groups[g])-1]
+			groups[g].leave(&trail)
 		}
 		// Open a new group, but only if the result could still beat bestN.
 		if len(groups)+1 < bestN {
-			ok, err := SlotSchedulable([]*App{app}, method)
-			if err != nil {
-				return err
+			groups = groups[:len(groups)+1]
+			g := &groups[len(groups)-1]
+			if !g.admits(c, method) {
+				return fmt.Errorf("sched: app %q unschedulable even on a dedicated TT slot", c.app.Name)
 			}
-			if !ok {
-				return fmt.Errorf("sched: app %q unschedulable even on a dedicated TT slot", app.Name)
-			}
-			groups = append(groups, []*App{app})
+			g.join(c, method, &trail)
 			if err := dfs(i + 1); err != nil {
 				return err
 			}
+			g.leave(&trail)
 			groups = groups[:len(groups)-1]
 		}
 		return nil
@@ -234,13 +262,5 @@ func allocateExact(sorted []*App, method Method) (*Allocation, error) {
 	if err := dfs(0); err != nil {
 		return nil, err
 	}
-	return &Allocation{Slots: best, Policy: Exact, Method: method}, nil
-}
-
-func cloneGroups(groups [][]*App) [][]*App {
-	out := make([][]*App, len(groups))
-	for i, g := range groups {
-		out[i] = append([]*App(nil), g...)
-	}
-	return out
+	return best, nil
 }

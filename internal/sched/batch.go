@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"context"
+
 	"cpsdyn/internal/conc"
 )
 
@@ -25,16 +27,36 @@ type BatchResult struct {
 // bounded worker pool (workers ≤ 0 selects runtime.GOMAXPROCS). Results keep
 // the input order, and one fleet's failure never affects the others — the
 // per-fleet error travels in its BatchResult. This is the engine behind both
-// slotalloc's multi-fleet input and cpsdynd's /v1/allocate.
+// slotalloc's multi-fleet input and cpsdynd's /v1/allocate. See
+// AllocateBatchContext for the cancellable variant this wraps.
+//
+//cpsdyn:ctx-compat legacy convenience entry point for the offline CLIs and benchmarks, which own no request context
 func AllocateBatch(specs []BatchSpec, workers int) []BatchResult {
+	return AllocateBatchContext(context.Background(), specs, workers)
+}
+
+// AllocateBatchContext is AllocateBatch under ctx: a fleet's Exact
+// search stops once ctx expires (see AllocateContext), and no further
+// fleet starts. A fleet stopped or never started by the expiry carries an
+// error that unwraps to ctx.Err(). The raced heuristics never look at
+// ctx.
+func AllocateBatchContext(ctx context.Context, specs []BatchSpec, workers int) []BatchResult {
 	out := make([]BatchResult, len(specs))
-	conc.ForEach(len(specs), workers, func(i int) {
+	err := conc.ForEachCtx(ctx, len(specs), workers, func(i int) error {
 		s := specs[i]
 		if s.Race {
 			out[i].Alloc, out[i].Err = AllocateRace(s.Apps, nil, s.Method)
 		} else {
-			out[i].Alloc, out[i].Err = Allocate(s.Apps, s.Policy, s.Method)
+			out[i].Alloc, out[i].Err = AllocateContext(ctx, s.Apps, s.Policy, s.Method)
 		}
+		return nil // a fleet's failure is its own, in its BatchResult
 	})
+	if err != nil {
+		for i := range out {
+			if out[i].Alloc == nil && out[i].Err == nil {
+				out[i].Err = err
+			}
+		}
+	}
 	return out
 }

@@ -35,14 +35,16 @@ type App struct {
 
 // Validate checks the app's parameters, including the paper's standing
 // assumption ξd ≤ r (a disturbance is rejected before the next arrives).
+// NaN is not positive: a NaN deadline would scramble SortByPriority's
+// order for every app, and a NaN r every wait bound.
 func (a *App) Validate() error {
 	if a.Model == nil {
 		return fmt.Errorf("sched: app %q has no dwell model", a.Name)
 	}
-	if a.R <= 0 {
+	if !(a.R > 0) {
 		return fmt.Errorf("sched: app %q: inter-arrival time %g must be positive", a.Name, a.R)
 	}
-	if a.Deadline <= 0 {
+	if !(a.Deadline > 0) {
 		return fmt.Errorf("sched: app %q: deadline %g must be positive", a.Name, a.Deadline)
 	}
 	if a.Deadline > a.R {

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"cpsdyn/internal/pwl"
 )
@@ -373,5 +376,50 @@ func TestErrOverUtilizedIs(t *testing.T) {
 	_, err := MaxWait(sorted, 2, ClosedForm)
 	if !errors.Is(err, ErrOverUtilized) {
 		t.Fatalf("err = %v, want ErrOverUtilized", err)
+	}
+}
+
+// The exact search is exponential: this 40-app fleet runs for seconds
+// (over 8 s on a 2-vCPU host). Its context must stop it promptly, with an
+// error that unwraps to the context's.
+func TestExactStopsWhenContextExpires(t *testing.T) {
+	apps := randomFleet(rand.New(rand.NewSource(2)), 40)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	al, err := AllocateContext(ctx, apps, Exact, ClosedForm)
+	if !errors.Is(err, context.DeadlineExceeded) || al != nil {
+		t.Fatalf("AllocateContext = %v, %v; want a context.DeadlineExceeded error", al, err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("the search stopped %v after starting, %v after its deadline", took, took-50*time.Millisecond)
+	}
+	// The heuristics never look at the context.
+	cancelled, stop := context.WithCancel(context.Background())
+	stop()
+	if _, err := AllocateContext(cancelled, apps, FirstFit, ClosedForm); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// NaN is not a positive time: a NaN deadline would scramble the priority
+// order of the finite apps too ({2, NaN, 1} sorts as 2, NaN, 1).
+func TestValidateRejectsNaN(t *testing.T) {
+	m, _ := pwl.SimpleMonotonic(1, 2)
+	nan := math.NaN()
+	for _, bad := range []*App{
+		{Name: "nanR", R: nan, Deadline: 5, Model: m},
+		{Name: "nanD", R: 10, Deadline: nan, Model: m},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("app %q: want validation error", bad.Name)
+		}
+		if _, err := Allocate([]*App{bad}, FirstFit, ClosedForm); err == nil {
+			t.Errorf("app %q: Allocate accepted it", bad.Name)
+		}
+	}
+	inf := &App{Name: "infR", R: math.Inf(1), Deadline: 5, Model: m}
+	if err := inf.Validate(); err != nil {
+		t.Errorf("an infinite inter-arrival time is valid: %v", err)
 	}
 }

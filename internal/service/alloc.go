@@ -6,6 +6,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -198,7 +199,18 @@ func fleetLabel(fr *FleetRequest, i int) string {
 // apps) fail the whole call — the request itself is broken. Per-fleet
 // allocation failures (an infeasible fleet) are recorded in the matching
 // FleetResult.Error instead, so a batch reports every salvageable result.
+// See AllocateFleetsContext for the cancellable variant this wraps.
+//
+//cpsdyn:ctx-compat legacy convenience entry point for slotalloc's buffered mode, which owns no request context
 func AllocateFleets(reqs []FleetRequest, workers int) ([]*FleetResult, error) {
+	return AllocateFleetsContext(context.Background(), reqs, workers)
+}
+
+// AllocateFleetsContext is AllocateFleets under ctx, which bounds the
+// exponential exact search: once ctx expires the call fails with an error
+// that unwraps to ctx.Err() instead of reporting the fleets it stopped as
+// infeasible.
+func AllocateFleetsContext(ctx context.Context, reqs []FleetRequest, workers int) ([]*FleetResult, error) {
 	specs := make([]sched.BatchSpec, len(reqs))
 	unsafe := make([]bool, len(reqs))
 	var errs []error
@@ -213,11 +225,14 @@ func AllocateFleets(reqs []FleetRequest, workers int) ([]*FleetResult, error) {
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	batch := sched.AllocateBatch(specs, workers)
+	batch := sched.AllocateBatchContext(ctx, specs, workers)
 	out := make([]*FleetResult, len(reqs))
 	for i, br := range batch {
 		res := &FleetResult{Name: reqs[i].Name}
 		out[i] = res
+		if isCancellation(br.Err) {
+			return nil, br.Err
+		}
 		if br.Err != nil {
 			res.Error = br.Err.Error()
 			continue

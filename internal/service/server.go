@@ -478,8 +478,8 @@ type AllocateResponse struct {
 }
 
 func allocateEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
-	// Allocation analysis is cheap arithmetic; it finishes well inside any
-	// budget, so it does not take cancellation points.
+	// The heuristics finish well inside any budget, but the exact search
+	// is exponential: it honours ctx, so a budget overrun frees the slot.
 	var req AllocateRequest
 	if err := decodeTraced(ctx, body, &req); err != nil {
 		return nil, err
@@ -488,7 +488,7 @@ func allocateEndpoint(ctx context.Context, s *Server, body []byte) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	results, err := AllocateFleets(fleets, s.cfg.Workers)
+	results, err := AllocateFleetsContext(ctx, fleets, s.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

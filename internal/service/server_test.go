@@ -719,3 +719,36 @@ func TestRequestTimeout(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// An exact allocation honours the compute budget: this 40-app fleet's
+// branch-and-bound search runs for seconds (over 6 s on a 2-vCPU host),
+// so its request gets a 504 — and the search must stop and free the only
+// in-flight slot right after, instead of blocking the next request.
+func TestExactAllocateBudgetFreesSlot(t *testing.T) {
+	ts := newTestServer(t, Config{MaxInFlight: 1, Timeout: 300 * time.Millisecond})
+	code, out := postJSON(t, ts.URL+"/v1/allocate", FleetRequest{Policy: "exact", Apps: goldenFleet(13, 40)})
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("exact allocation status = %d (%s), want 504", code, out)
+	}
+	deadline := time.Now().Add(time.Second)
+	var stats StatszResponse
+	for {
+		if c := getJSON(t, ts.URL+"/statsz", &stats); c != http.StatusOK {
+			t.Fatalf("statsz status = %d", c)
+		}
+		if stats.Server.InFlight == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("exact search still holds its slot 1 s after the 504: %+v", stats.Server)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if stats.Server.Cancelled != 1 {
+		t.Fatalf("cancelled = %d, want 1", stats.Server.Cancelled)
+	}
+	code, out = postJSON(t, ts.URL+"/v1/allocate", FleetRequest{Policy: "first-fit", Apps: goldenFleet(1, 2)})
+	if code != http.StatusOK {
+		t.Fatalf("follow-up allocation status = %d (%s), want 200", code, out)
+	}
+}

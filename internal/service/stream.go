@@ -301,10 +301,10 @@ func AllocateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOp
 	return stats, err
 }
 
-// allocateStreamRow allocates one fleet line. Allocation is quick
-// arithmetic, so it takes no cancellation points of its own; the pool stops
-// dispatching rows once ctx expires.
-func allocateStreamRow(_ context.Context, _ int, ln Line[FleetRequest]) (row FleetStreamRow) {
+// allocateStreamRow allocates one fleet line under ctx: the heuristics
+// are quick arithmetic, and an exact search stops once ctx expires, which
+// makes the row an error row (the pool stops dispatching rows too).
+func allocateStreamRow(ctx context.Context, _ int, ln Line[FleetRequest]) (row FleetStreamRow) {
 	row.Index = ln.Index
 	defer func() {
 		if r := recover(); r != nil {
@@ -326,7 +326,11 @@ func allocateStreamRow(_ context.Context, _ int, ln Line[FleetRequest]) (row Fle
 	if spec.Race {
 		al, err = sched.AllocateRace(spec.Apps, nil, spec.Method)
 	} else {
-		al, err = sched.Allocate(spec.Apps, spec.Policy, spec.Method)
+		al, err = sched.AllocateContext(ctx, spec.Apps, spec.Policy, spec.Method)
+	}
+	if isCancellation(err) {
+		row.Fleet, row.Error = nil, err.Error()
+		return row
 	}
 	if err != nil {
 		res.Error = err.Error() // infeasible fleet: in-band, like the batch path
