@@ -18,6 +18,7 @@ import (
 	"cpsdyn/internal/core"
 	"cpsdyn/internal/flexray"
 	"cpsdyn/internal/sched"
+	"cpsdyn/internal/service"
 	"cpsdyn/internal/switching"
 )
 
@@ -278,8 +279,7 @@ func BenchmarkSampleCurve(b *testing.B) {
 }
 
 // BenchmarkCalibrate measures one full measured-mode calibration (the
-// servo's TT and ET binary searches, each speculatively evaluating its
-// bisection probes in parallel) — the dominant cost of measured mode.
+// servo's TT and ET binary searches) — the dominant cost of measured mode.
 func BenchmarkCalibrate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := casestudy.ServoApp(); err != nil {
@@ -308,23 +308,29 @@ func BenchmarkPolicyRace(b *testing.B) {
 }
 
 // BenchmarkAllocateBatch allocates many independent copies of the Table I
-// fleet concurrently — the slotalloc/service batch path — and reports the
+// fleet concurrently, each racing the policies, through the batch path
+// behind /v1/allocate and slotalloc's multi-fleet input, and reports the
 // batch width.
 func BenchmarkAllocateBatch(b *testing.B) {
-	apps, err := casestudy.PaperApps(core.NonMonotonic)
-	if err != nil {
-		b.Fatal(err)
+	var apps []service.AppSpec
+	for _, r := range casestudy.TableI() {
+		apps = append(apps, service.AppSpec{Name: r.Name, R: r.R, Deadline: r.Xid,
+			Model: service.ModelSpec{Kind: "non-monotonic", XiTT: r.XiTT, Kp: r.Kp, XiM: r.XiM, XiET: r.XiET}})
 	}
 	const fleets = 16
-	specs := make([]sched.BatchSpec, fleets)
-	for i := range specs {
-		specs[i] = sched.BatchSpec{Apps: apps, Race: true, Method: sched.ClosedForm}
+	reqs := make([]service.FleetRequest, fleets)
+	for i := range reqs {
+		reqs[i] = service.FleetRequest{Policy: "race", Method: "closed-form", Apps: apps}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range sched.AllocateBatch(specs, 0) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
+		results, err := service.AllocateFleets(reqs, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Error != "" {
+				b.Fatal(r.Error)
 			}
 		}
 	}

@@ -35,7 +35,7 @@
 //	GET  /healthz      liveness probe
 //	GET  /statsz       derivation-cache hit/miss/diskHit/eviction counters,
 //	                   server in-flight/timeout/cancellation counters, the
-//	                   effective workers/stream-window configuration, the
+//	                   effective workers/streamWindow configuration, the
 //	                   cumulative simulation-step gauge, per-endpoint and
 //	                   per-stage latency histograms, — in gateway
 //	                   mode — per-peer health plus peerRows/peerFallbacks
@@ -54,9 +54,10 @@
 // -peers host1:8700,host2:8700,... turns the daemon into a sharding
 // gateway: derive work is partitioned by canonical plant cache key
 // (core.Application.CacheKey) across the replicas on a deterministic
-// consistent-hash ring (-ring-replicas virtual nodes per peer), each
-// request fanned out as one persistent NDJSON sub-stream per peer, rows
-// reassembled in input order. A replica that is down, slow (-peer-timeout)
+// consistent-hash ring (128 virtual nodes per peer, a constant, so every
+// gateway of a cluster agrees on each key's owner), each request fanned
+// out as one persistent NDJSON sub-stream per peer, rows reassembled in
+// input order. A replica that is down, slow (-peer-timeout)
 // or circuit-broken costs nothing but warmth: its rows are derived locally
 // and counted as peerFallbacks. Replicas are plain cpsdynd processes — the
 // same binary, no flags — and because equal cache keys always land on the
@@ -93,16 +94,14 @@
 // rejected 503 once their deadline passes) and each request gets a -timeout
 // compute budget (504 on overrun). A budget overrun or client disconnect
 // cancels the in-flight matrix work — the computation stops consuming CPU
-// promptly — unless -complete-background restores the old detached
-// behaviour (the abandoned computation finishes and warms the cache).
+// promptly. A stream's reorder window is twice its worker count.
 // Cache-miss dwell-curve sampling fans out across -curve-workers cores.
 // SIGINT/SIGTERM trigger a graceful drain.
 //
 // Usage: cpsdynd [-addr :8700] [-cache-entries 1024] [-cache-bytes N]
 // [-cache-dir DIR] [-cache-dir-bytes N] [-max-inflight N] [-timeout 60s]
-// [-workers N] [-curve-workers N] [-stream-window N] [-complete-background]
-// [-peers h1:8700,h2:8700] [-ring-replicas N] [-peer-timeout 10s]
-// [-debug-addr 127.0.0.1:8701]
+// [-workers N] [-curve-workers N] [-peers h1:8700,h2:8700]
+// [-peer-timeout 10s] [-debug-addr 127.0.0.1:8701]
 package main
 
 import (
@@ -163,11 +162,8 @@ func main() {
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-request compute budget")
 		workers      = flag.Int("workers", 0, "per-request derivation/allocation workers (0 = GOMAXPROCS)")
 		curveWorkers = flag.Int("curve-workers", 0, "dwell-curve sampling fan-out on cache misses (0 = GOMAXPROCS, 1 = sequential)")
-		streamWindow = flag.Int("stream-window", 0, "per-stream NDJSON reorder window: rows derived out of order awaiting in-order emission (0 = 2×workers)")
-		background   = flag.Bool("complete-background", false, "let timed-out/disconnected computations finish detached (warming the cache) instead of cancelling them")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		peers        = flag.String("peers", "", "comma-separated replica addresses (host:port or URL); non-empty switches the daemon into sharding-gateway mode")
-		ringReplicas = flag.Int("ring-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = 128)")
 		peerTimeout  = flag.Duration("peer-timeout", 10*time.Second, "per-row round-trip budget to a replica before the row falls back to local derivation")
 	)
 	flag.Parse()
@@ -191,15 +187,12 @@ func main() {
 			"records", st.Stats().Records, "bytes", st.Stats().Bytes)
 	}
 	cfg := service.Config{
-		MaxInFlight:          *maxInFlight,
-		Timeout:              *timeout,
-		Workers:              *workers,
-		CompleteInBackground: *background,
-		StreamWindow:         *streamWindow,
-		RingReplicas:         *ringReplicas,
-		PeerTimeout:          *peerTimeout,
-		Store:                st,
-		Logger:               logger,
+		MaxInFlight: *maxInFlight,
+		Timeout:     *timeout,
+		Workers:     *workers,
+		PeerTimeout: *peerTimeout,
+		Store:       st,
+		Logger:      logger,
 	}
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {

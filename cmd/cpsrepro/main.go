@@ -36,9 +36,8 @@
 // rows instead of aborting the stream.
 //
 // The measured-mode commands (table1, fig5) share one calibrated fleet per
-// process: the six controller calibrations run concurrently (each search
-// additionally evaluates its bisection probes speculatively in parallel)
-// and the derived artefacts are reused, so "all" calibrates once instead
+// process: the six controller calibrations run concurrently and the
+// derived artefacts are reused, so "all" calibrates once instead
 // of three times.
 package main
 

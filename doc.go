@@ -23,7 +23,7 @@
 // treated as immutable. sched.AllocateRace (and its core.AllocateSlotsRace
 // bridge) additionally races the first-fit, sequential and best-fit
 // allocation heuristics concurrently and keeps the feasible result with the
-// fewest TT slots, and sched.AllocateBatch allocates many independent
+// fewest TT slots, and service.AllocateFleets allocates many independent
 // fleets concurrently across one bounded worker pool.
 //
 // The memo cache is a size-aware LRU: core.SetDeriveCacheCapacity bounds it
@@ -81,9 +81,8 @@
 // reply rows still call it; a golden file pins the reply bytes. The
 // branch-and-bound Exact search takes each join back exactly, from a
 // trail of the records it overwrote. Exact is exponential, so it checks
-// its context every 1 024 search nodes: sched.AllocateContext,
-// sched.AllocateBatchContext and service.AllocateFleetsContext thread the
-// request's context, so cpsdynd's compute budget stops an exact request
+// its context every 1 024 search nodes: sched.AllocateContext and
+// service.AllocateFleetsContext thread the request's context, so cpsdynd's compute budget stops an exact request
 // and frees its in-flight slot.
 //
 // # Sharded sampling and cancellation
@@ -120,8 +119,8 @@
 // core.DeriveFleet / (*core.Application).DeriveContext through the memo
 // cache's single-flight path into the settling simulations (sub-millisecond
 // cancellation points), and through the measured-mode calibration searches
-// (casestudy.Calibrate, whose binary searches evaluate their bisection
-// probes speculatively in parallel). A cancelled computation never poisons
+// (casestudy.Calibrate, whose sequential bisections check the context
+// before every probe). A cancelled computation never poisons
 // a single-flight entry: waiters with live contexts retake it.
 //
 // # Performance
@@ -193,8 +192,13 @@
 // owns the full measured-mode workflow (plants plus response-time targets
 // in, calibrated pole-placement designs plus derive rows out). A request
 // whose compute budget expires or whose client disconnects is cancelled —
-// it stops consuming CPU promptly — unless the service opts into detached
-// background completion (service.Config.CompleteInBackground).
+// it stops consuming CPU promptly. Each operation answers an item through
+// one function, whatever the framing: a buffered endpoint compiles and
+// validates every item, runs that function over a bounded worker pool and
+// joins the per-item errors; a stream runs it per NDJSON row; in gateway
+// mode the derive function tries the replica owning the app and falls
+// back to the local derivation. Derive and calibrate reject duplicate app
+// names, buffered with a 400, streamed as an error row.
 //
 // # Streaming derivation (NDJSON)
 //
@@ -226,8 +230,9 @@
 // the memo cache partitions perfectly: route equal keys to one replica and
 // each replica's LRU holds a disjoint, stable slice of the fleet's
 // artefacts. internal/cluster implements that scale-out. A deterministic
-// consistent-hash ring (cluster.Ring: FNV-1a, configurable virtual nodes
-// per peer, order-independent construction) maps every app's canonical
+// consistent-hash ring (cluster.Ring: FNV-1a, 128 virtual nodes per peer
+// — a constant, so no two gateways can disagree on an owner —
+// order-independent construction) maps every app's canonical
 // cache key — core.Application.CacheKey, a string over exactly the fields
 // that reach a cache entry, deliberately excluding name/frame/r/deadline —
 // to the replica owning it; removing one of N peers reassigns only ~1/N of

@@ -80,10 +80,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if alloc.NumSlots() > ch.DeterministicSlots() {
-		log.Fatalf("allocation needs %d GTS but the superframe has %d", alloc.NumSlots(), ch.DeterministicSlots())
+	if alloc.NumSlots() > ch.GTSSlots {
+		log.Fatalf("allocation needs %d GTS but the superframe has %d", alloc.NumSlots(), ch.GTSSlots)
 	}
-	fmt.Printf("GTS slots needed: %d of %d\n", alloc.NumSlots(), ch.DeterministicSlots())
+	fmt.Printf("GTS slots needed: %d of %d\n", alloc.NumSlots(), ch.GTSSlots)
 	for s, group := range alloc.Slots {
 		fmt.Printf("  GTS %d:", s+1)
 		for _, a := range group {

@@ -217,9 +217,8 @@ func Fleet() ([]*core.Application, error) {
 
 // FleetContext builds and calibrates the measured-mode fleet under ctx.
 // Each application's calibration search is independent, so the six run
-// across the shared bounded worker pool (each search additionally
-// parallelises its probe evaluations — see Calibrate), with
-// per-application failures aggregated. A ctx expiry aborts the in-flight
+// across the shared bounded worker pool, with per-application failures
+// aggregated. A ctx expiry aborts the in-flight
 // searches promptly and returns ctx.Err().
 func FleetContext(ctx context.Context) ([]*core.Application, error) {
 	specs := fleetSpecs()
@@ -265,9 +264,8 @@ func FleetContext(ctx context.Context) ([]*core.Application, error) {
 // sampling period or 5%, whichever is looser. etOmega > 0 gives the ET
 // design a lightly-damped complex pole pair at that natural frequency
 // (rad/s) instead of real poles. On success app.PolesTT/PolesET hold the
-// calibrated designs. Probes never mutate app until then, so concurrent
-// probe evaluations are safe; a ctx expiry aborts the search promptly with
-// an error unwrapping to ctx.Err().
+// calibrated designs; probes never mutate app until then. A ctx expiry
+// aborts the search promptly with an error unwrapping to ctx.Err().
 //
 // Exported so the cpsdynd /v1/calibrate endpoint can own the measured-mode
 // workflow end to end.
@@ -282,9 +280,9 @@ func Calibrate(ctx context.Context, app *core.Application, targetTT, targetET, e
 		}
 		return []complex128{complex(rho, 0), complex(0.92*rho, 0), 0.1}
 	}
-	// Probes run on private shallow copies, so the speculative evaluations
-	// of searchRho can overlap without synchronising on app.
-	// TT first (ET fixed at a safe slow default), then ET.
+	// Probes run on private shallow copies, so app keeps its designs until
+	// both searches succeed. TT first (ET fixed at a safe slow default),
+	// then ET.
 	rhoTT, err := searchRho(ctx, func(ctx context.Context, rho float64) (float64, error) {
 		probe := app.CloneShallow()
 		probe.PolesTT = ttPoles(rho)
@@ -313,61 +311,38 @@ func Calibrate(ctx context.Context, app *core.Application, targetTT, targetET, e
 // searchRho binary-searches a pole radius in (0.30, 0.9995) so that the
 // measured settling time approaches the target. Settling time increases
 // with the radius; non-monotone wiggles from transient humps are absorbed
-// by the tolerance.
-//
-// Each round speculatively evaluates the current midpoint and both
-// candidate next midpoints concurrently, then consumes up to two
-// sequential bisection steps from the three probes. The probe sequence the
-// search consumes is exactly the sequential one — after the mid step the
-// next midpoint is bitwise-equal to one of the two quarter points,
-// including the probe-failure retreat towards slower poles — so the result
-// is identical while the wall-clock roughly halves.
+// by the tolerance. ctx is checked before every probe, so an expiry stops
+// the search within one probe.
 func searchRho(ctx context.Context, measure func(ctx context.Context, rho float64) (float64, error), target, h float64) (float64, error) {
 	lo, hi := 0.30, 0.9995
 	var best float64 = math.NaN()
 	bestErr := math.Inf(1)
 	const steps = 40
-	for step := 0; step < steps; {
-		mid := (lo + hi) / 2
-		cand := [3]float64{mid, (lo + mid) / 2, (mid + hi) / 2}
-		var got [3]float64
-		var errs [3]error
-		if err := conc.ForEachCtx(ctx, len(cand), len(cand), func(i int) error {
-			got[i], errs[i] = measure(ctx, cand[i])
-			return nil
-		}); err != nil {
+	for step := 0; step < steps; step++ {
+		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		for j := 0; j < 2 && step < steps; j++ {
-			idx := 0
-			if j == 1 {
-				// The first step moved exactly one bound to cand[0]; the
-				// new midpoint is the matching speculative quarter point.
-				if hi == cand[0] {
-					idx = 1
-				} else {
-					idx = 2
-				}
+		mid := (lo + hi) / 2
+		got, err := measure(ctx, mid)
+		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return 0, ctxErr
 			}
-			m := cand[idx]
-			step++
-			if errs[idx] != nil {
-				// Too aggressive a design can fail (e.g. numerically huge
-				// gains); retreat towards slower poles.
-				lo = m
-				continue
-			}
-			if diff := math.Abs(got[idx] - target); diff < bestErr {
-				best, bestErr = m, diff
-			}
-			if math.Abs(got[idx]-target) <= math.Max(h, 0.05*target) {
-				return m, nil
-			}
-			if got[idx] > target {
-				hi = m
-			} else {
-				lo = m
-			}
+			// Too aggressive a design can fail (e.g. numerically huge
+			// gains); retreat towards slower poles.
+			lo = mid
+			continue
+		}
+		if diff := math.Abs(got - target); diff < bestErr {
+			best, bestErr = mid, diff
+		}
+		if math.Abs(got-target) <= math.Max(h, 0.05*target) {
+			return mid, nil
+		}
+		if got > target {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
 	if math.IsNaN(best) {

@@ -20,9 +20,6 @@ type Config struct {
 	// The configured string is the peer's ring identity verbatim, so every
 	// gateway of a cluster must spell a peer the same way.
 	Peers []string
-	// VirtualNodes is the per-peer point count on the consistent-hash ring
-	// (≤ 0 selects DefaultVirtualNodes).
-	VirtualNodes int
 	// Path is the streaming endpoint on each replica (default
 	// "/v1/derive/stream").
 	Path string
@@ -65,7 +62,7 @@ type Gateway struct {
 // Addresses without a scheme get "http://"; the configured string (not the
 // resolved URL) is the ring identity.
 func New(cfg Config) (*Gateway, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VirtualNodes)
+	ring, err := NewRing(cfg.Peers)
 	if err != nil {
 		return nil, err
 	}

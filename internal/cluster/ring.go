@@ -18,14 +18,15 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-peer virtual-node count when a Ring is
-// built with vnodes ≤ 0. 128 points per peer keeps the ownership split
-// within a few percent of uniform for small clusters while the ring stays a
-// sub-kilobyte sorted slice.
-const DefaultVirtualNodes = 128
+// virtualNodes is the per-peer point count on every ring. 128 points per
+// peer keeps the ownership split within a few percent of uniform for small
+// clusters while the ring stays a sub-kilobyte sorted slice. It is a
+// constant, not a setting: two gateways with different counts would
+// disagree on the owners of most keys.
+const virtualNodes = 128
 
 // Ring is a deterministic consistent-hash ring over a fixed peer set: every
-// peer contributes vnodes points (FNV-1a of "peer#i") on a 64-bit circle,
+// peer contributes virtualNodes points (FNV-1a of "peer#i") on a 64-bit circle,
 // and a key is owned by the peer of the first point at or after the key's
 // hash. Determinism is the load-bearing property — two gateways built from
 // the same peer set (in any order) map every key to the same owner, so
@@ -35,7 +36,6 @@ const DefaultVirtualNodes = 128
 //
 // A Ring is immutable and safe for concurrent use.
 type Ring struct {
-	vnodes int
 	peers  []string
 	points []ringPoint
 }
@@ -55,13 +55,10 @@ func hash64(s string) uint64 {
 
 // NewRing builds the ring. Peers must be non-empty and distinct (the peer
 // string is the node identity — two gateways must spell each peer the same
-// way); vnodes ≤ 0 selects DefaultVirtualNodes.
-func NewRing(peers []string, vnodes int) (*Ring, error) {
+// way).
+func NewRing(peers []string) (*Ring, error) {
 	if len(peers) == 0 {
 		return nil, errors.New("cluster: ring needs at least one peer")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	// Sort a copy so construction order never influences tie-breaking.
 	sorted := append([]string(nil), peers...)
@@ -72,12 +69,11 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 		}
 	}
 	r := &Ring{
-		vnodes: vnodes,
 		peers:  sorted,
-		points: make([]ringPoint, 0, vnodes*len(sorted)),
+		points: make([]ringPoint, 0, virtualNodes*len(sorted)),
 	}
 	for pi, peer := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: hash64(peer + "#" + strconv.Itoa(v)),
 				peer: int32(pi),
@@ -111,6 +107,3 @@ func (r *Ring) Owner(key string) string {
 func (r *Ring) Peers() []string {
 	return append([]string(nil), r.peers...)
 }
-
-// VirtualNodes reports the per-peer point count in use.
-func (r *Ring) VirtualNodes() int { return r.vnodes }

@@ -20,11 +20,11 @@ func ringKeys(n int) []string {
 // in front of the same replicas have to agree on every key's owner.
 func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 	keys := ringKeys(2000)
-	a, err := NewRing([]string{"h1:8700", "h2:8700", "h3:8700", "h4:8700"}, 0)
+	a, err := NewRing([]string{"h1:8700", "h2:8700", "h3:8700", "h4:8700"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"h4:8700", "h2:8700", "h1:8700", "h3:8700"}, 0)
+	b, err := NewRing([]string{"h4:8700", "h2:8700", "h1:8700", "h3:8700"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRingDeterministicAcrossConstructionOrder(t *testing.T) {
 // that no refactor silently changes the hash or tie-breaking and strands
 // every replica's warm cache after a rolling restart.
 func TestRingPinnedMapping(t *testing.T) {
-	r, err := NewRing([]string{"replica-a", "replica-b", "replica-c"}, 0)
+	r, err := NewRing([]string{"replica-a", "replica-b", "replica-c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRingPinnedMapping(t *testing.T) {
 // fraction is ~1/N, not a full reshuffle.
 func TestRingRebalanceMovesOnlyVictimKeys(t *testing.T) {
 	peers := []string{"h1:8700", "h2:8700", "h3:8700", "h4:8700", "h5:8700"}
-	before, err := NewRing(peers, 0)
+	before, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRingRebalanceMovesOnlyVictimKeys(t *testing.T) {
 			survivors = append(survivors, p)
 		}
 	}
-	after, err := NewRing(survivors, 0)
+	after, err := NewRing(survivors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRingRebalanceMovesOnlyVictimKeys(t *testing.T) {
 // With virtual nodes, every peer owns a non-trivial share of the space.
 func TestRingDistributionRoughlyUniform(t *testing.T) {
 	peers := []string{"h1:8700", "h2:8700", "h3:8700"}
-	r, err := NewRing(peers, 0)
+	r, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,21 +119,18 @@ func TestRingDistributionRoughlyUniform(t *testing.T) {
 }
 
 func TestRingRejectsBadPeerSets(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty peer set accepted")
 	}
-	if _, err := NewRing([]string{"h1", "h2", "h1"}, 0); err == nil {
+	if _, err := NewRing([]string{"h1", "h2", "h1"}); err == nil {
 		t.Error("duplicate peer accepted")
 	}
-	r, err := NewRing([]string{"only"}, 0)
+	r, err := NewRing([]string{"only"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Owner("anything"); got != "only" {
 		t.Fatalf("single-peer ring routed to %q", got)
-	}
-	if r.VirtualNodes() != DefaultVirtualNodes {
-		t.Fatalf("vnodes = %d, want default %d", r.VirtualNodes(), DefaultVirtualNodes)
 	}
 }
 

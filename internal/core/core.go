@@ -208,26 +208,43 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 // nameError), because every concurrent derivation of the key shares them.
 func (a *Application) derivation(ctx context.Context) (*Derived, error) {
 	d := &Derived{}
+	if err := a.buildLoops(ctx, d); err != nil {
+		return nil, err
+	}
+	var err error
+	if d.Curve, err = cachedSampleCurve(ctx, d.Sys, 0); err != nil {
+		return nil, err
+	}
+	if d.NonMono, d.Conservative, d.Simple, err = d.Curve.FitModels(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// buildLoops fills what both the derivation and a settling probe start
+// from: the two discretisations, the gains designed on them and the
+// switched system of the two closed loops. Its errors carry no app name.
+func (a *Application) buildLoops(ctx context.Context, d *Derived) error {
 	var err error
 	if d.DiscTT, err = cachedDiscretize(ctx, a.Plant, a.H, a.DelayTT); err != nil {
-		return nil, err
+		return err
 	}
 	if d.DiscET, err = cachedDiscretize(ctx, a.Plant, a.H, a.DelayET); err != nil {
-		return nil, err
+		return err
 	}
 	if d.KTT, err = a.designGain(d.DiscTT, a.PolesTT, a.QTT, a.RTT); err != nil {
-		return nil, &controllerError{loop: "TT", err: err}
+		return &controllerError{loop: "TT", err: err}
 	}
 	if d.KET, err = a.designGain(d.DiscET, a.PolesET, a.QET, a.RET); err != nil {
-		return nil, &controllerError{loop: "ET", err: err}
+		return &controllerError{loop: "ET", err: err}
 	}
 	a1, err := d.DiscET.ClosedLoop(d.KET)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	a2, err := d.DiscTT.ClosedLoop(d.KTT)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	x0 := make([]float64, a.Plant.Order()+1)
 	copy(x0, a.X0)
@@ -239,13 +256,7 @@ func (a *Application) derivation(ctx context.Context) (*Derived, error) {
 		NormDims: a.Plant.Order(),
 		H:        a.H,
 	}
-	if d.Curve, err = cachedSampleCurve(ctx, d.Sys, 0); err != nil {
-		return nil, err
-	}
-	if d.NonMono, d.Conservative, d.Simple, err = d.Curve.FitModels(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return nil
 }
 
 // controllerError is a gain-design failure inside the shared derivation.
@@ -292,58 +303,22 @@ func (a *Application) designGain(disc *lti.Discrete, poles []complex128, q, r *m
 	return k, err
 }
 
-// ProbeSettle designs both controllers and returns the pure-TT and pure-ET
-// settling times (seconds) without sampling the full dwell curve. It is the
-// cheap inner loop for calibrating controller designs against target
-// response times (as the case study does to approach Table I).
-//
-//cpsdyn:ctx-compat legacy convenience entry point for offline calibration; cancellable callers use ProbeSettleContext
-func (a *Application) ProbeSettle() (xiTT, xiET float64, err error) {
-	return a.ProbeSettleContext(context.Background())
-}
-
-// ProbeSettleContext is ProbeSettle with cooperative cancellation, so a
-// calibration search under a compute budget stops its settling simulations
-// the moment the budget expires.
+// ProbeSettleContext designs both controllers and returns the pure-TT and
+// pure-ET settling times (seconds) without sampling the full dwell curve.
+// It is the cheap inner loop for calibrating controller designs against
+// target response times (as the case study does to approach Table I); a
+// calibration search under a compute budget stops its settling
+// simulations the moment ctx expires.
 func (a *Application) ProbeSettleContext(ctx context.Context) (xiTT, xiET float64, err error) {
 	if err := a.Validate(); err != nil {
 		return 0, 0, err
 	}
-	discTT, err := cachedDiscretize(ctx, a.Plant, a.H, a.DelayTT)
-	if err != nil {
+	var d Derived
+	if err := a.buildLoops(ctx, &d); err != nil {
 		return 0, 0, err
 	}
-	discET, err := cachedDiscretize(ctx, a.Plant, a.H, a.DelayET)
-	if err != nil {
-		return 0, 0, err
-	}
-	ktt, err := a.designGain(discTT, a.PolesTT, a.QTT, a.RTT)
-	if err != nil {
-		return 0, 0, err
-	}
-	ket, err := a.designGain(discET, a.PolesET, a.QET, a.RET)
-	if err != nil {
-		return 0, 0, err
-	}
-	a1, err := discET.ClosedLoop(ket)
-	if err != nil {
-		return 0, 0, err
-	}
-	a2, err := discTT.ClosedLoop(ktt)
-	if err != nil {
-		return 0, 0, err
-	}
-	x0 := make([]float64, a.Plant.Order()+1)
-	copy(x0, a.X0)
-	sys := &switching.System{
-		Name:     a.Name,
-		A1:       a1,
-		A2:       a2,
-		X0:       x0,
-		Eth:      a.Eth,
-		NormDims: a.Plant.Order(),
-		H:        a.H,
-	}
+	sys := d.Sys
+	sys.Name = a.Name
 	if err := sys.Validate(); err != nil {
 		return 0, 0, err
 	}

@@ -8,66 +8,11 @@
 // resources — FlexRay static slots, 802.15.4 guaranteed time slots) and a
 // best-effort lane (shared, contention-based — FlexRay dynamic segment,
 // CSMA contention access period). The dwell/wait analysis of the paper only
-// consumes the two worst-case delays, so any Channel plugs into the same
-// pipeline.
+// consumes the two worst-case delays, so any such medium plugs into the
+// same pipeline; WirelessTDMA is the one the robotic-arm example uses.
 package hybrid
 
-import (
-	"fmt"
-
-	"cpsdyn/internal/flexray"
-)
-
-// Channel is a hybrid deterministic/best-effort communication medium.
-type Channel interface {
-	// Name identifies the medium.
-	Name() string
-	// DeterministicSlots returns how many reservable slots exist.
-	DeterministicSlots() int
-	// DeterministicDelay returns the worst-case sensor-to-actuator delay
-	// (seconds) for a message on reserved slot s, measured from a sample
-	// taken at the start of the medium's schedule period.
-	DeterministicDelay(s int) (float64, error)
-	// BestEffortDelay returns the worst-case delay (seconds) on the shared
-	// lane when n stations contend.
-	BestEffortDelay(n int) (float64, error)
-}
-
-// FlexRayChannel adapts a FlexRay configuration to the Channel interface.
-type FlexRayChannel struct {
-	Cfg flexray.Config
-}
-
-// Name implements Channel.
-func (f FlexRayChannel) Name() string { return "flexray" }
-
-// DeterministicSlots implements Channel.
-func (f FlexRayChannel) DeterministicSlots() int { return f.Cfg.StaticSlots }
-
-// DeterministicDelay implements Channel: the static slot's window end.
-func (f FlexRayChannel) DeterministicDelay(s int) (float64, error) {
-	if s < 0 || s >= f.Cfg.StaticSlots {
-		return 0, fmt.Errorf("hybrid: static slot %d outside [0, %d)", s, f.Cfg.StaticSlots)
-	}
-	return float64(f.Cfg.StaticDelay(s)) / 1e9, nil
-}
-
-// BestEffortDelay implements Channel: in the worst case a frame waits for
-// every higher-priority contender once per cycle, needing up to n cycles
-// before its own transmission completes (the standard dynamic-segment
-// worst-case bound when each cycle serves at least one pending frame).
-func (f FlexRayChannel) BestEffortDelay(n int) (float64, error) {
-	if n < 1 {
-		return 0, fmt.Errorf("hybrid: need at least one contender, got %d", n)
-	}
-	frame := int64(f.Cfg.FrameMinislots) * f.Cfg.MinislotLen
-	perCycle := int(f.Cfg.DynamicSegment() / frame)
-	if perCycle < 1 {
-		return 0, fmt.Errorf("hybrid: dynamic segment cannot carry a frame")
-	}
-	cycles := (n + perCycle - 1) / perCycle
-	return float64(int64(cycles)*f.Cfg.CycleLength) / 1e9, nil
-}
+import "fmt"
 
 // WirelessTDMA models an IEEE 802.15.4-style beacon-enabled superframe: a
 // beacon, a contention access period (CAP, CSMA/CA) and a contention-free
@@ -106,14 +51,9 @@ func (w WirelessTDMA) Validate() error {
 	return nil
 }
 
-// Name implements Channel.
-func (w WirelessTDMA) Name() string { return "wireless-tdma" }
-
-// DeterministicSlots implements Channel.
-func (w WirelessTDMA) DeterministicSlots() int { return w.GTSSlots }
-
-// DeterministicDelay implements Channel: beacon + CAP + preceding GTSs +
-// the slot itself.
+// DeterministicDelay returns the worst-case delay (seconds) of a message on
+// GTS s, sampled at the start of the superframe: beacon + CAP + preceding
+// GTSs + the slot itself.
 func (w WirelessTDMA) DeterministicDelay(s int) (float64, error) {
 	if err := w.Validate(); err != nil {
 		return 0, err
@@ -124,8 +64,8 @@ func (w WirelessTDMA) DeterministicDelay(s int) (float64, error) {
 	return w.Beacon + w.CAP + float64(s+1)*w.GTSLen, nil
 }
 
-// BestEffortDelay implements Channel: every attempt costs the worst-case
-// backoff plus airtime, and in the worst case the n−1 other stations each
+// BestEffortDelay returns the worst-case delay (seconds) on the CAP when n
+// stations contend: every attempt costs the worst-case backoff plus airtime, and in the worst case the n−1 other stations each
 // win once before us in every CAP; if the remaining CAP cannot carry our
 // frame the attempt rolls into the next superframe.
 func (w WirelessTDMA) BestEffortDelay(n int) (float64, error) {
@@ -145,9 +85,3 @@ func (w WirelessTDMA) BestEffortDelay(n int) (float64, error) {
 	}
 	return w.Beacon + attempts*perAttempt, nil
 }
-
-// Compile-time interface checks.
-var (
-	_ Channel = FlexRayChannel{}
-	_ Channel = WirelessTDMA{}
-)

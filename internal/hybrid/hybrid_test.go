@@ -3,8 +3,6 @@ package hybrid
 import (
 	"math"
 	"testing"
-
-	"cpsdyn/internal/flexray"
 )
 
 func wireless() WirelessTDMA {
@@ -17,45 +15,6 @@ func wireless() WirelessTDMA {
 		Airtime:    0.0015,
 		MaxBackoff: 0.0005,
 		Retries:    2,
-	}
-}
-
-func TestFlexRayChannelDeterministic(t *testing.T) {
-	ch := FlexRayChannel{Cfg: flexray.CaseStudyConfig()}
-	if ch.Name() != "flexray" || ch.DeterministicSlots() != 10 {
-		t.Fatal("basic properties wrong")
-	}
-	d, err := ch.DeterministicDelay(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-0.0006) > 1e-12 {
-		t.Fatalf("delay = %g, want 0.6 ms", d)
-	}
-	if _, err := ch.DeterministicDelay(10); err == nil {
-		t.Fatal("want error for slot out of range")
-	}
-}
-
-func TestFlexRayChannelBestEffort(t *testing.T) {
-	ch := FlexRayChannel{Cfg: flexray.CaseStudyConfig()}
-	// 3 ms dynamic segment, 200 µs frames → 15 frames per cycle.
-	d1, err := ch.BestEffortDelay(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d1-0.005) > 1e-12 {
-		t.Fatalf("6 contenders = %g, want one 5 ms cycle", d1)
-	}
-	d2, err := ch.BestEffortDelay(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d2-0.010) > 1e-12 {
-		t.Fatalf("16 contenders = %g, want two cycles", d2)
-	}
-	if _, err := ch.BestEffortDelay(0); err == nil {
-		t.Fatal("want error for zero contenders")
 	}
 }
 

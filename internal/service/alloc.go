@@ -141,11 +141,22 @@ func BuildModel(m ModelSpec) (model *pwl.Model, unsafe bool, err error) {
 	}
 }
 
-// spec compiles one fleet request into a sched.BatchSpec. Every failure is
-// a *RequestError — a malformed request, as opposed to an infeasible fleet.
-func (fr *FleetRequest) spec() (sched.BatchSpec, bool, error) {
-	fail := func(err error) (sched.BatchSpec, bool, error) {
-		return sched.BatchSpec{}, false, &RequestError{Err: err}
+// fleetSpec is one compiled fleet request: the apps to place, the policy
+// or the policy race, the wait-time method, and whether any model is the
+// unsafe simple kind.
+type fleetSpec struct {
+	apps   []*sched.App
+	policy sched.Policy
+	race   bool
+	method sched.Method
+	unsafe bool
+}
+
+// spec compiles one fleet request. Every failure is a *RequestError — a
+// malformed request, as opposed to an infeasible fleet.
+func (fr *FleetRequest) spec() (fleetSpec, error) {
+	fail := func(err error) (fleetSpec, error) {
+		return fleetSpec{}, &RequestError{Err: err}
 	}
 	if len(fr.Apps) == 0 {
 		return fail(errors.New("no apps in fleet"))
@@ -180,7 +191,7 @@ func (fr *FleetRequest) spec() (sched.BatchSpec, bool, error) {
 		unsafe = unsafe || isUnsafe
 		apps = append(apps, &sched.App{Name: ia.Name, R: ia.R, Deadline: ia.Deadline, Model: m})
 	}
-	return sched.BatchSpec{Apps: apps, Policy: policy, Race: race, Method: method}, unsafe, nil
+	return fleetSpec{apps: apps, policy: policy, race: race, method: method, unsafe: unsafe}, nil
 }
 
 // fleetLabel names a fleet in errors: its name if given, else its index.
@@ -207,41 +218,57 @@ func AllocateFleets(reqs []FleetRequest, workers int) ([]*FleetResult, error) {
 }
 
 // AllocateFleetsContext is AllocateFleets under ctx, which bounds the
-// exponential exact search: once ctx expires the call fails with an error
-// that unwraps to ctx.Err() instead of reporting the fleets it stopped as
-// infeasible.
+// exponential exact search: once ctx expires no further fleet starts and
+// the call fails with an error that unwraps to ctx.Err() instead of
+// reporting the fleets it stopped as infeasible.
 func AllocateFleetsContext(ctx context.Context, reqs []FleetRequest, workers int) ([]*FleetResult, error) {
-	specs := make([]sched.BatchSpec, len(reqs))
-	unsafe := make([]bool, len(reqs))
+	specs := make([]fleetSpec, len(reqs))
 	var errs []error
 	for i := range reqs {
-		spec, uns, err := reqs[i].spec()
+		spec, err := reqs[i].spec()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", fleetLabel(&reqs[i], i), err))
 			continue
 		}
-		specs[i], unsafe[i] = spec, uns
+		specs[i] = spec
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	batch := sched.AllocateBatchContext(ctx, specs, workers)
-	out := make([]*FleetResult, len(reqs))
-	for i, br := range batch {
-		res := &FleetResult{Name: reqs[i].Name}
-		out[i] = res
-		if isCancellation(br.Err) {
-			return nil, br.Err
-		}
-		if br.Err != nil {
-			res.Error = br.Err.Error()
-			continue
-		}
-		if err := fillFleetResult(res, &reqs[i], br.Alloc, unsafe[i]); err != nil {
+	return forEachItem(ctx, len(reqs), workers, func(i int) (*FleetResult, error) {
+		res, err := allocateFleet(ctx, &reqs[i], specs[i])
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", fleetLabel(&reqs[i], i), err)
 		}
+		return res, nil
+	})
+}
+
+// allocateFleet allocates one compiled fleet — the policy race, or the
+// requested policy under ctx — and reports it in wire form. An infeasible
+// fleet is an analysis outcome, reported in-band in FleetResult.Error; an
+// exact search stopped by ctx fails the call with an error that unwraps to
+// ctx.Err().
+func allocateFleet(ctx context.Context, req *FleetRequest, spec fleetSpec) (*FleetResult, error) {
+	var al *sched.Allocation
+	var err error
+	if spec.race {
+		al, err = sched.AllocateRace(spec.apps, nil, spec.method)
+	} else {
+		al, err = sched.AllocateContext(ctx, spec.apps, spec.policy, spec.method)
 	}
-	return out, nil
+	if isCancellation(err) {
+		return nil, err
+	}
+	res := &FleetResult{Name: req.Name}
+	if err != nil {
+		res.Error = err.Error()
+		return res, nil
+	}
+	if err := fillFleetResult(res, req, al, spec.unsafe); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // fillFleetResult analyses every slot of the allocation and emits the

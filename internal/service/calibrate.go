@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -100,53 +99,47 @@ func poleSpecs(ps []complex128) []PoleSpec {
 	return out
 }
 
-// Calibrate runs the full measured-mode workflow for a fleet: search the
-// controller designs against the per-app response targets (each app's
-// search runs on the bounded worker pool and itself evaluates probes
-// speculatively), then derive the calibrated fleet through the shared memo
-// cache. A ctx expiry aborts both phases promptly.
+// appName names the spec's app for the duplicate-name rule.
+func (s *CalibrateAppSpec) appName() string { return s.Name }
+
+// Calibrate compiles the request, rejecting an empty request and duplicate
+// app names like /v1/derive, then runs the measured-mode workflow
+// (calibrateApp) for every app across the bounded worker pool
+// (req.Workers ≤ 0 selects GOMAXPROCS). Per-app failures — searches that
+// find no design, derivations that fail — are joined in input order while
+// every other app still runs. A ctx expiry aborts the searches and
+// derivations promptly.
 func Calibrate(ctx context.Context, req *CalibrateRequest) (*CalibrateResponse, error) {
-	if len(req.Apps) == 0 {
-		return nil, errors.New("no apps in request")
-	}
-	apps := make([]*core.Application, len(req.Apps))
-	for i := range req.Apps {
-		// application() failures are *RequestErrors that already name the
-		// offending app.
-		a, err := req.Apps[i].application(i)
-		if err != nil {
-			return nil, err
-		}
-		apps[i] = a
-	}
-	errs := make([]error, len(apps))
-	ferr := conc.ForEachCtx(ctx, len(apps), req.Workers, func(i int) error {
-		spec := &req.Apps[i]
-		if err := casestudy.Calibrate(ctx, apps[i], spec.TargetXiTT, spec.TargetXiET, spec.EtOmega); err != nil {
-			errs[i] = fmt.Errorf("app %q: %w", spec.Name, err)
-		}
-		return nil // per-app failures are aggregated, not dispatch-stopping
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	fleet, err := core.DeriveFleet(ctx, apps, core.FleetOptions{Workers: req.Workers})
+	apps, err := compileApps(req.Apps)
 	if err != nil {
 		return nil, err
 	}
-	resp := &CalibrateResponse{Apps: make([]CalibrateResult, len(fleet))}
-	for i, d := range fleet {
-		resp.Apps[i] = CalibrateResult{
-			DeriveResult: deriveResult(d),
-			PolesTT:      poleSpecs(apps[i].PolesTT),
-			PolesET:      poleSpecs(apps[i].PolesET),
-		}
+	rows, err := forEachItem(ctx, len(apps), req.Workers, func(i int) (CalibrateResult, error) {
+		return calibrateApp(ctx, &req.Apps[i], apps[i])
+	})
+	if err != nil {
+		return nil, err
 	}
-	resp.Cache = core.DeriveCacheStats()
-	return resp, nil
+	return &CalibrateResponse{Apps: rows, Cache: core.DeriveCacheStats()}, nil
+}
+
+// calibrateApp runs one app's measured-mode workflow: search the controller
+// designs against its targets (a sequential bisection per loop), derive the
+// calibrated app on the shared memo cache, and report the derive row with
+// the calibrated poles. A failed search names its app.
+func calibrateApp(ctx context.Context, spec *CalibrateAppSpec, app *core.Application) (CalibrateResult, error) {
+	if err := casestudy.Calibrate(ctx, app, spec.TargetXiTT, spec.TargetXiET, spec.EtOmega); err != nil {
+		return CalibrateResult{}, fmt.Errorf("app %q: %w", spec.Name, err)
+	}
+	d, err := app.DeriveContext(ctx)
+	if err != nil {
+		return CalibrateResult{}, err
+	}
+	return CalibrateResult{
+		DeriveResult: deriveResult(d),
+		PolesTT:      poleSpecs(app.PolesTT),
+		PolesET:      poleSpecs(app.PolesET),
+	}, nil
 }
 
 // CalibrateStreamRow is one NDJSON line of a /v1/calibrate/stream response:
@@ -161,24 +154,24 @@ type CalibrateStreamRow struct {
 
 // CalibrateStream is DeriveStream's measured-mode sibling: NDJSON
 // CalibrateAppSpec lines in, NDJSON CalibrateStreamRows out in input order,
-// each app's design search and derivation run across a bounded worker pool.
-// Per-line failures (malformed JSON, invalid specs, searches that do not
-// converge) become error rows and never abort the stream; a ctx expiry stops
-// it mid-flight like the other engines.
+// each app's design search and derivation (calibrateApp) run across a
+// bounded worker pool. Per-line failures (malformed JSON, duplicate names,
+// invalid specs, searches that do not converge) become error rows and
+// never abort the stream; a ctx expiry stops it mid-flight like the other
+// engines.
 func CalibrateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
 	var stats StreamStats
 	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(effectiveWorkers(opts.Workers)),
-		countingSource[CalibrateAppSpec](r, opts.MaxLine, &stats, tr),
+	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
+		appSource[CalibrateAppSpec](r, opts.MaxLine, &stats, tr),
 		calibrateStreamRow,
 		encodeSink[CalibrateStreamRow](w, &stats, tr))
 	return stats, err
 }
 
-// calibrateStreamRow runs one line's full measured-mode workflow: compile
-// the spec, search the controller designs against its targets, then derive
-// the calibrated app on the shared memo cache. Failures become error rows; a
-// panic fails its own row, not the stream.
+// calibrateStreamRow runs one line's measured-mode workflow: compile the
+// spec, then calibrateApp. Failures become error rows; a panic fails its
+// own row, not the stream.
 func calibrateStreamRow(ctx context.Context, _ int, ln Line[CalibrateAppSpec]) (row CalibrateStreamRow) {
 	row.Index = ln.Index
 	defer func() {
@@ -195,19 +188,10 @@ func calibrateStreamRow(ctx context.Context, _ int, ln Line[CalibrateAppSpec]) (
 		row.Error = err.Error()
 		return row
 	}
-	if err := casestudy.Calibrate(ctx, app, ln.Val.TargetXiTT, ln.Val.TargetXiET, ln.Val.EtOmega); err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	d, err := app.DeriveContext(ctx)
+	res, err := calibrateApp(ctx, ln.Val, app)
 	if err != nil {
 		row.Error = err.Error()
 		return row
-	}
-	res := CalibrateResult{
-		DeriveResult: deriveResult(d),
-		PolesTT:      poleSpecs(app.PolesTT),
-		PolesET:      poleSpecs(app.PolesET),
 	}
 	row.Result = &res
 	return row

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"cpsdyn/internal/conc"
 	"cpsdyn/internal/core"
 	"cpsdyn/internal/lti"
 	"cpsdyn/internal/mat"
@@ -186,24 +187,39 @@ func (s *DeriveAppSpec) application(i int) (*core.Application, error) {
 	}, nil
 }
 
-// applications compiles every spec of the request. It rejects duplicate app
-// names — like the allocate path always has — because a batch answering two
-// different rows under one name is ambiguous downstream (allocation keys
-// results by name). Every failure is a *RequestError.
-func (req *DeriveRequest) applications() ([]*core.Application, error) {
-	if len(req.Apps) == 0 {
+// appName names the spec's app for the duplicate-name rule.
+func (s *DeriveAppSpec) appName() string { return s.Name }
+
+// appSpec is a per-app request spec, a derive or a calibrate one: it names
+// its app and compiles into a core.Application (i is the app's position,
+// used for the default frame ID).
+type appSpec interface {
+	appName() string
+	application(i int) (*core.Application, error)
+}
+
+// compileApps compiles every spec in input order. It rejects an empty
+// request and duplicate app names — like the allocate path always has —
+// because a batch answering two different rows under one name is
+// ambiguous downstream (allocation keys results by name). Every failure is
+// a *RequestError.
+func compileApps[S any, P interface {
+	*S
+	appSpec
+}](specs []S) ([]*core.Application, error) {
+	if len(specs) == 0 {
 		return nil, &RequestError{Err: errors.New("no apps in request")}
 	}
-	apps := make([]*core.Application, len(req.Apps))
-	seen := make(map[string]bool, len(req.Apps))
-	for i := range req.Apps {
-		name := req.Apps[i].Name
+	apps := make([]*core.Application, len(specs))
+	seen := make(map[string]bool, len(specs))
+	for i := range specs {
+		spec := P(&specs[i])
+		name := spec.appName()
 		if seen[name] {
-			return nil, &RequestError{App: name,
-				Err: fmt.Errorf("duplicate app name %q", name)}
+			return nil, duplicateName(name)
 		}
 		seen[name] = true
-		a, err := req.Apps[i].application(i)
+		a, err := spec.application(i)
 		if err != nil {
 			return nil, err
 		}
@@ -212,25 +228,74 @@ func (req *DeriveRequest) applications() ([]*core.Application, error) {
 	return apps, nil
 }
 
-// Derive compiles the request into a fleet, derives it through
-// core.DeriveFleet (bounded worker pool, shared memo cache) and reports one
-// timing row per app in input order. A ctx expiry aborts the in-flight
-// matrix work promptly.
+// duplicateName is the error of an app whose name an earlier app of the
+// same request or stream already took.
+func duplicateName(name string) error {
+	return &RequestError{App: name, Err: fmt.Errorf("duplicate app name %q", name)}
+}
+
+// applications compiles every spec of the request (see compileApps).
+func (req *DeriveRequest) applications() ([]*core.Application, error) {
+	return compileApps(req.Apps)
+}
+
+// deriveFunc answers one compiled derive item: spec as the client sent it,
+// i its position in the request or stream, app the application compiled
+// from both. The buffered endpoint and the stream call the same one:
+// deriveLocal on a plain server, Server.peerDerive in sharding-gateway
+// mode.
+type deriveFunc func(ctx context.Context, spec *DeriveAppSpec, i int, app *core.Application) (DeriveResult, error)
+
+// deriveLocal derives app on the shared memo cache.
+func deriveLocal(ctx context.Context, _ *DeriveAppSpec, _ int, app *core.Application) (DeriveResult, error) {
+	d, err := app.DeriveContext(ctx)
+	if err != nil {
+		return DeriveResult{}, err
+	}
+	return deriveResult(d), nil
+}
+
+// Derive compiles the request and derives every app on the shared memo
+// cache across a bounded worker pool (req.Workers ≤ 0 selects GOMAXPROCS),
+// reporting one timing row per app in input order. Per-app failures are
+// joined in input order while every other app still derives. A ctx expiry
+// aborts the in-flight matrix work promptly.
 func Derive(ctx context.Context, req *DeriveRequest) (*DeriveResponse, error) {
 	apps, err := req.applications()
 	if err != nil {
 		return nil, err
 	}
-	fleet, err := core.DeriveFleet(ctx, apps, core.FleetOptions{Workers: req.Workers})
+	return deriveApps(ctx, req, apps, req.Workers, deriveLocal)
+}
+
+// deriveApps answers every compiled app of req with derive across workers.
+func deriveApps(ctx context.Context, req *DeriveRequest, apps []*core.Application, workers int, derive deriveFunc) (*DeriveResponse, error) {
+	rows, err := forEachItem(ctx, len(apps), workers, func(i int) (DeriveResult, error) {
+		return derive(ctx, &req.Apps[i], i, apps[i])
+	})
 	if err != nil {
 		return nil, err
 	}
-	resp := &DeriveResponse{Apps: make([]DeriveResult, len(fleet))}
-	for i, d := range fleet {
-		resp.Apps[i] = deriveResult(d)
+	return &DeriveResponse{Apps: rows, Cache: core.DeriveCacheStats()}, nil
+}
+
+// forEachItem runs fn for every item in [0, n) across a bounded worker pool
+// (workers ≤ 0 selects GOMAXPROCS) and returns the results in input order.
+// An item's failure does not stop the others; the failures are joined in
+// input order. A ctx expiry stops dispatching and wins over them.
+func forEachItem[R any](ctx context.Context, n, workers int, fn func(i int) (R, error)) ([]R, error) {
+	out := make([]R, n)
+	errs := make([]error, n)
+	if err := conc.ForEachCtx(ctx, n, workers, func(i int) error {
+		out[i], errs[i] = fn(i)
+		return nil // per-item failures are aggregated, not dispatch-stopping
+	}); err != nil {
+		return nil, err
 	}
-	resp.Cache = core.DeriveCacheStats()
-	return resp, nil
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // deriveResult flattens one derived application into its wire row (shared

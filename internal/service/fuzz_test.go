@@ -62,7 +62,7 @@ func FuzzServiceCodec(f *testing.F) {
 			fleets, _, err := areq.FleetRequests()
 			check(err, "allocate envelope")
 			for i := range fleets {
-				_, _, err := fleets[i].spec()
+				_, err := fleets[i].spec()
 				check(err, "allocate compile")
 			}
 		}
@@ -88,7 +88,7 @@ func FuzzServiceCodec(f *testing.F) {
 				check(ln.Err, "fleet stream decode")
 				continue
 			}
-			_, _, err := ln.Val.spec()
+			_, err := ln.Val.spec()
 			check(err, "fleet stream compile")
 		}
 	})

@@ -469,13 +469,13 @@ func TestGatewayMetricsExported(t *testing.T) {
 }
 
 // /statsz reports the effective workers and stream window (defaults
-// resolved), so a gateway can introspect a replica's capacity without
-// parsing its flags.
+// resolved; the window is twice the workers), so a gateway can introspect
+// a replica's capacity without parsing its flags.
 func TestStatszReportsEffectiveStreamConfig(t *testing.T) {
-	ts := newTestServer(t, Config{Workers: 3, StreamWindow: 9})
+	ts := newTestServer(t, Config{Workers: 3})
 	st := gatewayStats(t, ts.URL)
-	if st.Server.Workers != 3 || st.Server.StreamWindow != 9 {
-		t.Fatalf("configured server stats = %+v, want workers 3 / window 9", st.Server)
+	if st.Server.Workers != 3 || st.Server.StreamWindow != 6 {
+		t.Fatalf("configured server stats = %+v, want workers 3 / window 6", st.Server)
 	}
 	def := newTestServer(t, Config{})
 	st = gatewayStats(t, def.URL)

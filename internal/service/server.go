@@ -30,22 +30,11 @@ type Config struct {
 	// Timeout is the per-request compute budget. ≤ 0 selects 60 s.
 	Timeout time.Duration
 	// Workers bounds each request's internal derivation/allocation worker
-	// pool (core.FleetOptions.Workers / sched.AllocateBatch). ≤ 0 selects
-	// GOMAXPROCS.
+	// pool and each stream's pool; a stream's reorder window is twice its
+	// pool. ≤ 0 selects GOMAXPROCS.
 	Workers int
 	// MaxBodyBytes bounds request bodies. ≤ 0 selects 8 MiB.
 	MaxBodyBytes int64
-	// CompleteInBackground restores the pre-cancellation behaviour: a
-	// computation whose budget expires (or whose client disconnects) keeps
-	// running detached so its artefacts still warm the cache for a retry.
-	// The default is to cancel it — an abandoned request stops consuming
-	// CPU the moment nobody is waiting for its answer.
-	CompleteInBackground bool
-	// StreamWindow bounds the per-stream reorder buffer of the NDJSON
-	// streaming endpoints: how many rows may be computed out of order
-	// before in-order emission, the peak response-side buffering no matter
-	// how long the stream is. ≤ 0 selects 2 × the stream's worker count.
-	StreamWindow int
 
 	// Peers switches the server into sharding-gateway mode: derive work
 	// (/v1/derive and /v1/derive/stream) is partitioned by canonical plant
@@ -55,9 +44,6 @@ type Config struct {
 	// the fallback when a peer is down or slow. Empty means a plain
 	// single-node server.
 	Peers []string
-	// RingReplicas is the per-peer virtual-node count on the hash ring
-	// (≤ 0 selects cluster.DefaultVirtualNodes).
-	RingReplicas int
 	// PeerTimeout bounds one row's round-trip to a replica before the row
 	// falls back to local computation (≤ 0 selects 10 s).
 	PeerTimeout time.Duration
@@ -115,8 +101,7 @@ type ServerStats struct {
 // Server is the cpsdynd HTTP handler: batch derivation, calibration and
 // allocation on top of the process-wide warm derivation cache, with bounded
 // in-flight concurrency and per-request compute budgets that actually
-// cancel the in-flight matrix work on expiry or client disconnect (unless
-// Config.CompleteInBackground opts back into detached completion). Create
+// cancel the in-flight matrix work on expiry or client disconnect. Create
 // it with New; it is safe for concurrent use. Graceful shutdown is the
 // owning http.Server's job (http.Server.Shutdown).
 type Server struct {
@@ -149,19 +134,16 @@ func New(cfg Config) (*Server, error) {
 		traces: obs.NewRing(0),
 	}
 	s.sem = make(chan struct{}, s.cfg.MaxInFlight)
-	deriveBuffered := s.compute("derive", &s.lat.derive, deriveEndpoint)
 	deriveStream := s.stream("derive/stream", &s.lat.deriveStream, DeriveStream)
 	if len(s.cfg.Peers) > 0 {
 		gw, err := cluster.New(cluster.Config{
-			Peers:        s.cfg.Peers,
-			VirtualNodes: s.cfg.RingReplicas,
-			Timeout:      s.cfg.PeerTimeout,
+			Peers:   s.cfg.Peers,
+			Timeout: s.cfg.PeerTimeout,
 		})
 		if err != nil {
 			return nil, err
 		}
 		s.gw = gw
-		deriveBuffered = s.compute("derive", &s.lat.derive, gatewayDeriveEndpoint)
 		// A request already forwarded by a gateway is served single-node:
 		// re-sharding it could recurse — a peer list that (mis)includes this
 		// gateway's own address, or a ring of gateways, must degrade to one
@@ -180,7 +162,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /tracez", s.handleTracez)
-	s.mux.HandleFunc("POST /v1/derive", deriveBuffered)
+	s.mux.HandleFunc("POST /v1/derive", s.compute("derive", &s.lat.derive, deriveEndpoint))
 	s.mux.HandleFunc("POST /v1/derive/stream", deriveStream)
 	s.mux.HandleFunc("POST /v1/allocate", s.compute("allocate", &s.lat.allocate, allocateEndpoint))
 	s.mux.HandleFunc("POST /v1/allocate/stream", s.stream("allocate/stream", &s.lat.allocateStream, AllocateStream))
@@ -208,7 +190,7 @@ func (s *Server) Stats() ServerStats {
 		StreamCancelled: s.streamCancelled.Load(),
 
 		Workers:      effectiveWorkers(s.cfg.Workers),
-		StreamWindow: StreamOptions{Window: s.cfg.StreamWindow}.window(effectiveWorkers(s.cfg.Workers)),
+		StreamWindow: StreamOptions{Workers: s.cfg.Workers}.window(),
 	}
 }
 
@@ -305,17 +287,64 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// begin opens a request's span and compute budget: the span is parented to
+// a forwarded obs.TraceHeader, and the returned context ends when the
+// budget expires or the client goes away. end records the whole request's
+// latency into lat — successes, rejections and budget overruns alike —
+// and finishes the span into /tracez.
+func (s *Server) begin(r *http.Request, op string, lat *obs.Histogram, start time.Time) (ctx context.Context, tr *obs.Trace, end func()) {
+	tr = obs.NewTrace(op, r.Header.Get(obs.TraceHeader))
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	ctx = obs.WithTrace(ctx, tr)
+	return ctx, tr, func() {
+		lat.Since(start)
+		s.finishTrace(ctx, tr)
+		cancel()
+	}
+}
+
+// acquire takes an in-flight slot, preferring a free slot over an expired
+// context: with both select cases ready Go picks randomly, which would
+// turn budget overruns into spurious 503s when capacity was available all
+// along. When ctx ends first it answers 503 and reports false.
+func (s *Server) acquire(ctx context.Context, w http.ResponseWriter) bool {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			// A vanished client is not back-pressure; only count
+			// deadline expiries as rejections.
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				s.rejected.Add(1)
+			}
+			writeError(w, http.StatusServiceUnavailable,
+				fmt.Errorf("server busy: %d requests in flight", s.inFlight.Load()))
+			return false
+		}
+	}
+	s.inFlight.Add(1)
+	return true
+}
+
+// release frees the slot acquire took and counts the finished request or
+// stream into done. The books settle before the slot frees, so a client
+// that reads its response and immediately polls /statsz sees its own
+// request counted and its slot free.
+func (s *Server) release(done *atomic.Uint64) {
+	s.inFlight.Add(-1)
+	done.Add(1)
+	<-s.sem
+}
+
 // compute wraps an endpoint with the service's resource discipline:
 // the request first acquires an in-flight slot (or is rejected with 503
 // when its context expires while queueing), then runs on its own goroutine
-// under the per-request compute budget (504 on overrun). By default the
-// budget and the client connection actually govern the computation — a
-// timeout or disconnect cancels the in-flight matrix work, which stops
-// promptly and releases its slot instead of burning CPU for an answer
-// nobody will read. Config.CompleteInBackground restores the old detached
-// behaviour (the abandoned computation finishes and warms the cache).
-//
-//cpsdyn:ctx-compat the Background is the documented -complete-background mode: detaching the computation from the request's fate is the feature, not an oversight
+// under the per-request compute budget (504 on overrun). The budget and
+// the client connection govern the computation — a timeout or disconnect
+// cancels the in-flight matrix work, which stops promptly and releases its
+// slot instead of burning CPU for an answer nobody will read.
 func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -324,63 +353,23 @@ func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.Handle
 			writeError(w, status, err)
 			return
 		}
-		// Every request past the body read is traced and timed: the span
-		// carries the per-stage breakdown into /tracez, the histogram the
-		// endpoint's whole-request latency (successes, rejections and
-		// budget overruns alike) into /statsz and /metrics. A forwarded
-		// request's obs.TraceHeader parents the span to the gateway's.
-		tr := obs.NewTrace(op, r.Header.Get(obs.TraceHeader))
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		defer cancel()
-		ctx = obs.WithTrace(ctx, tr)
-		defer func() {
-			lat.Since(start)
-			s.finishTrace(ctx, tr)
-		}()
-		// Prefer a free slot over an expired context: with both select
-		// cases ready Go picks randomly, which would turn budget overruns
-		// into spurious 503s when capacity was available all along.
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				// A vanished client is not back-pressure; only count
-				// deadline expiries as rejections.
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					s.rejected.Add(1)
-				}
-				writeError(w, http.StatusServiceUnavailable,
-					fmt.Errorf("server busy: %d requests in flight", s.inFlight.Load()))
-				return
-			}
-		}
-		computeCtx := ctx
-		if s.cfg.CompleteInBackground {
-			// Detach the computation from the request's fate; the budget
-			// then only bounds how long the client waits for the answer.
-			// The trace rides along — stage timings recorded after the
-			// handler finishes the span are simply dropped.
-			computeCtx = obs.WithTrace(context.Background(), tr)
+		// Every request past the body read is traced and timed.
+		ctx, tr, end := s.begin(r, op, lat, start)
+		defer end()
+		if !s.acquire(ctx, w) {
+			return
 		}
 		type result struct {
 			v   any
 			err error
 		}
 		done := make(chan result, 1)
-		s.inFlight.Add(1)
 		go func() {
-			v, err := runEndpoint(computeCtx, fn, s, body)
+			v, err := runEndpoint(ctx, fn, s, body)
 			if err != nil && isCancellation(err) {
 				s.cancelled.Add(1)
 			}
-			// Settle the books before delivering the result, so a client
-			// that reads its response and immediately polls /statsz sees
-			// its own request counted and its slot free.
-			s.inFlight.Add(-1)
-			s.requests.Add(1)
-			<-s.sem
+			s.release(&s.requests)
 			done <- result{v, err}
 		}()
 		select {
@@ -418,8 +407,8 @@ func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.Handle
 		case <-ctx.Done():
 			if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				// Client disconnected; nobody is listening for a reply and
-				// the compute budget was not the problem. By default the
-				// cancellation has already reached the computation.
+				// the compute budget was not the problem. The cancellation
+				// has already reached the computation.
 				return
 			}
 			s.timedOut.Add(1)
@@ -457,6 +446,10 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
+// deriveEndpoint is the buffered /v1/derive: compile and validate every
+// app, then answer each with the server's per-item derive function —
+// deriveLocal, or in sharding-gateway mode the replica owning the app's
+// cache key over one session for the request.
 func deriveEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
 	var req DeriveRequest
 	if err := decodeTraced(ctx, body, &req); err != nil {
@@ -467,7 +460,22 @@ func deriveEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
 	if req.Workers <= 0 || (s.cfg.Workers > 0 && req.Workers > s.cfg.Workers) {
 		req.Workers = s.cfg.Workers
 	}
-	return Derive(ctx, &req)
+	apps, err := req.applications()
+	if err != nil {
+		return nil, err
+	}
+	if s.gw == nil {
+		return deriveApps(ctx, &req, apps, req.Workers, deriveLocal)
+	}
+	// The session's in-flight bound sizes a per-peer buffer, so a huge
+	// client workers value must not reach it unclamped (the worker pool
+	// itself clamps to len(apps), making anything beyond that pure
+	// allocation): never more in flight than apps, exactly like the
+	// streaming handler's ?workers guard.
+	workers := min(effectiveWorkers(req.Workers), len(apps))
+	sess := s.gw.Session(ctx, workers)
+	defer sess.Close()
+	return deriveApps(ctx, &req, apps, workers, s.peerDerive(sess))
 }
 
 // AllocateResponse is the POST /v1/allocate body for batch requests; a

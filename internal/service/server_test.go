@@ -262,10 +262,15 @@ func TestAllocateBatchFleets(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	conservative := strings.ReplaceAll(tableIJSON, `"kind":"non-monotonic"`, `"kind":"conservative"`)
 	raced := strings.ReplaceAll(tableIJSON, `"policy": "first-fit"`, `"policy": "race"`)
-	body := fmt.Sprintf(`{"fleets":[%s,%s,%s]}`,
+	// ξTT = 3 exceeds the 2 s deadline: infeasible even on a slot of its
+	// own, which must not sink the other fleets of the batch.
+	doomed := `{"name":"doomed","apps":[{"name":"doomed","r":10,"deadline":2,` +
+		`"model":{"kind":"non-monotonic","xiTT":3,"kp":3.5,"xiM":4,"xiET":8}}]}`
+	body := fmt.Sprintf(`{"fleets":[%s,%s,%s,%s]}`,
 		strings.Replace(tableIJSON, "{", `{"name":"nonmono",`, 1),
 		strings.Replace(conservative, "{", `{"name":"cons",`, 1),
-		strings.Replace(raced, "{", `{"name":"raced",`, 1))
+		strings.Replace(raced, "{", `{"name":"raced",`, 1),
+		doomed)
 	resp, err := http.Post(ts.URL+"/v1/allocate", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +283,8 @@ func TestAllocateBatchFleets(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Fleets) != 3 {
-		t.Fatalf("batch returned %d fleets, want 3", len(out.Fleets))
+	if len(out.Fleets) != 4 {
+		t.Fatalf("batch returned %d fleets, want 4", len(out.Fleets))
 	}
 	for i, want := range []struct {
 		name  string
@@ -289,6 +294,10 @@ func TestAllocateBatchFleets(t *testing.T) {
 		if fr.Name != want.name || fr.Slots != want.slots || fr.Error != "" {
 			t.Fatalf("fleet %d = %+v, want %s with %d slots", i, fr, want.name, want.slots)
 		}
+	}
+	if fr := out.Fleets[3]; fr.Name != "doomed" || fr.Slots != 0 || len(fr.Apps) != 0 ||
+		!strings.Contains(fr.Error, `"doomed"`) {
+		t.Fatalf("fleet 3 = %+v, want an in-band error naming the doomed app", fr)
 	}
 }
 
@@ -658,37 +667,6 @@ func TestClientDisconnectStopsCompute(t *testing.T) {
 	}
 	if stats.SimSteps != steps {
 		t.Fatalf("sim steps still climbing after disconnect: %d → %d", steps, stats.SimSteps)
-	}
-}
-
-// CompleteInBackground opts back into the old semantics: the timed-out
-// computation keeps running detached and warms the cache for the retry.
-func TestCompleteInBackgroundWarmsCache(t *testing.T) {
-	ts := newTestServer(t, Config{Timeout: 1 * time.Nanosecond, CompleteInBackground: true})
-	req := servoDeriveRequest(1)
-	code, out := postJSON(t, ts.URL+"/v1/derive", req)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d (%s), want 504", code, out)
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	var stats StatszResponse
-	for {
-		if c := getJSON(t, ts.URL+"/statsz", &stats); c != http.StatusOK {
-			t.Fatalf("statsz status = %d", c)
-		}
-		if stats.Server.InFlight == 0 && stats.Server.Requests == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background computation never finished: %+v", stats.Server)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if stats.Server.Cancelled != 0 {
-		t.Fatalf("cancelled = %d, want 0 in background mode", stats.Server.Cancelled)
-	}
-	if stats.Cache.Misses == 0 || stats.Cache.Entries == 0 {
-		t.Fatalf("background completion did not warm the cache: %+v", stats.Cache)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 
 	"cpsdyn/internal/conc"
 	"cpsdyn/internal/obs"
-	"cpsdyn/internal/sched"
 )
 
 // Line is one decoded NDJSON input line. Exactly one of Val and Err is set:
@@ -143,46 +142,33 @@ type StreamStats struct {
 type StreamOptions struct {
 	// Workers bounds the per-stream derivation pool (≤ 0 = GOMAXPROCS).
 	Workers int
-	// Window bounds how many rows may be in flight (derived out of order,
-	// waiting for in-order emission) — the peak response-side buffering,
-	// independent of stream length. ≤ 0 selects 2 × workers.
-	Window int
 	// MaxLine bounds one request line's byte length (≤ 0 = 8 MiB).
 	MaxLine int64
 }
 
-func (o StreamOptions) window(workers int) int {
-	w := o.Window
-	if w <= 0 {
-		w = 2 * workers
-	}
-	if w < workers {
-		// conc.StreamOrdered raises any smaller window to the worker count;
-		// resolving the clamp here keeps /statsz introspection honest about
-		// the window streams actually run with.
-		w = workers
-	}
-	return w
-}
+// window bounds how many rows may be in flight (computed out of order,
+// waiting for in-order emission): 2 × the resolved worker count, the peak
+// response-side buffering no matter how long the stream is.
+func (o StreamOptions) window() int { return 2 * effectiveWorkers(o.Workers) }
 
-// deriveSource decodes the request half of a derive stream: one
-// DeriveAppSpec per line, counted into stats, with the buffered /v1/derive
-// path's duplicate-name discipline applied in the (sequential) source
-// iterator, so no locking. Error lines keep their name slot: only
-// successfully decoded specs claim a name. The seen set is the one per-row
-// retention of the stream — names only, a few bytes per row, not rows or
-// results. Shared by DeriveStream and the gateway's sharded engine.
-func deriveSource(r io.Reader, maxLine int64, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[DeriveAppSpec]] {
+// appSource decodes the request half of a derive or calibrate stream: one
+// spec per line, counted into stats, with the buffered endpoints'
+// duplicate-name rule applied in the (sequential) source iterator, so no
+// locking. Error lines keep their name slot: only successfully decoded
+// specs claim a name. The seen set is the one per-row retention of the
+// stream — names only, a few bytes per row, not rows or results.
+func appSource[S any, P interface {
+	*S
+	appSpec
+}](r io.Reader, maxLine int64, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[S]] {
 	seen := make(map[string]bool)
-	return func(yield func(Line[DeriveAppSpec]) bool) {
-		for ln := range countingSource[DeriveAppSpec](r, maxLine, stats, tr) {
+	return func(yield func(Line[S]) bool) {
+		for ln := range countingSource[S](r, maxLine, stats, tr) {
 			if ln.Val != nil {
-				if seen[ln.Val.Name] {
-					ln = Line[DeriveAppSpec]{Index: ln.Index, Err: &RequestError{
-						App: ln.Val.Name,
-						Err: fmt.Errorf("duplicate app name %q", ln.Val.Name)}}
+				if name := P(ln.Val).appName(); seen[name] {
+					ln = Line[S]{Index: ln.Index, Err: duplicateName(name)}
 				} else {
-					seen[ln.Val.Name] = true
+					seen[name] = true
 				}
 			}
 			if !yield(ln) {
@@ -193,8 +179,8 @@ func deriveSource(r io.Reader, maxLine int64, stats *StreamStats, tr *obs.Trace)
 }
 
 // countingSource decodes one T per NDJSON line, counting rows into stats —
-// the request half shared by the engines with no extra per-line discipline
-// (deriveSource layers the duplicate-name check on top of the same shape).
+// the request half shared by the engines (appSource layers the
+// duplicate-name rule on top of the same shape).
 func countingSource[T any](r io.Reader, maxLine int64, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[T]] {
 	return func(yield func(Line[T]) bool) {
 		for ln := range decodeLines[T](r, maxLine, tr) {
@@ -238,44 +224,45 @@ func encodeSink[R any](w io.Writer, stats *StreamStats, tr *obs.Trace) func(int,
 // it mid-flight and is returned (the caller decides whether a terminal row
 // can still be written); a write failure on w stops it likewise.
 func DeriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
-	var stats StreamStats
-	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(effectiveWorkers(opts.Workers)),
-		deriveSource(r, opts.MaxLine, &stats, tr),
-		deriveStreamRow,
-		encodeSink[StreamRow](w, &stats, tr))
-	return stats, err
+	return deriveStream(ctx, r, w, opts, deriveLocal)
 }
 
-// deriveStreamRow computes one stream row: compile the spec, derive it on
-// the shared memo cache, flatten to the wire row. Failures become error
-// rows; a panicking derivation (validation gaps on adversarial input) fails
-// its own row, not the stream.
-func deriveStreamRow(ctx context.Context, i int, ln Line[DeriveAppSpec]) (row StreamRow) {
-	row.Index = ln.Index
-	defer func() {
-		if r := recover(); r != nil {
-			row.Result, row.Error = nil, fmt.Sprintf("internal error: %v", r)
-		}
-	}()
-	if ln.Err != nil {
-		row.Error = ln.Err.Error()
-		return row
-	}
-	app, err := ln.Val.application(ln.Index) // failures are self-naming *RequestErrors
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	d, err := app.DeriveContext(ctx)
-	if err != nil {
-		row.Error = err.Error()
-		row.Cancelled = isCancellation(err)
-		return row
-	}
-	res := deriveResult(d)
-	row.Result = &res
-	return row
+// deriveStream is DeriveStream answering each row with derive: compile the
+// spec, derive it, flatten to the wire row. Failures become error rows; a
+// panicking derivation (validation gaps on adversarial input) fails its own
+// row, not the stream.
+func deriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions, derive deriveFunc) (StreamStats, error) {
+	var stats StreamStats
+	tr := obs.FromContext(ctx)
+	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
+		appSource[DeriveAppSpec](r, opts.MaxLine, &stats, tr),
+		func(ctx context.Context, _ int, ln Line[DeriveAppSpec]) (row StreamRow) {
+			row.Index = ln.Index
+			defer func() {
+				if r := recover(); r != nil {
+					row.Result, row.Error = nil, fmt.Sprintf("internal error: %v", r)
+				}
+			}()
+			if ln.Err != nil {
+				row.Error = ln.Err.Error()
+				return row
+			}
+			app, err := ln.Val.application(ln.Index) // failures are self-naming *RequestErrors
+			if err != nil {
+				row.Error = err.Error()
+				return row
+			}
+			res, err := derive(ctx, ln.Val, ln.Index, app)
+			if err != nil {
+				row.Error = err.Error()
+				row.Cancelled = isCancellation(err)
+				return row
+			}
+			row.Result = &res
+			return row
+		},
+		encodeSink[StreamRow](w, &stats, tr))
+	return stats, err
 }
 
 // FleetStreamRow is one NDJSON line of a slotalloc -stream response: the
@@ -294,7 +281,7 @@ type FleetStreamRow struct {
 func AllocateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
 	var stats StreamStats
 	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(effectiveWorkers(opts.Workers)),
+	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
 		countingSource[FleetRequest](r, opts.MaxLine, &stats, tr),
 		allocateStreamRow,
 		encodeSink[FleetStreamRow](w, &stats, tr))
@@ -315,29 +302,13 @@ func allocateStreamRow(ctx context.Context, _ int, ln Line[FleetRequest]) (row F
 		row.Error = ln.Err.Error()
 		return row
 	}
-	spec, unsafe, err := ln.Val.spec() // failures are self-describing *RequestErrors
+	spec, err := ln.Val.spec() // failures are self-describing *RequestErrors
 	if err != nil {
 		row.Error = err.Error()
 		return row
 	}
-	res := &FleetResult{Name: ln.Val.Name}
-	row.Fleet = res
-	var al *sched.Allocation
-	if spec.Race {
-		al, err = sched.AllocateRace(spec.Apps, nil, spec.Method)
-	} else {
-		al, err = sched.AllocateContext(ctx, spec.Apps, spec.Policy, spec.Method)
-	}
-	if isCancellation(err) {
-		row.Fleet, row.Error = nil, err.Error()
-		return row
-	}
-	if err != nil {
-		res.Error = err.Error() // infeasible fleet: in-band, like the batch path
-		return row
-	}
-	if err := fillFleetResult(res, ln.Val, al, unsafe); err != nil {
-		row.Fleet, row.Error = nil, err.Error()
+	if row.Fleet, err = allocateFleet(ctx, ln.Val, spec); err != nil {
+		row.Error = err.Error()
 	}
 	return row
 }
@@ -415,36 +386,14 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 		// The stream's span: a replica serving a gateway sub-stream finds
 		// the gateway's trace ID in the obs.TraceHeader and records its
 		// whole side of the exchange as a child span.
-		tr := obs.NewTrace(op, r.Header.Get(obs.TraceHeader))
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		defer cancel()
-		ctx = obs.WithTrace(ctx, tr)
-		defer func() {
-			lat.Since(start)
-			s.finishTrace(ctx, tr)
-		}()
-		// The whole stream occupies one in-flight slot (its internal fan-out is
-		// bounded by workers), with the same free-slot preference as compute.
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					s.rejected.Add(1)
-				}
-				writeError(w, http.StatusServiceUnavailable,
-					fmt.Errorf("server busy: %d requests in flight", s.inFlight.Load()))
-				return
-			}
+		ctx, tr, end := s.begin(r, op, lat, start)
+		defer end()
+		// The whole stream occupies one in-flight slot (its internal
+		// fan-out is bounded by workers).
+		if !s.acquire(ctx, w) {
+			return
 		}
-		s.inFlight.Add(1)
-		defer func() {
-			s.inFlight.Add(-1)
-			s.streams.Add(1)
-			<-s.sem
-		}()
+		defer s.release(&s.streams)
 		// HTTP/1 servers close the request body on the first response write by
 		// default; this handler's whole point is interleaving body reads with
 		// row writes. (HTTP/2 is full-duplex anyway and may report an error.)
@@ -468,7 +417,6 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 		fw := newFlushWriter(w)
 		stats, err := engine(ctx, r.Body, fw, StreamOptions{
 			Workers: workers,
-			Window:  s.cfg.StreamWindow,
 			MaxLine: s.cfg.MaxBodyBytes,
 		})
 		// After the handler the server drains the unread rest of the body

@@ -297,6 +297,50 @@ func TestBufferedDeriveRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
+// Calibrate applies derive's duplicate-name rule: buffered, a second app
+// under one name fails the request with a *RequestError (400 on the wire);
+// streamed, the later duplicate becomes an error row. An empty request is
+// a *RequestError as well. Regression: both calibrate endpoints answered
+// two rows under one name, which /v1/allocate then rejects.
+func TestCalibrateRejectsDuplicateNames(t *testing.T) {
+	probe := CalibrateAppSpec{
+		Name:  "a",
+		Plant: PlantSpec{A: [][]float64{{0, 1}, {-2, -3}}, B: [][]float64{{0}, {1}}},
+		H:     0.02, DelayTT: 0.002, DelayET: 0.02, Eth: 0.1, X0: []float64{0, 2},
+		R: 8, Deadline: 3, TargetXiTT: 0.7, TargetXiET: 2.0,
+	}
+	var reqErr *RequestError
+	_, err := Calibrate(context.Background(), &CalibrateRequest{Apps: []CalibrateAppSpec{probe, probe}})
+	if !errors.As(err, &reqErr) || err.Error() != `duplicate app name "a"` {
+		t.Fatalf("duplicate names returned %v (%T), want a *RequestError naming the duplicate", err, err)
+	}
+	if _, err := Calibrate(context.Background(), &CalibrateRequest{}); !errors.As(err, &reqErr) {
+		t.Fatalf("empty request returned %v (%T), want a *RequestError", err, err)
+	}
+	ts := newTestServer(t, Config{})
+	code, out := postJSON(t, ts.URL+"/v1/calibrate", &CalibrateRequest{Apps: []CalibrateAppSpec{probe, probe}})
+	if code != http.StatusBadRequest || !strings.Contains(string(out), "duplicate app name") {
+		t.Fatalf("status = %d (%s), want 400 duplicate app name", code, out)
+	}
+
+	bad := probe
+	bad.TargetXiTT = -1 // decodes, fails validation, and still claims its name
+	var in, rows bytes.Buffer
+	for _, spec := range []CalibrateAppSpec{bad, probe} {
+		if err := EncodeResult(&in, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := CalibrateStream(context.Background(), &in, &rows, StreamOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"index":0,"error":"app \"a\": need 0 \u003c targetXiTT (-1) \u003c targetXiET (2)"}` + "\n" +
+		`{"index":1,"error":"duplicate app name \"a\""}` + "\n"
+	if rows.String() != want {
+		t.Fatalf("stream rows:\n%s\nwant:\n%s", rows.String(), want)
+	}
+}
+
 // The codec's failures are typed: every malformed payload unwraps to a
 // *RequestError, including NaN/Inf smuggled in through the Go API (JSON
 // cannot spell them).
@@ -332,7 +376,7 @@ func TestCodecErrorsAreTyped(t *testing.T) {
 	}
 	fr := FleetRequest{Apps: []AppSpec{{Name: "a", R: math.NaN(), Deadline: 1,
 		Model: ModelSpec{Kind: "simple", XiTT: 0.1, XiET: 0.5}}}}
-	if _, _, err := fr.spec(); !errors.As(err, &reqErr) {
+	if _, err := fr.spec(); !errors.As(err, &reqErr) {
 		t.Fatalf("NaN fleet spec returned %v, want a *RequestError", err)
 	}
 	cal := CalibrateAppSpec{Name: "a", Plant: base.Plant, H: base.H, DelayTT: base.DelayTT,
@@ -611,7 +655,7 @@ func TestNonFiniteFieldReportIsDeterministic(t *testing.T) {
 		if _, err := spec.application(0); err != nil {
 			derive[err.Error()] = true
 		}
-		if _, _, err := fleet.spec(); err != nil {
+		if _, err := fleet.spec(); err != nil {
 			alloc[err.Error()] = true
 		}
 	}
