@@ -2,8 +2,8 @@ package main
 
 // bench-export runs the kernel benchmarks that gate this repository's
 // performance trajectory (matrix exponentials, discretisation, the warm
-// fleet sweep, the service's warm row path, its cache key and the
-// slot-allocation race)
+// fleet sweep, the service's warm row path, its cache key, its codec and
+// the slot-allocation race)
 // hermetically via testing.Benchmark — no `go test`
 // subprocess — and writes them as one JSON report (BENCH_N.json is the
 // committed artefact per perf PR). bench-compare diffs two such reports
@@ -12,23 +12,28 @@ package main
 // bench-compare job runs against the merge base.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"cpsdyn/internal/core"
 	"cpsdyn/internal/lti"
 	"cpsdyn/internal/mat"
 	"cpsdyn/internal/plants"
-	"cpsdyn/internal/pwl"
 	"cpsdyn/internal/sched"
+	"cpsdyn/internal/service"
 )
 
 type benchResult struct {
@@ -86,30 +91,64 @@ func benchFleet() []*core.Application {
 	return apps
 }
 
-// benchSchedFleet builds n paper-style schedulability views from a fixed
-// seed: non-monotonic models with ξM ≥ ξTT, inter-arrival times a few ξET
-// long and deadlines in [1.2 ξTT, r], so every app fits a slot alone.
-func benchSchedFleet(n int) []*sched.App {
+// benchAppSpecs draws n paper-style schedulability views from a fixed
+// seed, in allocation-request form: non-monotonic models with ξM ≥ ξTT,
+// inter-arrival times a few ξET long and deadlines in [1.2 ξTT, r], so
+// every app fits a slot alone.
+func benchAppSpecs(n int) []service.AppSpec {
 	r := rand.New(rand.NewSource(int64(n)))
-	apps := make([]*sched.App, n)
-	for i := range apps {
+	specs := make([]service.AppSpec, n)
+	for i := range specs {
 		xiTT := 0.2 + 2*r.Float64()
 		xiET := xiTT * (2 + 4*r.Float64())
 		kp := xiET * (0.05 + 0.3*r.Float64())
 		xiM := xiTT * (1 + r.Float64())
-		m, err := pwl.PaperNonMonotonic(xiTT, kp, xiM, xiET)
-		if err != nil {
-			panic(err) // 0 < kp < ξET and ξM ≥ ξTT by construction
-		}
 		rr := xiET * (1.2 + 6*r.Float64())
-		apps[i] = &sched.App{
+		specs[i] = service.AppSpec{
 			Name:     fmt.Sprintf("sched-%d", i),
 			R:        rr,
 			Deadline: xiTT*1.2 + (rr-xiTT*1.2)*r.Float64(),
-			Model:    m,
+			Model:    service.ModelSpec{Kind: "non-monotonic", XiTT: xiTT, Kp: kp, XiM: xiM, XiET: xiET},
 		}
 	}
+	return specs
+}
+
+// benchSchedFleet compiles benchAppSpecs(n) the way the service does.
+func benchSchedFleet(n int) []*sched.App {
+	specs := benchAppSpecs(n)
+	apps := make([]*sched.App, n)
+	for i, s := range specs {
+		m, _, err := service.BuildModel(s.Model)
+		if err != nil {
+			panic(err) // 0 < kp < ξET and ξM ≥ ξTT by construction
+		}
+		apps[i] = &sched.App{Name: s.Name, R: s.R, Deadline: s.Deadline, Model: m}
+	}
 	return apps
+}
+
+// ciProbeLine is one request line of CI's streaming e2e batch: probe
+// design 0 in the shape of every svcbench derive row.
+const ciProbeLine = `{"name":"S1","plant":{"name":"probe","a":[[0,1],[-2,-3]],"b":[[0],[1]]},` +
+	`"h":0.02,"delayTT":0.002,"delayET":0.02,"eth":0.1,"x0":[0,2],"r":8,"deadline":3,` +
+	`"polesTT":[0.8,0.7,0.05],"polesET":[0.93,0.88,0.1]}` + "\n"
+
+// ciProbeRow derives ciProbeLine and returns its response row.
+func ciProbeRow() (service.StreamRow, error) {
+	var out bytes.Buffer
+	var row service.StreamRow
+	if _, err := service.DeriveStream(context.Background(), strings.NewReader(ciProbeLine), &out,
+		service.StreamOptions{Workers: 1}); err != nil {
+		return row, err
+	}
+	if err := json.Unmarshal(out.Bytes(), &row); err != nil {
+		return row, err
+	}
+	if row.Result == nil {
+		return row, fmt.Errorf("probe row: %s", row.Error)
+	}
+	return row, nil
 }
 
 // probeApp compiles design 0 of the CI probe family the way cpsdynd
@@ -234,6 +273,63 @@ func kernelBenchmarks() []struct {
 			}
 		}})
 	}
+	// The service codec on the rows the benchmark's workloads send: one
+	// derive line decoded, one result row encoded, and a buffered race
+	// allocation of 30 apps through the whole handler (decode, allocate,
+	// indented reply).
+	line := []byte(ciProbeLine)
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"DecodeDeriveRow", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for ln := range service.DecodeRequests(bytes.NewReader(line), 0) {
+				if ln.Err != nil {
+					b.Fatal(ln.Err)
+				}
+			}
+		}
+	}})
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"EncodeStreamRow", func(b *testing.B) {
+		row, err := ciProbeRow()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := service.EncodeResult(io.Discard, row); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"AllocateRequest/n=30", func(b *testing.B) {
+		srv, err := service.New(service.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := json.Marshal(service.AllocateRequest{FleetRequest: service.FleetRequest{
+			Policy: "race", Apps: benchAppSpecs(30)}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/allocate", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}})
 	return out
 }
 

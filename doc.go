@@ -205,11 +205,13 @@
 // Thousand-app fleets should not ride in one JSON body. POST
 // /v1/derive/stream accepts NDJSON — one service.DeriveAppSpec per request
 // line — and answers with NDJSON result rows ({"index", "result"} or
-// {"index", "error"}) flushed as each derivation completes, emitted in
-// input order while later request lines are still being read, so result
-// buffering stays O(workers + window) instead of O(batch) — the only
-// per-row retention is the duplicate-name set (app names, not rows). The pieces are
-// reusable: service.DecodeLines / service.DecodeRequests iterate request
+// {"index", "error"}) flushed whenever the emitter would wait (for the next
+// request line, or for a result still computing), so no row is held back
+// while the server waits and rows that are ready together leave in one
+// write. Rows are emitted in input order while later request lines are
+// still being read, so result buffering stays O(workers + window) instead
+// of O(batch) — the only per-row retention is the duplicate-name set (app
+// names, not rows). The pieces are reusable: service.DecodeLines / service.DecodeRequests iterate request
 // lines (malformed lines become typed error rows — *service.RequestError —
 // never stream aborts), service.EncodeResult writes rows, and
 // conc.StreamOrdered is the bounded pipeline stage that derives out of
@@ -223,6 +225,20 @@
 // (one FleetRequest per line) and POST /v1/calibrate/stream (one
 // CalibrateAppSpec per line) ride the identical engine, budget and
 // counters.
+//
+// The codec has a typed path for the rows the hot endpoints carry: a
+// derive request line, a single-fleet allocate body, a StreamRow and a
+// single fleet's allocation reply are read and written by a byte-level
+// reader and append encoders (internal/service/wire.go), without
+// reflection. encoding/json is their reference and fallback: the reader
+// declines anything it does not read exactly as encoding/json would
+// (case-folded or repeated keys, null, escapes and non-ASCII in strings,
+// numbers strconv rejects, a fleets batch, trailing data), the encoders
+// decline non-finite floats and strings that need escaping, and
+// encoding/json then answers on the same bytes. Every error text is
+// therefore encoding/json's, and FuzzWireMatchesJSON holds the typed path
+// to it bit for bit. Everything else — calibration specs, the buffered
+// derive envelope, fleets batches, /statsz — stays on encoding/json.
 //
 // # Cluster layer (sharding gateway)
 //

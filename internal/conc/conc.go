@@ -117,6 +117,13 @@ feed:
 // emitted). fn receives the item's 0-based stream index and the ctx it must
 // honour. emit is called from the calling goroutine only.
 //
+// idle hooks run on the calling goroutine too, right before the emitter
+// would block: waiting for the next item to leave src, or for a result that
+// is not computed yet. They never run between two results that are both
+// ready. A caller that buffers what emit writes flushes it there, so no
+// result waits behind a slow source or computation, and results that are
+// ready together leave in one write.
+//
 // StreamOrdered does not return until src and every fn call have gone
 // quiescent — nothing touches the source after it returns. The flip side: a
 // src blocked in an uninterruptible read (a network body, say) delays that
@@ -124,7 +131,7 @@ feed:
 // blocked read to fail (a read deadline, closing the underlying reader).
 //
 //cpsdyn:ctx-compat the Background here only substitutes for a nil ctx argument — the caller explicitly declined cancellation; a real ctx is threaded untouched
-func StreamOrdered[T, R any](ctx context.Context, workers, window int, src iter.Seq[T], fn func(ctx context.Context, i int, item T) R, emit func(i int, r R) error) error {
+func StreamOrdered[T, R any](ctx context.Context, workers, window int, src iter.Seq[T], fn func(ctx context.Context, i int, item T) R, emit func(i int, r R) error, idle ...func()) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -185,13 +192,38 @@ func StreamOrdered[T, R any](ctx context.Context, workers, window int, src iter.
 		}
 	}()
 
+	wait := func() {
+		for _, f := range idle {
+			f()
+		}
+	}
 	var err error
-	for c := range cells {
+	for {
+		// Each receive is tried without blocking first; only a miss runs
+		// the idle hooks before the blocking receive.
+		var c *cell
+		var ok bool
+		select {
+		case c, ok = <-cells:
+		default:
+			wait()
+			c, ok = <-cells
+		}
+		if !ok {
+			break
+		}
 		var r R
 		select {
 		case r = <-c.done:
 		case <-ctx.Done():
 			err = ctx.Err()
+		default:
+			wait()
+			select {
+			case r = <-c.done:
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
 		}
 		if err != nil {
 			break

@@ -274,6 +274,106 @@ func TestStreamOrderedEdgeCases(t *testing.T) {
 	}
 }
 
+// The idle hook runs before every block. The source yields item k only
+// after the emitter went idle past row k−1, and fn(k) returns only after
+// the emitter went idle waiting for it, so a missing call deadlocks the
+// stream; the exact event sequence rules out extra calls.
+func TestStreamOrderedIdleBeforeEveryBlock(t *testing.T) {
+	const n = 20
+	in := make(chan int)
+	src := func(yield func(int) bool) {
+		for item := range in {
+			if !yield(item) {
+				return
+			}
+		}
+	}
+	gates := make([]chan struct{}, n)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	events := make(chan string)
+	done := make(chan error, 1)
+	go func() {
+		done <- StreamOrdered(context.Background(), 2, 0, src,
+			func(_ context.Context, i, item int) int {
+				<-gates[i]
+				return item
+			},
+			func(i, _ int) error {
+				events <- fmt.Sprintf("emit %d", i)
+				return nil
+			},
+			func() { events <- "idle" })
+	}()
+	expect := func(want string) {
+		t.Helper()
+		select {
+		case got := <-events:
+			if got != want {
+				t.Fatalf("event %q, want %q", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %q event: the emitter blocked without calling the hook", want)
+		}
+	}
+	for k := 0; k < n; k++ {
+		expect("idle") // waiting for item k to leave the source
+		in <- k
+		expect("idle") // waiting for fn(k)
+		close(gates[k])
+		expect(fmt.Sprintf("emit %d", k))
+	}
+	expect("idle")
+	close(in)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The idle hook never runs between two results that are both ready. With
+// one worker, fn(n) starts only after results 0..n−1 were delivered, and
+// emit(0) waits for it, so rows 1..n−1 are all ready when the emitter
+// reaches them.
+func TestStreamOrderedNoIdleBetweenReadyResults(t *testing.T) {
+	const n = 50
+	allSent := make(chan struct{})
+	var events []string // emit and idle both run on this goroutine
+	err := StreamOrdered(context.Background(), 1, n+1, ints(n+1, nil),
+		func(_ context.Context, i, item int) int {
+			if i == n {
+				close(allSent)
+			}
+			return item
+		},
+		func(i, _ int) error {
+			if i == 0 {
+				<-allSent
+			}
+			events = append(events, fmt.Sprintf("emit %d", i))
+			return nil
+		},
+		func() { events = append(events, "idle") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for j, e := range events {
+		if e == "emit 0" {
+			first = j
+			break
+		}
+	}
+	if first < 0 || len(events) < first+n {
+		t.Fatalf("events %v", events)
+	}
+	for j, e := range events[first : first+n] {
+		if want := fmt.Sprintf("emit %d", j); e != want {
+			t.Fatalf("event %d after emit 0 is %q, want %q: %v", j, e, want, events)
+		}
+	}
+}
+
 // The pool must not exceed the requested width.
 func TestForEachWorkerCtxBoundsConcurrency(t *testing.T) {
 	const workers = 3

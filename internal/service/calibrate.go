@@ -165,7 +165,7 @@ func CalibrateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamO
 	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
 		appSource[CalibrateAppSpec](r, opts.MaxLine, &stats, tr),
 		calibrateStreamRow,
-		encodeSink[CalibrateStreamRow](w, &stats, tr))
+		encodeSink[CalibrateStreamRow](w, &stats, tr), idleHook(w)...)
 	return stats, err
 }
 

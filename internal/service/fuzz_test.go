@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -90,6 +91,52 @@ func FuzzServiceCodec(f *testing.F) {
 			}
 			_, err := ln.Val.spec()
 			check(err, "fleet stream compile")
+		}
+	})
+}
+
+// FuzzPeerDeriveRow feeds arbitrary replica rows to the gateway's row
+// check (peerDeriveRow). It must never panic, and a row it accepts has
+// exactly one of Result and Error, carries the gateway's index, and
+// re-encodes through EncodeResult to json.Marshal's bytes.
+func FuzzPeerDeriveRow(f *testing.F) {
+	for _, s := range []string{
+		`{"index":3,"result":{"name":"S1","xiTT":0.5,"xiET":2.25,"xiM":0.75,"kp":1.5,"xiPrimeM":1e-7,"nonMonotonic":true,"model":{"kind":"non-monotonic","xiTT":0.5,"kp":1.5,"xiM":0.75,"xiET":2.25}}}`,
+		`{"index":0,"result":{"name":"<&>é","xiTT":-0,"model":{"kind":"","xiM":-0}}}`,
+		`{"index":0,"error":"switching: \"a\": closed loop is not Schur stable"}`,
+		`{"index":1,"error":"context deadline exceeded","cancelled":true}`,
+		`{"index":0}`,
+		`{"index":0,"result":{},"error":"both"}`,
+		`{"index":0,"result":null,"error":""}`,
+		`{"index":"x","error":"e"}`,
+		`{"index":-1,"error":"stream exceeded the 1s compute budget"}`,
+		`{"index":0,"result":{"xiTT":1e400}}`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(s), 7)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, index int) {
+		row, ok := peerDeriveRow(raw, index)
+		if !ok {
+			return
+		}
+		if (row.Result == nil) == (row.Error == "") {
+			t.Fatalf("%q: accepted row %+v has both or neither of result and error", raw, row)
+		}
+		if row.Index != index {
+			t.Fatalf("%q: accepted row carries index %d, want %d", raw, row.Index, index)
+		}
+		var got bytes.Buffer
+		if err := EncodeResult(&got, row); err != nil {
+			t.Fatalf("%q: re-encoding %+v: %v", raw, row, err)
+		}
+		want, err := json.Marshal(row)
+		if err != nil {
+			t.Fatalf("%q: json.Marshal(%+v): %v", raw, row, err)
+		}
+		if !bytes.Equal(got.Bytes(), append(want, '\n')) {
+			t.Fatalf("%q: EncodeResult %q, json.Marshal %q", raw, got.Bytes(), want)
 		}
 	})
 }

@@ -197,9 +197,28 @@ func (s *Server) Stats() ServerStats {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	if body, err := encodeReply(v); err == nil {
+		w.Write(body) //nolint:errcheck // nothing left to do for a dead client
+	}
+}
+
+// encodeReply renders a reply body: JSON indented by two spaces and ended
+// by a newline. A single fleet's *FleetResult goes through the typed
+// encoder, everything else (and a fleet the typed encoder declines)
+// through json.Encoder.
+func encodeReply(v any) ([]byte, error) {
+	if fr, ok := v.(*FleetResult); ok {
+		if body, ok := appendFleetReply(nil, fr); ok {
+			return body, nil
+		}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing left to do for a dead client
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 type errorBody struct {
@@ -431,7 +450,19 @@ func readBody(r *http.Request, limit int64) ([]byte, int, error) {
 	return buf.Bytes(), http.StatusOK, nil
 }
 
+// decodeStrict decodes one JSON value from body into v, rejecting unknown
+// fields and trailing data. The typed decoder answers the shapes it knows;
+// whatever it declines, decodeJSON decodes.
 func decodeStrict(body []byte, v any) error {
+	if decodeTyped(body, v) {
+		return nil
+	}
+	return decodeJSON(body, v)
+}
+
+// decodeJSON is decodeStrict on encoding/json alone: the reference the
+// typed decoder is checked against.
+func decodeJSON(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -23,13 +24,22 @@ import (
 // capacity afterwards) and serves a fresh handler over httptest.
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
+	return newLoggedTestServer(t, cfg, nil)
+}
+
+// newLoggedTestServer is newTestServer with errorLog as the http.Server's
+// error log (nil selects the log package's standard logger).
+func newLoggedTestServer(t *testing.T, cfg Config, errorLog *log.Logger) *httptest.Server {
+	t.Helper()
 	core.ResetDeriveCache()
 	core.SetDeriveCacheCapacity(128, 0)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
+	ts := httptest.NewUnstartedServer(s)
+	ts.Config.ErrorLog = errorLog
+	ts.Start()
 	t.Cleanup(func() {
 		ts.Close()
 		core.ResetDeriveCache()

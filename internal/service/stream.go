@@ -99,16 +99,33 @@ func DecodeRequests(r io.Reader, maxLine int64) iter.Seq[Line[DeriveAppSpec]] {
 }
 
 // EncodeResult writes one NDJSON result row: the compact JSON encoding of v
-// followed by a newline. It is the response half of the streaming codec;
-// callers that need the row on the wire immediately (the HTTP handler)
-// flush after each call.
+// followed by a newline, in one Write. It is the response half of the
+// streaming codec; a StreamRow goes through the typed encoder, with
+// json.Marshal as its fallback and the encoder of every other row type.
 func EncodeResult(w io.Writer, v any) error {
+	buf, err := appendResult(make([]byte, 0, 512), v) // a derive row is ~300 bytes
+	if err != nil {
+		return err
+	}
+	return writeRow(w, buf)
+}
+
+// appendResult appends v's NDJSON row to dst.
+func appendResult(dst []byte, v any) ([]byte, error) {
+	if row, ok := v.(StreamRow); ok {
+		if out, ok := appendStreamRow(dst, &row); ok {
+			return append(out, '\n'), nil
+		}
+	}
 	buf, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("encoding result row: %w", err)
+		return dst, fmt.Errorf("encoding result row: %w", err)
 	}
-	buf = append(buf, '\n')
-	if _, err := w.Write(buf); err != nil {
+	return append(append(dst, buf...), '\n'), nil
+}
+
+func writeRow(w io.Writer, row []byte) error {
+	if _, err := w.Write(row); err != nil {
 		return fmt.Errorf("writing result row: %w", err)
 	}
 	return nil
@@ -198,12 +215,17 @@ func countingSource[T any](r io.Reader, maxLine int64, stats *StreamStats, tr *o
 // a slow client throttling the stream through flow control shows up here,
 // which is exactly the question "where does stream time go" asks.
 func encodeSink[R any](w io.Writer, stats *StreamStats, tr *obs.Trace) func(int, R) error {
+	var buf []byte // reused row to row: emit runs on one goroutine
 	return func(_ int, row R) error {
 		var t0 time.Time
 		if tr != nil {
 			t0 = time.Now()
 		}
-		if err := EncodeResult(w, row); err != nil {
+		var err error
+		if buf, err = appendResult(buf[:0], row); err != nil {
+			return err
+		}
+		if err := writeRow(w, buf); err != nil {
 			return err
 		}
 		if tr != nil {
@@ -261,7 +283,7 @@ func deriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOpti
 			row.Result = &res
 			return row
 		},
-		encodeSink[StreamRow](w, &stats, tr))
+		encodeSink[StreamRow](w, &stats, tr), idleHook(w)...)
 	return stats, err
 }
 
@@ -284,7 +306,7 @@ func AllocateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOp
 	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
 		countingSource[FleetRequest](r, opts.MaxLine, &stats, tr),
 		allocateStreamRow,
-		encodeSink[FleetStreamRow](w, &stats, tr))
+		encodeSink[FleetStreamRow](w, &stats, tr), idleHook(w)...)
 	return stats, err
 }
 
@@ -321,12 +343,14 @@ func effectiveWorkers(workers int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// flushWriter pushes every written row onto the wire immediately, so the
-// client sees result rows as derivations complete instead of when the
-// stream ends.
+// flushWriter is a stream's response body. Writes stay in the response
+// buffer; the engines' emitter calls flush whenever it would wait (see
+// idleHook), so a row never waits on the client or on a computation, and
+// rows that are ready together leave in one chunk and one write.
 type flushWriter struct {
-	w http.ResponseWriter
-	f http.Flusher
+	w     http.ResponseWriter
+	f     http.Flusher
+	dirty bool // written since the last flush
 }
 
 func newFlushWriter(w http.ResponseWriter) *flushWriter {
@@ -336,10 +360,28 @@ func newFlushWriter(w http.ResponseWriter) *flushWriter {
 
 func (fw *flushWriter) Write(p []byte) (int, error) {
 	n, err := fw.w.Write(p)
-	if err == nil && fw.f != nil {
+	fw.dirty = fw.dirty || n > 0
+	return n, err
+}
+
+// flush pushes what was written since the last flush onto the wire. With
+// nothing written it does nothing, so the status line and headers travel
+// with the first row rather than alone.
+func (fw *flushWriter) flush() {
+	if fw.dirty && fw.f != nil {
 		fw.f.Flush()
 	}
-	return n, err
+	fw.dirty = false
+}
+
+// idleHook is the conc.StreamOrdered idle hook of an engine writing to w:
+// the flush of the HTTP handler's flushWriter, and none for any other
+// writer (the command-line tools' standard output).
+func idleHook(w io.Writer) []func() {
+	if fw, ok := w.(*flushWriter); ok {
+		return []func(){fw.flush}
+	}
+	return nil
 }
 
 // drainTimeout bounds how long the server may spend reading the unread
@@ -354,8 +396,8 @@ const drainTimeout = time.Second
 type streamEngine func(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error)
 
 // stream wraps an engine as a streaming HTTP handler: NDJSON request lines
-// in, NDJSON result rows out in input order, one row flushed per
-// computation, with memory O(workers + window) rather than O(batch). A
+// in, NDJSON result rows out in input order, flushed whenever the emitter
+// would wait, with memory O(workers + window) rather than O(batch). A
 // ?workers=N query bounds the per-stream pool below the operator's ceiling,
 // exactly like the buffered endpoints' workers field.
 //
@@ -431,6 +473,18 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 		kickMu.Unlock()
 		if !stopKick() {
 			_ = rc.SetReadDeadline(time.Now().Add(drainTimeout))
+			// The drain must run while the handler does. Left to the server,
+			// it ends after the server aborted the connection's pending
+			// read, and reaching EOF there starts a background read that the
+			// next request's read collides with: "invalid concurrent
+			// Body.Read call". Full-duplex mode skips the server's own
+			// pre-response drain, so this is the body's first close. It
+			// waits on the client, so the rows written by then, the
+			// terminal row included, are flushed first.
+			defer func() {
+				fw.flush()
+				_ = r.Body.Close()
+			}()
 		}
 		tr.AddRows(stats.RowsOut)
 		s.rowsIn.Add(uint64(stats.RowsIn))

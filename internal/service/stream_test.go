@@ -8,11 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net"
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -573,6 +575,144 @@ func TestStreamBudgetExpiryLeavesNoStrayResponse(t *testing.T) {
 	var ne net.Error
 	if len(rest) > 0 || (err != nil && !(errors.As(err, &ne) && ne.Timeout())) {
 		t.Fatalf("after the stream's response the server sent %q (%v), unasked", rest, err)
+	}
+}
+
+// syncBuffer is a bytes.Buffer the server's connection goroutines may
+// log into while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// A budget-killed stream's unread body must be drained while the handler
+// runs. Drained after it, by the server, reaching EOF started a background
+// read that collided with the read of the connection's next request: the
+// server logged "http: panic serving …: invalid concurrent Body.Read call"
+// and dropped the connection.
+func TestStreamBudgetExpiryDrainDoesNotPanic(t *testing.T) {
+	var errLog syncBuffer
+	ts := newLoggedTestServer(t, Config{Timeout: 50 * time.Millisecond}, log.New(&errLog, "", 0))
+	glacial := slowDeriveRequest().Apps[0]
+	specs := make([]DeriveAppSpec, 64)
+	for i := range specs {
+		specs[i] = glacial
+		specs[i].Name = fmt.Sprintf("G%d", i+1)
+	}
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	stream, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/derive/stream", ndjsonBody(t, specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !strings.Contains(string(rows), "compute budget") {
+		t.Fatalf("stream = %q (%v), want a budget-killed stream", rows, err)
+	}
+	// A second request on the connection: a panicking server closes it
+	// after logging, so once this exchange ends the log is complete.
+	health, err := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := health.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.ReadResponse(br, health); err == nil {
+		resp.Body.Close()
+	}
+	if strings.Contains(errLog.String(), "panic serving") {
+		t.Fatalf("server log:\n%s", errLog.String())
+	}
+}
+
+// A client that writes line k only after it has read row k−1 on one
+// full-duplex stream gets every row: a row held in the response buffer
+// while the server waits for the next line would deadlock it.
+func TestStreamPingPong(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 2})
+	const n = 20
+	specs := servoDeriveRequest(n).Apps
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/derive/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(chan StreamRow, n+1)
+	end := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			end <- err
+			return
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var row StreamRow
+			if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+				end <- fmt.Errorf("bad row %q: %v", sc.Text(), err)
+				return
+			}
+			rows <- row
+		}
+		end <- sc.Err()
+	}()
+	for k := range specs {
+		line, err := json.Marshal(&specs[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pw.Write(append(line, '\n')); err != nil {
+			t.Fatalf("writing line %d: %v", k, err)
+		}
+		select {
+		case row := <-rows:
+			if row.Index != k || row.Error != "" {
+				t.Fatalf("row %+v, want a result for line %d", row, k)
+			}
+		case err := <-end:
+			t.Fatalf("stream ended before row %d: %v", k, err)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("row %d never arrived after its line was written: the server holds rows back", k)
+		}
+	}
+	pw.Close()
+	select {
+	case err := <-end:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream did not end after the request body did")
+	}
+	if len(rows) != 0 {
+		t.Fatalf("%d rows beyond the %d lines", len(rows), n)
 	}
 }
 
