@@ -324,7 +324,7 @@ func BenchmarkAllocateBatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := service.AllocateFleets(reqs, 0)
+		results, err := service.AllocateFleets(context.Background(), reqs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

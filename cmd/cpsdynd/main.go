@@ -92,11 +92,18 @@
 //
 // Concurrency is bounded by -max-inflight (excess requests queue and are
 // rejected 503 once their deadline passes) and each request gets a -timeout
-// compute budget (504 on overrun). A budget overrun or client disconnect
-// cancels the in-flight matrix work — the computation stops consuming CPU
-// promptly. A stream's reorder window is twice its worker count.
-// Cache-miss dwell-curve sampling fans out across -curve-workers cores.
-// SIGINT/SIGTERM trigger a graceful drain.
+// compute budget (504 on overrun). Buffered requests and streams alike
+// compute on their handler goroutine: a budget overrun or client
+// disconnect cancels the in-flight matrix work, the computation stops
+// consuming CPU promptly, and the handler answers once it has. A panic
+// fails only the smallest unit of work around it: a buffered request
+// answers 500 "internal error: …" (also when one item of its fan-out
+// panicked), a stream answers that row with an error row and goes on.
+// -workers is the ceiling of every request's worker pool (GOMAXPROCS when
+// unset): a client's workers field or ?workers=N within it is honoured,
+// anything else runs at the ceiling. A stream's reorder window is twice
+// its worker count. Cache-miss dwell-curve sampling fans out across
+// -curve-workers cores. SIGINT/SIGTERM trigger a graceful drain.
 //
 // Usage: cpsdynd [-addr :8700] [-cache-entries 1024] [-cache-bytes N]
 // [-cache-dir DIR] [-cache-dir-bytes N] [-max-inflight N] [-timeout 60s]
@@ -160,7 +167,7 @@ func main() {
 		cacheDirMax  = flag.Int64("cache-dir-bytes", 0, "on-disk byte cap for -cache-dir, oldest records evicted first (0 = unbounded)")
 		maxInFlight  = flag.Int("max-inflight", 0, "maximum concurrently computing requests (0 = 2×GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-request compute budget")
-		workers      = flag.Int("workers", 0, "per-request derivation/allocation workers (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "ceiling of each request's derivation/allocation workers; clients may ask for fewer (0 = GOMAXPROCS)")
 		curveWorkers = flag.Int("curve-workers", 0, "dwell-curve sampling fan-out on cache misses (0 = GOMAXPROCS, 1 = sequential)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		peers        = flag.String("peers", "", "comma-separated replica addresses (host:port or URL); non-empty switches the daemon into sharding-gateway mode")

@@ -169,7 +169,7 @@ func run(r io.Reader, workers int) (*batchOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := service.AllocateFleets(fleets, workers)
+	results, err := service.AllocateFleets(context.Background(), fleets, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -82,8 +82,8 @@
 // branch-and-bound Exact search takes each join back exactly, from a
 // trail of the records it overwrote. Exact is exponential, so it checks
 // its context every 1 024 search nodes: sched.AllocateContext and
-// service.AllocateFleetsContext thread the request's context, so cpsdynd's compute budget stops an exact request
-// and frees its in-flight slot.
+// service.AllocateFleets thread the request's context, so cpsdynd's
+// compute budget stops an exact request and frees its in-flight slot.
 //
 // # Sharded sampling and cancellation
 //
@@ -170,12 +170,16 @@
 //
 // The benchmark trajectory is CI-gated: cpsrepro bench-export runs the
 // kernel suite hermetically (testing.Benchmark in-process) and writes a
-// JSON report (BENCH_8.json and BENCH_16.json are committed artefacts),
-// and the CI bench-compare job diffs every PR against its merge base,
-// failing on a >15% geometric-mean ns/op regression or on any benchmark
-// whose allocs/op increased. Besides the kernels, the suite times the
-// service's row path (DeriveRowWarm: a freshly compiled probe app on a
-// warm cache) and the CacheKey the gateway computes for every routed row.
+// JSON report, and the CI bench-compare job diffs every PR against its
+// merge base, failing on a >15% geometric-mean ns/op regression or on any
+// benchmark whose allocs/op increased. The gate compares two exports made
+// in the same CI job, the PR's and its merge base's. The committed
+// reports (BENCH_8.json, BENCH_16.json, BENCH_17.json, BENCH_19.json) are
+// records of the trajectory, not the gate: on a shared host, drift alone
+// moved untouched kernels 1.4–1.7× between them. Besides the kernels, the
+// suite times the service's row path (DeriveRowWarm: a freshly compiled
+// probe app on a warm cache), the CacheKey the gateway computes for every
+// routed row, the allocation race and the NDJSON codec.
 //
 // # Service mode (cmd/cpsdynd)
 //
@@ -199,6 +203,20 @@
 // mode the derive function tries the replica owning the app and falls
 // back to the local derivation. Derive and calibrate reject duplicate app
 // names, buffered with a 400, streamed as an error row.
+//
+// Every request follows one discipline. It takes an in-flight slot and
+// computes on its handler goroutine under the compute budget, buffered or
+// streamed alike; a budget overrun or disconnect cancels the work, and the
+// handler answers once it has returned. One guard contains a panic in the
+// smallest unit of work around it. A panicking item of a buffered
+// fan-out, or the buffered request's own decode or compile, fails that
+// request with a 500 ("internal error: …") and the daemon serves on; a
+// panicking stream row becomes that row's error row and the rest of the
+// stream is answered. One helper counts cancellations and budget overruns
+// for both framings. One rule resolves a client's worker request (the
+// buffered workers field, a stream's ?workers=): the operator's -workers
+// is the ceiling, GOMAXPROCS without it, and a request above it, or of 0,
+// runs at the ceiling.
 //
 // # Streaming derivation (NDJSON)
 //

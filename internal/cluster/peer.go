@@ -134,7 +134,8 @@ func openStream(ctx context.Context, client *http.Client, p *Peer, maxPending in
 func (st *peerStream) read(body io.ReadCloser) {
 	defer body.Close()
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+	// Rows are a few hundred bytes: start small, let the scanner grow.
+	sc.Buffer(make([]byte, 0, 4<<10), 8<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -210,18 +210,10 @@ func fleetLabel(fr *FleetRequest, i int) string {
 // apps) fail the whole call — the request itself is broken. Per-fleet
 // allocation failures (an infeasible fleet) are recorded in the matching
 // FleetResult.Error instead, so a batch reports every salvageable result.
-// See AllocateFleetsContext for the cancellable variant this wraps.
-//
-//cpsdyn:ctx-compat legacy convenience entry point for slotalloc's buffered mode, which owns no request context
-func AllocateFleets(reqs []FleetRequest, workers int) ([]*FleetResult, error) {
-	return AllocateFleetsContext(context.Background(), reqs, workers)
-}
-
-// AllocateFleetsContext is AllocateFleets under ctx, which bounds the
-// exponential exact search: once ctx expires no further fleet starts and
-// the call fails with an error that unwraps to ctx.Err() instead of
-// reporting the fleets it stopped as infeasible.
-func AllocateFleetsContext(ctx context.Context, reqs []FleetRequest, workers int) ([]*FleetResult, error) {
+// ctx bounds the exponential exact search: once it expires no further
+// fleet starts and the call fails with an error that unwraps to ctx.Err()
+// instead of reporting the fleets it stopped as infeasible.
+func AllocateFleets(ctx context.Context, reqs []FleetRequest, workers int) ([]*FleetResult, error) {
 	specs := make([]fleetSpec, len(reqs))
 	var errs []error
 	for i := range reqs {
@@ -240,7 +232,7 @@ func AllocateFleetsContext(ctx context.Context, reqs []FleetRequest, workers int
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", fleetLabel(&reqs[i], i), err)
 		}
-		return res, nil
+		return &res, nil
 	})
 }
 
@@ -249,7 +241,7 @@ func AllocateFleetsContext(ctx context.Context, reqs []FleetRequest, workers int
 // fleet is an analysis outcome, reported in-band in FleetResult.Error; an
 // exact search stopped by ctx fails the call with an error that unwraps to
 // ctx.Err().
-func allocateFleet(ctx context.Context, req *FleetRequest, spec fleetSpec) (*FleetResult, error) {
+func allocateFleet(ctx context.Context, req *FleetRequest, spec fleetSpec) (FleetResult, error) {
 	var al *sched.Allocation
 	var err error
 	if spec.race {
@@ -258,15 +250,15 @@ func allocateFleet(ctx context.Context, req *FleetRequest, spec fleetSpec) (*Fle
 		al, err = sched.AllocateContext(ctx, spec.apps, spec.policy, spec.method)
 	}
 	if isCancellation(err) {
-		return nil, err
+		return FleetResult{}, err
 	}
-	res := &FleetResult{Name: req.Name}
+	res := FleetResult{Name: req.Name}
 	if err != nil {
 		res.Error = err.Error()
 		return res, nil
 	}
-	if err := fillFleetResult(res, req, al, spec.unsafe); err != nil {
-		return nil, err
+	if err := fillFleetResult(&res, req, al, spec.unsafe); err != nil {
+		return FleetResult{}, err
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -98,7 +99,7 @@ func TestAllocateRepliesMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := AllocateFleets(goldenAllocRequests(t), 2)
+	results, err := AllocateFleets(context.Background(), goldenAllocRequests(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

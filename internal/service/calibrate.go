@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"cpsdyn/internal/casestudy"
-	"cpsdyn/internal/conc"
 	"cpsdyn/internal/core"
-	"cpsdyn/internal/obs"
 )
 
 // CalibrateAppSpec describes one application for measured-mode calibration:
@@ -154,47 +152,22 @@ type CalibrateStreamRow struct {
 
 // CalibrateStream is DeriveStream's measured-mode sibling: NDJSON
 // CalibrateAppSpec lines in, NDJSON CalibrateStreamRows out in input order,
-// each app's design search and derivation (calibrateApp) run across a
-// bounded worker pool. Per-line failures (malformed JSON, duplicate names,
-// invalid specs, searches that do not converge) become error rows and
-// never abort the stream; a ctx expiry stops it mid-flight like the other
-// engines.
+// each app compiled and then calibrated (calibrateApp) across a bounded
+// worker pool. Per-line failures (malformed JSON, duplicate names, invalid
+// specs, searches that do not converge) become error rows and never abort
+// the stream; a ctx expiry stops it mid-flight like the other engines.
 func CalibrateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
-	var stats StreamStats
-	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
-		appSource[CalibrateAppSpec](r, opts.MaxLine, &stats, tr),
-		calibrateStreamRow,
-		encodeSink[CalibrateStreamRow](w, &stats, tr), idleHook(w)...)
-	return stats, err
-}
-
-// calibrateStreamRow runs one line's measured-mode workflow: compile the
-// spec, then calibrateApp. Failures become error rows; a panic fails its
-// own row, not the stream.
-func calibrateStreamRow(ctx context.Context, _ int, ln Line[CalibrateAppSpec]) (row CalibrateStreamRow) {
-	row.Index = ln.Index
-	defer func() {
-		if r := recover(); r != nil {
-			row.Result, row.Error = nil, fmt.Sprintf("internal error: %v", r)
-		}
-	}()
-	if ln.Err != nil {
-		row.Error = ln.Err.Error()
-		return row
-	}
-	app, err := ln.Val.application(ln.Index)
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	res, err := calibrateApp(ctx, ln.Val, app)
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	row.Result = &res
-	return row
+	return runStream(ctx, r, w, opts, (*CalibrateAppSpec).appName,
+		func(ctx context.Context, spec *CalibrateAppSpec, i int) (CalibrateResult, error) {
+			app, err := spec.application(i)
+			if err != nil {
+				return CalibrateResult{}, err
+			}
+			return calibrateApp(ctx, spec, app)
+		},
+		func(i int, res *CalibrateResult, err string, _ bool) CalibrateStreamRow {
+			return CalibrateStreamRow{Index: i, Result: res, Error: err}
+		})
 }
 
 func calibrateEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
@@ -202,9 +175,6 @@ func calibrateEndpoint(ctx context.Context, s *Server, body []byte) (any, error)
 	if err := decodeTraced(ctx, body, &req); err != nil {
 		return nil, err
 	}
-	// As for /v1/derive, the operator's -workers flag is a ceiling.
-	if req.Workers <= 0 || (s.cfg.Workers > 0 && req.Workers > s.cfg.Workers) {
-		req.Workers = s.cfg.Workers
-	}
+	req.Workers = s.workers(req.Workers)
 	return Calibrate(ctx, &req)
 }

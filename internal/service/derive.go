@@ -282,12 +282,13 @@ func deriveApps(ctx context.Context, req *DeriveRequest, apps []*core.Applicatio
 // forEachItem runs fn for every item in [0, n) across a bounded worker pool
 // (workers ≤ 0 selects GOMAXPROCS) and returns the results in input order.
 // An item's failure does not stop the others; the failures are joined in
-// input order. A ctx expiry stops dispatching and wins over them.
+// input order. An item that panics fails alone, as an *internalError (see
+// guard). A ctx expiry stops dispatching and wins over them.
 func forEachItem[R any](ctx context.Context, n, workers int, fn func(i int) (R, error)) ([]R, error) {
 	out := make([]R, n)
 	errs := make([]error, n)
 	if err := conc.ForEachCtx(ctx, n, workers, func(i int) error {
-		out[i], errs[i] = fn(i)
+		errs[i] = guard(func() (err error) { out[i], err = fn(i); return err })
 		return nil // per-item failures are aggregated, not dispatch-stopping
 	}); err != nil {
 		return nil, err

@@ -339,8 +339,8 @@ func TestGatewayAnswersLocallyOnPeerCancellationRows(t *testing.T) {
 }
 
 // A huge client workers value must not size the gateway's per-peer
-// buffers: the session bound is clamped to the app count, exactly like the
-// streaming handler's ?workers guard, so this request allocates a few
+// buffers: the workers rule caps it at the server's ceiling and the session
+// bound is the app count below that, so this request allocates a few
 // cells, not gigabytes.
 func TestGatewayClampsClientWorkers(t *testing.T) {
 	gw, _ := newGatewayCluster(t, 1, Config{})

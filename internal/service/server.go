@@ -29,8 +29,9 @@ type Config struct {
 	MaxInFlight int
 	// Timeout is the per-request compute budget. ≤ 0 selects 60 s.
 	Timeout time.Duration
-	// Workers bounds each request's internal derivation/allocation worker
-	// pool and each stream's pool; a stream's reorder window is twice its
+	// Workers is the ceiling of each request's internal derivation/
+	// allocation worker pool and each stream's pool: a client may ask for
+	// fewer (see Server.workers). A stream's reorder window is twice its
 	// pool. ≤ 0 selects GOMAXPROCS.
 	Workers int
 	// MaxBodyBytes bounds request bodies. ≤ 0 selects 8 MiB.
@@ -189,8 +190,8 @@ func (s *Server) Stats() ServerStats {
 		RowsOut:         s.rowsOut.Load(),
 		StreamCancelled: s.streamCancelled.Load(),
 
-		Workers:      effectiveWorkers(s.cfg.Workers),
-		StreamWindow: StreamOptions{Workers: s.cfg.Workers}.window(),
+		Workers:      s.workers(0),
+		StreamWindow: StreamOptions{Workers: s.workers(0)}.window(),
 	}
 }
 
@@ -288,17 +289,21 @@ type internalError struct{ err error }
 func (e *internalError) Error() string { return e.err.Error() }
 func (e *internalError) Unwrap() error { return e.err }
 
-// runEndpoint invokes the endpoint with a panic guard: a long-running
-// daemon must fail one request, not the whole process, when a computation
-// panics (internal/mat panics on shape errors, and future endpoints may
-// have validation gaps).
-func runEndpoint(ctx context.Context, fn endpoint, s *Server, body []byte) (v any, err error) {
+// guard runs one unit of request work (a buffered request, one item of
+// its fan-out, one stream row) and turns a panic in it into an
+// *internalError for that unit alone: a long-running daemon must fail one
+// request, item or row, not the whole process, when a computation panics
+// (internal/mat panics on shape errors, and validation can have gaps). It
+// is the package's only recover. fn stores its result in the caller's
+// variables, so guard is one small frame under every request, item and
+// row.
+func guard(fn func() error) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			v, err = nil, &internalError{fmt.Errorf("internal error: %v", r)}
+		if p := recover(); p != nil {
+			err = &internalError{fmt.Errorf("internal error: %v", p)}
 		}
 	}()
-	return fn(ctx, s, body)
+	return fn()
 }
 
 // isCancellation reports whether err is a context expiry.
@@ -357,13 +362,44 @@ func (s *Server) release(done *atomic.Uint64) {
 	<-s.sem
 }
 
-// compute wraps an endpoint with the service's resource discipline:
-// the request first acquires an in-flight slot (or is rejected with 503
-// when its context expires while queueing), then runs on its own goroutine
-// under the per-request compute budget (504 on overrun). The budget and
-// the client connection govern the computation — a timeout or disconnect
-// cancels the in-flight matrix work, which stops promptly and releases its
-// slot instead of burning CPU for an answer nobody will read.
+// countCancellation books a request or stream whose work ended in err: a
+// cancellation counts into cancelled and, when the compute budget rather
+// than the client caused it, into timedOut too. That last case is the one
+// the client is still owed an answer for, so it reports it.
+func (s *Server) countCancellation(ctx context.Context, err error) (overBudget bool) {
+	if !isCancellation(err) {
+		return false
+	}
+	s.cancelled.Add(1)
+	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return false
+	}
+	s.timedOut.Add(1)
+	return true
+}
+
+// workers resolves a client's worker request (the buffered workers field,
+// a stream's ?workers=) against the operator's -workers ceiling, which
+// defaults to GOMAXPROCS: a request in (0, ceiling] is honoured, anything
+// else runs at the ceiling. A stream's pool and window are allocated
+// before its first line is read, so an unbounded value would be a trivial
+// memory DoS.
+func (s *Server) workers(requested int) int {
+	ceiling := effectiveWorkers(s.cfg.Workers)
+	if requested <= 0 || requested > ceiling {
+		return ceiling
+	}
+	return requested
+}
+
+// compute wraps an endpoint with the service's resource discipline: the
+// request first acquires an in-flight slot (or is rejected with 503 when
+// its context expires while queueing), then computes on the handler
+// goroutine under the panic guard and the per-request compute budget. The
+// budget and the client connection govern the computation: a timeout or
+// disconnect cancels the in-flight matrix work, which stops promptly and
+// releases its slot instead of burning CPU for an answer nobody will
+// read, and an overrun answers 504.
 func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -378,61 +414,29 @@ func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.Handle
 		if !s.acquire(ctx, w) {
 			return
 		}
-		type result struct {
-			v   any
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			v, err := runEndpoint(ctx, fn, s, body)
-			if err != nil && isCancellation(err) {
-				s.cancelled.Add(1)
-			}
-			s.release(&s.requests)
-			done <- result{v, err}
-		}()
-		select {
-		case res := <-done:
-			if res.err != nil {
-				if isCancellation(res.err) {
-					// The compute context expired and the computation
-					// noticed before this select observed ctx.Done. Only a
-					// budget overrun is a 504; for a client disconnect
-					// nobody is listening for a reply.
-					switch {
-					case errors.Is(ctx.Err(), context.DeadlineExceeded):
-						s.timedOut.Add(1)
-						writeError(w, http.StatusGatewayTimeout,
-							fmt.Errorf("request exceeded the %s compute budget", s.cfg.Timeout))
-					case ctx.Err() != nil: // disconnected
-					default:
-						// A cancellation error without an expired request
-						// context can only be an endpoint bug.
-						writeError(w, http.StatusInternalServerError, res.err)
-					}
-					return
-				}
-				status := http.StatusBadRequest
-				var ie *internalError
-				if errors.As(res.err, &ie) {
-					status = http.StatusInternalServerError
-				}
-				writeError(w, status, res.err)
-				return
-			}
+		var v any
+		err = guard(func() (err error) { v, err = fn(ctx, s, body); return err })
+		overBudget := s.countCancellation(ctx, err)
+		s.release(&s.requests)
+		switch {
+		case err == nil:
 			encodeStart := time.Now()
-			writeJSON(w, http.StatusOK, res.v)
+			writeJSON(w, http.StatusOK, v)
 			tr.StageSince(obs.StageEncode, encodeStart)
-		case <-ctx.Done():
-			if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				// Client disconnected; nobody is listening for a reply and
-				// the compute budget was not the problem. The cancellation
-				// has already reached the computation.
-				return
-			}
-			s.timedOut.Add(1)
+		case overBudget:
 			writeError(w, http.StatusGatewayTimeout,
 				fmt.Errorf("request exceeded the %s compute budget", s.cfg.Timeout))
+		case isCancellation(err) && ctx.Err() != nil:
+			// The client disconnected: nobody is listening for a reply.
+		default:
+			status := http.StatusBadRequest
+			var ie *internalError
+			if errors.As(err, &ie) || isCancellation(err) {
+				// A recovered panic, or a cancellation the request's own
+				// context did not cause: the server failed, not the client.
+				status = http.StatusInternalServerError
+			}
+			writeError(w, status, err)
 		}
 	}
 }
@@ -486,11 +490,7 @@ func deriveEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
 	if err := decodeTraced(ctx, body, &req); err != nil {
 		return nil, err
 	}
-	// The operator's -workers flag is a ceiling, not a default: a client
-	// may request fewer workers than configured but never more.
-	if req.Workers <= 0 || (s.cfg.Workers > 0 && req.Workers > s.cfg.Workers) {
-		req.Workers = s.cfg.Workers
-	}
+	req.Workers = s.workers(req.Workers)
 	apps, err := req.applications()
 	if err != nil {
 		return nil, err
@@ -498,12 +498,9 @@ func deriveEndpoint(ctx context.Context, s *Server, body []byte) (any, error) {
 	if s.gw == nil {
 		return deriveApps(ctx, &req, apps, req.Workers, deriveLocal)
 	}
-	// The session's in-flight bound sizes a per-peer buffer, so a huge
-	// client workers value must not reach it unclamped (the worker pool
-	// itself clamps to len(apps), making anything beyond that pure
-	// allocation): never more in flight than apps, exactly like the
-	// streaming handler's ?workers guard.
-	workers := min(effectiveWorkers(req.Workers), len(apps))
+	// The session's in-flight bound sizes a per-peer buffer, and the pool
+	// never runs more workers than apps.
+	workers := min(req.Workers, len(apps))
 	sess := s.gw.Session(ctx, workers)
 	defer sess.Close()
 	return deriveApps(ctx, &req, apps, workers, s.peerDerive(sess))
@@ -527,7 +524,7 @@ func allocateEndpoint(ctx context.Context, s *Server, body []byte) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	results, err := AllocateFleetsContext(ctx, fleets, s.cfg.Workers)
+	results, err := AllocateFleets(ctx, fleets, s.workers(0))
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -571,6 +572,97 @@ func TestComputeRecoversPanic(t *testing.T) {
 	}
 	if st := s.Stats(); st.InFlight != 0 || st.Requests != 1 {
 		t.Fatalf("stats after panic = %+v, want drained", st)
+	}
+}
+
+// An item that panics inside a buffered request's fan-out fails that
+// request with a 500, not the process: the guard around each item turns the
+// panic into an internal error, the slot is released, and the same server
+// answers the next request.
+func TestComputeRecoversItemPanic(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := func(ctx context.Context, spec *DeriveAppSpec, i int, app *core.Application) (DeriveResult, error) {
+		if spec.Name == "S2" {
+			panic("boom in item")
+		}
+		return deriveLocal(ctx, spec, i, app)
+	}
+	h := s.compute("derive", &s.lat.derive, func(ctx context.Context, _ *Server, body []byte) (any, error) {
+		var req DeriveRequest
+		if err := decodeStrict(body, &req); err != nil {
+			return nil, err
+		}
+		apps, err := req.applications()
+		if err != nil {
+			return nil, err
+		}
+		return deriveApps(ctx, &req, apps, 2, boom)
+	})
+	post := func(req *DeriveRequest) *httptest.ResponseRecorder {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		h(rr, httptest.NewRequest(http.MethodPost, "/v1/derive", bytes.NewReader(body)))
+		return rr
+	}
+	rr := post(servoDeriveRequest(3))
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d (%s), want 500", rr.Code, rr.Body)
+	}
+	var body errorBody
+	if err := json.NewDecoder(rr.Body).Decode(&body); err != nil || body.Error != "internal error: boom in item" {
+		t.Fatalf("error body = %+v, %v", body, err)
+	}
+	if st := s.Stats(); st.InFlight != 0 || st.Requests != 1 {
+		t.Fatalf("stats after the panic = %+v, want drained", st)
+	}
+	if rr := post(servoDeriveRequest(1)); rr.Code != http.StatusOK {
+		t.Fatalf("next request status = %d (%s), want 200", rr.Code, rr.Body)
+	}
+	if st := s.Stats(); st.InFlight != 0 || st.Requests != 2 {
+		t.Fatalf("stats after the next request = %+v", st)
+	}
+}
+
+// One rule resolves a client's worker request in both framings, the
+// buffered workers field and a stream's ?workers=: the operator's -workers
+// is a ceiling (GOMAXPROCS without one), a request within it is honoured
+// and anything else runs at the ceiling.
+func TestWorkersRule(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ ceiling, requested, want int }{
+		{2, 1000, 2}, {2, 1, 1}, {2, 0, 2},
+		{0, procs + 1, procs}, {0, 1 << 30, procs}, {0, 1, 1}, {0, 0, procs},
+	} {
+		s, err := New(Config{Workers: tc.ceiling})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Buffered: the workers field as the endpoints decode and resolve it.
+		var req DeriveRequest
+		if err := decodeStrict(fmt.Appendf(nil, `{"workers":%d,"apps":[]}`, tc.requested), &req); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.workers(req.Workers); got != tc.want {
+			t.Errorf("ceiling %d, buffered workers %d: resolved %d, want %d", tc.ceiling, tc.requested, got, tc.want)
+		}
+		// Streamed: the pool the handler hands its engine.
+		got := -1
+		h := s.stream("derive/stream", &s.lat.deriveStream,
+			func(_ context.Context, _ io.Reader, _ io.Writer, opts StreamOptions) (StreamStats, error) {
+				got = opts.Workers
+				return StreamStats{}, nil
+			})
+		rr := httptest.NewRecorder()
+		h(rr, httptest.NewRequest(http.MethodPost, fmt.Sprintf("/x?workers=%d", tc.requested), strings.NewReader("")))
+		if rr.Code != http.StatusOK || got != tc.want {
+			t.Errorf("ceiling %d, ?workers=%d: status %d, pool %d, want 200 and %d", tc.ceiling, tc.requested, rr.Code, got, tc.want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -53,13 +52,11 @@ func decodeLines[T any](r io.Reader, maxLine int64, tr *obs.Trace) iter.Seq[Line
 	}
 	return func(yield func(Line[T]) bool) {
 		sc := bufio.NewScanner(r)
-		// The scanner's cap is max(limit, cap(buf)) — the initial buffer
+		// Lines are a few hundred bytes, so the per-stream buffer starts
+		// small and the scanner doubles it up to the limit when a line
+		// needs it. Its cap is max(limit, cap(buf)): the initial buffer
 		// must not exceed the line limit or small limits are ignored.
-		initial := int64(64 << 10)
-		if initial > maxLine {
-			initial = maxLine
-		}
-		sc.Buffer(make([]byte, 0, initial), int(maxLine))
+		sc.Buffer(make([]byte, 0, min(4<<10, maxLine)), int(maxLine))
 		i := 0
 		for sc.Scan() {
 			raw := bytes.TrimSpace(sc.Bytes())
@@ -168,40 +165,25 @@ type StreamOptions struct {
 // response-side buffering no matter how long the stream is.
 func (o StreamOptions) window() int { return 2 * effectiveWorkers(o.Workers) }
 
-// appSource decodes the request half of a derive or calibrate stream: one
-// spec per line, counted into stats, with the buffered endpoints'
-// duplicate-name rule applied in the (sequential) source iterator, so no
-// locking. Error lines keep their name slot: only successfully decoded
-// specs claim a name. The seen set is the one per-row retention of the
-// stream — names only, a few bytes per row, not rows or results.
-func appSource[S any, P interface {
-	*S
-	appSpec
-}](r io.Reader, maxLine int64, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[S]] {
-	seen := make(map[string]bool)
-	return func(yield func(Line[S]) bool) {
-		for ln := range countingSource[S](r, maxLine, stats, tr) {
-			if ln.Val != nil {
-				if name := P(ln.Val).appName(); seen[name] {
-					ln = Line[S]{Index: ln.Index, Err: duplicateName(name)}
-				} else {
-					seen[name] = true
-				}
-			}
-			if !yield(ln) {
-				return
-			}
-		}
-	}
-}
-
-// countingSource decodes one T per NDJSON line, counting rows into stats —
-// the request half shared by the engines (appSource layers the
-// duplicate-name rule on top of the same shape).
-func countingSource[T any](r io.Reader, maxLine int64, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[T]] {
+// lineSource decodes the request half of a stream: one T per NDJSON line,
+// counted into stats. With name set it applies the buffered endpoints'
+// duplicate-name rule in the (sequential) source iterator, so no locking:
+// a decoded line whose name an earlier line took becomes that error line.
+// Error lines keep their name slot: only successfully decoded specs claim
+// a name. The seen set is the one per-row retention of the stream — names
+// only, a few bytes per row, not rows or results.
+func lineSource[T any](r io.Reader, maxLine int64, name func(*T) string, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[T]] {
 	return func(yield func(Line[T]) bool) {
+		seen := make(map[string]bool)
 		for ln := range decodeLines[T](r, maxLine, tr) {
 			stats.RowsIn++
+			if ln.Val != nil && name != nil {
+				if n := name(ln.Val); seen[n] {
+					ln = Line[T]{Index: ln.Index, Err: duplicateName(n)}
+				} else {
+					seen[n] = true
+				}
+			}
 			if !yield(ln) {
 				return
 			}
@@ -236,6 +218,37 @@ func encodeSink[R any](w io.Writer, stats *StreamStats, tr *obs.Trace) func(int,
 	}
 }
 
+// runStream is the body every streaming engine shares: one T per NDJSON
+// line of r (name, when set, applies the duplicate-name rule; see
+// lineSource), each line answered by run and written to w as its Row in
+// input order, across a bounded worker pool with at most the window of
+// rows in flight. Answering a line is one step: a line that failed to
+// decode is its error row; otherwise run compiles and answers it under the
+// panic guard, so a failure or a panic fails that row alone, and a
+// cancellation (the stream's own death, not the item's merits) is marked
+// as one. row shapes the outcome into the engine's wire row.
+func runStream[T, V, Row any](ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions,
+	name func(*T) string, run func(ctx context.Context, v *T, i int) (V, error),
+	row func(i int, res *V, err string, cancelled bool) Row) (StreamStats, error) {
+	var stats StreamStats
+	tr := obs.FromContext(ctx)
+	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
+		lineSource(r, opts.MaxLine, name, &stats, tr),
+		func(ctx context.Context, _ int, ln Line[T]) Row {
+			if ln.Err != nil {
+				return row(ln.Index, nil, ln.Err.Error(), false)
+			}
+			var v V
+			err := guard(func() (err error) { v, err = run(ctx, ln.Val, ln.Index); return err })
+			if err != nil {
+				return row(ln.Index, nil, err.Error(), isCancellation(err))
+			}
+			return row(ln.Index, &v, "", false)
+		},
+		encodeSink[Row](w, &stats, tr), idleHook(w)...)
+	return stats, err
+}
+
 // DeriveStream runs the streaming derivation pipeline: NDJSON DeriveAppSpec
 // lines in from r, NDJSON StreamRows out to w in input order, derived across
 // a bounded worker pool with at most O(workers + window) rows buffered. The
@@ -249,42 +262,19 @@ func DeriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOpti
 	return deriveStream(ctx, r, w, opts, deriveLocal)
 }
 
-// deriveStream is DeriveStream answering each row with derive: compile the
-// spec, derive it, flatten to the wire row. Failures become error rows; a
-// panicking derivation (validation gaps on adversarial input) fails its own
-// row, not the stream.
+// deriveStream is DeriveStream answering each row with derive.
 func deriveStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions, derive deriveFunc) (StreamStats, error) {
-	var stats StreamStats
-	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
-		appSource[DeriveAppSpec](r, opts.MaxLine, &stats, tr),
-		func(ctx context.Context, _ int, ln Line[DeriveAppSpec]) (row StreamRow) {
-			row.Index = ln.Index
-			defer func() {
-				if r := recover(); r != nil {
-					row.Result, row.Error = nil, fmt.Sprintf("internal error: %v", r)
-				}
-			}()
-			if ln.Err != nil {
-				row.Error = ln.Err.Error()
-				return row
-			}
-			app, err := ln.Val.application(ln.Index) // failures are self-naming *RequestErrors
+	return runStream(ctx, r, w, opts, (*DeriveAppSpec).appName,
+		func(ctx context.Context, spec *DeriveAppSpec, i int) (DeriveResult, error) {
+			app, err := spec.application(i) // failures are self-naming *RequestErrors
 			if err != nil {
-				row.Error = err.Error()
-				return row
+				return DeriveResult{}, err
 			}
-			res, err := derive(ctx, ln.Val, ln.Index, app)
-			if err != nil {
-				row.Error = err.Error()
-				row.Cancelled = isCancellation(err)
-				return row
-			}
-			row.Result = &res
-			return row
+			return derive(ctx, spec, i, app)
 		},
-		encodeSink[StreamRow](w, &stats, tr), idleHook(w)...)
-	return stats, err
+		func(i int, res *DeriveResult, err string, cancelled bool) StreamRow {
+			return StreamRow{Index: i, Result: res, Error: err, Cancelled: cancelled}
+		})
 }
 
 // FleetStreamRow is one NDJSON line of a slotalloc -stream response: the
@@ -299,40 +289,21 @@ type FleetStreamRow struct {
 
 // AllocateStream is DeriveStream's allocation sibling: NDJSON FleetRequest
 // lines in, NDJSON FleetStreamRows out in input order, allocated across a
-// bounded worker pool. It backs slotalloc -stream.
+// bounded worker pool. It backs slotalloc -stream. The heuristics are
+// quick arithmetic, and an exact search stops once ctx expires, which
+// makes its row an error row (the pool stops dispatching rows too).
 func AllocateStream(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
-	var stats StreamStats
-	tr := obs.FromContext(ctx)
-	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
-		countingSource[FleetRequest](r, opts.MaxLine, &stats, tr),
-		allocateStreamRow,
-		encodeSink[FleetStreamRow](w, &stats, tr), idleHook(w)...)
-	return stats, err
-}
-
-// allocateStreamRow allocates one fleet line under ctx: the heuristics
-// are quick arithmetic, and an exact search stops once ctx expires, which
-// makes the row an error row (the pool stops dispatching rows too).
-func allocateStreamRow(ctx context.Context, _ int, ln Line[FleetRequest]) (row FleetStreamRow) {
-	row.Index = ln.Index
-	defer func() {
-		if r := recover(); r != nil {
-			row.Fleet, row.Error = nil, fmt.Sprintf("internal error: %v", r)
-		}
-	}()
-	if ln.Err != nil {
-		row.Error = ln.Err.Error()
-		return row
-	}
-	spec, err := ln.Val.spec() // failures are self-describing *RequestErrors
-	if err != nil {
-		row.Error = err.Error()
-		return row
-	}
-	if row.Fleet, err = allocateFleet(ctx, ln.Val, spec); err != nil {
-		row.Error = err.Error()
-	}
-	return row
+	return runStream(ctx, r, w, opts, nil,
+		func(ctx context.Context, fr *FleetRequest, _ int) (FleetResult, error) {
+			spec, err := fr.spec() // failures are self-describing *RequestErrors
+			if err != nil {
+				return FleetResult{}, err
+			}
+			return allocateFleet(ctx, fr, spec)
+		},
+		func(i int, res *FleetResult, err string, _ bool) FleetStreamRow {
+			return FleetStreamRow{Index: i, Fleet: res, Error: err}
+		})
 }
 
 // effectiveWorkers resolves a worker bound the way the pools do.
@@ -398,8 +369,8 @@ type streamEngine func(ctx context.Context, r io.Reader, w io.Writer, opts Strea
 // stream wraps an engine as a streaming HTTP handler: NDJSON request lines
 // in, NDJSON result rows out in input order, flushed whenever the emitter
 // would wait, with memory O(workers + window) rather than O(batch). A
-// ?workers=N query bounds the per-stream pool below the operator's ceiling,
-// exactly like the buffered endpoints' workers field.
+// ?workers=N query asks for a per-stream pool under the same rule as the
+// buffered endpoints' workers field (Server.workers).
 //
 // The stream holds one in-flight slot for its whole life and runs under the
 // usual compute budget; an expiry or client disconnect cancels the
@@ -409,21 +380,14 @@ type streamEngine func(ctx context.Context, r io.Reader, w io.Writer, opts Strea
 func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		workers := s.cfg.Workers
+		requested := 0
 		if q := r.URL.Query().Get("workers"); q != "" {
 			n, err := strconv.Atoi(q)
 			if err != nil || n < 0 {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("invalid workers value %q", q))
 				return
 			}
-			// The operator's -workers flag is a ceiling, not a default; with no
-			// flag the ceiling is GOMAXPROCS. Unlike the buffered endpoints there
-			// is no app count to clamp against — the pool and window are
-			// allocated before the first line is read — so an unbounded client
-			// value would be a trivial memory DoS.
-			if n > 0 && n <= effectiveWorkers(s.cfg.Workers) {
-				workers = n
-			}
+			requested = n
 		}
 		// The stream's span: a replica serving a gateway sub-stream finds
 		// the gateway's trace ID in the obs.TraceHeader and records its
@@ -458,7 +422,7 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 		w.WriteHeader(http.StatusOK)
 		fw := newFlushWriter(w)
 		stats, err := engine(ctx, r.Body, fw, StreamOptions{
-			Workers: workers,
+			Workers: s.workers(requested),
 			MaxLine: s.cfg.MaxBodyBytes,
 		})
 		// After the handler the server drains the unread rest of the body
@@ -493,15 +457,11 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 			return
 		}
 		s.streamCancelled.Add(1)
-		if isCancellation(err) {
-			s.cancelled.Add(1)
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				s.timedOut.Add(1)
-				// A disconnected client cannot be told anything; a budget kill
-				// still can, in-band.
-				_ = EncodeResult(fw, StreamRow{Index: -1,
-					Error: fmt.Sprintf("stream exceeded the %s compute budget", s.cfg.Timeout)})
-			}
+		if s.countCancellation(ctx, err) {
+			// A disconnected client cannot be told anything; a budget kill
+			// still can, in-band.
+			_ = EncodeResult(fw, StreamRow{Index: -1,
+				Error: fmt.Sprintf("stream exceeded the %s compute budget", s.cfg.Timeout)})
 		}
 	}
 }

@@ -12,11 +12,14 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"cpsdyn/internal/core"
 )
 
 func TestDecodeLinesCodec(t *testing.T) {
@@ -255,6 +258,49 @@ func TestStreamPerLineErrorsDoNotAbort(t *testing.T) {
 	}
 	if rows[4].Error != "" || rows[4].Result == nil || rows[4].Result.Name != "S2" {
 		t.Fatalf("row 4 = %+v, want S2 derived after the bad lines", rows[4])
+	}
+}
+
+// A row that panics fails alone: the guard around each stream row turns the
+// panic into that row's internal error row, every other row is answered,
+// and the stream ends normally, with no terminal row.
+func TestStreamRecoversRowPanic(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := func(ctx context.Context, spec *DeriveAppSpec, i int, app *core.Application) (DeriveResult, error) {
+		if spec.Name == "S3" {
+			panic("boom in row")
+		}
+		return deriveLocal(ctx, spec, i, app)
+	}
+	ts := httptest.NewServer(s.stream("derive/stream", &s.lat.deriveStream,
+		func(ctx context.Context, r io.Reader, w io.Writer, opts StreamOptions) (StreamStats, error) {
+			return deriveStream(ctx, r, w, opts, boom)
+		}))
+	defer ts.Close()
+	rows := streamNDJSON(t, ts.URL+"?workers=2", ndjsonBody(t, servoDeriveRequest(5).Apps))
+	if len(rows) != 5 {
+		t.Fatalf("%d rows, want 5: %+v", len(rows), rows)
+	}
+	for i, row := range rows {
+		if row.Index != i {
+			t.Fatalf("row %d has index %d", i, row.Index)
+		}
+		if i == 2 {
+			if row.Result != nil || row.Cancelled || row.Error != "internal error: boom in row" {
+				t.Fatalf("row 2 = %+v, want the internal error row", row)
+			}
+			continue
+		}
+		if row.Error != "" || row.Result == nil || row.Result.Name != fmt.Sprintf("S%d", i+1) {
+			t.Fatalf("row %d = %+v, want a result", i, row)
+		}
+	}
+	st := s.Stats()
+	if st.Streams != 1 || st.StreamCancelled != 0 || st.RowsIn != 5 || st.RowsOut != 5 || st.InFlight != 0 {
+		t.Fatalf("stats = %+v, want one clean 5-row stream", st)
 	}
 }
 
