@@ -3,10 +3,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark regenerates the artefact from scratch (or from a shared
-// derived fleet where the paper's own figure assumes one) and reports the
-// headline quantities via b.ReportMetric, so a bench run doubles as an
-// experiment log.
+// Each benchmark regenerates the artefact from scratch (or from a fleet or
+// servo derived once in its set-up where the paper's own figure assumes
+// one) and reports the headline quantities via b.ReportMetric, so a bench
+// run doubles as an experiment log.
 package cpsdyn_test
 
 import (
@@ -22,16 +22,30 @@ import (
 	"cpsdyn/internal/switching"
 )
 
-// sharedFleet returns the process-wide calibrated measured-mode fleet:
-// deriving it is the expensive, amortised setup step the paper performs once
-// per case study.
-func sharedFleet(b *testing.B) []*core.Derived {
+// derivedFleet calibrates and derives the measured-mode fleet: the set-up
+// step the paper performs once per case study.
+func derivedFleet(b *testing.B) []*core.Derived {
 	b.Helper()
-	fleet, err := casestudy.SharedFleet()
+	fleet, err := casestudy.DeriveFleetContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	return fleet
+}
+
+// derivedServo calibrates and derives the Fig.-3 servo experiment.
+func derivedServo(b *testing.B) *core.Derived {
+	b.Helper()
+	ctx := context.Background()
+	app, err := casestudy.ServoAppContext(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := app.DeriveContext(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
 }
 
 // BenchmarkTable1PaperMode rebuilds the Table I schedulability view (the
@@ -48,15 +62,7 @@ func BenchmarkTable1PaperMode(b *testing.B) {
 // full fleet derivation is benchmarked via Figure 5's setup).
 func BenchmarkTable1Measured(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		app, err := casestudy.ServoApp()
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := app.Derive()
-		if err != nil {
-			b.Fatal(err)
-		}
-		row := d.TimingRow()
+		row := derivedServo(b).TimingRow()
 		b.ReportMetric(row.XiTT, "xiTT_s")
 		b.ReportMetric(row.XiET, "xiET_s")
 	}
@@ -79,7 +85,7 @@ func BenchmarkWalkthrough(b *testing.B) {
 func BenchmarkSlotAllocationNonMonotonic(b *testing.B) {
 	slots := 0
 	for i := 0; i < b.N; i++ {
-		al, err := casestudy.PaperAllocation(core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
+		al, err := casestudy.PaperAllocation(context.Background(), core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +98,7 @@ func BenchmarkSlotAllocationNonMonotonic(b *testing.B) {
 func BenchmarkSlotAllocationConservative(b *testing.B) {
 	slots := 0
 	for i := 0; i < b.N; i++ {
-		al, err := casestudy.PaperAllocation(core.ConservativeMonotonic, sched.FirstFit, sched.ClosedForm)
+		al, err := casestudy.PaperAllocation(context.Background(), core.ConservativeMonotonic, sched.FirstFit, sched.ClosedForm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,14 +107,17 @@ func BenchmarkSlotAllocationConservative(b *testing.B) {
 	b.ReportMetric(float64(slots), "slots")
 }
 
-// BenchmarkFigure3Curve regenerates the servo dwell/wait curve.
+// BenchmarkFigure3Curve regenerates the servo dwell/wait curve from the
+// derived switched system.
 func BenchmarkFigure3Curve(b *testing.B) {
+	sys := derivedServo(b).Sys
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := casestudy.RunFig3()
+		c, err := sys.SampleCurveWith(switching.SampleCurveOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		peak := r.Curve.PeakSample()
+		peak := c.PeakSample()
 		b.ReportMetric(peak.Dwell, "peak_dwell_s")
 		b.ReportMetric(peak.Wait, "peak_wait_s")
 	}
@@ -116,10 +125,7 @@ func BenchmarkFigure3Curve(b *testing.B) {
 
 // BenchmarkFigure4Models regenerates the three §III models on the servo.
 func BenchmarkFigure4Models(b *testing.B) {
-	r, err := casestudy.RunFig3()
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := casestudy.RunFig3(derivedServo(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nm, cons, simple, err := r.Curve.FitModels()
@@ -135,8 +141,8 @@ func BenchmarkFigure4Models(b *testing.B) {
 // BenchmarkFigure5Simulation runs the six-app FlexRay co-simulation with
 // all disturbances at t = 0 on the pre-derived fleet.
 func BenchmarkFigure5Simulation(b *testing.B) {
-	fleet := sharedFleet(b)
-	alloc, err := core.AllocateSlots(fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	fleet := derivedFleet(b)
+	alloc, err := core.AllocateSlots(context.Background(), fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func BenchmarkFigure5Simulation(b *testing.B) {
 func BenchmarkAblationSweepKp(b *testing.B) {
 	fr := []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2}
 	for i := 0; i < b.N; i++ {
-		pts, err := casestudy.SweepKp(fr, sched.FirstFit, sched.ClosedForm)
+		pts, err := casestudy.SweepKp(context.Background(), fr, sched.FirstFit, sched.ClosedForm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +183,7 @@ func BenchmarkAblationSweepKp(b *testing.B) {
 func BenchmarkAblationRandomWorkloads(b *testing.B) {
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		stats, err := casestudy.RandomWorkloads(42, 100, 6, sched.FirstFit, sched.ClosedForm)
+		stats, err := casestudy.RandomWorkloads(context.Background(), 42, 100, 6, sched.FirstFit, sched.ClosedForm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +206,7 @@ func BenchmarkAblationMethods(b *testing.B) {
 func BenchmarkAblationExactAllocator(b *testing.B) {
 	slots := 0
 	for i := 0; i < b.N; i++ {
-		al, err := casestudy.PaperAllocation(core.NonMonotonic, sched.Exact, sched.ClosedForm)
+		al, err := casestudy.PaperAllocation(context.Background(), core.NonMonotonic, sched.Exact, sched.ClosedForm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,18 +217,19 @@ func BenchmarkAblationExactAllocator(b *testing.B) {
 
 // BenchmarkDeriveFleet measures the concurrent fleet-derivation engine on
 // the calibrated fleet (calibration excluded; the derivation cache is reset
-// each iteration so the matrix exponentials and dwell curves are recomputed
-// rather than served from memory).
+// and the applications are fresh copies each iteration, so neither the
+// cache nor a per-application memo serves them and the matrix exponentials
+// and dwell curves are recomputed).
 func BenchmarkDeriveFleet(b *testing.B) {
-	fleet := sharedFleet(b)
+	fleet := derivedFleet(b)
 	apps := make([]*core.Application, len(fleet))
-	for i, d := range fleet {
-		apps[i] = d.App
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		for j, d := range fleet {
+			apps[j] = d.App.CloneShallow()
+		}
 		core.ResetDeriveCache()
-		out, err := core.DeriveFleet(context.Background(), apps, core.FleetOptions{})
+		out, err := core.DeriveFleet(context.Background(), apps)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,14 +242,14 @@ func BenchmarkDeriveFleet(b *testing.B) {
 // BenchmarkDeriveFleetCached measures the same derivation served from the
 // warm cache — the fleet-workload steady state.
 func BenchmarkDeriveFleetCached(b *testing.B) {
-	fleet := sharedFleet(b)
+	fleet := derivedFleet(b)
 	apps := make([]*core.Application, len(fleet))
 	for i, d := range fleet {
 		apps[i] = d.App
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DeriveFleet(context.Background(), apps, core.FleetOptions{}); err != nil {
+		if _, err := core.DeriveFleet(context.Background(), apps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,15 +261,7 @@ func BenchmarkDeriveFleetCached(b *testing.B) {
 // the sharded runs produce byte-identical curves (pinned by the switching
 // determinism test), so the ratio of the two is pure speedup.
 func BenchmarkSampleCurve(b *testing.B) {
-	app, err := casestudy.ServoApp()
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := app.Derive()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := d.Sys
+	sys := derivedServo(b).Sys
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			samples := 0
@@ -282,7 +281,7 @@ func BenchmarkSampleCurve(b *testing.B) {
 // servo's TT and ET binary searches) — the dominant cost of measured mode.
 func BenchmarkCalibrate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := casestudy.ServoApp(); err != nil {
+		if _, err := casestudy.ServoAppContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,9 +2,9 @@ package main
 
 // bench-export runs the kernel benchmarks that gate this repository's
 // performance trajectory (matrix exponentials, discretisation, the warm
-// fleet sweep, the service's warm row path, its cache key, its codec and
-// the slot-allocation race)
-// hermetically via testing.Benchmark — no `go test`
+// fleet sweep, the service's warm row path, its cache key, its codec, the
+// slot-allocation race, the certified dwell-curve sampling stage and one
+// cold derivation) hermetically via testing.Benchmark — no `go test`
 // subprocess — and writes them as one JSON report (BENCH_N.json is the
 // committed artefact per perf PR). bench-compare diffs two such reports
 // with benchstat-style semantics: it fails on a >threshold geometric-mean
@@ -28,12 +28,14 @@ import (
 	"strings"
 	"testing"
 
+	"cpsdyn/internal/casestudy"
 	"cpsdyn/internal/core"
 	"cpsdyn/internal/lti"
 	"cpsdyn/internal/mat"
 	"cpsdyn/internal/plants"
 	"cpsdyn/internal/sched"
 	"cpsdyn/internal/service"
+	"cpsdyn/internal/switching"
 )
 
 type benchResult struct {
@@ -167,6 +169,59 @@ func probeApp() *core.Application {
 	}
 }
 
+// dieselApp is the 6-state diesel engine of the RADP example, driven
+// through the second column of its input matrix (svcbench's diesel rows):
+// an order-7 loop, so its walks run the generic MulVecTo kernel.
+func dieselApp() *core.Application {
+	return &core.Application{
+		Name: "diesel",
+		Plant: &lti.Continuous{Name: "diesel",
+			A: mat.FromRows([][]float64{
+				{-0.4125, -0.0248, 0.0741, 0.0089, 0, 0},
+				{101.5873, -7.2651, 2.7608, 2.8068, 0, 0},
+				{0.0704, 0.0085, -0.0741, -0.0089, 0, 0.0200},
+				{0.0878, 0.2672, 0, -0.3674, 0.0044, 0.3962},
+				{-1.8414, 0.0990, 0, 0, -0.0343, -0.0330},
+				{0, 0, 0, -359, 187.5364, -87.0316},
+			}),
+			B: mat.FromRows([][]float64{{0.0064}, {1.5849}, {0}, {0}, {-0.0168}, {0}})},
+		H: 0.02, DelayTT: 0.002, DelayET: 0.02, Eth: 0.1, X0: []float64{0, 2, 0, 0, 0, 0},
+		R: 8, Deadline: 3, FrameID: 1,
+		PolesTT: []complex128{0.80, 0.78, 0.76, 0.74, 0.72, 0.70, 0.05},
+		PolesET: []complex128{0.93, 0.92, 0.91, 0.90, 0.89, 0.88, 0.10},
+	}
+}
+
+// caseStudyC4 calibrates the §V measured fleet and derives its C4 (the
+// suspension, whose walks are the longest of the six against their dwells).
+func caseStudyC4(ctx context.Context) (*core.Derived, error) {
+	apps, err := casestudy.FleetContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return apps[3].DeriveContext(ctx)
+}
+
+// sampleCurveBench times one certified dwell-curve sampling of the derived
+// system on one worker: the stage a cold derivation spends nearly all its
+// time in.
+func sampleCurveBench(derive func(context.Context) (*core.Derived, error)) func(b *testing.B) {
+	return func(b *testing.B) {
+		d, err := derive(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := switching.SampleCurveOptions{Workers: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.Sys.SampleCurveWith(opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // kernelBenchmarks is the fixed suite both bench-export and the CI gate
 // run; names are stable across PRs so reports stay comparable.
 func kernelBenchmarks() []struct {
@@ -223,13 +278,13 @@ func kernelBenchmarks() []struct {
 		name string
 		fn   func(b *testing.B)
 	}{"DeriveFleetWarm", func(b *testing.B) {
-		if err := core.DeriveFleetInto(ctx, warm, apps, core.FleetOptions{}); err != nil {
+		if err := core.DeriveFleetInto(ctx, warm, apps); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := core.DeriveFleetInto(ctx, warm, apps, core.FleetOptions{}); err != nil {
+			if err := core.DeriveFleetInto(ctx, warm, apps); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -327,6 +382,33 @@ func kernelBenchmarks() []struct {
 			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/allocate", bytes.NewReader(body)))
 			if rec.Code != http.StatusOK {
 				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}})
+	for _, c := range []struct {
+		name   string
+		derive func(context.Context) (*core.Derived, error)
+	}{
+		{"probe0", probeApp().DeriveContext},
+		{"diesel", dieselApp().DeriveContext},
+		{"C4", caseStudyC4},
+	} {
+		out = append(out, struct {
+			name string
+			fn   func(b *testing.B)
+		}{"SampleCurve/" + c.name, sampleCurveBench(c.derive)})
+	}
+	// One cold derivation: an empty cache and a fresh application, so the
+	// discretisations, gains, curve and fits are all computed.
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"DeriveCold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.ResetDeriveCache()
+			if _, err := probeApp().DeriveContext(ctx); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}})

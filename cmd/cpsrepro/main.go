@@ -35,10 +35,10 @@
 // input order, with O(workers) buffering — malformed lines become error
 // rows instead of aborting the stream.
 //
-// The measured-mode commands (table1, fig5) share one calibrated fleet per
-// process: the six controller calibrations run concurrently and the
-// derived artefacts are reused, so "all" calibrates once instead
-// of three times.
+// The measured-mode commands calibrate their inputs in main and pass them
+// on: table1 and fig5 read one calibrated fleet (its six controller
+// calibrations run concurrently), fig3, fig4 and segments one calibrated
+// servo, and "all" calibrates each of the two once.
 package main
 
 import (
@@ -84,45 +84,51 @@ func main() {
 	_ = fs.Parse(os.Args[2:])
 	core.SetCurveSamplingWorkers(*workers)
 
+	ctx := context.Background()
+	w := os.Stdout
 	var err error
 	switch cmd {
 	case "derive":
-		err = runDerive(fs.Args(), *stream, *workers)
+		err = runDerive(ctx, w, fs.Args(), *stream, *workers)
 	case "walkthrough":
-		err = runWalkthrough()
+		err = runWalkthrough(w)
 	case "casestudy":
-		err = runCaseStudy()
+		err = runCaseStudy(ctx, w)
 	case "table1":
-		err = runTable1()
-	case "fig3":
-		err = runFig3(*csv)
-	case "fig4":
-		err = runFig4(*csv)
-	case "fig5":
-		err = runFig5(*csv)
-	case "sweep-kp":
-		err = runSweepKp()
-	case "segments":
-		err = runSegments()
-	case "random":
-		err = runRandom()
-	case "methods":
-		err = runMethods()
-	case "race":
-		err = runRace()
-	case "all":
-		for _, f := range []func() error{
-			runWalkthrough, runCaseStudy, runTable1,
-			func() error { return runFig3(false) },
-			func() error { return runFig4(false) },
-			func() error { return runFig5(false) },
-			runSweepKp, runSegments, runRandom, runMethods, runRace,
-		} {
-			if err = f(); err != nil {
-				break
-			}
-			fmt.Println()
+		var fleet []*core.Derived
+		if fleet, err = casestudy.DeriveFleetContext(ctx); err == nil {
+			err = runTable1(w, fleet)
 		}
+	case "fig3":
+		var servo *core.Derived
+		if servo, err = deriveServo(ctx); err == nil {
+			err = runFig3(w, servo, *csv)
+		}
+	case "fig4":
+		var servo *core.Derived
+		if servo, err = deriveServo(ctx); err == nil {
+			err = runFig4(w, servo, *csv)
+		}
+	case "fig5":
+		var fleet []*core.Derived
+		if fleet, err = casestudy.DeriveFleetContext(ctx); err == nil {
+			err = runFig5(ctx, w, fleet, *csv)
+		}
+	case "sweep-kp":
+		err = runSweepKp(ctx, w)
+	case "segments":
+		var servo *core.Derived
+		if servo, err = deriveServo(ctx); err == nil {
+			err = runSegments(w, servo)
+		}
+	case "random":
+		err = runRandom(ctx, w)
+	case "methods":
+		err = runMethods(w)
+	case "race":
+		err = runRace(ctx, w)
+	case "all":
+		err = runAll(ctx, w)
 	default:
 		usage()
 		os.Exit(2)
@@ -131,6 +137,47 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cpsrepro:", err)
 		os.Exit(1)
 	}
+}
+
+// runAll prints every artefact but the CSV dumps, each followed by a blank
+// line. It calibrates the measured fleet and the servo once each.
+func runAll(ctx context.Context, w io.Writer) error {
+	fleet, err := casestudy.DeriveFleetContext(ctx)
+	if err != nil {
+		return err
+	}
+	servo, err := deriveServo(ctx)
+	if err != nil {
+		return err
+	}
+	for _, f := range []func() error{
+		func() error { return runWalkthrough(w) },
+		func() error { return runCaseStudy(ctx, w) },
+		func() error { return runTable1(w, fleet) },
+		func() error { return runFig3(w, servo, false) },
+		func() error { return runFig4(w, servo, false) },
+		func() error { return runFig5(ctx, w, fleet, false) },
+		func() error { return runSweepKp(ctx, w) },
+		func() error { return runSegments(w, servo) },
+		func() error { return runRandom(ctx, w) },
+		func() error { return runMethods(w) },
+		func() error { return runRace(ctx, w) },
+	} {
+		if err := f(); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// deriveServo calibrates and derives the Fig.-3 servo experiment.
+func deriveServo(ctx context.Context) (*core.Derived, error) {
+	app, err := casestudy.ServoAppContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return app.DeriveContext(ctx)
 }
 
 func usage() {
@@ -146,7 +193,7 @@ commands: walkthrough casestudy table1 fig3 fig4 fig5 sweep-kp segments random m
 // buffered (one DeriveRequest document → a Table-I-style table) or streamed
 // (-stream: DeriveAppSpec NDJSON lines → result rows in input order, flushed
 // as each derivation completes).
-func runDerive(args []string, stream bool, workers int) error {
+func runDerive(ctx context.Context, w io.Writer, args []string, stream bool, workers int) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: cpsrepro derive [-stream] [-workers N] fleet.json|-")
 	}
@@ -162,7 +209,7 @@ func runDerive(args []string, stream bool, workers int) error {
 		r = f
 	}
 	if stream {
-		stats, err := service.DeriveStream(context.Background(), r, os.Stdout,
+		stats, err := service.DeriveStream(ctx, r, w,
 			service.StreamOptions{Workers: workers})
 		if err != nil {
 			return fmt.Errorf("after %d rows: %w", stats.RowsOut, err)
@@ -178,7 +225,7 @@ func runDerive(args []string, stream bool, workers int) error {
 	if req.Workers == 0 {
 		req.Workers = workers
 	}
-	resp, err := service.Derive(context.Background(), &req)
+	resp, err := service.Derive(ctx, &req)
 	if err != nil {
 		return err
 	}
@@ -194,50 +241,47 @@ func runDerive(args []string, stream bool, workers int) error {
 			fmt.Sprintf("%v", a.NonMonotonic),
 		})
 	}
-	return textplot.Table(os.Stdout, []string{"app", "ξTT", "ξET", "ξM", "kp", "ξ′M", "non-mono"}, rows)
+	return textplot.Table(w, []string{"app", "ξTT", "ξET", "ξM", "kp", "ξ′M", "non-mono"}, rows)
 }
 
-func runWalkthrough() error {
+func runWalkthrough(w io.Writer) error {
 	vals, err := casestudy.Walkthrough()
 	if err != nil {
 		return err
 	}
-	fmt.Println("== §V walk-through (paper mode: Table I inputs) ==")
+	fmt.Fprintln(w, "== §V walk-through (paper mode: Table I inputs) ==")
 	rows := make([][]string, 0, len(vals))
 	for _, v := range vals {
 		rows = append(rows, []string{v.Label, fmt.Sprintf("%.3f", v.Got), fmt.Sprintf("%.3f", v.Paper)})
 	}
-	return textplot.Table(os.Stdout, []string{"quantity", "computed", "paper"}, rows)
+	return textplot.Table(w, []string{"quantity", "computed", "paper"}, rows)
 }
 
-func runCaseStudy() error {
-	fmt.Println("== §V slot allocation (paper mode) ==")
-	c, err := casestudy.ComparePaperSlotCounts(sched.FirstFit, sched.ClosedForm)
+func runCaseStudy(ctx context.Context, w io.Writer) error {
+	fmt.Fprintln(w, "== §V slot allocation (paper mode) ==")
+	c, err := casestudy.ComparePaperSlotCounts(ctx, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("non-monotonic model: %d TT slots\n", c.NonMonotonicSlots)
-	fmt.Printf("conservative model:  %d TT slots (+%.0f%%)\n", c.ConservativeSlots, c.ExtraPercent)
-	al, err := casestudy.PaperAllocation(core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	fmt.Fprintf(w, "non-monotonic model: %d TT slots\n", c.NonMonotonicSlots)
+	fmt.Fprintf(w, "conservative model:  %d TT slots (+%.0f%%)\n", c.ConservativeSlots, c.ExtraPercent)
+	al, err := casestudy.PaperAllocation(ctx, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		return err
 	}
 	for s, group := range al.Slots {
-		fmt.Printf("  slot %d:", s+1)
+		fmt.Fprintf(w, "  slot %d:", s+1)
 		for _, a := range group {
-			fmt.Printf(" %s", a.Name)
+			fmt.Fprintf(w, " %s", a.Name)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func runTable1() error {
-	fmt.Println("== Table I: paper vs measured fleet (concurrent controller calibration) ==")
-	cmp, err := casestudy.RunTable1()
-	if err != nil {
-		return err
-	}
+func runTable1(w io.Writer, fleet []*core.Derived) error {
+	fmt.Fprintln(w, "== Table I: paper vs measured fleet (concurrent controller calibration) ==")
+	cmp := casestudy.RunTable1(fleet)
 	header := []string{"app", "r", "ξd", "ξTT (paper)", "ξET (paper)", "ξM (paper)", "kp (paper)", "ξ′M (paper)"}
 	rows := make([][]string, 0, len(cmp.Measured))
 	for i, m := range cmp.Measured {
@@ -253,14 +297,11 @@ func runTable1() error {
 			fmt.Sprintf("%.2f (%.2f)", m.XiPrimeM, p.XiPrimeM),
 		})
 	}
-	return textplot.Table(os.Stdout, header, rows)
+	return textplot.Table(w, header, rows)
 }
 
-func runFig3(csv bool) error {
-	r, err := casestudy.RunFig3()
-	if err != nil {
-		return err
-	}
+func runFig3(w io.Writer, servo *core.Derived, csv bool) error {
+	r := casestudy.RunFig3(servo)
 	xs := make([]float64, len(r.Curve.Samples))
 	ys := make([]float64, len(r.Curve.Samples))
 	for i, s := range r.Curve.Samples {
@@ -268,18 +309,15 @@ func runFig3(csv bool) error {
 	}
 	series := []textplot.Series{{Name: "kdw(kwait) [s]", X: xs, Y: ys}}
 	if csv {
-		return textplot.WriteCSV(os.Stdout, series)
+		return textplot.WriteCSV(w, series)
 	}
-	fmt.Printf("== Fig. 3: servo dwell vs wait (ξTT=%.2f s, ξET=%.2f s; paper: 0.68, 2.16) ==\n",
+	fmt.Fprintf(w, "== Fig. 3: servo dwell vs wait (ξTT=%.2f s, ξET=%.2f s; paper: 0.68, 2.16) ==\n",
 		r.Curve.XiTT, r.Curve.XiET)
-	return textplot.Plot(os.Stdout, "dwell time vs wait time", series, 72, 18)
+	return textplot.Plot(w, "dwell time vs wait time", series, 72, 18)
 }
 
-func runFig4(csv bool) error {
-	r, err := casestudy.RunFig4()
-	if err != nil {
-		return err
-	}
+func runFig4(w io.Writer, servo *core.Derived, csv bool) error {
+	r := casestudy.RunFig4(servo)
 	sample := func(m *pwl.Model) textplot.Series {
 		var xs, ys []float64
 		for w := 0.0; w <= r.Curve.XiET; w += r.Curve.XiET / 100 {
@@ -300,15 +338,15 @@ func runFig4(csv bool) error {
 		sample(r.Simple),
 	}
 	if csv {
-		return textplot.WriteCSV(os.Stdout, series)
+		return textplot.WriteCSV(w, series)
 	}
-	fmt.Println("== Fig. 4: dwell models on the servo ==")
-	return textplot.Plot(os.Stdout, "dwell models", series, 72, 18)
+	fmt.Fprintln(w, "== Fig. 4: dwell models on the servo ==")
+	return textplot.Plot(w, "dwell models", series, 72, 18)
 }
 
-func runFig5(csv bool) error {
-	fmt.Println("== Fig. 5: six-app co-simulation (shared calibrated fleet + event simulation) ==")
-	r, err := casestudy.RunFig5()
+func runFig5(ctx context.Context, w io.Writer, fleet []*core.Derived, csv bool) error {
+	fmt.Fprintln(w, "== Fig. 5: six-app co-simulation (shared calibrated fleet + event simulation) ==")
+	r, err := casestudy.RunFig5(ctx, fleet)
 	if err != nil {
 		return err
 	}
@@ -323,32 +361,32 @@ func runFig5(csv bool) error {
 		series = append(series, textplot.Series{Name: "‖x‖ " + d.App.Name, X: xs, Y: ys})
 	}
 	if csv {
-		return textplot.WriteCSV(os.Stdout, series)
+		return textplot.WriteCSV(w, series)
 	}
 	for s, group := range r.Allocation.Slots {
-		fmt.Printf("slot %d:", s+1)
+		fmt.Fprintf(w, "slot %d:", s+1)
 		for _, a := range group {
-			fmt.Printf(" %s", a.Name)
+			fmt.Fprintf(w, " %s", a.Name)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, d := range r.Fleet {
 		ar := r.Sim.Apps[d.App.Name]
-		fmt.Printf("%s: response %.2f s (deadline %.2f s) met=%v\n",
+		fmt.Fprintf(w, "%s: response %.2f s (deadline %.2f s) met=%v\n",
 			d.App.Name, float64(ar.ResponseTimes[0])/1e9, d.App.Deadline, ar.DeadlineMet)
 	}
 	// One compact plot per application, like the paper's six panels.
 	for _, s := range series {
-		if err := textplot.Plot(os.Stdout, s.Name, []textplot.Series{s}, 72, 10); err != nil {
+		if err := textplot.Plot(w, s.Name, []textplot.Series{s}, 72, 10); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func runSweepKp() error {
-	fmt.Println("== Ablation: slot counts vs dwell-peak position kp ==")
-	pts, err := casestudy.SweepKp([]float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2}, sched.FirstFit, sched.ClosedForm)
+func runSweepKp(ctx context.Context, w io.Writer) error {
+	fmt.Fprintln(w, "== Ablation: slot counts vs dwell-peak position kp ==")
+	pts, err := casestudy.SweepKp(ctx, []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2}, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		return err
 	}
@@ -360,12 +398,12 @@ func runSweepKp() error {
 			fmt.Sprintf("%d", p.ConservativeSlots),
 		})
 	}
-	return textplot.Table(os.Stdout, []string{"peak position", "non-monotonic slots", "conservative slots"}, rows)
+	return textplot.Table(w, []string{"peak position", "non-monotonic slots", "conservative slots"}, rows)
 }
 
-func runSegments() error {
-	fmt.Println("== Ablation: k-segment hull models on the servo curve (§III \"three or more\") ==")
-	pts, err := casestudy.SweepSegments([]int{2, 3, 4, 6, 8})
+func runSegments(w io.Writer, servo *core.Derived) error {
+	fmt.Fprintln(w, "== Ablation: k-segment hull models on the servo curve (§III \"three or more\") ==")
+	pts, err := casestudy.SweepSegments(servo, []int{2, 3, 4, 6, 8})
 	if err != nil {
 		return err
 	}
@@ -378,25 +416,25 @@ func runSegments() error {
 			fmt.Sprintf("%v", p.Dominates),
 		})
 	}
-	return textplot.Table(os.Stdout, []string{"segments", "model area [s²]", "peak dwell [s]", "safe"}, rows)
+	return textplot.Table(w, []string{"segments", "model area [s²]", "peak dwell [s]", "safe"}, rows)
 }
 
-func runRandom() error {
-	fmt.Println("== Ablation: 100 random 6-app workloads ==")
-	stats, err := casestudy.RandomWorkloads(42, 100, 6, sched.FirstFit, sched.ClosedForm)
+func runRandom(ctx context.Context, w io.Writer) error {
+	fmt.Fprintln(w, "== Ablation: 100 random 6-app workloads ==")
+	stats, err := casestudy.RandomWorkloads(ctx, 42, 100, 6, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("usable workloads:        %d\n", stats.Workloads)
-	fmt.Printf("mean slots non-monotonic: %.2f\n", stats.MeanNonMonotonic)
-	fmt.Printf("mean slots conservative:  %.2f\n", stats.MeanConservative)
-	fmt.Printf("mean saving:              %.1f%%  (max %.0f%%)\n", stats.MeanSavingPercent, stats.MaxSavingPercent)
-	fmt.Printf("non-monotonic never worse: %v\n", stats.NeverWorse)
+	fmt.Fprintf(w, "usable workloads:        %d\n", stats.Workloads)
+	fmt.Fprintf(w, "mean slots non-monotonic: %.2f\n", stats.MeanNonMonotonic)
+	fmt.Fprintf(w, "mean slots conservative:  %.2f\n", stats.MeanConservative)
+	fmt.Fprintf(w, "mean saving:              %.1f%%  (max %.0f%%)\n", stats.MeanSavingPercent, stats.MaxSavingPercent)
+	fmt.Fprintf(w, "non-monotonic never worse: %v\n", stats.NeverWorse)
 	return nil
 }
 
-func runRace() error {
-	fmt.Println("== Policy race: first-fit vs sequential vs best-fit (Table I, both safe models) ==")
+func runRace(ctx context.Context, w io.Writer) error {
+	fmt.Fprintln(w, "== Policy race: first-fit vs sequential vs best-fit (Table I, both safe models) ==")
 	rows := make([][]string, 0, 2)
 	for _, kind := range []core.ModelKind{core.NonMonotonic, core.ConservativeMonotonic} {
 		apps, err := casestudy.PaperApps(kind)
@@ -405,7 +443,7 @@ func runRace() error {
 		}
 		cells := []string{kind.String()}
 		for _, p := range sched.DefaultRacePolicies {
-			al, err := sched.Allocate(apps, p, sched.ClosedForm)
+			al, err := sched.AllocateContext(ctx, apps, p, sched.ClosedForm)
 			if err != nil {
 				return err
 			}
@@ -418,12 +456,12 @@ func runRace() error {
 		cells = append(cells, fmt.Sprintf("%d (%s)", winner.NumSlots(), winner.Policy))
 		rows = append(rows, cells)
 	}
-	return textplot.Table(os.Stdout,
+	return textplot.Table(w,
 		[]string{"model", "first-fit", "sequential", "best-fit", "race winner"}, rows)
 }
 
-func runMethods() error {
-	fmt.Println("== Ablation: eq. (20) closed form vs eq. (5) fixed point (all six apps on one slot) ==")
+func runMethods(w io.Writer) error {
+	fmt.Fprintln(w, "== Ablation: eq. (20) closed form vs eq. (5) fixed point (all six apps on one slot) ==")
 	cmp, err := casestudy.CompareMethods()
 	if err != nil {
 		return err
@@ -432,5 +470,5 @@ func runMethods() error {
 	for _, c := range cmp {
 		rows = append(rows, []string{c.App, fmt.Sprintf("%.3f", c.ClosedForm), fmt.Sprintf("%.3f", c.FixedPoint)})
 	}
-	return textplot.Table(os.Stdout, []string{"app", "k̂wait closed-form", "k̂wait fixed-point"}, rows)
+	return textplot.Table(w, []string{"app", "k̂wait closed-form", "k̂wait fixed-point"}, rows)
 }

@@ -3,7 +3,8 @@
 // Annaswamy, Goswami, Chakraborty) as a production-quality Go library.
 //
 // The implementation lives under internal/: see internal/core for the
-// user-facing pipeline (Application → Derive → AllocateSlots → Verify),
+// user-facing pipeline (Application → DeriveContext → AllocateSlots →
+// Verify),
 // internal/casestudy for the §V experiments, and the runnable programs in
 // cmd/cpsrepro and examples/. The root-level bench harness (bench_test.go)
 // regenerates every table and figure of the paper's evaluation; the
@@ -12,18 +13,18 @@
 // # Fleet-scale derivation
 //
 // Fleet workloads derive many applications that reuse a handful of plant
-// models. core.DeriveFleet fans the per-application Derive calls out across
-// a bounded worker pool (core.FleetOptions.Workers, defaulting to
-// runtime.GOMAXPROCS) and aggregates per-application failures into one
-// joined error. The expensive intermediates — the delay-split matrix
+// models. core.DeriveFleet fans the per-application DeriveContext calls
+// out across a pool of runtime.GOMAXPROCS workers and aggregates
+// per-application failures into one joined error. The expensive intermediates — the delay-split matrix
 // exponentials and the exhaustively simulated dwell/wait curves — are
 // memoised in a small thread-safe single-flight cache keyed by the exact
 // plant dynamics and timing, so repeated derivations of identical plants
 // are near-free; cached artefacts are shared between results and must be
 // treated as immutable. sched.AllocateRace (and its core.AllocateSlotsRace
 // bridge) additionally races the first-fit, sequential and best-fit
-// allocation heuristics concurrently and keeps the feasible result with the
-// fewest TT slots, and service.AllocateFleets allocates many independent
+// allocation heuristics concurrently over one validated, priority-sorted
+// copy of the fleet and keeps the feasible result with the fewest TT
+// slots, and service.AllocateFleets allocates many independent
 // fleets concurrently across one bounded worker pool.
 //
 // The memo cache is a size-aware LRU: core.SetDeriveCacheCapacity bounds it
@@ -59,7 +60,7 @@
 //
 // # Slot allocation
 //
-// sched.Allocate places apps in priority order (deadline, then name), so
+// sched.AllocateContext places apps in priority order (deadline, then name), so
 // a joiner is always the lowest-priority member of the slot it joins.
 // Every member's higher-priority set is therefore frozen once it has
 // joined, and a later joiner can only raise the blocking term, and only
@@ -100,7 +101,7 @@
 //
 // Each settling walk looks for the last threshold excursion, which the
 // full walk only finds by stepping to the horizon (20 000 steps from
-// Derive, 60 000 in the calibration probes) while the dwells are a few
+// DeriveContext, 60 000 in the calibration probes) while the dwells are a few
 // hundred steps. A stop certificate, computed once per loop matrix,
 // proves from where on the walk can never cross Eth again: it balances
 // the loop with a power-of-two diagonal, finds the first power that
@@ -109,7 +110,7 @@
 // proof). The walk then stops at the first below-threshold state inside
 // the certified box, which gives exactly the full walk's (kdw, settled).
 // The curve sampler certifies A1 and A2 once per curve, the pure-mode
-// probes (ResponseSteps*) once per call; a loop without a certificate —
+// probes (ResponseSteps*Context) once per call; a loop without a certificate —
 // marginal, unstable, or too ill-conditioned for the rounding bound —
 // falls back to the full walk. switching.System.DwellSteps keeps the
 // exhaustive walk as the reference oracle that the property and fixture
@@ -152,7 +153,7 @@
 // (lti.Discretize; lti.DelayTable caches Γ(h) at construction and spends
 // exactly one evaluation per queried delay). Above the kernels, every
 // core.Application carries a derive memo — a bit-exact snapshot of the
-// fields that feed Derive plus the last *Derived — so a warm
+// fields that feed DeriveContext plus the last *Derived — so a warm
 // core.DeriveFleetInto sweep over an unchanged fleet is a sequence of
 // pointer loads: zero allocations, no goroutines, verified by an
 // AllocsPerRun test and benchmarked by BenchmarkDeriveFleetWarm.
@@ -174,12 +175,14 @@
 // merge base, failing on a >15% geometric-mean ns/op regression or on any
 // benchmark whose allocs/op increased. The gate compares two exports made
 // in the same CI job, the PR's and its merge base's. The committed
-// reports (BENCH_8.json, BENCH_16.json, BENCH_17.json, BENCH_19.json) are
-// records of the trajectory, not the gate: on a shared host, drift alone
-// moved untouched kernels 1.4–1.7× between them. Besides the kernels, the
-// suite times the service's row path (DeriveRowWarm: a freshly compiled
-// probe app on a warm cache), the CacheKey the gateway computes for every
-// routed row, the allocation race and the NDJSON codec.
+// reports (BENCH_8.json, BENCH_16.json, BENCH_17.json, BENCH_19.json,
+// BENCH_21.json) are records of the trajectory, not the gate: on a shared
+// host, drift alone moved untouched kernels 1.4–1.7× between them. Besides
+// the kernels, the suite times the service's row path (DeriveRowWarm: a
+// freshly compiled probe app on a warm cache), the CacheKey the gateway
+// computes for every routed row, the allocation race, the NDJSON codec,
+// the certified curve sampling of probe design 0, the diesel loop and §V
+// loop C4 on one worker, and one cold derivation (DeriveCold).
 //
 // # Service mode (cmd/cpsdynd)
 //
@@ -360,7 +363,11 @@
 //   - Context flow (ctxflow): library code under internal/ neither mints
 //     context.Background()/TODO() nor, holding a ctx, calls a non-context
 //     variant that discards it — cancellation threads end to end, which is
-//     what makes the service's compute budgets actually stop work.
+//     what makes the service's compute budgets actually stop work. No
+//     function outside internal/analysis carries a ctx-compat exemption:
+//     every cancellable library operation has one exported entry point,
+//     which takes ctx first, and only main packages and tests mint the
+//     root context.
 //   - Allocation-free kernels (allocfree): functions on the simulation hot
 //     path declare themselves allocation-free and the analyzer holds them
 //     to it (no make/new/append, no map or slice literals, no closures).

@@ -16,8 +16,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Paper mode: exact Table I arithmetic.
-	cmp, err := casestudy.ComparePaperSlotCounts(sched.FirstFit, sched.ClosedForm)
+	cmp, err := casestudy.ComparePaperSlotCounts(ctx, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,11 +29,11 @@ func main() {
 	// fleet across the worker pool (the derivation cache makes the repeated
 	// plant/timing combinations near-free).
 	fmt.Println("measured mode: calibrating six plants against Table I (concurrent)…")
-	apps, err := casestudy.Fleet()
+	apps, err := casestudy.FleetContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fleet, err := core.DeriveFleet(context.Background(), apps, core.FleetOptions{})
+	fleet, err := core.DeriveFleet(ctx, apps)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,9 +46,10 @@ func main() {
 	}
 
 	// 2. Derive: controllers, switched loops, dwell curve, safe models.
+	ctx := context.Background()
 	var fleet []*core.Derived
 	for _, app := range []*core.Application{steer, damper} {
-		d, err := app.Derive()
+		d, err := app.DeriveContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func main() {
 	}
 
 	// 3. Allocate TT slots under the non-monotonic model.
-	alloc, err := core.AllocateSlots(fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	alloc, err := core.AllocateSlots(ctx, fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,9 +66,10 @@ func main() {
 		mkJoint("elbow", 2, 5),
 		mkJoint("wrist", 3, 7),
 	}
+	ctx := context.Background()
 	var fleet []*core.Derived
 	for _, a := range apps {
-		d, err := a.Derive()
+		d, err := a.DeriveContext(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +78,7 @@ func main() {
 			row.Name, row.XiTT, row.XiET, row.XiM, d.Curve.IsNonMonotonic())
 		fleet = append(fleet, d)
 	}
-	alloc, err := core.AllocateSlots(fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	alloc, err := core.AllocateSlots(ctx, fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		log.Fatal(err)
 	}

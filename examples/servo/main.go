@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -13,10 +14,16 @@ import (
 )
 
 func main() {
-	fig4, err := casestudy.RunFig4()
+	ctx := context.Background()
+	app, err := casestudy.ServoAppContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
+	servo, err := app.DeriveContext(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fig4 := casestudy.RunFig4(servo)
 	curve := fig4.Curve
 	peak := curve.PeakSample()
 	fmt.Printf("servo experiment: ξTT=%.2f s (paper 0.68), ξET=%.2f s (paper 2.16)\n",

@@ -1,6 +1,7 @@
 package casestudy
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -22,7 +23,7 @@ type KpSweepPoint struct {
 // result: the later the dwell curve peaks, the more the conservative
 // monotonic model over-provisions (ξ′M = ξM·ξET/(ξET−kp) grows with kp)
 // while the non-monotonic model is unaffected in its peak.
-func SweepKp(fractions []float64, policy sched.Policy, method sched.Method) ([]KpSweepPoint, error) {
+func SweepKp(ctx context.Context, fractions []float64, policy sched.Policy, method sched.Method) ([]KpSweepPoint, error) {
 	rows := TableI()
 	out := make([]KpSweepPoint, 0, len(fractions))
 	for _, f := range fractions {
@@ -43,11 +44,11 @@ func SweepKp(fractions []float64, policy sched.Policy, method sched.Method) ([]K
 			nmApps = append(nmApps, &sched.App{Name: r.Name, R: r.R, Deadline: r.Xid, Model: nm})
 			consApps = append(consApps, &sched.App{Name: r.Name, R: r.R, Deadline: r.Xid, Model: cons})
 		}
-		nmAl, err := sched.Allocate(nmApps, policy, method)
+		nmAl, err := sched.AllocateContext(ctx, nmApps, policy, method)
 		if err != nil {
 			return nil, err
 		}
-		consAl, err := sched.Allocate(consApps, policy, method)
+		consAl, err := sched.AllocateContext(ctx, consApps, policy, method)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +76,7 @@ type RandomWorkloadStats struct {
 // the two safe models. The generator draws ξTT, then ξET, kp and ξM
 // consistently (ξTT ≤ ξM, kp < ξET), deadlines between the analytic
 // minimum and the inter-arrival time.
-func RandomWorkloads(seed int64, count, n int, policy sched.Policy, method sched.Method) (*RandomWorkloadStats, error) {
+func RandomWorkloads(ctx context.Context, seed int64, count, n int, policy sched.Policy, method sched.Method) (*RandomWorkloadStats, error) {
 	if count <= 0 || n <= 0 {
 		return nil, fmt.Errorf("casestudy: need positive count (%d) and n (%d)", count, n)
 	}
@@ -106,8 +107,8 @@ func RandomWorkloads(seed int64, count, n int, policy sched.Policy, method sched
 			nmApps = append(nmApps, &sched.App{Name: name, R: r, Deadline: deadline, Model: nm})
 			consApps = append(consApps, &sched.App{Name: name, R: r, Deadline: deadline, Model: cons})
 		}
-		nmAl, errNM := sched.Allocate(nmApps, policy, method)
-		consAl, errC := sched.Allocate(consApps, policy, method)
+		nmAl, errNM := sched.AllocateContext(ctx, nmApps, policy, method)
+		consAl, errC := sched.AllocateContext(ctx, consApps, policy, method)
 		if errNM != nil || errC != nil {
 			// A generated app can be unschedulable even alone (deadline
 			// below its own dwell model). Skip such workloads; they carry
@@ -147,17 +148,13 @@ type SegmentSweepPoint struct {
 }
 
 // SweepSegments fits hull models with increasing segment budgets to the
-// servo's measured dwell curve — the paper's §III remark that "the relation
-// ... may be modeled with three or more piecewise linear curves, to be
-// closer to the actual behavior". Area is the integral of the model (the
-// analysis pessimism); it must be non-increasing in the budget while every
-// model stays safe.
-func SweepSegments(budgets []int) ([]SegmentSweepPoint, error) {
-	fig3, err := RunFig3()
-	if err != nil {
-		return nil, err
-	}
-	curve := fig3.Curve
+// derived servo's measured dwell curve (see ServoAppContext) — the paper's
+// §III remark that "the relation ... may be modeled with three or more
+// piecewise linear curves, to be closer to the actual behavior". Area is
+// the integral of the model (the analysis pessimism); it must be
+// non-increasing in the budget while every model stays safe.
+func SweepSegments(servo *core.Derived, budgets []int) ([]SegmentSweepPoint, error) {
+	curve := servo.Curve
 	out := make([]SegmentSweepPoint, 0, len(budgets))
 	for _, k := range budgets {
 		m, err := pwl.FitHull(curve.Samples, curve.XiET, k)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 
 	"cpsdyn/internal/conc"
 	"cpsdyn/internal/core"
@@ -81,12 +80,12 @@ func PaperApps(kind core.ModelKind) ([]*sched.App, error) {
 }
 
 // PaperAllocation allocates the Table I applications to TT slots.
-func PaperAllocation(kind core.ModelKind, policy sched.Policy, method sched.Method) (*sched.Allocation, error) {
+func PaperAllocation(ctx context.Context, kind core.ModelKind, policy sched.Policy, method sched.Method) (*sched.Allocation, error) {
 	apps, err := PaperApps(kind)
 	if err != nil {
 		return nil, err
 	}
-	return sched.Allocate(apps, policy, method)
+	return sched.AllocateContext(ctx, apps, policy, method)
 }
 
 // SlotComparison is the paper's headline result.
@@ -97,12 +96,12 @@ type SlotComparison struct {
 }
 
 // ComparePaperSlotCounts reproduces the §V resource-dimensioning result.
-func ComparePaperSlotCounts(policy sched.Policy, method sched.Method) (*SlotComparison, error) {
-	nm, err := PaperAllocation(core.NonMonotonic, policy, method)
+func ComparePaperSlotCounts(ctx context.Context, policy sched.Policy, method sched.Method) (*SlotComparison, error) {
+	nm, err := PaperAllocation(ctx, core.NonMonotonic, policy, method)
 	if err != nil {
 		return nil, err
 	}
-	cons, err := PaperAllocation(core.ConservativeMonotonic, policy, method)
+	cons, err := PaperAllocation(ctx, core.ConservativeMonotonic, policy, method)
 	if err != nil {
 		return nil, err
 	}
@@ -206,20 +205,12 @@ func fleetSpecs() []fleetSpec {
 	}
 }
 
-// Fleet builds the six measured-mode applications with controllers
-// calibrated so that (ξTT, ξET) approach the Table I targets. See
-// FleetContext for the cancellable variant this wraps.
-//
-//cpsdyn:ctx-compat legacy convenience entry point for the offline CLIs and benchmarks, which own no request context
-func Fleet() ([]*core.Application, error) {
-	return FleetContext(context.Background())
-}
-
-// FleetContext builds and calibrates the measured-mode fleet under ctx.
-// Each application's calibration search is independent, so the six run
-// across the shared bounded worker pool, with per-application failures
-// aggregated. A ctx expiry aborts the in-flight
-// searches promptly and returns ctx.Err().
+// FleetContext builds the six measured-mode applications with controllers
+// calibrated so that (ξTT, ξET) approach the Table I targets. Each
+// application's calibration search is independent, so the six run across
+// the shared bounded worker pool, with per-application failures
+// aggregated. A ctx expiry aborts the in-flight searches promptly and
+// returns ctx.Err().
 func FleetContext(ctx context.Context) ([]*core.Application, error) {
 	specs := fleetSpecs()
 	apps := make([]*core.Application, len(specs))
@@ -351,39 +342,16 @@ func searchRho(ctx context.Context, measure func(ctx context.Context, rho float6
 	return best, nil
 }
 
-// DeriveFleet calibrates and derives all six measured-mode applications
-// through the concurrent fleet engine (default worker count).
-//
-//cpsdyn:ctx-compat legacy convenience entry point feeding the process-wide SharedFleet cache, whose lifetime is the process, not one request
-func DeriveFleet() ([]*core.Derived, error) {
-	return DeriveFleetContext(context.Background())
-}
-
-// DeriveFleetContext is DeriveFleet under a cancellable context: both the
-// calibration searches and the fleet derivation honour ctx.
+// DeriveFleetContext calibrates and derives all six measured-mode
+// applications through the concurrent fleet engine: both the calibration
+// searches and the fleet derivation honour ctx. Table I and Fig. 5 both
+// read this one fleet; callers derive it once and pass it on.
 func DeriveFleetContext(ctx context.Context) ([]*core.Derived, error) {
 	apps, err := FleetContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return core.DeriveFleet(ctx, apps, core.FleetOptions{})
-}
-
-// The calibrated fleet is deterministic and expensive (~25 s of calibration
-// searches), and §V consumes it from several entry points (Table I, Fig. 5,
-// the slot-count comparison). SharedFleet derives it once per process.
-var (
-	fleetOnce sync.Once
-	fleetVal  []*core.Derived
-	fleetErr  error
-)
-
-// SharedFleet returns the process-wide calibrated measured-mode fleet,
-// deriving it on first use. Callers must treat the result as read-only;
-// anyone needing a private copy should call DeriveFleet instead.
-func SharedFleet() ([]*core.Derived, error) {
-	fleetOnce.Do(func() { fleetVal, fleetErr = DeriveFleet() })
-	return fleetVal, fleetErr
+	return core.DeriveFleet(ctx, apps)
 }
 
 // Table1Comparison pairs the paper's Table I with the measured rows.
@@ -392,18 +360,14 @@ type Table1Comparison struct {
 	Measured []core.TimingRow
 }
 
-// RunTable1 derives the measured fleet (shared across §V entry points) and
-// returns both tables.
-func RunTable1() (*Table1Comparison, error) {
-	fleet, err := SharedFleet()
-	if err != nil {
-		return nil, err
-	}
+// RunTable1 pairs the paper's Table I with the timing rows of the measured
+// fleet (see DeriveFleetContext).
+func RunTable1(fleet []*core.Derived) *Table1Comparison {
 	out := &Table1Comparison{Paper: TableI()}
 	for _, d := range fleet {
 		out.Measured = append(out.Measured, d.TimingRow())
 	}
-	return out, nil
+	return out
 }
 
 // Fig5Result bundles the measured-mode §V artefacts: the allocation and the
@@ -426,14 +390,11 @@ func Fig5Plan() core.SimPlan {
 	}
 }
 
-// RunFig5 allocates the measured fleet under the non-monotonic model and
-// runs the all-disturbances-at-t-0 FlexRay co-simulation of Fig. 5.
-func RunFig5() (*Fig5Result, error) {
-	fleet, err := SharedFleet()
-	if err != nil {
-		return nil, err
-	}
-	alloc, err := core.AllocateSlots(fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
+// RunFig5 allocates the measured fleet (see DeriveFleetContext) under the
+// non-monotonic model and runs the all-disturbances-at-t-0 FlexRay
+// co-simulation of Fig. 5.
+func RunFig5(ctx context.Context, fleet []*core.Derived) (*Fig5Result, error) {
+	alloc, err := core.AllocateSlots(ctx, fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		return nil, err
 	}
@@ -442,29 +403,4 @@ func RunFig5() (*Fig5Result, error) {
 		return nil, err
 	}
 	return &Fig5Result{Fleet: fleet, Allocation: alloc, Sim: res}, nil
-}
-
-// CompareMeasuredSlotCounts runs the measured-mode fleet through both model
-// kinds, mirroring ComparePaperSlotCounts.
-func CompareMeasuredSlotCounts(policy sched.Policy, method sched.Method) (*SlotComparison, error) {
-	fleet, err := SharedFleet()
-	if err != nil {
-		return nil, err
-	}
-	nm, err := core.AllocateSlots(fleet, core.NonMonotonic, policy, method)
-	if err != nil {
-		return nil, err
-	}
-	cons, err := core.AllocateSlots(fleet, core.ConservativeMonotonic, policy, method)
-	if err != nil {
-		return nil, err
-	}
-	c := &SlotComparison{
-		NonMonotonicSlots: nm.NumSlots(),
-		ConservativeSlots: cons.NumSlots(),
-	}
-	if c.NonMonotonicSlots > 0 {
-		c.ExtraPercent = 100 * float64(c.ConservativeSlots-c.NonMonotonicSlots) / float64(c.NonMonotonicSlots)
-	}
-	return c, nil
 }

@@ -12,17 +12,31 @@ import (
 	"cpsdyn/internal/sched"
 )
 
-// derivedFleet returns the measured fleet. Calibrating and deriving it
-// takes tens of milliseconds since the settling walks stop at their
-// certificates, so every test, -short included, runs on the process-wide
-// instance.
+// derivedFleet calibrates and derives the measured fleet. That takes tens
+// of milliseconds since the settling walks stop at their certificates, so
+// every test, -short included, derives its own.
 func derivedFleet(t *testing.T) []*core.Derived {
 	t.Helper()
-	fleet, err := SharedFleet()
+	fleet, err := DeriveFleetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fleet
+}
+
+// derivedServo calibrates and derives the Fig.-3 servo experiment.
+func derivedServo(t *testing.T) *core.Derived {
+	t.Helper()
+	ctx := context.Background()
+	app, err := ServoAppContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := app.DeriveContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // A pre-cancelled context aborts the fleet calibration before any search
@@ -103,7 +117,7 @@ func TestPaperWalkthrough(t *testing.T) {
 
 // Headline: 3 slots (non-monotonic) vs 5 (conservative), +67%.
 func TestPaperSlotCounts(t *testing.T) {
-	c, err := ComparePaperSlotCounts(sched.FirstFit, sched.ClosedForm)
+	c, err := ComparePaperSlotCounts(context.Background(), sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +134,7 @@ func TestPaperSlotCounts(t *testing.T) {
 
 // The exact groupings of §V.
 func TestPaperGroupings(t *testing.T) {
-	al, err := PaperAllocation(core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	al, err := PaperAllocation(context.Background(), core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +155,11 @@ func TestPaperAppsUnknownKind(t *testing.T) {
 // The unsafe simple-monotonic model packs more aggressively (it cannot use
 // more slots than the non-monotonic model on this workload).
 func TestPaperSimpleMonotonicPacksTighter(t *testing.T) {
-	simple, err := PaperAllocation(core.SimpleMonotonic, sched.FirstFit, sched.ClosedForm)
+	simple, err := PaperAllocation(context.Background(), core.SimpleMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := PaperAllocation(core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	nm, err := PaperAllocation(context.Background(), core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +169,7 @@ func TestPaperSimpleMonotonicPacksTighter(t *testing.T) {
 }
 
 func TestServoFig3Reproduction(t *testing.T) {
-	r, err := RunFig3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := RunFig3(derivedServo(t))
 	// Shape: non-monotonic with an interior peak, like the paper's Fig. 3.
 	if !r.Curve.IsNonMonotonic() {
 		t.Fatal("servo curve must be non-monotonic")
@@ -177,10 +188,7 @@ func TestServoFig3Reproduction(t *testing.T) {
 }
 
 func TestServoFig4Models(t *testing.T) {
-	r, err := RunFig4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := RunFig4(derivedServo(t))
 	if !r.NonMonotonic.Dominates(r.Curve.Samples, 1e-9) {
 		t.Fatal("non-monotonic model must dominate the measured curve")
 	}
@@ -217,15 +225,21 @@ func TestMeasuredFleetMatchesTableITimings(t *testing.T) {
 }
 
 func TestMeasuredSlotCountsOrdering(t *testing.T) {
-	c, err := CompareMeasuredSlotCounts(sched.FirstFit, sched.ClosedForm)
+	fleet := derivedFleet(t)
+	ctx := context.Background()
+	nm, err := core.AllocateSlots(ctx, fleet, core.NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NonMonotonicSlots > c.ConservativeSlots {
-		t.Fatalf("non-monotonic (%d) must never need more slots than conservative (%d)",
-			c.NonMonotonicSlots, c.ConservativeSlots)
+	cons, err := core.AllocateSlots(ctx, fleet, core.ConservativeMonotonic, sched.FirstFit, sched.ClosedForm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.NonMonotonicSlots < 1 {
+	if nm.NumSlots() > cons.NumSlots() {
+		t.Fatalf("non-monotonic (%d) must never need more slots than conservative (%d)",
+			nm.NumSlots(), cons.NumSlots())
+	}
+	if nm.NumSlots() < 1 {
 		t.Fatal("fleet cannot fit in zero slots")
 	}
 }
@@ -233,7 +247,7 @@ func TestMeasuredSlotCountsOrdering(t *testing.T) {
 // Fig. 5: all six measured apps, disturbed at t = 0, meet their deadlines
 // in the event-level FlexRay co-simulation.
 func TestFig5AllDeadlinesMet(t *testing.T) {
-	r, err := RunFig5()
+	r, err := RunFig5(context.Background(), derivedFleet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +268,7 @@ func TestFig5AllDeadlinesMet(t *testing.T) {
 }
 
 func TestSweepKpGapGrowsWithKp(t *testing.T) {
-	pts, err := SweepKp([]float64{0.2, 0.6, 1.0}, sched.FirstFit, sched.ClosedForm)
+	pts, err := SweepKp(context.Background(), []float64{0.2, 0.6, 1.0}, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,13 +296,13 @@ func TestSweepKpGapGrowsWithKp(t *testing.T) {
 }
 
 func TestSweepKpValidation(t *testing.T) {
-	if _, err := SweepKp([]float64{0}, sched.FirstFit, sched.ClosedForm); err == nil {
+	if _, err := SweepKp(context.Background(), []float64{0}, sched.FirstFit, sched.ClosedForm); err == nil {
 		t.Fatal("want error for fraction 0")
 	}
 }
 
 func TestRandomWorkloads(t *testing.T) {
-	stats, err := RandomWorkloads(7, 40, 6, sched.FirstFit, sched.ClosedForm)
+	stats, err := RandomWorkloads(context.Background(), 7, 40, 6, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +319,13 @@ func TestRandomWorkloads(t *testing.T) {
 }
 
 func TestRandomWorkloadsValidation(t *testing.T) {
-	if _, err := RandomWorkloads(1, 0, 6, sched.FirstFit, sched.ClosedForm); err == nil {
+	if _, err := RandomWorkloads(context.Background(), 1, 0, 6, sched.FirstFit, sched.ClosedForm); err == nil {
 		t.Fatal("want error for zero count")
 	}
 }
 
 func TestSweepSegmentsTightensSafely(t *testing.T) {
-	pts, err := SweepSegments([]int{2, 4, 8})
+	pts, err := SweepSegments(derivedServo(t), []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

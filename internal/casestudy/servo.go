@@ -3,7 +3,6 @@ package casestudy
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"cpsdyn/internal/core"
 	"cpsdyn/internal/plants"
@@ -11,19 +10,13 @@ import (
 	"cpsdyn/internal/switching"
 )
 
-// ServoApp wraps ServoAppContext for callers without a context.
-//
-//cpsdyn:ctx-compat legacy convenience entry point; the process-wide sharedServo cache and the offline CLIs own no request context
-func ServoApp() (*core.Application, error) {
-	return ServoAppContext(context.Background())
-}
-
 // ServoAppContext returns the Fig.-2/Fig.-3 servo experiment: the inverted-
 // pendulum servo with h = 20 ms, TT delay 0.7 ms, worst-case ET delay
 // 20 ms and Eth = 0.1, calibrated so the pure-mode response times approach
 // the paper's ξTT = 0.68 s and ξET = 2.16 s. A ctx expiry aborts the
-// calibration search promptly, so a budgeted or disconnected caller cannot
-// strand ~1 s of bisection probes.
+// calibration search promptly. Fig. 3, Fig. 4 and the segment sweep all
+// read the derivation of this one application; callers derive it once and
+// pass it on.
 //
 // Substitution note: the paper disturbs the physical rig by displacing the
 // load 45° and lets the (saturating, nonlinear) hardware produce the Fig.-3
@@ -56,33 +49,10 @@ type Fig3Result struct {
 	Curve *switching.Curve
 }
 
-// The servo calibration is deterministic and feeds both Fig. 3 and Fig. 4;
-// derive it once per process (the dwell curve itself is additionally shared
-// through the core derivation cache).
-var (
-	servoOnce sync.Once
-	servoVal  *core.Derived
-	servoErr  error
-)
-
-func sharedServo() (*core.Derived, error) {
-	servoOnce.Do(func() {
-		var app *core.Application
-		if app, servoErr = ServoApp(); servoErr != nil {
-			return
-		}
-		servoVal, servoErr = app.Derive()
-	})
-	return servoVal, servoErr
-}
-
-// RunFig3 reproduces the Fig.-3 experiment: sample kdw(kwait) on the servo.
-func RunFig3() (*Fig3Result, error) {
-	d, err := sharedServo()
-	if err != nil {
-		return nil, err
-	}
-	return &Fig3Result{App: d.App, Curve: d.Curve}, nil
+// RunFig3 reproduces the Fig.-3 experiment, kdw(kwait) sampled on the
+// derived servo (see ServoAppContext).
+func RunFig3(servo *core.Derived) *Fig3Result {
+	return &Fig3Result{App: servo.App, Curve: servo.Curve}
 }
 
 // Fig4Result carries the three §III models fitted to the servo curve,
@@ -96,16 +66,12 @@ type Fig4Result struct {
 
 // RunFig4 reproduces Fig. 4: the non-monotonic two-segment model, the
 // conservative monotonic model and the (unsafe) simple monotonic model for
-// the servo application.
-func RunFig4() (*Fig4Result, error) {
-	d, err := sharedServo()
-	if err != nil {
-		return nil, err
-	}
+// the derived servo (see ServoAppContext).
+func RunFig4(servo *core.Derived) *Fig4Result {
 	return &Fig4Result{
-		Curve:        d.Curve,
-		NonMonotonic: d.NonMono,
-		Conservative: d.Conservative,
-		Simple:       d.Simple,
-	}, nil
+		Curve:        servo.Curve,
+		NonMonotonic: servo.NonMono,
+		Conservative: servo.Conservative,
+		Simple:       servo.Simple,
+	}
 }

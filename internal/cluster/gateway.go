@@ -20,9 +20,6 @@ type Config struct {
 	// The configured string is the peer's ring identity verbatim, so every
 	// gateway of a cluster must spell a peer the same way.
 	Peers []string
-	// Path is the streaming endpoint on each replica (default
-	// "/v1/derive/stream").
-	Path string
 	// Timeout bounds one row's whole exchange — for the first row that
 	// includes the dial — before the peer is declared slow and the row
 	// falls back to local computation (≤ 0 selects 10 s).
@@ -31,10 +28,10 @@ type Config struct {
 	// (≤ 0 selects 3); Cooldown is how long it stays open (≤ 0 selects 5 s).
 	FailThreshold int
 	Cooldown      time.Duration
-	// Client issues the sub-requests (nil selects a dedicated client with
-	// default transport and no overall timeout — streams are long-lived).
-	Client *http.Client
 }
+
+// peerPath is the streaming endpoint a gateway opens on each replica.
+const peerPath = "/v1/derive/stream"
 
 // Stats is the gateway's /statsz snapshot.
 type Stats struct {
@@ -66,22 +63,16 @@ func New(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := cfg.Path
-	if path == "" {
-		path = "/v1/derive/stream"
-	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	g := &Gateway{
-		ring:    ring,
-		byName:  make(map[string]*Peer, len(cfg.Peers)),
-		client:  client,
+		ring:   ring,
+		byName: make(map[string]*Peer, len(cfg.Peers)),
+		// Sub-streams are long-lived, so the client sets no overall
+		// timeout; Timeout bounds each row instead.
+		client:  &http.Client{},
 		timeout: timeout,
 	}
 	for _, name := range ring.Peers() {
@@ -95,7 +86,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		p := &Peer{
 			name: name,
-			url:  strings.TrimRight(base, "/") + path,
+			url:  strings.TrimRight(base, "/") + peerPath,
 			brk:  newBreaker(cfg.FailThreshold, cfg.Cooldown),
 		}
 		g.byName[name] = p
@@ -103,9 +94,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	return g, nil
 }
-
-// Ring exposes the gateway's ring (for introspection and tests).
-func (g *Gateway) Ring() *Ring { return g.ring }
 
 // Stats snapshots the gateway counters and per-peer health.
 func (g *Gateway) Stats() Stats {

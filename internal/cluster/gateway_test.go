@@ -55,7 +55,7 @@ func TestSessionCloseEndsSubStreamCleanly(t *testing.T) {
 	ended := make(chan error, 1)
 	ts := httptest.NewServer(echoHandler(ended))
 	t.Cleanup(ts.Close)
-	g := testGateway(t, Config{Peers: []string{ts.URL}, Path: "/", Timeout: 30 * time.Second})
+	g := testGateway(t, Config{Peers: []string{ts.URL}, Timeout: 30 * time.Second})
 	sess := g.Session(context.Background(), 2)
 	if _, ok := sess.Do(context.Background(), "k", []byte(`{}`), nil); !ok {
 		t.Fatal("row fell back against a healthy peer")
@@ -87,7 +87,7 @@ func testGateway(t *testing.T, cfg Config) *Gateway {
 // their waiters even when sent concurrently.
 func TestSessionRoundTripsRows(t *testing.T) {
 	ts := echoReplica(t)
-	g := testGateway(t, Config{Peers: []string{ts.URL}, Path: "/"})
+	g := testGateway(t, Config{Peers: []string{ts.URL}})
 	sess := g.Session(context.Background(), 16)
 	defer sess.Close()
 
@@ -140,7 +140,6 @@ func TestSessionFallsBackAndBreaksDeadPeer(t *testing.T) {
 
 	g := testGateway(t, Config{
 		Peers:         []string{ts.URL, deadURL},
-		Path:          "/",
 		Timeout:       2 * time.Second,
 		FailThreshold: 2,
 		Cooldown:      time.Minute,
@@ -152,7 +151,7 @@ func TestSessionFallsBackAndBreaksDeadPeer(t *testing.T) {
 	var deadKey, liveKey string
 	for i := 0; deadKey == "" || liveKey == ""; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if g.Ring().Owner(k) == deadURL {
+		if g.ring.Owner(k) == deadURL {
 			deadKey = k
 		} else {
 			liveKey = k
@@ -200,7 +199,7 @@ func TestSessionSurvivesMidStreamPeerDeath(t *testing.T) {
 		}
 	})
 	lis := httptest.NewServer(handler)
-	g := testGateway(t, Config{Peers: []string{lis.URL}, Path: "/", Timeout: 2 * time.Second})
+	g := testGateway(t, Config{Peers: []string{lis.URL}, Timeout: 2 * time.Second})
 	sess := g.Session(context.Background(), 4)
 	defer sess.Close()
 
@@ -241,7 +240,7 @@ func TestSessionRejectsProtocolBreachRows(t *testing.T) {
 		}
 	}))
 	t.Cleanup(ts.Close)
-	g := testGateway(t, Config{Peers: []string{ts.URL}, Path: "/", Timeout: 2 * time.Second})
+	g := testGateway(t, Config{Peers: []string{ts.URL}, Timeout: 2 * time.Second})
 	sess := g.Session(context.Background(), 4)
 	defer sess.Close()
 
@@ -269,7 +268,7 @@ func TestSessionCallerCancellationDoesNotChargePeer(t *testing.T) {
 		close(release)
 		ts.Close()
 	})
-	g := testGateway(t, Config{Peers: []string{ts.URL}, Path: "/", Timeout: 30 * time.Second})
+	g := testGateway(t, Config{Peers: []string{ts.URL}, Timeout: 30 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	sess := g.Session(ctx, 2)
 
@@ -295,7 +294,6 @@ func TestSessionRejectedRowsOpenBreaker(t *testing.T) {
 	ts := echoReplica(t)
 	g := testGateway(t, Config{
 		Peers:         []string{ts.URL},
-		Path:          "/",
 		FailThreshold: 3,
 		Cooldown:      time.Minute,
 	})

@@ -9,22 +9,12 @@ import (
 	"sync"
 )
 
-// ForEach runs fn(i) for every i in [0, n) across a bounded worker pool.
-// workers ≤ 0 selects runtime.GOMAXPROCS(0); the pool never exceeds n.
-// ForEach returns once every call has finished. fn must do its own
-// per-index error collection (write to index i of a shared slice).
-func ForEach(n, workers int, fn func(i int)) {
-	// fn is infallible and there is no context, so the error is always nil.
-	_ = ForEachWorkerCtx(nil, n, workers, func(_, i int) error {
-		fn(i)
-		return nil
-	})
-}
-
-// ForEachCtx is ForEach with cooperative cancellation and error propagation:
-// once ctx is cancelled or some fn returns a non-nil error, no further
-// indices are dispatched (in-flight calls finish). It returns ctx.Err() when
-// the context was cancelled, else the error of the lowest failed index.
+// ForEachCtx runs fn(i) for every i in [0, n) across a bounded worker
+// pool. workers ≤ 0 selects runtime.GOMAXPROCS(0); the pool never exceeds
+// n. ForEachCtx returns once every call has finished. Once ctx is
+// cancelled or some fn returns a non-nil error, no further indices are
+// dispatched (in-flight calls finish). It returns ctx.Err() when the
+// context was cancelled, else the error of the lowest failed index.
 // Indices are dispatched in order, so the lowest failed index among the
 // dispatched ones matches what a sequential loop would have reported.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
@@ -34,7 +24,8 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 // ForEachWorkerCtx is ForEachCtx for callers that keep per-worker scratch
 // state: fn additionally receives the worker index w in [0, workers), stable
 // for the lifetime of that worker goroutine, so fn can reuse preallocated
-// buffers without synchronisation. A nil ctx means no cancellation.
+// buffers without synchronisation. A nil ctx means no cancellation (the
+// curve sampler passes SampleCurveOptions.Context through as it is).
 func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int) error) error {
 	ctxErr := func() error {
 		if ctx == nil {
@@ -129,12 +120,8 @@ feed:
 // src blocked in an uninterruptible read (a network body, say) delays that
 // return, so a caller cancelling the stream must also arrange for the
 // blocked read to fail (a read deadline, closing the underlying reader).
-//
-//cpsdyn:ctx-compat the Background here only substitutes for a nil ctx argument — the caller explicitly declined cancellation; a real ctx is threaded untouched
+// ctx must not be nil.
 func StreamOrdered[T, R any](ctx context.Context, workers, window int, src iter.Seq[T], fn func(ctx context.Context, i int, item T) R, emit func(i int, r R) error, idle ...func()) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

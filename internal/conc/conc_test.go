@@ -29,7 +29,12 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		const n = 37
 		var counts [n]atomic.Int32
-		ForEach(n, workers, func(i int) { counts[i].Add(1) })
+		if err := ForEachCtx(context.Background(), n, workers, func(i int) error {
+			counts[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range counts {
 			if got := counts[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
@@ -39,12 +44,13 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	ForEach(0, 4, func(int) { t.Fatal("fn called for n=0") })
-	if err := ForEachCtx(context.Background(), -1, 4, func(int) error {
-		t.Fatal("fn called for n<0")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{0, -1} {
+		if err := ForEachCtx(context.Background(), n, 4, func(int) error {
+			t.Errorf("fn called for n=%d", n)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

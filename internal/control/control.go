@@ -75,23 +75,11 @@ func LQR(a, b, q, r *mat.Matrix, opts LQROptions) (k, p *mat.Matrix, err error) 
 		if diff <= opts.Tol*(1+p.NormInf()) {
 			return kk, p, nil
 		}
-		if !isFinite(p) {
+		if !p.IsFinite() {
 			return nil, nil, ErrRiccatiDiverged
 		}
 	}
 	return nil, nil, ErrRiccatiDiverged
-}
-
-func isFinite(m *mat.Matrix) bool {
-	for i := 0; i < m.Rows(); i++ {
-		for j := 0; j < m.Cols(); j++ {
-			v := m.At(i, j)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Ackermann places the closed-loop poles of a single-input system at the

@@ -14,13 +14,13 @@ func BenchmarkDeriveFleetWarm(b *testing.B) {
 	apps := fleetApps()
 	out := make([]*Derived, len(apps))
 	ctx := context.Background()
-	if err := DeriveFleetInto(ctx, out, apps, FleetOptions{}); err != nil {
+	if err := DeriveFleetInto(ctx, out, apps); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := DeriveFleetInto(ctx, out, apps, FleetOptions{}); err != nil {
+		if err := DeriveFleetInto(ctx, out, apps); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,9 +20,9 @@ import (
 	"cpsdyn/internal/switching"
 )
 
-// Derive computes two expensive intermediates for every application: the
-// delay-split discretisation (matrix exponentials) and the exhaustively
-// simulated dwell/wait curve. Fleet workloads reuse a handful of plants with
+// DeriveContext computes two expensive intermediates for every
+// application: the delay-split discretisation (matrix exponentials) and
+// the exhaustively simulated dwell/wait curve. Fleet workloads reuse a handful of plants with
 // identical timing, so both are memoised behind a bounded cache keyed by the
 // exact bit pattern of the plant matrices and timing parameters. Above
 // them sits one name-free derivation bundle per CacheKey (gains, closed
@@ -351,7 +351,7 @@ type CacheStats struct {
 }
 
 // deriveCache holds discretisations, dwell curves and the derivation
-// bundles above them across Derive calls. 128 entries comfortably covers a
+// bundles above them across derivations. 128 entries comfortably covers a
 // fleet reusing a few dozen plant/timing combinations (each application
 // contributes two discretisations and one curve, and gets one bundle
 // entry) while bounding memory for adversarial workloads. Long-running

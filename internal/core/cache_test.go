@@ -257,7 +257,7 @@ func TestSetDeriveCacheCapacityEvictsShared(t *testing.T) {
 		ResetDeriveCache()
 		SetDeriveCacheCapacity(128, 0)
 	}()
-	if _, err := servoApp("A", 1, 3).Derive(); err != nil {
+	if _, err := servoApp("A", 1, 3).DeriveContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := DeriveCacheStats()

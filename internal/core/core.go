@@ -1,10 +1,10 @@
 // Package core is the public façade of the library. It wires the full
 // pipeline of the paper together:
 //
-//	plant + timing  ──Derive──▶  ET/TT controllers, switched closed loops,
-//	                             sampled dwell/wait curve, safe PWL models
-//	                ──Allocate──▶ minimum TT slots (schedulability analysis)
-//	                ──BuildSim──▶ FlexRay co-simulation of the Fig.-1 protocol
+//	plant + timing  ──DeriveContext──▶  ET/TT controllers, switched closed loops,
+//	                                    sampled dwell/wait curve, safe PWL models
+//	                ──AllocateSlots──▶  minimum TT slots (schedulability analysis)
+//	                ──BuildSim───────▶  FlexRay co-simulation of the Fig.-1 protocol
 //
 // A downstream user describes each control application once (Application),
 // derives its timing artefacts (Derived), allocates TT slots for the fleet,
@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"sync/atomic"
 	"time"
 
@@ -91,7 +92,10 @@ func (a *Application) CloneShallow() *Application {
 	}
 }
 
-// Validate checks the application description.
+// Validate checks the application description. The comparisons are
+// written so that NaN fails them; h, the delays, Eth, X0, the poles and
+// the LQR weights must also be finite, while r and the deadline follow
+// sched.App: an infinite r is allowed.
 func (a *Application) Validate() error {
 	if a.Plant == nil {
 		return fmt.Errorf("core: app %q: no plant", a.Name)
@@ -102,14 +106,17 @@ func (a *Application) Validate() error {
 	if a.Plant.Inputs() != 1 {
 		return fmt.Errorf("core: app %q: only single-input plants are supported", a.Name)
 	}
-	if a.H <= 0 {
+	if !(a.H > 0) {
 		return fmt.Errorf("core: app %q: sampling period %g must be positive", a.Name, a.H)
+	}
+	if math.IsInf(a.H, 1) {
+		return fmt.Errorf("core: app %q: sampling period %g must be finite", a.Name, a.H)
 	}
 	for _, d := range []struct {
 		name string
 		v    float64
 	}{{"DelayTT", a.DelayTT}, {"DelayET", a.DelayET}} {
-		if d.v < 0 || d.v > a.H {
+		if !(d.v >= 0 && d.v <= a.H) {
 			return fmt.Errorf("core: app %q: %s = %g outside [0, h=%g]", a.Name, d.name, d.v, a.H)
 		}
 	}
@@ -117,18 +124,34 @@ func (a *Application) Validate() error {
 		return fmt.Errorf("core: app %q: DelayTT (%g) should be smaller than DelayET (%g) — that asymmetry is the point of TT slots",
 			a.Name, a.DelayTT, a.DelayET)
 	}
-	if a.Eth <= 0 {
+	if !(a.Eth > 0) {
 		return fmt.Errorf("core: app %q: threshold Eth must be positive", a.Name)
 	}
 	if len(a.X0) != a.Plant.Order() {
 		return fmt.Errorf("core: app %q: X0 has %d entries, want %d", a.Name, len(a.X0), a.Plant.Order())
 	}
-	if mat.VecNorm2(a.X0) <= a.Eth {
+	if !mat.VecIsFinite(a.X0) {
+		return fmt.Errorf("core: app %q: X0 = %v must be finite", a.Name, a.X0)
+	}
+	// An infinite Eth fails here too: no finite state exceeds it.
+	if !(mat.VecNorm2(a.X0) > a.Eth) {
 		return fmt.Errorf("core: app %q: ‖X0‖ = %g must exceed Eth = %g (otherwise there is nothing to reject)",
 			a.Name, mat.VecNorm2(a.X0), a.Eth)
 	}
-	if a.R <= 0 || a.Deadline <= 0 || a.Deadline > a.R {
+	if !(a.R > 0) || !(a.Deadline > 0) || a.Deadline > a.R {
 		return fmt.Errorf("core: app %q: need 0 < ξd (%g) ≤ r (%g)", a.Name, a.Deadline, a.R)
+	}
+	for _, ps := range [][]complex128{a.PolesTT, a.PolesET} {
+		for _, p := range ps {
+			if cmplx.IsNaN(p) || cmplx.IsInf(p) {
+				return fmt.Errorf("core: app %q: pole %v must be finite", a.Name, p)
+			}
+		}
+	}
+	for _, w := range []*mat.Matrix{a.QTT, a.RTT, a.QET, a.RET} {
+		if w != nil && !w.IsFinite() {
+			return fmt.Errorf("core: app %q: LQR weights must be finite", a.Name)
+		}
 	}
 	if a.FrameID < 1 {
 		return fmt.Errorf("core: app %q: frame ID %d must be ≥ 1", a.Name, a.FrameID)
@@ -150,8 +173,8 @@ type Derived struct {
 	Simple         *pwl.Model
 }
 
-// Derive designs both controllers, forms the switched closed loops, samples
-// the dwell/wait curve and fits the three §III models.
+// DeriveContext designs both controllers, forms the switched closed
+// loops, samples the dwell/wait curve and fits the three §III models.
 //
 // The result, App aside, depends only on the inputs CacheKey covers, so it
 // is memoised once per key in a shared thread-safe cache, above the
@@ -163,17 +186,12 @@ type Derived struct {
 // sampling itself fans out across the worker pool configured by
 // SetCurveSamplingWorkers.
 //
-//cpsdyn:ctx-compat legacy convenience entry point for the offline CLIs and examples; cancellable callers use DeriveContext
-func (a *Application) Derive() (*Derived, error) {
-	return a.DeriveContext(context.Background())
-}
-
-// DeriveContext is Derive with cooperative cancellation: when ctx expires,
-// the in-flight matrix work stops promptly and the error unwraps to
-// ctx.Err(). A cancelled derivation never poisons the shared cache —
-// concurrent derivations of the same artefacts with live contexts retake
-// the computation. Errors name this application, also when the failed
-// computation was shared with (and run by) a concurrent one.
+// When ctx expires, the in-flight matrix work stops promptly and the
+// error unwraps to ctx.Err(). A cancelled derivation never poisons the
+// shared cache — concurrent derivations of the same artefacts with live
+// contexts retake the computation. Errors name this application, also
+// when the failed computation was shared with (and run by) a concurrent
+// one.
 func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	// Warm path: the latest successful derivation of this very Application
 	// is kept alongside a bit-exact input snapshot; while nothing has been
@@ -422,13 +440,14 @@ func (d *Derived) TimingRow() TimingRow {
 }
 
 // AllocateSlots runs the §IV analysis for the fleet under the chosen model
-// kind, allocation policy and wait-time method.
-func AllocateSlots(fleet []*Derived, kind ModelKind, policy sched.Policy, method sched.Method) (*sched.Allocation, error) {
+// kind, allocation policy and wait-time method; ctx reaches the search
+// of sched.AllocateContext.
+func AllocateSlots(ctx context.Context, fleet []*Derived, kind ModelKind, policy sched.Policy, method sched.Method) (*sched.Allocation, error) {
 	apps, err := schedApps(fleet, kind)
 	if err != nil {
 		return nil, err
 	}
-	return sched.Allocate(apps, policy, method)
+	return sched.AllocateContext(ctx, apps, policy, method)
 }
 
 // SimPlan configures the verification co-simulation.

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"cpsdyn/internal/flexray"
+	"cpsdyn/internal/lti"
+	"cpsdyn/internal/mat"
 	"cpsdyn/internal/plants"
 	"cpsdyn/internal/sched"
 )
@@ -58,8 +61,84 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
+// probeApp is design 0 of the probe family that CI's gateway e2e and
+// svcbench stream (first TT pole 0.70): ξTT = 0.26 s, ξET = 0.92 s.
+func probeApp() *Application {
+	return &Application{
+		Name: "probe-0",
+		Plant: &lti.Continuous{Name: "probe",
+			A: mat.FromRows([][]float64{{0, 1}, {-2, -3}}),
+			B: mat.FromRows([][]float64{{0}, {1}})},
+		H: 0.02, DelayTT: 0.002, DelayET: 0.02, Eth: 0.1, X0: []float64{0, 2},
+		R: 8, Deadline: 3, FrameID: 1,
+		PolesTT: []complex128{0.70, 0.7, 0.05},
+		PolesET: []complex128{0.93, 0.88, 0.1},
+	}
+}
+
+// Validation rejects NaN in every float input, and ±Inf wherever it means
+// nothing. NaN passes an ordered check written as x < lo || x > hi, so a
+// NaN DelayTT used to derive as a zero-delay loop (ξTT 0.24 s instead of
+// 0.26 s), a NaN DelayET to ξET 0.88 s instead of 0.92 s, and a NaN Eth,
+// x0 or h failed only deep in the pipeline. r and the deadline follow
+// sched.App: an infinite r is allowed.
+func TestDeriveRejectsNonFiniteInputs(t *testing.T) {
+	ctx := context.Background()
+	ok, err := probeApp().DeriveContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(ok.Curve.XiTT-0.26) > 1e-9 || math.Abs(ok.Curve.XiET-0.92) > 1e-9 {
+		t.Fatalf("probe design 0: ξTT = %g, ξET = %g, want 0.26, 0.92", ok.Curve.XiTT, ok.Curve.XiET)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name   string
+		mutate func(*Application)
+	}{
+		{"DelayTT NaN", func(a *Application) { a.DelayTT = nan }},
+		{"DelayET NaN", func(a *Application) { a.DelayET = nan }},
+		{"DelayTT -Inf", func(a *Application) { a.DelayTT = -inf }},
+		{"DelayET +Inf", func(a *Application) { a.DelayET = inf }},
+		{"h NaN", func(a *Application) { a.H = nan }},
+		{"h +Inf", func(a *Application) { a.H = inf }},
+		{"Eth NaN", func(a *Application) { a.Eth = nan }},
+		{"Eth +Inf", func(a *Application) { a.Eth = inf }},
+		{"x0 NaN", func(a *Application) { a.X0 = []float64{0, nan} }},
+		{"x0 +Inf", func(a *Application) { a.X0 = []float64{inf, 2} }},
+		{"x0 -Inf", func(a *Application) { a.X0 = []float64{0, -inf} }},
+		{"r NaN", func(a *Application) { a.R = nan }},
+		{"deadline NaN", func(a *Application) { a.Deadline = nan }},
+		{"deadline +Inf", func(a *Application) { a.Deadline = inf }},
+		{"plant A NaN", func(a *Application) { a.Plant.A.Set(1, 0, nan) }},
+		{"plant B +Inf", func(a *Application) { a.Plant.B.Set(1, 0, inf) }},
+		{"TT pole NaN", func(a *Application) { a.PolesTT = []complex128{complex(nan, 0), 0.7, 0.05} }},
+		{"ET pole Inf", func(a *Application) { a.PolesET = []complex128{complex(0.93, inf), 0.88, 0.1} }},
+		{"Q NaN", func(a *Application) {
+			a.PolesTT = nil
+			a.QTT = mat.Identity(3)
+			a.QTT.Set(0, 0, nan)
+		}},
+		{"R weight +Inf", func(a *Application) {
+			a.PolesET = nil
+			a.RET = mat.FromRows([][]float64{{inf}})
+		}},
+	} {
+		app := probeApp()
+		c.mutate(app)
+		if _, err := app.DeriveContext(ctx); err == nil || !strings.HasPrefix(err.Error(), `core: app "probe-0": `) {
+			t.Errorf("%s: err = %v, want a validation error", c.name, err)
+		}
+	}
+	infR := probeApp()
+	infR.R = inf
+	if _, err := infR.DeriveContext(ctx); err != nil {
+		t.Fatalf("r = +Inf: %v", err)
+	}
+}
+
 func TestDeriveServo(t *testing.T) {
-	d, err := servoApp("servo", 1, 3).Derive()
+	d, err := servoApp("servo", 1, 3).DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +172,7 @@ func TestDeriveServo(t *testing.T) {
 func TestDeriveRejectsUnstableDesign(t *testing.T) {
 	app := servoApp("bad", 1, 3)
 	app.PolesTT = []complex128{1.5, 0.6, 0.05} // unstable pole
-	if _, err := app.Derive(); err == nil {
+	if _, err := app.DeriveContext(context.Background()); err == nil {
 		t.Fatal("want error for unstable TT design")
 	}
 }
@@ -101,7 +180,7 @@ func TestDeriveRejectsUnstableDesign(t *testing.T) {
 func TestDeriveLQRFallback(t *testing.T) {
 	app := servoApp("lqr", 1, 6)
 	app.PolesTT, app.PolesET = nil, nil // default LQR
-	d, err := app.Derive()
+	d, err := app.DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +193,7 @@ func TestDeriveLQRFallback(t *testing.T) {
 }
 
 func TestModelKindSelection(t *testing.T) {
-	d, err := servoApp("servo", 1, 3).Derive()
+	d, err := servoApp("servo", 1, 3).DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +219,7 @@ func TestModelKindSelection(t *testing.T) {
 }
 
 func TestSchedAppBridge(t *testing.T) {
-	d, err := servoApp("servo", 1, 3).Derive()
+	d, err := servoApp("servo", 1, 3).DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +241,7 @@ func TestAllocateSlotsFleet(t *testing.T) {
 		servoApp("B", 2, 4.0),
 		servoApp("C", 3, 6.0),
 	)
-	al, err := AllocateSlots(fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	al, err := AllocateSlots(context.Background(), fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +252,7 @@ func TestAllocateSlotsFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Conservative analysis must never use fewer slots.
-	alCons, err := AllocateSlots(fleet, ConservativeMonotonic, sched.FirstFit, sched.ClosedForm)
+	alCons, err := AllocateSlots(context.Background(), fleet, ConservativeMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +265,7 @@ func deriveFleet(t *testing.T, apps ...*Application) []*Derived {
 	t.Helper()
 	fleet := make([]*Derived, 0, len(apps))
 	for _, a := range apps {
-		d, err := a.Derive()
+		d, err := a.DeriveContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
@@ -200,7 +279,7 @@ func TestBuildSimAndVerifyEndToEnd(t *testing.T) {
 		servoApp("A", 1, 2.0),
 		servoApp("B", 2, 4.0),
 	)
-	al, err := AllocateSlots(fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	al, err := AllocateSlots(context.Background(), fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +306,7 @@ func TestBuildSimAndVerifyEndToEnd(t *testing.T) {
 
 func TestBuildSimSlotOverflow(t *testing.T) {
 	fleet := deriveFleet(t, servoApp("A", 1, 2.0))
-	al, err := AllocateSlots(fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	al, err := AllocateSlots(context.Background(), fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +320,7 @@ func TestBuildSimSlotOverflow(t *testing.T) {
 
 func TestBuildSimMissingApp(t *testing.T) {
 	fleet := deriveFleet(t, servoApp("A", 1, 2.0), servoApp("B", 2, 4.0))
-	partial, err := AllocateSlots(fleet[:1], NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	partial, err := AllocateSlots(context.Background(), fleet[:1], NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +337,7 @@ func TestSimulationWithinAnalyticalBound(t *testing.T) {
 		servoApp("A", 1, 2.0),
 		servoApp("B", 2, 4.0),
 	)
-	al, err := AllocateSlots(fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	al, err := AllocateSlots(context.Background(), fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +363,7 @@ func TestVerifyPeriodicDisturbances(t *testing.T) {
 	a := servoApp("A", 1, 2.0)
 	a.R = 3 // three disturbances within 10 s
 	fleet := deriveFleet(t, a)
-	al, err := AllocateSlots(fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
+	al, err := AllocateSlots(context.Background(), fleet, NonMonotonic, sched.FirstFit, sched.ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +399,7 @@ func TestSecToNS(t *testing.T) {
 }
 
 func TestTimingRowFields(t *testing.T) {
-	d, err := servoApp("servo", 1, 3).Derive()
+	d, err := servoApp("servo", 1, 3).DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

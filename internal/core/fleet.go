@@ -9,30 +9,24 @@ import (
 	"cpsdyn/internal/sched"
 )
 
-// FleetOptions tunes the concurrent fleet-derivation engine.
-type FleetOptions struct {
-	// Workers bounds the number of applications derived concurrently.
-	// Zero or negative selects runtime.GOMAXPROCS(0).
-	Workers int
-}
-
-// DeriveFleet derives every application of a fleet across a bounded worker
-// pool. Results keep the input order and are identical to calling
-// (*Application).Derive sequentially — derivation is deterministic and the
-// expensive intermediates are memoised centrally, so identical plants are
-// derived once no matter which worker gets them.
+// DeriveFleet derives every application of a fleet across a worker pool
+// of runtime.GOMAXPROCS(0) goroutines. Results keep the input order and
+// are identical to calling (*Application).DeriveContext sequentially —
+// derivation is deterministic and the expensive intermediates are
+// memoised centrally, so identical plants are derived once no matter
+// which worker gets them.
 //
 // All applications are attempted even when some fail; the per-application
 // errors are aggregated with errors.Join, so a single poisoned application
 // reports precisely while the rest of the fleet still validates. A ctx
 // expiry is different: it aborts the in-flight derivations promptly, skips
 // the undispatched ones and returns ctx.Err() alone.
-func DeriveFleet(ctx context.Context, apps []*Application, opts FleetOptions) ([]*Derived, error) {
+func DeriveFleet(ctx context.Context, apps []*Application) ([]*Derived, error) {
 	out := make([]*Derived, len(apps))
 	if len(apps) == 0 {
 		return out, ctx.Err()
 	}
-	if err := DeriveFleetInto(ctx, out, apps, opts); err != nil {
+	if err := DeriveFleetInto(ctx, out, apps); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -45,7 +39,7 @@ func DeriveFleet(ctx context.Context, apps []*Application, opts FleetOptions) ([
 // which is the steady state of a service re-deriving an unchanged fleet
 // per request; any miss falls back to the concurrent engine. On error the
 // out slice is zeroed, mirroring DeriveFleet's nil result.
-func DeriveFleetInto(ctx context.Context, out []*Derived, apps []*Application, opts FleetOptions) error {
+func DeriveFleetInto(ctx context.Context, out []*Derived, apps []*Application) error {
 	if len(out) != len(apps) {
 		return fmt.Errorf("core: DeriveFleetInto: out has %d slots for %d apps", len(out), len(apps))
 	}
@@ -66,7 +60,7 @@ func DeriveFleetInto(ctx context.Context, out []*Derived, apps []*Application, o
 		return nil
 	}
 	errs := make([]error, len(apps))
-	ferr := conc.ForEachCtx(ctx, len(apps), opts.Workers, func(i int) error {
+	ferr := conc.ForEachCtx(ctx, len(apps), 0, func(i int) error {
 		out[i], errs[i] = apps[i].DeriveContext(ctx)
 		return nil // app failures are aggregated, not dispatch-stopping
 	})

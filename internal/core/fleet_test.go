@@ -29,13 +29,13 @@ func TestDeriveFleetWarmZeroAlloc(t *testing.T) {
 	apps := fleetApps()
 	out := make([]*Derived, len(apps))
 	ctx := context.Background()
-	if err := DeriveFleetInto(ctx, out, apps, FleetOptions{}); err != nil {
+	if err := DeriveFleetInto(ctx, out, apps); err != nil {
 		t.Fatal(err)
 	}
 	warm := make([]*Derived, len(apps))
 	copy(warm, out)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := DeriveFleetInto(ctx, out, apps, FleetOptions{}); err != nil {
+		if err := DeriveFleetInto(ctx, out, apps); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -53,11 +53,11 @@ func TestDeriveFleetWarmZeroAlloc(t *testing.T) {
 // full pipeline re-runs.
 func TestDeriveMemoInvalidatesOnMutation(t *testing.T) {
 	app := servoApp("memo", 1, 3)
-	d1, err := app.Derive()
+	d1, err := app.DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := app.Derive()
+	d2, err := app.DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDeriveMemoInvalidatesOnMutation(t *testing.T) {
 	// In-place mutation of the plant matrix contents must be detected even
 	// though the pointer is unchanged.
 	app.Plant.A.Set(0, 1, app.Plant.A.At(0, 1)*1.5)
-	d3, err := app.Derive()
+	d3, err := app.DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDeriveMemoInvalidatesOnMutation(t *testing.T) {
 	if d3.DiscTT.Phi.EqualTol(d2.DiscTT.Phi, 0) {
 		t.Fatal("re-derivation did not see the mutated dynamics")
 	}
-	if d4, err := app.Derive(); err != nil || d4 != d3 {
+	if d4, err := app.DeriveContext(context.Background()); err != nil || d4 != d3 {
 		t.Fatalf("memo did not re-arm after recomputation: %v", err)
 	}
 }
@@ -86,14 +86,14 @@ func TestDeriveMemoInvalidatesOnMutation(t *testing.T) {
 // slice on error rather than leaving partial results behind.
 func TestDeriveFleetIntoContract(t *testing.T) {
 	apps := fleetApps()
-	if err := DeriveFleetInto(context.Background(), make([]*Derived, 1), apps, FleetOptions{}); err == nil || !strings.Contains(err.Error(), "slots") {
+	if err := DeriveFleetInto(context.Background(), make([]*Derived, 1), apps); err == nil || !strings.Contains(err.Error(), "slots") {
 		t.Fatalf("mis-sized out slice: err = %v", err)
 	}
 	bad := servoApp("bad", 9, 3)
 	bad.H = -1
 	mixed := append(fleetApps(), bad)
 	out := make([]*Derived, len(mixed))
-	if err := DeriveFleetInto(context.Background(), out, mixed, FleetOptions{Workers: 2}); err == nil {
+	if err := DeriveFleetInto(context.Background(), out, mixed); err == nil {
 		t.Fatal("poisoned fleet derived without error")
 	}
 	for i, d := range out {
@@ -103,33 +103,36 @@ func TestDeriveFleetIntoContract(t *testing.T) {
 	}
 }
 
-// The concurrent engine must produce exactly what sequential Derive does,
-// in input order, for any worker count.
+// The concurrent engine must produce exactly what sequential DeriveContext
+// does, in input order. The fleet's applications are fresh, so none is
+// served by its memo and every one passes through the worker pool.
 func TestDeriveFleetMatchesSequential(t *testing.T) {
-	apps := fleetApps()
-	want := make([]*Derived, len(apps))
-	for i, a := range apps {
-		d, err := a.Derive()
+	ctx := context.Background()
+	seq := fleetApps()
+	want := make([]*Derived, len(seq))
+	for i, a := range seq {
+		d, err := a.DeriveContext(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = d
 	}
-	for _, workers := range []int{0, 1, 2, 16} {
-		got, err := DeriveFleet(context.Background(), apps, FleetOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	apps := fleetApps()
+	got, err := DeriveFleet(ctx, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].App != apps[i] {
+			t.Fatalf("result %d lost input order", i)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].App != apps[i] {
-				t.Fatalf("workers=%d: result %d lost input order", workers, i)
-			}
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d: result %d differs from sequential Derive", workers, i)
-			}
+		g := *got[i]
+		g.App = want[i].App
+		if !reflect.DeepEqual(&g, want[i]) {
+			t.Fatalf("result %d differs from sequential DeriveContext", i)
 		}
 	}
 }
@@ -141,7 +144,7 @@ func TestDeriveFleetAggregatesErrors(t *testing.T) {
 	apps := fleetApps()
 	apps[1].H = 0                                  // invalid sampling period
 	apps[3].PolesTT = []complex128{1.5, 0.6, 0.05} // unstable design
-	out, err := DeriveFleet(context.Background(), apps, FleetOptions{Workers: 2})
+	out, err := DeriveFleet(context.Background(), apps)
 	if err == nil {
 		t.Fatal("want error for poisoned fleet")
 	}
@@ -165,7 +168,7 @@ func TestDeriveFleetAggregatesErrors(t *testing.T) {
 }
 
 func TestDeriveFleetEmpty(t *testing.T) {
-	out, err := DeriveFleet(context.Background(), nil, FleetOptions{})
+	out, err := DeriveFleet(context.Background(), nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty fleet: out=%v err=%v", out, err)
 	}
@@ -177,7 +180,7 @@ func TestDeriveFleetEmpty(t *testing.T) {
 func TestDeriveCacheMemoizesIdenticalPlants(t *testing.T) {
 	ResetDeriveCache()
 	apps := []*Application{servoApp("A", 1, 3), servoApp("B", 2, 3)}
-	fleet, err := DeriveFleet(context.Background(), apps, FleetOptions{Workers: 2})
+	fleet, err := DeriveFleet(context.Background(), apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +209,11 @@ func TestDeriveCacheMemoizesIdenticalPlants(t *testing.T) {
 // already cached.
 func TestDeriveColdVsWarmCache(t *testing.T) {
 	ResetDeriveCache()
-	cold, err := servoApp("servo", 1, 3).Derive()
+	cold, err := servoApp("servo", 1, 3).DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := servoApp("servo", 1, 3).Derive()
+	warm, err := servoApp("servo", 1, 3).DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +231,10 @@ func TestDeriveFleetCancelledLeavesCacheConsistent(t *testing.T) {
 	apps := fleetApps()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DeriveFleet(ctx, apps, FleetOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := DeriveFleet(ctx, apps); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	out, err := DeriveFleet(context.Background(), apps, FleetOptions{Workers: 2})
+	out, err := DeriveFleet(context.Background(), apps)
 	if err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}
@@ -273,7 +276,7 @@ func TestDeriveContextCancelMidFlight(t *testing.T) {
 }
 
 func TestAllocateSlotsRace(t *testing.T) {
-	fleet, err := DeriveFleet(context.Background(), fleetApps(), FleetOptions{})
+	fleet, err := DeriveFleet(context.Background(), fleetApps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +289,7 @@ func TestAllocateSlotsRace(t *testing.T) {
 	}
 	// The race winner can never use more slots than any single contender.
 	for _, p := range sched.DefaultRacePolicies {
-		al, err := AllocateSlots(fleet, NonMonotonic, p, sched.ClosedForm)
+		al, err := AllocateSlots(context.Background(), fleet, NonMonotonic, p, sched.ClosedForm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +318,7 @@ func TestSharedFailureNamesEachApp(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				_, errs[i] = app.Derive()
+				_, errs[i] = app.DeriveContext(context.Background())
 			}()
 		}
 		close(start)

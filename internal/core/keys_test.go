@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -128,7 +129,7 @@ func TestStoreKeysMatchGolden(t *testing.T) {
 		}
 		ResetDeriveCache()
 		rec.keys = nil
-		d, err := f.app.Derive()
+		d, err := f.app.DeriveContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}

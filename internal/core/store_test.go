@@ -209,7 +209,7 @@ func TestDeriveWarmRejoinFromDiskStore(t *testing.T) {
 		ResetDeriveCache()
 	})
 
-	cold, err := servoApp("A", 1, 3).Derive()
+	cold, err := servoApp("A", 1, 3).DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestDeriveWarmRejoinFromDiskStore(t *testing.T) {
 
 	// The restart: the memory cache is empty, the disk store persists.
 	ResetDeriveCache()
-	warm, err := servoApp("A", 1, 3).Derive()
+	warm, err := servoApp("A", 1, 3).DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,15 +259,15 @@ func TestDeriveWarmRejoinFromDiskStore(t *testing.T) {
 func TestDeriveMemoInvalidatesOnSignedZeroFlip(t *testing.T) {
 	app := servoApp("zero", 1, 3)
 	app.DelayTT = 0 // +0
-	d1, err := app.Derive()
+	d1, err := app.DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2, err := app.Derive(); err != nil || d2 != d1 {
+	if d2, err := app.DeriveContext(context.Background()); err != nil || d2 != d1 {
 		t.Fatalf("unchanged app re-derived (%v)", err)
 	}
 	app.DelayTT = math.Copysign(0, -1) // −0: same == class, different bits
-	d3, err := app.Derive()
+	d3, err := app.DeriveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func BenchmarkDelayTableGammas(b *testing.B) {
 	delays := []float64{0.001, 0.0015, 0.002, 0.0025, 0.003, 0.004, 0.005, 0.008}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t.Reset()
+		clear(t.cache)
 		for _, d := range delays {
 			if _, _, err := t.Gammas(d); err != nil {
 				b.Fatal(err)

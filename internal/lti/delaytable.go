@@ -56,18 +56,6 @@ func NewDelayTable(plant *Continuous, h float64) (*DelayTable, error) {
 	}, nil
 }
 
-// Phi returns e^{Ah}, shared by every delay.
-func (t *DelayTable) Phi() *mat.Matrix { return t.phi }
-
-// H returns the sampling period.
-func (t *DelayTable) H() float64 { return t.h }
-
-// Reset drops every cached (Γ0, Γ1) pair. Benchmarks use it to defeat the
-// memo and measure the raw per-delay evaluation cost.
-func (t *DelayTable) Reset() {
-	clear(t.cache)
-}
-
 // Gammas returns (Γ0(d), Γ1(d)) for a delay d ∈ [0, h].
 func (t *DelayTable) Gammas(d float64) (g0, g1 *mat.Matrix, err error) {
 	if d < 0 || d > t.h {

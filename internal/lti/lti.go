@@ -15,6 +15,7 @@ package lti
 
 import (
 	"fmt"
+	"math"
 
 	"cpsdyn/internal/mat"
 )
@@ -33,7 +34,7 @@ func (c *Continuous) Order() int { return c.A.Rows() }
 // Inputs returns the input dimension m.
 func (c *Continuous) Inputs() int { return c.B.Cols() }
 
-// Validate checks shape consistency.
+// Validate checks shape consistency and that every entry is finite.
 func (c *Continuous) Validate() error {
 	if c.A == nil || c.B == nil {
 		return fmt.Errorf("lti: plant %q: A and B must be set", c.Name)
@@ -46,6 +47,14 @@ func (c *Continuous) Validate() error {
 	}
 	if c.C != nil && c.C.Cols() != c.A.Rows() {
 		return fmt.Errorf("lti: plant %q: C has %d cols, want %d", c.Name, c.C.Cols(), c.A.Rows())
+	}
+	for _, m := range []struct {
+		name string
+		m    *mat.Matrix
+	}{{"A", c.A}, {"B", c.B}, {"C", c.C}} {
+		if m.m != nil && !m.m.IsFinite() {
+			return fmt.Errorf("lti: plant %q: %s has a NaN or infinite entry", c.Name, m.name)
+		}
 	}
 	return nil
 }
@@ -68,15 +77,20 @@ func (d *Discrete) Order() int { return d.Phi.Rows() }
 func (d *Discrete) Inputs() int { return d.Gamma0.Cols() }
 
 // Discretize samples the continuous plant with period h and constant
-// sensor-to-actuator delay d (0 ≤ d ≤ h).
+// sensor-to-actuator delay d (0 ≤ d ≤ h), both finite.
 func Discretize(c *Continuous, h, d float64) (*Discrete, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if h <= 0 {
+	// Written so that NaN fails: a NaN d would otherwise take the
+	// zero-delay branch below.
+	if !(h > 0) {
 		return nil, fmt.Errorf("lti: plant %q: sampling period %g must be positive", c.Name, h)
 	}
-	if d < 0 || d > h {
+	if math.IsInf(h, 1) {
+		return nil, fmt.Errorf("lti: plant %q: sampling period %g must be finite", c.Name, h)
+	}
+	if !(d >= 0 && d <= h) {
 		return nil, fmt.Errorf("lti: plant %q: delay %g outside [0, h=%g]", c.Name, d, h)
 	}
 	// One augmented exponential per evaluation point: exp([A B; 0 0]·t)
@@ -119,18 +133,6 @@ func Discretize(c *Continuous, h, d float64) (*Discrete, error) {
 		D:      d,
 	}, nil
 }
-
-// Step advances the plant one sampling period: returns
-// Φ·x + Γ0·u + Γ1·uPrev.
-func (d *Discrete) Step(x, u, uPrev []float64) []float64 {
-	next := d.Phi.MulVec(x)
-	next = mat.VecAdd(next, d.Gamma0.MulVec(u))
-	next = mat.VecAdd(next, d.Gamma1.MulVec(uPrev))
-	return next
-}
-
-// Output returns y[k] = C·x[k].
-func (d *Discrete) Output(x []float64) []float64 { return d.C.MulVec(x) }
 
 // Augmented returns the delay-augmented state-space pair (Ā, B̄) on
 // z = [x; u[k−1]]:

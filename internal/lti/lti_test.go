@@ -3,6 +3,7 @@ package lti
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,19 @@ func TestValidate(t *testing.T) {
 	if err := badB.Validate(); err == nil {
 		t.Fatal("want error for B row mismatch")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*Continuous){
+			func(c *Continuous) { c.A.Set(1, 0, v) },
+			func(c *Continuous) { c.B.Set(0, 0, v) },
+			func(c *Continuous) { c.C = mat.FromRows([][]float64{{1, v}}) },
+		} {
+			p := doubleIntegrator()
+			set(p)
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "NaN or infinite") {
+				t.Fatalf("entry %g: err = %v, want a non-finite entry rejected", v, err)
+			}
+		}
+	}
 }
 
 func TestDiscretizeDoubleIntegratorNoDelay(t *testing.T) {
@@ -86,14 +100,22 @@ func TestDiscretizeFullDelay(t *testing.T) {
 
 func TestDiscretizeBadArgs(t *testing.T) {
 	p := doubleIntegrator()
-	if _, err := Discretize(p, 0, 0); err == nil {
-		t.Fatal("want error for h = 0")
-	}
-	if _, err := Discretize(p, 0.02, 0.03); err == nil {
-		t.Fatal("want error for d > h")
-	}
-	if _, err := Discretize(p, 0.02, -0.001); err == nil {
-		t.Fatal("want error for d < 0")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ h, d float64 }{
+		{0, 0},
+		{0.02, 0.03},
+		{0.02, -0.001},
+		// NaN fails no ordered comparison, so a NaN delay used to pass
+		// as zero-delay discretisation.
+		{0.02, nan},
+		{nan, 0},
+		{inf, 0.002},
+		{0.02, inf},
+		{0.02, -inf},
+	} {
+		if _, err := Discretize(p, c.h, c.d); err == nil {
+			t.Fatalf("h = %g, d = %g: want an error", c.h, c.d)
+		}
 	}
 }
 
@@ -121,6 +143,12 @@ func TestPropGammaSplitInvariant(t *testing.T) {
 	}
 }
 
+// step advances d one sampling period by eq. (1): Φ·x + Γ0·u + Γ1·uPrev.
+func step(d *Discrete, x, u, uPrev []float64) []float64 {
+	next := mat.VecAdd(d.Phi.MulVec(x), d.Gamma0.MulVec(u))
+	return mat.VecAdd(next, d.Gamma1.MulVec(uPrev))
+}
+
 // Property: stepping with constant input u = uPrev equals the undelayed
 // zero-order-hold response regardless of d.
 func TestPropConstantInputDelayInvariant(t *testing.T) {
@@ -140,8 +168,8 @@ func TestPropConstantInputDelayInvariant(t *testing.T) {
 			x[i] = r.NormFloat64()
 		}
 		u := []float64{r.NormFloat64()}
-		a := zoh.Step(x, u, u)
-		b := del.Step(x, u, u)
+		a := step(zoh, x, u, u)
+		b := step(del, x, u, u)
 		return mat.VecNorm2(mat.VecSub(a, b)) < 1e-9*(1+mat.VecNorm2(a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -165,7 +193,7 @@ func TestAugmentedShapeAndDynamics(t *testing.T) {
 	u := []float64{-0.4}
 	z := append(append([]float64{}, x...), uPrev...)
 	znext := mat.VecAdd(abar.MulVec(z), bbar.MulVec(u))
-	want := d.Step(x, u, uPrev)
+	want := step(d, x, u, uPrev)
 	for i := 0; i < 2; i++ {
 		if math.Abs(znext[i]-want[i]) > 1e-12 {
 			t.Fatalf("augmented step %v, plant step %v", znext[:2], want)
@@ -196,9 +224,9 @@ func TestOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := d.Output([]float64{3, 9})
+	y := d.C.MulVec([]float64{3, 9})
 	if len(y) != 1 || y[0] != 3 {
-		t.Fatalf("Output = %v, want [3]", y)
+		t.Fatalf("C·x = %v, want [3]", y)
 	}
 }
 

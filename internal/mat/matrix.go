@@ -319,6 +319,9 @@ func (m *Matrix) EqualBits(b *Matrix) bool {
 	return true
 }
 
+// IsFinite reports whether no entry of m is NaN or ±Inf.
+func (m *Matrix) IsFinite() bool { return VecIsFinite(m.data) }
+
 // EqualTol reports whether all entries of m and b agree within tol.
 func (m *Matrix) EqualTol(b *Matrix, tol float64) bool {
 	if m.rows != b.rows || m.cols != b.cols {
@@ -408,6 +411,16 @@ func (m *Matrix) String() string {
 		sb.WriteString("]\n")
 	}
 	return sb.String()
+}
+
+// VecIsFinite reports whether no entry of v is NaN or ±Inf.
+func VecIsFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // VecNorm2 returns the Euclidean norm of v.

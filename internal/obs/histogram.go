@@ -133,15 +133,6 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes the histogram (a test and bench aid; production histograms
-// are cumulative, like every other counter in the module).
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.sumNS.Store(0)
-}
-
 // quantile estimates the q-quantile by linear interpolation inside the
 // bucket holding the target rank — the same estimate Prometheus'
 // histogram_quantile computes from the bucket series.

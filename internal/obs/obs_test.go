@@ -95,10 +95,6 @@ func TestHistogramSnapshot(t *testing.T) {
 	if s.Max != BucketBound(11) {
 		t.Errorf("Max = %g, want %g", s.Max, BucketBound(11))
 	}
-	h.Reset()
-	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 {
-		t.Errorf("snapshot after Reset not empty: %+v", s)
-	}
 }
 
 func TestHistogramOverflow(t *testing.T) {
@@ -223,7 +219,7 @@ func TestContextPlumbing(t *testing.T) {
 }
 
 func TestRing(t *testing.T) {
-	r := NewRing(3)
+	r := NewRing()
 	if got := r.Snapshot(); len(got) != 0 {
 		t.Fatalf("empty ring snapshot has %d entries", len(got))
 	}
@@ -235,28 +231,32 @@ func TestRing(t *testing.T) {
 	if got := r.Snapshot(); len(got) != 2 || got[0].ID != "b" || got[1].ID != "a" {
 		t.Fatalf("snapshot not slowest-first: %+v", got)
 	}
-	add("c", 1.0)
-	add("d", 3.0) // evicts "a"
-	got := r.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("ring holds %d entries, want 3", len(got))
+	for i := 2; i < ringCapacity; i++ {
+		add("filler", 0.1)
 	}
-	if got[0].ID != "d" || got[1].ID != "b" || got[2].ID != "c" {
-		t.Fatalf("snapshot order = %v, want d,b,c", []string{got[0].ID, got[1].ID, got[2].ID})
+	add("c", 1.0) // evicts "a"
+	add("d", 3.0) // evicts "b"
+	add("e", 0.2) // evicts the first filler
+	got := r.Snapshot()
+	if len(got) != ringCapacity {
+		t.Fatalf("ring holds %d entries, want %d", len(got), ringCapacity)
+	}
+	if got[0].ID != "d" || got[1].ID != "c" || got[2].ID != "e" {
+		t.Fatalf("snapshot order = %v, want d,c,e", []string{got[0].ID, got[1].ID, got[2].ID})
 	}
 	for _, ts := range got {
-		if ts.ID == "a" {
-			t.Fatal("oldest entry not evicted")
+		if ts.ID == "a" || ts.ID == "b" {
+			t.Fatalf("oldest entry %s not evicted", ts.ID)
 		}
 	}
 }
 
 func TestNewRingDefaultCapacity(t *testing.T) {
-	r := NewRing(0)
-	for i := 0; i < DefaultRingCapacity+10; i++ {
+	r := NewRing()
+	for i := 0; i < ringCapacity+10; i++ {
 		r.Add(TraceSnapshot{Seconds: float64(i)})
 	}
-	if got := len(r.Snapshot()); got != DefaultRingCapacity {
-		t.Fatalf("default ring retains %d, want %d", got, DefaultRingCapacity)
+	if got := len(r.Snapshot()); got != ringCapacity {
+		t.Fatalf("ring retains %d, want %d", got, ringCapacity)
 	}
 }

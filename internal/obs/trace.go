@@ -213,8 +213,8 @@ func FromContext(ctx context.Context) *Trace {
 	return t
 }
 
-// DefaultRingCapacity is the trace count a zero-configured Ring retains.
-const DefaultRingCapacity = 256
+// ringCapacity is the number of finished traces a Ring retains.
+const ringCapacity = 256
 
 // Ring is a bounded ring of recently finished traces: constant memory,
 // newest overwrites oldest. It is the storage behind GET /tracez.
@@ -225,13 +225,9 @@ type Ring struct {
 	full bool
 }
 
-// NewRing returns a ring retaining the last capacity traces
-// (DefaultRingCapacity if capacity ≤ 0).
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
-	}
-	return &Ring{buf: make([]TraceSnapshot, capacity)}
+// NewRing returns a ring retaining the last 256 finished traces.
+func NewRing() *Ring {
+	return &Ring{buf: make([]TraceSnapshot, ringCapacity)}
 }
 
 // Add records one finished trace, evicting the oldest when full.

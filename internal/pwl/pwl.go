@@ -146,23 +146,6 @@ func (m *Model) PeakWait() float64 {
 // paper's non-monotonic model).
 func (m *Model) XiTT() float64 { return m.Points[0].Dwell }
 
-// XiET returns the wait beyond which the dwell is 0.
-func (m *Model) XiET() float64 { return m.xiET }
-
-// ResponseIsMonotone reports whether every segment slope is ≥ −1, i.e. the
-// total response ξ(kwait) is non-decreasing in kwait (the situation the
-// paper describes as typical).
-func (m *Model) ResponseIsMonotone() bool {
-	for i := 1; i < len(m.Points); i++ {
-		dx := m.Points[i].Wait - m.Points[i-1].Wait
-		dy := m.Points[i].Dwell - m.Points[i-1].Dwell
-		if dy < -dx {
-			return false
-		}
-	}
-	return true
-}
-
 // Dominates reports whether the model lies on or above every sample
 // (within tol), the safety requirement of §III.
 func (m *Model) Dominates(samples []Point, tol float64) bool {

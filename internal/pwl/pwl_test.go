@@ -142,8 +142,8 @@ func TestMaxDwellAndPeakWait(t *testing.T) {
 	if got := m.XiTT(); math.Abs(got-0.39) > 1e-12 {
 		t.Fatalf("XiTT = %g", got)
 	}
-	if got := m.XiET(); math.Abs(got-3.97) > 1e-12 {
-		t.Fatalf("XiET = %g", got)
+	if got := m.xiET; math.Abs(got-3.97) > 1e-12 {
+		t.Fatalf("xiET = %g", got)
 	}
 }
 
@@ -157,17 +157,26 @@ func TestResponseCappedAtXiET(t *testing.T) {
 	}
 }
 
+// Every slope of the paper's C3 model is ≥ −1, so its total response
+// wait + dwell never falls (the situation the paper describes as
+// typical); a slope of −4.5 makes it fall.
 func TestResponseIsMonotone(t *testing.T) {
 	m := tableC3(t)
-	if !m.ResponseIsMonotone() {
-		t.Fatal("paper C3 model should have monotone response")
+	prev := m.Response(0)
+	for i := 1; i <= 450; i++ {
+		w := float64(i) / 100
+		r := m.Response(w)
+		if r < prev-1e-12 {
+			t.Fatalf("paper C3 response falls from %g to %g at wait %g", prev, r, w)
+		}
+		prev = r
 	}
 	steep, err := NewModel("x", []Point{{0, 5}, {1, 0.5}, {2, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steep.ResponseIsMonotone() {
-		t.Fatal("slope −4.5 must be flagged non-monotone")
+	if r0, r1 := steep.Response(0), steep.Response(1); r1 >= r0 {
+		t.Fatalf("slope −4.5: response %g at wait 1, want below %g at wait 0", r1, r0)
 	}
 }
 

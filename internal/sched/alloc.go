@@ -94,31 +94,37 @@ func (al *Allocation) Verify() error {
 	return nil
 }
 
-// Allocate assigns the applications to TT slots under the given policy and
-// wait-time method. Apps are processed in priority order (§V starts from
-// the shortest deadline). An app that is unschedulable even alone on a
-// fresh slot yields an error. See AllocateContext for the cancellable
-// variant this wraps.
-//
-//cpsdyn:ctx-compat convenience entry point for callers without a request context: the offline CLIs, the case study and AllocateRace, whose heuristics never look at one
-func Allocate(apps []*App, policy Policy, method Method) (*Allocation, error) {
-	return AllocateContext(context.Background(), apps, policy, method)
-}
-
-// AllocateContext is Allocate under ctx. The polynomial heuristics do not
+// AllocateContext assigns the applications to TT slots under the given
+// policy and wait-time method. Apps are processed in priority order (§V
+// starts from the shortest deadline). An app that is unschedulable even
+// alone on a fresh slot yields an error. The polynomial heuristics do not
 // look at ctx; the exponential Exact search checks it every 1 024 search
 // nodes and, once it has expired, stops with an error that unwraps to
 // ctx.Err().
 func AllocateContext(ctx context.Context, apps []*App, policy Policy, method Method) (*Allocation, error) {
+	if err := validateApps(apps); err != nil {
+		return nil, err
+	}
+	return allocateSorted(ctx.Err, SortByPriority(apps), policy, method)
+}
+
+// validateApps returns the first app's validation error, if any.
+func validateApps(apps []*App) error {
 	for _, a := range apps {
 		if err := a.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if len(apps) == 0 {
+	return nil
+}
+
+// allocateSorted runs one policy over validated apps in priority order
+// (SortByPriority); it only reads sorted, so racing policies share one
+// slice. The Exact search polls stop (see allocateExact).
+func allocateSorted(stop func() error, sorted []*App, policy Policy, method Method) (*Allocation, error) {
+	if len(sorted) == 0 {
 		return &Allocation{Policy: policy, Method: method}, nil
 	}
-	sorted := SortByPriority(apps)
 	var slots [][]*App
 	switch policy {
 	case FirstFit, Sequential, BestFit:
@@ -129,7 +135,7 @@ func AllocateContext(ctx context.Context, apps []*App, policy Policy, method Met
 		slots = slotApps(states)
 	case Exact:
 		var err error
-		if slots, err = allocateExact(ctx, sorted, method); err != nil {
+		if slots, err = allocateExact(stop, sorted, method); err != nil {
 			return nil, err
 		}
 	default:
@@ -190,15 +196,17 @@ func pickSlot(slots []slotState, c member, policy Policy, method Method) int {
 	return -1
 }
 
-// exactCheckEvery is how many Exact search nodes pass between ctx checks.
+// exactCheckEvery is how many Exact search nodes pass between stop polls.
 const exactCheckEvery = 1024
 
 // allocateExact finds a minimum-slot partition by depth-first search with
 // branch-and-bound. Apps arrive in priority order; each app is tried in
 // every existing group (skipping infeasible ones) and in one new group —
 // opening at most one new group per level kills permutation symmetry. A
-// group is left exactly as it was before each tried join.
-func allocateExact(ctx context.Context, sorted []*App, method Method) ([][]*App, error) {
+// group is left exactly as it was before each tried join. Every
+// exactCheckEvery nodes the search polls stop (ctx.Err under
+// AllocateContext) and ends with its error, if any.
+func allocateExact(stop func() error, sorted []*App, method Method) ([][]*App, error) {
 	// Upper bound from first-fit.
 	ff, err := allocateGreedy(sorted, FirstFit, method)
 	if err != nil {
@@ -220,7 +228,7 @@ func allocateExact(ctx context.Context, sorted []*App, method Method) ([][]*App,
 	var dfs func(i int) error
 	dfs = func(i int) error {
 		if nodes++; nodes%exactCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
+			if err := stop(); err != nil {
 				return fmt.Errorf("sched: exact allocation stopped after %d search nodes: %w", nodes, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -276,7 +277,7 @@ func TestPropIncrementalMatchesReference(t *testing.T) {
 		maybeDoom(r, apps)
 		for _, method := range []Method{ClosedForm, FixedPoint} {
 			for _, policy := range DefaultRacePolicies {
-				got, gotErr := Allocate(apps, policy, method)
+				got, gotErr := AllocateContext(context.Background(), apps, policy, method)
 				want, wantErr := referenceAllocate(apps, policy, method)
 				if err := sameAllocation(got, want, gotErr, wantErr); err != nil {
 					t.Fatalf("seed %d, %d apps, %v/%v: %v", seed, len(apps), policy, method, err)
@@ -309,7 +310,7 @@ func TestPropExactMatchesReference(t *testing.T) {
 		apps := tiedFleet(r, 1+r.Intn(10))
 		maybeDoom(r, apps)
 		for _, method := range []Method{ClosedForm, FixedPoint} {
-			got, gotErr := Allocate(apps, Exact, method)
+			got, gotErr := AllocateContext(context.Background(), apps, Exact, method)
 			want, wantErr := referenceAllocate(apps, Exact, method)
 			if err := sameAllocation(got, want, gotErr, wantErr); err != nil {
 				t.Fatalf("seed %d, %d apps, exact/%v: %v", seed, len(apps), method, err)

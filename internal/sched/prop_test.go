@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,7 @@ func TestPropAllocationsVerify(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		apps := randomFleet(r, 2+r.Intn(6))
 		for _, policy := range []Policy{FirstFit, Sequential, BestFit} {
-			al, err := Allocate(apps, policy, ClosedForm)
+			al, err := AllocateContext(context.Background(), apps, policy, ClosedForm)
 			if err != nil {
 				continue // some random apps are unschedulable even alone
 			}
@@ -66,12 +67,12 @@ func TestPropExactIsOptimalAmongPolicies(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		apps := randomFleet(r, 2+r.Intn(5))
-		exact, err := Allocate(apps, Exact, ClosedForm)
+		exact, err := AllocateContext(context.Background(), apps, Exact, ClosedForm)
 		if err != nil {
 			return true
 		}
 		for _, policy := range []Policy{FirstFit, Sequential, BestFit} {
-			h, err := Allocate(apps, policy, ClosedForm)
+			h, err := AllocateContext(context.Background(), apps, policy, ClosedForm)
 			if err != nil {
 				return false // exact succeeded, heuristic must too
 			}
@@ -165,7 +166,7 @@ func TestPropRaceNeverWorseThanBestPolicy(t *testing.T) {
 		apps := randomFleet(r, 2+r.Intn(6))
 		best := -1
 		for _, policy := range DefaultRacePolicies {
-			al, err := Allocate(apps, policy, ClosedForm)
+			al, err := AllocateContext(context.Background(), apps, policy, ClosedForm)
 			if err != nil {
 				continue
 			}
@@ -202,7 +203,7 @@ func TestPropAllocationRespectsSlotCapacity(t *testing.T) {
 			if race {
 				return AllocateRace(apps, nil, ClosedForm)
 			}
-			return Allocate(apps, policy, ClosedForm)
+			return AllocateContext(context.Background(), apps, policy, ClosedForm)
 		}
 		for _, c := range []struct {
 			policy Policy

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -16,38 +17,77 @@ var DefaultRacePolicies = []Policy{FirstFit, Sequential, BestFit}
 // dominates: first-fit and best-fit usually tie, but the paper's sequential
 // procedure occasionally beats first-fit on adversarial orderings (and vice
 // versa), so racing all of them buys the best packing for one slot-count of
-// extra latency instead of three.
+// extra latency instead of three. The apps are validated and sorted by
+// priority once, every contender reads that one order, and only the
+// winner's slots become an Allocation.
 //
 // Ties are broken in favour of the earlier policy in the list, which makes
 // the result deterministic. A nil or empty policies slice races
 // DefaultRacePolicies. If every policy fails, the individual errors are
-// joined.
+// joined in policy order; an invalid app fails every policy alike. The
+// race takes no context, so an Exact contender runs to completion.
 func AllocateRace(apps []*App, policies []Policy, method Method) (*Allocation, error) {
 	if len(policies) == 0 {
 		policies = DefaultRacePolicies
 	}
-	allocs := make([]*Allocation, len(policies))
-	errs := make([]error, len(policies))
+	if err := validateApps(apps); err != nil {
+		return nil, raceError(slices.Repeat([]error{err}, len(policies)))
+	}
+	if len(apps) == 0 {
+		return &Allocation{Policy: policies[0], Method: method}, nil
+	}
+	sorted := SortByPriority(apps)
+	type contender struct {
+		states []slotState // a polynomial policy's slots
+		al     *Allocation // any other policy's (Exact, or an unknown one, which fails)
+		err    error
+	}
+	cs := make([]contender, len(policies))
 	var wg sync.WaitGroup
 	for i, p := range policies {
 		wg.Add(1)
-		go func(i int, p Policy) {
+		go func() {
 			defer wg.Done()
-			allocs[i], errs[i] = Allocate(apps, p, method)
-		}(i, p)
+			c := &cs[i]
+			switch p {
+			case FirstFit, Sequential, BestFit:
+				c.states, c.err = allocateGreedy(sorted, p, method)
+			default:
+				c.al, c.err = allocateSorted(neverStop, sorted, p, method)
+			}
+		}()
 	}
 	wg.Wait()
-	best := -1
-	for i, al := range allocs {
-		if errs[i] != nil {
+	best, bestN := -1, 0
+	for i, c := range cs {
+		if c.err != nil {
 			continue
 		}
-		if best < 0 || al.NumSlots() < allocs[best].NumSlots() {
-			best = i
+		n := len(c.states)
+		if c.al != nil {
+			n = c.al.NumSlots()
+		}
+		if best < 0 || n < bestN {
+			best, bestN = i, n
 		}
 	}
 	if best < 0 {
-		return nil, fmt.Errorf("sched: no raced policy produced a feasible allocation: %w", errors.Join(errs...))
+		errs := make([]error, len(cs))
+		for i, c := range cs {
+			errs[i] = c.err
+		}
+		return nil, raceError(errs)
 	}
-	return allocs[best], nil
+	if w := cs[best]; w.al != nil {
+		return w.al, nil
+	}
+	return &Allocation{Slots: slotApps(cs[best].states), Policy: policies[best], Method: method}, nil
 }
+
+// raceError reports a race that no policy won.
+func raceError(errs []error) error {
+	return fmt.Errorf("sched: no raced policy produced a feasible allocation: %w", errors.Join(errs...))
+}
+
+// neverStop is the stop poll of a search nobody can cancel.
+func neverStop() error { return nil }

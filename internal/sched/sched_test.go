@@ -194,7 +194,7 @@ func TestPaperMonotonicC2C4(t *testing.T) {
 // paper's groupings {C3,C6}, {C2,C4}, {C5,C1}.
 func TestPaperAllocationNonMonotonic(t *testing.T) {
 	for _, policy := range []Policy{FirstFit, Sequential} {
-		al, err := Allocate(paperApps(t), policy, ClosedForm)
+		al, err := AllocateContext(context.Background(), paperApps(t), policy, ClosedForm)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -217,7 +217,7 @@ func TestPaperAllocationNonMonotonic(t *testing.T) {
 // ({C3,C6} and four singletons) — 67% more than the non-monotonic 3.
 func TestPaperAllocationConservative(t *testing.T) {
 	for _, policy := range []Policy{FirstFit, Sequential} {
-		al, err := Allocate(paperAppsConservative(t), policy, ClosedForm)
+		al, err := AllocateContext(context.Background(), paperAppsConservative(t), policy, ClosedForm)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -285,13 +285,13 @@ func TestOverUtilizedSlot(t *testing.T) {
 func TestAllocateUnschedulableAloneErrors(t *testing.T) {
 	m, _ := pwl.PaperNonMonotonic(3.0, 3.5, 4.0, 8.0) // ξTT = 3 > deadline
 	apps := []*App{{Name: "impossible", R: 10, Deadline: 2, Model: m}}
-	if _, err := Allocate(apps, FirstFit, ClosedForm); err == nil {
+	if _, err := AllocateContext(context.Background(), apps, FirstFit, ClosedForm); err == nil {
 		t.Fatal("want error for app unschedulable alone")
 	}
 }
 
 func TestAllocateEmpty(t *testing.T) {
-	al, err := Allocate(nil, FirstFit, ClosedForm)
+	al, err := AllocateContext(context.Background(), nil, FirstFit, ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestAllocateEmpty(t *testing.T) {
 
 func TestExactNeverWorseThanHeuristics(t *testing.T) {
 	apps := paperApps(t)
-	exact, err := Allocate(apps, Exact, ClosedForm)
+	exact, err := AllocateContext(context.Background(), apps, Exact, ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestExactNeverWorseThanHeuristics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, policy := range []Policy{FirstFit, Sequential, BestFit} {
-		h, err := Allocate(apps, policy, ClosedForm)
+		h, err := AllocateContext(context.Background(), apps, policy, ClosedForm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestExactNeverWorseThanHeuristics(t *testing.T) {
 }
 
 func TestBestFitAllocatesPaperCase(t *testing.T) {
-	al, err := Allocate(paperApps(t), BestFit, ClosedForm)
+	al, err := AllocateContext(context.Background(), paperApps(t), BestFit, ClosedForm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestValidateRejectsNaN(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("app %q: want validation error", bad.Name)
 		}
-		if _, err := Allocate([]*App{bad}, FirstFit, ClosedForm); err == nil {
+		if _, err := AllocateContext(context.Background(), []*App{bad}, FirstFit, ClosedForm); err == nil {
 			t.Errorf("app %q: Allocate accepted it", bad.Name)
 		}
 	}

@@ -34,8 +34,6 @@ type Config struct {
 	// fewer (see Server.workers). A stream's reorder window is twice its
 	// pool. ≤ 0 selects GOMAXPROCS.
 	Workers int
-	// MaxBodyBytes bounds request bodies. ≤ 0 selects 8 MiB.
-	MaxBodyBytes int64
 
 	// Peers switches the server into sharding-gateway mode: derive work
 	// (/v1/derive and /v1/derive/stream) is partitioned by canonical plant
@@ -70,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 60 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	return c
 }
@@ -132,7 +127,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg.withDefaults(),
 		mux:    http.NewServeMux(),
-		traces: obs.NewRing(0),
+		traces: obs.NewRing(),
 	}
 	s.sem = make(chan struct{}, s.cfg.MaxInFlight)
 	deriveStream := s.stream("derive/stream", &s.lat.deriveStream, DeriveStream)
@@ -403,7 +398,7 @@ func (s *Server) workers(requested int) int {
 func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		body, status, err := readBody(r, s.cfg.MaxBodyBytes)
+		body, status, err := readBody(r)
 		if err != nil {
 			writeError(w, status, err)
 			return
@@ -441,13 +436,18 @@ func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.Handle
 	}
 }
 
-func readBody(r *http.Request, limit int64) ([]byte, int, error) {
+// maxBodyBytes bounds a buffered request body and one line of a stream.
+const maxBodyBytes = 8 << 20
+
+// readBody reads a buffered request body of at most maxBodyBytes; a longer
+// one answers 413.
+func readBody(r *http.Request) ([]byte, int, error) {
 	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, limit)); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return nil, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", limit)
+				fmt.Errorf("request body exceeds the %d-byte limit", maxBodyBytes)
 		}
 		return nil, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
 	}

@@ -545,11 +545,31 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// A body one byte over the 8 MiB limit is refused before it is decoded;
+// one at the limit is read (and then refused as JSON).
 func TestOversizedBodyIs413(t *testing.T) {
-	ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	code, out := postJSON(t, ts.URL+"/v1/allocate", servoDeriveRequest(1))
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d (%s), want 413", code, out)
+	ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		size int
+		code int
+		msg  string
+	}{
+		{maxBodyBytes + 1, http.StatusRequestEntityTooLarge, "request body exceeds the 8388608-byte limit"},
+		{maxBodyBytes, http.StatusBadRequest, "parsing request: unexpected EOF"},
+	} {
+		body := bytes.Repeat([]byte(" "), c.size)
+		body[0] = '{'
+		resp, err := http.Post(ts.URL+"/v1/allocate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorBody
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.code || !strings.Contains(e.Error, c.msg) {
+			t.Fatalf("%d-byte body: status %d, error %q (%v); want %d containing %q",
+				c.size, resp.StatusCode, e.Error, err, c.code, c.msg)
+		}
 	}
 }
 

@@ -31,7 +31,8 @@ type Line[T any] struct {
 
 // DecodeLines decodes an NDJSON stream into an iterator of Lines: one JSON
 // value of type T per input line, unknown fields rejected, blank lines
-// skipped. maxLine bounds one line's byte length (≤ 0 selects 8 MiB).
+// skipped. maxLine bounds one line's byte length (≤ 0 selects 8 MiB, the
+// limit the service applies to a request body and to a stream line).
 //
 // Per-line decode failures never stop the iteration — they surface as error
 // Lines. Only a reader failure (or a line exceeding maxLine, which makes
@@ -48,7 +49,7 @@ func DecodeLines[T any](r io.Reader, maxLine int64) iter.Seq[Line[T]] {
 // own pace), which is idle time, not decoding.
 func decodeLines[T any](r io.Reader, maxLine int64, tr *obs.Trace) iter.Seq[Line[T]] {
 	if maxLine <= 0 {
-		maxLine = 8 << 20
+		maxLine = maxBodyBytes
 	}
 	return func(yield func(Line[T]) bool) {
 		sc := bufio.NewScanner(r)
@@ -152,12 +153,11 @@ type StreamStats struct {
 	RowsOut int // response rows written
 }
 
-// StreamOptions tunes a streaming derivation or allocation run.
+// StreamOptions tunes a streaming derivation or allocation run. A request
+// line may be up to 8 MiB long.
 type StreamOptions struct {
 	// Workers bounds the per-stream derivation pool (≤ 0 = GOMAXPROCS).
 	Workers int
-	// MaxLine bounds one request line's byte length (≤ 0 = 8 MiB).
-	MaxLine int64
 }
 
 // window bounds how many rows may be in flight (computed out of order,
@@ -172,10 +172,10 @@ func (o StreamOptions) window() int { return 2 * effectiveWorkers(o.Workers) }
 // Error lines keep their name slot: only successfully decoded specs claim
 // a name. The seen set is the one per-row retention of the stream — names
 // only, a few bytes per row, not rows or results.
-func lineSource[T any](r io.Reader, maxLine int64, name func(*T) string, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[T]] {
+func lineSource[T any](r io.Reader, name func(*T) string, stats *StreamStats, tr *obs.Trace) iter.Seq[Line[T]] {
 	return func(yield func(Line[T]) bool) {
 		seen := make(map[string]bool)
-		for ln := range decodeLines[T](r, maxLine, tr) {
+		for ln := range decodeLines[T](r, maxBodyBytes, tr) {
 			stats.RowsIn++
 			if ln.Val != nil && name != nil {
 				if n := name(ln.Val); seen[n] {
@@ -233,7 +233,7 @@ func runStream[T, V, Row any](ctx context.Context, r io.Reader, w io.Writer, opt
 	var stats StreamStats
 	tr := obs.FromContext(ctx)
 	err := conc.StreamOrdered(ctx, opts.Workers, opts.window(),
-		lineSource(r, opts.MaxLine, name, &stats, tr),
+		lineSource(r, name, &stats, tr),
 		func(ctx context.Context, _ int, ln Line[T]) Row {
 			if ln.Err != nil {
 				return row(ln.Index, nil, ln.Err.Error(), false)
@@ -421,10 +421,7 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		fw := newFlushWriter(w)
-		stats, err := engine(ctx, r.Body, fw, StreamOptions{
-			Workers: s.workers(requested),
-			MaxLine: s.cfg.MaxBodyBytes,
-		})
+		stats, err := engine(ctx, r.Body, fw, StreamOptions{Workers: s.workers(requested)})
 		// After the handler the server drains the unread rest of the body
 		// (up to 256 KiB) to keep the connection. Under the kicked deadline
 		// that drain fails at once without marking the body closed early,

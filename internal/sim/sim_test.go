@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"cpsdyn/internal/control"
@@ -171,9 +172,9 @@ func TestSimMatchesAnalyticalTTResponse(t *testing.T) {
 		NormDims: 2,
 		H:        h,
 	}
-	kTT, ok := sys.ResponseStepsTT(10000)
-	if !ok {
-		t.Fatal("analytical TT loop did not settle")
+	kTT, ok, err := sys.ResponseStepsTTContext(context.Background(), 10000)
+	if err != nil || !ok {
+		t.Fatalf("analytical TT loop did not settle: %v", err)
 	}
 
 	cfg := baseConfig(app)

@@ -1,6 +1,7 @@
 package switching
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,16 +150,19 @@ func TestCertificateFallsBack(t *testing.T) {
 	}
 }
 
-// ResponseStepsTT stops at its certificate long before the horizon, and
-// the step counter shows it.
+// ResponseStepsTTContext stops at its certificate long before the
+// horizon, and the step counter shows it.
 func TestCertifiedWalkStopsEarly(t *testing.T) {
 	s := nonNormalSystem()
 	before := SimSteps()
-	k, ok := s.ResponseStepsTT(20000)
+	k, ok, err := s.ResponseStepsTTContext(context.Background(), 20000)
 	steps := SimSteps() - before
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantK, wantOK := s.DwellSteps(0, 20000)
 	if k != wantK || ok != wantOK {
-		t.Fatalf("ResponseStepsTT = (%d, %v), DwellSteps(0) = (%d, %v)", k, ok, wantK, wantOK)
+		t.Fatalf("ResponseStepsTTContext = (%d, %v), DwellSteps(0) = (%d, %v)", k, ok, wantK, wantOK)
 	}
 	if steps > 200 {
 		t.Fatalf("certified TT walk simulated %d steps, want it to stop within a few dozen", steps)

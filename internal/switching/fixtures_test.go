@@ -79,7 +79,7 @@ func fixtureLoops(t *testing.T) []*core.Derived {
 		t.Fatal(err)
 	}
 	out = append(out, d)
-	fleet, err := casestudy.SharedFleet()
+	fleet, err := casestudy.DeriveFleetContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -60,9 +61,9 @@ func (s *System) errorf(format string, args ...any) error {
 	return &Error{System: s.Name, Err: fmt.Errorf(format, args...)}
 }
 
-// Validate checks shapes, threshold and asymptotic stability of both loops
-// (switching stability holds because the scheme switches at most once,
-// §II-B of the paper).
+// Validate checks shapes, that every input is finite, the threshold and
+// asymptotic stability of both loops (switching stability holds because
+// the scheme switches at most once, §II-B of the paper).
 func (s *System) Validate() error {
 	n := s.A1.Rows()
 	if s.A1.Cols() != n || s.A2.Rows() != n || s.A2.Cols() != n {
@@ -72,11 +73,17 @@ func (s *System) Validate() error {
 	if len(s.X0) != n {
 		return s.errorf("x0 has %d entries, want %d", len(s.X0), n)
 	}
-	if s.Eth <= 0 {
+	if !s.A1.IsFinite() || !s.A2.IsFinite() || !mat.VecIsFinite(s.X0) {
+		return s.errorf("A1, A2 and x0 must be finite")
+	}
+	if !(s.Eth > 0) {
 		return s.errorf("threshold Eth = %g must be positive", s.Eth)
 	}
-	if s.H <= 0 {
+	if !(s.H > 0) {
 		return s.errorf("sampling period %g must be positive", s.H)
+	}
+	if math.IsInf(s.Eth, 1) || math.IsInf(s.H, 1) {
+		return s.errorf("threshold Eth = %g and sampling period %g must be finite", s.Eth, s.H)
 	}
 	if s.NormDims < 0 || s.NormDims > n {
 		return s.errorf("NormDims %d outside [0, %d]", s.NormDims, n)
@@ -201,27 +208,16 @@ func (s *System) response(ctx context.Context, a *mat.Matrix, horizon int) (int,
 	return s.settle(ctx, a, s.X0, horizon, newScratch(len(s.X0)), s.certified(ctx, a, horizon))
 }
 
-// ResponseStepsET returns the settling step count under pure ET
-// communication (the paper's ξET in samples).
-func (s *System) ResponseStepsET(horizon int) (int, bool) {
-	k, ok, _ := s.response(nil, s.A1, horizon)
-	return k, ok
-}
-
-// ResponseStepsTT returns the settling step count under pure TT
-// communication (the paper's ξTT in samples).
-func (s *System) ResponseStepsTT(horizon int) (int, bool) {
-	k, ok, _ := s.response(nil, s.A2, horizon)
-	return k, ok
-}
-
-// ResponseStepsETContext is ResponseStepsET with cooperative cancellation:
-// the error is non-nil exactly when ctx expired mid-simulation.
+// ResponseStepsETContext returns the settling step count under pure ET
+// communication (the paper's ξET in samples). The error is non-nil
+// exactly when ctx expired mid-simulation.
 func (s *System) ResponseStepsETContext(ctx context.Context, horizon int) (int, bool, error) {
 	return s.response(ctx, s.A1, horizon)
 }
 
-// ResponseStepsTTContext is ResponseStepsTT with cooperative cancellation.
+// ResponseStepsTTContext returns the settling step count under pure TT
+// communication (the paper's ξTT in samples), cancelled like
+// ResponseStepsETContext.
 func (s *System) ResponseStepsTTContext(ctx context.Context, horizon int) (int, bool, error) {
 	return s.response(ctx, s.A2, horizon)
 }
@@ -265,12 +261,6 @@ type SampleCurveOptions struct {
 	// Context cancels the sampling cooperatively; nil means no
 	// cancellation. On expiry the error unwraps to ctx.Err().
 	Context context.Context
-}
-
-// SampleCurve measures kdw(kwait) for every kwait from 0 up to the pure-ET
-// settling time, sequentially. See SampleCurveWith for the sharded variant.
-func (s *System) SampleCurve(horizon int) (*Curve, error) {
-	return s.SampleCurveWith(SampleCurveOptions{Workers: 1, Horizon: horizon})
 }
 
 // SampleCurveWith measures kdw(kwait) for every kwait from 0 up to the
@@ -394,7 +384,7 @@ func (c *Curve) IsNonMonotonic() bool {
 
 // PeakSample returns the sample with the largest dwell. An empty
 // (user-constructed) curve yields the zero point rather than panicking;
-// SampleCurve always produces at least one sample.
+// SampleCurveWith always produces at least one sample.
 func (c *Curve) PeakSample() pwl.Point {
 	if len(c.Samples) == 0 {
 		return pwl.Point{}

@@ -64,10 +64,27 @@ func TestValidate(t *testing.T) {
 	if err := bad5.Validate(); err == nil {
 		t.Fatal("want error for A2 size mismatch")
 	}
+	// NaN fails every ordered comparison, and an infinite threshold,
+	// period, state or loop entry describes no loop.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, set := range map[string]func(*System){
+			"Eth": func(s *System) { s.Eth = v },
+			"H":   func(s *System) { s.H = v },
+			"X0":  func(s *System) { s.X0 = []float64{v, 1} },
+			"A1":  func(s *System) { s.A1 = mat.FromRows([][]float64{{0.5, v}, {0, 0.5}}) },
+			"A2":  func(s *System) { s.A2 = mat.FromRows([][]float64{{0.5, 0}, {v, 0.5}}) },
+		} {
+			bad := nonNormalSystem()
+			set(bad)
+			if err := bad.Validate(); err == nil {
+				t.Fatalf("%s = %g: want an error", name, v)
+			}
+		}
+	}
 }
 
 // The settle step count itself, on systems small enough to count by hand.
-// ResponseStepsTT runs settle on A2 from X0 without validating stability,
+// ResponseStepsTTContext runs settle on A2 from X0 without validating stability,
 // so a loop that never decays is a legal input.
 func TestResponseStepsTTSettleCounts(t *testing.T) {
 	for _, c := range []struct {
@@ -89,9 +106,9 @@ func TestResponseStepsTTSettleCounts(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := &System{Name: c.name, A1: c.a2, A2: c.a2, X0: c.x0, Eth: 0.1, NormDims: c.normDims, H: 0.02}
-			steps, settled := s.ResponseStepsTT(c.horizon)
-			if steps != c.steps || settled != c.settled {
-				t.Fatalf("ResponseStepsTT = %d, %v; want %d, %v", steps, settled, c.steps, c.settled)
+			steps, settled, err := s.ResponseStepsTTContext(context.Background(), c.horizon)
+			if err != nil || steps != c.steps || settled != c.settled {
+				t.Fatalf("ResponseStepsTTContext = %d, %v, %v; want %d, %v", steps, settled, err, c.steps, c.settled)
 			}
 		})
 	}
@@ -99,19 +116,19 @@ func TestResponseStepsTTSettleCounts(t *testing.T) {
 
 func TestDwellAtZeroEqualsTTResponse(t *testing.T) {
 	s := nonNormalSystem()
-	kTT, ok1 := s.ResponseStepsTT(10000)
+	kTT, ok1, err := s.ResponseStepsTTContext(context.Background(), 10000)
 	kdw0, ok2 := s.DwellSteps(0, 10000)
-	if !ok1 || !ok2 {
-		t.Fatal("settling failed")
+	if err != nil || !ok1 || !ok2 {
+		t.Fatalf("settling failed: %v", err)
 	}
 	if kTT != kdw0 {
-		t.Fatalf("DwellSteps(0) = %d, ResponseStepsTT = %d", kdw0, kTT)
+		t.Fatalf("DwellSteps(0) = %d, ResponseStepsTTContext = %d", kdw0, kTT)
 	}
 }
 
 func TestSampleCurveEndpoints(t *testing.T) {
 	s := nonNormalSystem()
-	c, err := s.SampleCurve(0)
+	c, err := s.SampleCurveWith(SampleCurveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +151,7 @@ func TestSampleCurveEndpoints(t *testing.T) {
 }
 
 func TestNonMonotonicityDetected(t *testing.T) {
-	c, err := nonNormalSystem().SampleCurve(0)
+	c, err := nonNormalSystem().SampleCurveWith(SampleCurveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +168,7 @@ func TestNonMonotonicityDetected(t *testing.T) {
 }
 
 func TestDiagonalSystemIsMonotonic(t *testing.T) {
-	c, err := diagonalSystem().SampleCurve(0)
+	c, err := diagonalSystem().SampleCurveWith(SampleCurveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +178,7 @@ func TestDiagonalSystemIsMonotonic(t *testing.T) {
 }
 
 func TestFitModelsDominance(t *testing.T) {
-	c, err := nonNormalSystem().SampleCurve(0)
+	c, err := nonNormalSystem().SampleCurveWith(SampleCurveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +217,7 @@ func TestNormDimsRestrictsThresholdNorm(t *testing.T) {
 func TestSampleCurveUnstableErrors(t *testing.T) {
 	s := nonNormalSystem()
 	s.A1 = mat.Diag(1.0, 0.5) // marginally stable: never settles
-	if _, err := s.SampleCurve(0); err == nil {
+	if _, err := s.SampleCurveWith(SampleCurveOptions{Workers: 1}); err == nil {
 		t.Fatal("want error for non-settling system")
 	}
 }
@@ -208,13 +225,13 @@ func TestSampleCurveUnstableErrors(t *testing.T) {
 func TestDwellMonotoneWithThreshold(t *testing.T) {
 	// Raising Eth can only shorten (or keep) settling times.
 	s := nonNormalSystem()
-	c1, err := s.SampleCurve(0)
+	c1, err := s.SampleCurveWith(SampleCurveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := nonNormalSystem()
 	s2.Eth = 0.3
-	c2, err := s2.SampleCurve(0)
+	c2, err := s2.SampleCurveWith(SampleCurveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +246,7 @@ func TestDwellMonotoneWithThreshold(t *testing.T) {
 // worker runs it, so even the bit patterns agree.
 func TestSampleCurveWithWorkersIsByteIdentical(t *testing.T) {
 	for _, sys := range []*System{nonNormalSystem(), diagonalSystem()} {
-		seq, err := sys.SampleCurve(0)
+		seq, err := sys.SampleCurveWith(SampleCurveOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,9 +324,14 @@ func TestDwellStepsAllocationIsHorizonIndependent(t *testing.T) {
 	if big > small {
 		t.Fatalf("allocations grow with the walk: %g → %g", small, big)
 	}
-	et := testing.AllocsPerRun(20, func() { s.ResponseStepsET(20000) })
+	ctx := context.Background()
+	et := testing.AllocsPerRun(20, func() {
+		if _, _, err := s.ResponseStepsETContext(ctx, 20000); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if et > 4 {
-		t.Fatalf("ResponseStepsET allocates %g times, want ≤ 4", et)
+		t.Fatalf("ResponseStepsETContext allocates %g times, want ≤ 4", et)
 	}
 }
 
@@ -339,7 +361,7 @@ func TestSampleCurveScratchAllocationIsWorkerIndependent(t *testing.T) {
 // observable the service cancellation tests rely on.
 func TestSimStepsCounterAdvances(t *testing.T) {
 	before := SimSteps()
-	if _, err := nonNormalSystem().SampleCurve(0); err != nil {
+	if _, err := nonNormalSystem().SampleCurveWith(SampleCurveOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if after := SimSteps(); after <= before {
