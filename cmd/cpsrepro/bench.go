@@ -6,10 +6,13 @@ package main
 // slot-allocation race, the certified dwell-curve sampling stage and one
 // cold derivation) hermetically via testing.Benchmark — no `go test`
 // subprocess — and writes them as one JSON report (BENCH_N.json is the
-// committed artefact per perf PR). bench-compare diffs two such reports
-// with benchstat-style semantics: it fails on a >threshold geometric-mean
-// regression in ns/op or on any allocs/op increase, which is what the CI
-// bench-compare job runs against the merge base.
+// committed artefact per perf PR), together with exact work counters: the
+// simulated steps and kwait samples of one sequential curve sampling per
+// fixture curve. bench-compare diffs two such reports with
+// benchstat-style semantics: it fails on a >threshold geometric-mean
+// regression in ns/op, on any allocs/op increase or on any counter
+// increase, which is what the CI bench-compare job runs against the merge
+// base.
 
 import (
 	"bytes"
@@ -46,13 +49,21 @@ type benchResult struct {
 	Iterations  int     `json:"iterations"`
 }
 
+// benchCounter is one exact, deterministic work count. Unlike a timing it
+// has no noise, so bench-compare allows it no increase at all.
+type benchCounter struct {
+	Name  string `json:"name"`
+	Value uint64 `json:"value"`
+}
+
 type benchReport struct {
-	Schema     int           `json:"schema"`
-	GoVersion  string        `json:"goVersion"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Benchmarks []benchResult `json:"benchmarks"`
+	Schema     int            `json:"schema"`
+	GoVersion  string         `json:"goVersion"`
+	GOOS       string         `json:"goos"`
+	GOARCH     string         `json:"goarch"`
+	GOMAXPROCS int            `json:"gomaxprocs"`
+	Benchmarks []benchResult  `json:"benchmarks"`
+	Counters   []benchCounter `json:"counters,omitempty"`
 }
 
 // benchKernelMatrix mirrors internal/mat's benchMatrix: a deterministic
@@ -415,6 +426,49 @@ func kernelBenchmarks() []struct {
 	return out
 }
 
+// workCounters samples every fixture curve once, sequentially and
+// certified, and counts its simulated steps and kwait samples: the 20 CI
+// probe designs, the diesel engine and the six calibrated §V loops. The
+// counts are exact, so any rise is a certificate that stops later or a
+// walk that runs longer. It must run alone: the step counter is
+// process-wide.
+func workCounters(ctx context.Context) ([]benchCounter, error) {
+	var derived []*core.Derived
+	for design := 0; design < 20; design++ {
+		// Design k moves the first TT pole to 0.70 + k/100.
+		app := probeApp()
+		app.Name = fmt.Sprintf("probe-%d", design)
+		app.PolesTT[0] = complex(float64(70+design)/100, 0)
+		d, err := app.DeriveContext(ctx)
+		if err != nil {
+			return nil, err
+		}
+		derived = append(derived, d)
+	}
+	d, err := dieselApp().DeriveContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	derived = append(derived, d)
+	fleet, err := casestudy.DeriveFleetContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	derived = append(derived, fleet...)
+	var out []benchCounter
+	for _, d := range derived {
+		s0 := switching.SimSteps()
+		c, err := d.Sys.SampleCurveWith(switching.SampleCurveOptions{Workers: 1, Context: ctx})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out,
+			benchCounter{"SimSteps/" + d.App.Name, switching.SimSteps() - s0},
+			benchCounter{"KwaitSamples/" + d.App.Name, uint64(len(c.Samples))})
+	}
+	return out, nil
+}
+
 // runBenchExport measures the kernel suite and writes the JSON report.
 // -count N repeats each benchmark and keeps the fastest ns/op (and the
 // worst allocs/op), damping scheduler noise the way benchstat's min-based
@@ -458,6 +512,14 @@ func runBenchExport(args []string) error {
 			best.Name, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp)
 		report.Benchmarks = append(report.Benchmarks, best)
 	}
+	counters, err := workCounters(context.Background())
+	if err != nil {
+		return err
+	}
+	for _, c := range counters {
+		fmt.Fprintf(os.Stderr, "%-26s %10d\n", c.Name, c.Value)
+	}
+	report.Counters = counters
 	enc, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -471,8 +533,9 @@ func runBenchExport(args []string) error {
 }
 
 // runBenchCompare diffs two bench-export reports (old, new) and fails on
-// a geometric-mean ns/op regression beyond -threshold, or on any
-// benchmark whose allocs/op increased.
+// a geometric-mean ns/op regression beyond -threshold, on any benchmark
+// whose allocs/op increased, or on any work counter both reports carry
+// that increased. A report without counters compares on its benchmarks.
 func runBenchCompare(args []string) error {
 	fs := flag.NewFlagSet("bench-compare", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.15, "allowed geomean ns/op regression (0.15 = +15%)")
@@ -524,14 +587,44 @@ func runBenchCompare(args []string) error {
 	}
 	geomean := math.Exp(logSum / float64(len(names)))
 	fmt.Printf("geomean ns/op ratio: %.3f (gate: ≤ %.3f)\n", geomean, 1+*threshold)
+	counterRegressions := compareCounters(oldRep.Counters, newRep.Counters)
 	if len(allocRegressions) > 0 {
 		return fmt.Errorf("bench-compare: allocs/op regressed: %v", allocRegressions)
+	}
+	if len(counterRegressions) > 0 {
+		return fmt.Errorf("bench-compare: work counters rose: %v", counterRegressions)
 	}
 	if geomean > 1+*threshold {
 		return fmt.Errorf("bench-compare: geomean ns/op regressed %.1f%% (limit %.0f%%)",
 			(geomean-1)*100, *threshold*100)
 	}
 	return nil
+}
+
+// compareCounters prints the counters both reports carry, in the new
+// report's order, and lists every one that rose.
+func compareCounters(oldCs, newCs []benchCounter) []string {
+	oldBy := make(map[string]uint64, len(oldCs))
+	for _, c := range oldCs {
+		oldBy[c.Name] = c.Value
+	}
+	var rose []string
+	header := false
+	for _, c := range newCs {
+		o, ok := oldBy[c.Name]
+		if !ok {
+			continue
+		}
+		if !header {
+			fmt.Printf("%-26s %12s %12s %8s\n", "counter", "old", "new", "ratio")
+			header = true
+		}
+		fmt.Printf("%-26s %12d %12d %8.3f\n", c.Name, o, c.Value, float64(c.Value)/float64(max(o, 1)))
+		if c.Value > o {
+			rose = append(rose, fmt.Sprintf("%s: %d → %d", c.Name, o, c.Value))
+		}
+	}
+	return rose
 }
 
 func readBenchReport(path string) (*benchReport, error) {

@@ -13,6 +13,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -343,19 +344,30 @@ func (a *Application) ProbeSettleContext(ctx context.Context) (xiTT, xiET float6
 	const horizon = 60000
 	kTT, ok, err := sys.ResponseStepsTTContext(ctx, horizon)
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: app %q: probe cancelled: %w", a.Name, err)
+		return 0, 0, probeError(a.Name, err)
 	}
 	if !ok {
 		return 0, 0, fmt.Errorf("core: app %q: TT loop did not settle within the probe horizon", a.Name)
 	}
 	kET, ok, err := sys.ResponseStepsETContext(ctx, horizon)
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: app %q: probe cancelled: %w", a.Name, err)
+		return 0, 0, probeError(a.Name, err)
 	}
 	if !ok {
 		return 0, 0, fmt.Errorf("core: app %q: ET loop did not settle within the probe horizon", a.Name)
 	}
 	return float64(kTT) * a.H, float64(kET) * a.H, nil
+}
+
+// probeError renders a failed settling probe of app name: an overflowed
+// walk keeps its *switching.Error, which names the app and the loop;
+// anything else is the context's cancellation.
+func probeError(name string, err error) error {
+	var se *switching.Error
+	if errors.As(err, &se) {
+		return err
+	}
+	return fmt.Errorf("core: app %q: probe cancelled: %w", name, err)
 }
 
 // ModelKind selects which §III dwell model drives the analysis.

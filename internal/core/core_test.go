@@ -137,6 +137,46 @@ func TestDeriveRejectsNonFiniteInputs(t *testing.T) {
 	}
 }
 
+// A walk whose state overflows becomes NaN, and NaN is not above Eth by
+// an ordered test: the build before this check counted such a walk as
+// settled, so x0 = [0, 1e307] derived ξTT = 0.06 s (by linearity with
+// 1e300 it is about 40.1 s) and x0 = [0, 1.7e308] a 4-sample curve with
+// ξTT = ξET = 0.06 s, and the probes agreed. An overflowed state now fails
+// the derivation and the probe, naming the loop; finite walks are
+// untouched.
+func TestOverflowedWalkFails(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		x0       float64
+		xiTT     float64 // seconds; 0: the derivation must fail
+		overflow bool
+	}{
+		{x0: 2, xiTT: 0.26},
+		{x0: 1e300, xiTT: 39.24},
+		{x0: 1e307, overflow: true},
+		{x0: 1.7e308, overflow: true},
+	} {
+		app := probeApp()
+		app.X0 = []float64{0, c.x0}
+		d, err := app.DeriveContext(ctx)
+		xiTT, _, perr := app.ProbeSettleContext(ctx)
+		if !c.overflow {
+			if err != nil || perr != nil {
+				t.Fatalf("x0 = [0, %g]: derive %v, probe %v", c.x0, err, perr)
+			}
+			if math.Abs(d.Curve.XiTT-c.xiTT) > 1e-9 || math.Abs(xiTT-c.xiTT) > 1e-9 {
+				t.Errorf("x0 = [0, %g]: ξTT = %g (probe %g), want %g", c.x0, d.Curve.XiTT, xiTT, c.xiTT)
+			}
+			continue
+		}
+		for what, err := range map[string]error{"derive": err, "probe": perr} {
+			if err == nil || !strings.HasPrefix(err.Error(), "switching: probe-0: ") || !strings.HasSuffix(err.Error(), "state overflowed to NaN") {
+				t.Errorf("x0 = [0, %g]: %s error %v, want an overflow naming the app", c.x0, what, err)
+			}
+		}
+	}
+}
+
 func TestDeriveServo(t *testing.T) {
 	d, err := servoApp("servo", 1, 3).DeriveContext(context.Background())
 	if err != nil {

@@ -75,10 +75,11 @@ type Trace struct {
 	Op     string
 	Start  time.Time
 
-	rows     atomic.Int64
-	simSteps atomic.Uint64
-	counts   [NumStages]atomic.Uint64
-	ns       [NumStages]atomic.Int64
+	rows         atomic.Int64
+	simSteps     atomic.Uint64
+	certRefusals atomic.Uint64
+	counts       [NumStages]atomic.Uint64
+	ns           [NumStages]atomic.Int64
 }
 
 // NewTrace starts a span. parent is the inbound TraceHeader value, or ""
@@ -137,6 +138,15 @@ func (t *Trace) AddSimSteps(n uint64) {
 	t.simSteps.Add(n)
 }
 
+// AddCertRefusals counts loop matrices of the span's request that got no
+// stop certificate (switching.CertRefusals counts them process-wide).
+func (t *Trace) AddCertRefusals(n uint64) {
+	if t == nil {
+		return
+	}
+	t.certRefusals.Add(n)
+}
+
 // StageBreakdown is one aggregated stage line of a finished trace.
 type StageBreakdown struct {
 	Stage   string  `json:"stage"`
@@ -154,8 +164,12 @@ type TraceSnapshot struct {
 	Rows    int64     `json:"rows,omitempty"`
 	// SimSteps is the number of simulation steps the request's cache
 	// misses ran; a warm request ran none.
-	SimSteps uint64           `json:"simSteps,omitempty"`
-	Stages   []StageBreakdown `json:"stages"`
+	SimSteps uint64 `json:"simSteps,omitempty"`
+	// CertRefusals is the number of loop matrices of the request's cache
+	// misses without a stop certificate, whose settling walks ran to the
+	// horizon.
+	CertRefusals uint64           `json:"certRefusals,omitempty"`
+	Stages       []StageBreakdown `json:"stages"`
 }
 
 // Finish closes the span and returns its snapshot, with stages ordered
@@ -165,13 +179,14 @@ func (t *Trace) Finish() TraceSnapshot {
 		return TraceSnapshot{}
 	}
 	ts := TraceSnapshot{
-		ID:       t.ID,
-		Parent:   t.Parent,
-		Op:       t.Op,
-		Start:    t.Start,
-		Seconds:  time.Since(t.Start).Seconds(),
-		Rows:     t.rows.Load(),
-		SimSteps: t.simSteps.Load(),
+		ID:           t.ID,
+		Parent:       t.Parent,
+		Op:           t.Op,
+		Start:        t.Start,
+		Seconds:      time.Since(t.Start).Seconds(),
+		Rows:         t.rows.Load(),
+		SimSteps:     t.simSteps.Load(),
+		CertRefusals: t.certRefusals.Load(),
 	}
 	for s := 0; s < NumStages; s++ {
 		n := t.counts[s].Load()

@@ -109,8 +109,8 @@ func TestMetricsSumSliceFields(t *testing.T) {
 			t.Errorf("family %s = %q, want sample %q", name, fams[name], sample)
 		}
 	}
-	if len(fams) != 29+5 {
-		t.Errorf("rendered %d families, want the 29 plain ones plus the 5 gateway series", len(fams))
+	if len(fams) != 30+5 {
+		t.Errorf("rendered %d families, want the 30 plain ones plus the 5 gateway series", len(fams))
 	}
 }
 

@@ -233,29 +233,33 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // snapshot from the metric/help tags on its fields (see writeMetrics).
 // SimSteps is the cumulative closed-loop simulation step counter
 // (switching.SimSteps) — a live compute gauge: it stops climbing when
-// cancelled computations actually stop. Gateway is only present in
+// cancelled computations actually stop. CertRefusals counts the loop
+// matrices that got no stop certificate (switching.CertRefusals), each of
+// whose walks ran to its horizon. Gateway is only present in
 // sharding-gateway mode: the peer list with per-peer health plus the
 // peerRows/peerFallbacks counters. Store is only present when the operator
 // enabled the persistent derivation store (-cache-dir): its load/store/
 // error counters plus the on-disk footprint.
 type StatszResponse struct {
-	Cache    core.CacheStats `json:"cache"`
-	Pool     mat.PoolStats   `json:"pool"`
-	Server   ServerStats     `json:"server"`
-	Latency  LatencyStats    `json:"latency"`
-	SimSteps uint64          `json:"simSteps" metric:"sim_steps_total" help:"Cumulative closed-loop simulation steps across all derivations."`
-	Gateway  *cluster.Stats  `json:"gateway,omitempty"`
-	Store    *store.Stats    `json:"store,omitempty"`
+	Cache        core.CacheStats `json:"cache"`
+	Pool         mat.PoolStats   `json:"pool"`
+	Server       ServerStats     `json:"server"`
+	Latency      LatencyStats    `json:"latency"`
+	SimSteps     uint64          `json:"simSteps" metric:"sim_steps_total" help:"Cumulative closed-loop simulation steps across all derivations."`
+	CertRefusals uint64          `json:"certRefusals" metric:"cert_refusals_total" help:"Loop matrices without a stop certificate, whose settling walks ran to the horizon."`
+	Gateway      *cluster.Stats  `json:"gateway,omitempty"`
+	Store        *store.Stats    `json:"store,omitempty"`
 }
 
 // statsz snapshots every counter both /statsz and /metrics serve.
 func (s *Server) statsz() StatszResponse {
 	resp := StatszResponse{
-		Cache:    core.DeriveCacheStats(),
-		Pool:     mat.SharedPool.Stats(),
-		Server:   s.Stats(),
-		Latency:  s.latencyStats(),
-		SimSteps: switching.SimSteps(),
+		Cache:        core.DeriveCacheStats(),
+		Pool:         mat.SharedPool.Stats(),
+		Server:       s.Stats(),
+		Latency:      s.latencyStats(),
+		SimSteps:     switching.SimSteps(),
+		CertRefusals: switching.CertRefusals(),
 	}
 	if s.gw != nil {
 		gst := s.gw.Stats()

@@ -181,3 +181,44 @@ func TestTracezReportsSimSteps(t *testing.T) {
 		t.Fatalf("derive spans report %v simulated steps, want %d for the cold one and 0 for the warm one", steps, cold)
 	}
 }
+
+// A derive whose TT loop has no stop certificate (its first pole, 0.99995,
+// needs more than the 20 000-step horizon to contract 4×) still derives,
+// but every one of its walks runs to the horizon; it reports the refusal
+// on its span and on /statsz. The servo derive before it, whose loops
+// both certify, reports none.
+func TestTracezReportsCertRefusals(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	var before, after StatszResponse
+	if code := getJSON(t, ts.URL+"/statsz", &before); code != http.StatusOK {
+		t.Fatalf("statsz status = %d", code)
+	}
+	if code, out := postJSON(t, ts.URL+"/v1/derive", servoDeriveRequest(1)); code != http.StatusOK {
+		t.Fatalf("servo derive status = %d: %s", code, out)
+	}
+	slow := servoDeriveRequest(1)
+	slow.Apps[0].Name = "slow"
+	slow.Apps[0].PolesTT = []float64{0.99995, 0.70, 0.05}
+	if code, out := postJSON(t, ts.URL+"/v1/derive", slow); code != http.StatusOK {
+		t.Fatalf("slow derive status = %d: %s", code, out)
+	}
+	if code := getJSON(t, ts.URL+"/statsz", &after); code != http.StatusOK {
+		t.Fatalf("statsz status = %d", code)
+	}
+	if got := after.CertRefusals - before.CertRefusals; got != 1 {
+		t.Fatalf("/statsz certRefusals advanced by %d, want 1", got)
+	}
+	var tz TracezResponse
+	if code := getJSON(t, ts.URL+"/tracez", &tz); code != http.StatusOK {
+		t.Fatalf("/tracez status = %d", code)
+	}
+	var refusals []uint64
+	for _, tr := range tz.Traces {
+		if tr.Op == "derive" {
+			refusals = append(refusals, tr.CertRefusals)
+		}
+	}
+	if len(refusals) != 2 || refusals[0]+refusals[1] != 1 || (refusals[0] != 0 && refusals[1] != 0) {
+		t.Fatalf("derive spans report %v certificate refusals, want 1 for the slow loop and 0 for the servo", refusals)
+	}
+}

@@ -102,14 +102,14 @@ func TestPropCertifiedWalkMatchesFullWalk(t *testing.T) {
 		horizon := min(20000, 50+int(30/(1-rho)))
 		cert := s.certified(nil, a, horizon)
 		full := newScratch(n)
-		wantK, wantOK, _ := s.settle(nil, a, x0, horizon, full, nil)
+		wantK, wantOK, _ := s.settle(nil, a, x0, horizon, full, certificate{})
 		before := SimSteps()
 		gotK, gotOK, _ := s.settle(nil, a, x0, horizon, newScratch(n), cert)
 		if gotK != wantK || gotOK != wantOK {
 			t.Fatalf("trial %d (n=%d, ρ=%.6f, d=%d, Eth=%g, horizon %d, certified %v): certified walk (%d, %v), full walk (%d, %v)\nA =\n%v x0 = %v",
-				trial, n, rho, s.NormDims, s.Eth, horizon, cert != nil, gotK, gotOK, wantK, wantOK, a, x0)
+				trial, n, rho, s.NormDims, s.Eth, horizon, cert.box != nil, gotK, gotOK, wantK, wantOK, a, x0)
 		}
-		if cert != nil {
+		if cert.box != nil {
 			certified++
 			if SimSteps()-before < uint64(horizon) {
 				early++
@@ -123,7 +123,8 @@ func TestPropCertifiedWalkMatchesFullWalk(t *testing.T) {
 }
 
 // Marginal and unstable loops have no certificate, so their walks run to
-// the horizon exactly as before.
+// the horizon exactly as before; each refusal counts once in
+// CertRefusals, and a certified loop counts nothing.
 func TestCertificateFallsBack(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -139,14 +140,30 @@ func TestCertificateFallsBack(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := &System{Name: c.name, A1: c.a, A2: c.a, X0: make([]float64, c.a.Rows()), Eth: 0.1, H: 0.02}
-			if cert := s.certified(nil, c.a, 2000); cert != nil {
+			before := CertRefusals()
+			if cert := s.certified(nil, c.a, 2000); cert.box != nil {
 				t.Fatalf("certificate %v for a loop that does not contract", cert)
+			}
+			if got := CertRefusals() - before; got != 1 {
+				t.Fatalf("CertRefusals advanced by %d, want 1", got)
 			}
 		})
 	}
 	s := &System{Name: "stable", A1: mat.Diag(0.5, 0.4), A2: mat.Diag(0.5, 0.4), X0: []float64{1, 1}, Eth: 0.1, H: 0.02}
-	if s.certified(nil, s.A2, 2000) == nil {
+	before := CertRefusals()
+	if s.certified(nil, s.A2, 2000).box == nil {
 		t.Fatal("no certificate for a diagonal contraction")
+	}
+	if got := CertRefusals() - before; got != 0 {
+		t.Fatalf("a certified loop advanced CertRefusals by %d", got)
+	}
+	// A search cut short by its context is no refusal.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before = CertRefusals()
+	slow := mat.Diag(0.9999, 0.5)
+	if s.certified(ctx, slow, 20000).box != nil || CertRefusals() != before {
+		t.Fatal("a cancelled search certified or counted a refusal")
 	}
 }
 

@@ -86,12 +86,12 @@ func fixtureLoops(t *testing.T) []*core.Derived {
 	return append(out, fleet...)
 }
 
-// Every fixture loop has a certificate for both closed loops, and its
-// sampled curve — certified walks throughout — equals the exhaustive
-// per-kwait DwellSteps sweep and the exhaustive pure-mode walks. The
-// oracle walks every kwait to the horizon, mostly in subnormal
-// arithmetic, so the sweep fans out over the cores; -short checks every
-// tenth kwait.
+// Every fixture loop has a certificate for both closed loops, so deriving
+// them counts no refusal, and its sampled curve — certified walks
+// throughout — equals the exhaustive per-kwait DwellSteps sweep and the
+// exhaustive pure-mode walks. The oracle walks every kwait to the
+// horizon, mostly in subnormal arithmetic, so the sweep fans out over the
+// cores; -short checks every tenth kwait.
 func TestFixtureCurvesMatchDwellStepsSweep(t *testing.T) {
 	type job struct {
 		d     *core.Derived
@@ -102,7 +102,12 @@ func TestFixtureCurvesMatchDwellStepsSweep(t *testing.T) {
 	if testing.Short() {
 		stride = 10
 	}
-	for _, d := range fixtureLoops(t) {
+	refusals := switching.CertRefusals()
+	fixtures := fixtureLoops(t)
+	if got := switching.CertRefusals() - refusals; got != 0 {
+		t.Fatalf("deriving the fixtures refused %d certificates", got)
+	}
+	for _, d := range fixtures {
 		s := d.Sys
 		if !switching.HasCertificate(s, s.A1, horizon) || !switching.HasCertificate(s, s.A2, horizon) {
 			t.Fatalf("%s: certificates: A1 %v, A2 %v; want both", s.Name,

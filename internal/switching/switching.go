@@ -145,14 +145,20 @@ func newScratch(n int) *scratch {
 	return &scratch{cur: make([]float64, n), nxt: make([]float64, n)}
 }
 
+// errOverflow is settle's error for a walk whose state became NaN (an
+// overflow to ±Inf followed by Inf − Inf or 0·Inf): NaN never becomes
+// finite again, so the walk can never settle.
+var errOverflow = errors.New("state overflowed to NaN")
+
 // settle returns the first step index k such that the trajectory of a from
 // x0 satisfies ‖x[j]‖ ≤ Eth for all j ∈ [k, horizon]. The state is stepped
 // in sc's buffers (x0 may alias sc.cur); a nil ctx disables cancellation
-// checks, a cancelled ctx aborts mid-run with its error. With a
-// certificate for a (see certificate.go) the walk ends at the first
-// below-threshold state inside the certified box, which yields the same
-// (k, ok) as walking on to the horizon; a nil cert walks the whole way.
-// Steps are counted in SimSteps and in ctx's trace.
+// checks, a cancelled ctx aborts mid-run with its error. A non-finite norm
+// counts as above Eth, and a NaN one ends the walk with errOverflow. With
+// a certificate for a (see certificate.go) the walk ends at the first
+// below-threshold state inside the certified region, which yields the
+// same (k, ok) as walking on to the horizon; the zero certificate walks
+// the whole way. Steps are counted in SimSteps and in ctx's trace.
 //
 //cpsdyn:allocfree the dwell-curve sampler calls this tens of thousands of times per curve; an allocation here shows up directly in BenchmarkSampleCurve
 func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizon int, sc *scratch, cert certificate) (int, bool, error) {
@@ -167,8 +173,11 @@ func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizo
 	lastAbove := -1
 	pending := 0 // steps not yet flushed to the counters
 	for k := 0; k <= horizon; k++ {
-		if s.Norm(cur) > s.Eth {
+		if nrm := s.Norm(cur); nrm > s.Eth {
 			lastAbove = k
+		} else if !(nrm <= s.Eth) {
+			countSteps(tr, uint64(pending))
+			return 0, false, errOverflow
 		} else if cert.holds(cur) {
 			break
 		}
@@ -195,31 +204,46 @@ func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizo
 }
 
 // certified computes the stop certificate of loop matrix a in a fresh
-// workspace (one allocation); nil when there is none.
+// workspace (one allocation); the zero certificate when there is none.
 func (s *System) certified(ctx context.Context, a *mat.Matrix, horizon int) certificate {
 	n := a.Rows()
-	buf := make([]float64, certWorkLen(n)+n)
-	return s.certify(ctx, a, horizon, buf[n:], buf[:n])
+	buf := make([]float64, certWorkLen(n)+certLen(n))
+	return s.certify(ctx, a, horizon, buf[certLen(n):], buf[:certLen(n)])
+}
+
+// walkError renders a failed settling walk of the named loop: an
+// overflowed state names the loop, anything else is the context's
+// cancellation.
+func (s *System) walkError(loop string, err error) error {
+	if errors.Is(err, errOverflow) {
+		return s.errorf("%s: %w", loop, err)
+	}
+	return s.errorf("sampling cancelled: %w", err)
 }
 
 // response is the pure-mode settling walk of loop a from x0, stopped at
-// a's certificate.
-func (s *System) response(ctx context.Context, a *mat.Matrix, horizon int) (int, bool, error) {
-	return s.settle(ctx, a, s.X0, horizon, newScratch(len(s.X0)), s.certified(ctx, a, horizon))
+// a's certificate. An overflowed walk fails with a *Error naming the
+// loop; a cancelled one returns ctx's error as is.
+func (s *System) response(ctx context.Context, loop string, a *mat.Matrix, horizon int) (int, bool, error) {
+	k, ok, err := s.settle(ctx, a, s.X0, horizon, newScratch(len(s.X0)), s.certified(ctx, a, horizon))
+	if errors.Is(err, errOverflow) {
+		err = s.walkError(loop, err)
+	}
+	return k, ok, err
 }
 
 // ResponseStepsETContext returns the settling step count under pure ET
-// communication (the paper's ξET in samples). The error is non-nil
-// exactly when ctx expired mid-simulation.
+// communication (the paper's ξET in samples). The error is ctx's when it
+// expired mid-simulation, and a *Error when the state overflowed.
 func (s *System) ResponseStepsETContext(ctx context.Context, horizon int) (int, bool, error) {
-	return s.response(ctx, s.A1, horizon)
+	return s.response(ctx, "ET loop", s.A1, horizon)
 }
 
 // ResponseStepsTTContext returns the settling step count under pure TT
-// communication (the paper's ξTT in samples), cancelled like
+// communication (the paper's ξTT in samples), failing like
 // ResponseStepsETContext.
 func (s *System) ResponseStepsTTContext(ctx context.Context, horizon int) (int, bool, error) {
-	return s.response(ctx, s.A2, horizon)
+	return s.response(ctx, "TT loop", s.A2, horizon)
 }
 
 // DwellSteps returns kdw for a given kwait (both in samples): the settling
@@ -227,6 +251,7 @@ func (s *System) ResponseStepsTTContext(ctx context.Context, horizon int) (int, 
 // for the certified walks: no certificate, every step to the horizon. The
 // whole walk runs in one pair of scratch buffers, so the cost is
 // independent of allocation no matter how large kwait and the horizon are.
+// A walk that overflows never settles: (horizon, false).
 func (s *System) DwellSteps(kwait, horizon int) (int, bool) {
 	sc := newScratch(len(s.X0))
 	copy(sc.cur, s.X0)
@@ -235,7 +260,10 @@ func (s *System) DwellSteps(kwait, horizon int) (int, bool) {
 		sc.cur, sc.nxt = sc.nxt, sc.cur
 	}
 	simSteps.Add(uint64(kwait))
-	k, ok, _ := s.settle(nil, s.A2, sc.cur, horizon, sc, nil)
+	k, ok, err := s.settle(nil, s.A2, sc.cur, horizon, sc, certificate{})
+	if err != nil {
+		return horizon, false
+	}
 	return k, ok
 }
 
@@ -281,20 +309,21 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	}
 	n := len(s.X0)
 	sc := newScratch(n)
-	// One workspace serves both certificates; their bounds sit in front.
-	certBuf := make([]float64, 2*n+certWorkLen(n))
-	cert1 := s.certify(ctx, s.A1, horizon, certBuf[2*n:], certBuf[:n])
-	cert2 := s.certify(ctx, s.A2, horizon, certBuf[2*n:], certBuf[n:2*n])
+	// One workspace serves both certificates; they sit in front of it.
+	cl := certLen(n)
+	certBuf := make([]float64, 2*cl+certWorkLen(n))
+	cert1 := s.certify(ctx, s.A1, horizon, certBuf[2*cl:], certBuf[:cl])
+	cert2 := s.certify(ctx, s.A2, horizon, certBuf[2*cl:], certBuf[cl:2*cl])
 	kET, ok, err := s.settle(ctx, s.A1, s.X0, horizon, sc, cert1)
 	if err != nil {
-		return nil, s.errorf("sampling cancelled: %w", err)
+		return nil, s.walkError("ET loop", err)
 	}
 	if !ok {
 		return nil, s.errorf("ET loop did not settle within %d steps", horizon)
 	}
 	kTT, ok, err := s.settle(ctx, s.A2, s.X0, horizon, sc, cert2)
 	if err != nil {
-		return nil, s.errorf("sampling cancelled: %w", err)
+		return nil, s.walkError("TT loop", err)
 	}
 	if !ok {
 		return nil, s.errorf("TT loop did not settle within %d steps", horizon)
@@ -333,6 +362,9 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	kdw := make([]int, kET)
 	err = conc.ForEachWorkerCtx(ctx, kET, workers, func(w, kwait int) error {
 		k, ok, err := s.settle(ctx, s.A2, states[kwait*n:(kwait+1)*n], horizon, &scratches[w], cert2)
+		if errors.Is(err, errOverflow) {
+			return s.walkError(fmt.Sprintf("TT loop from kwait=%d", kwait), err)
+		}
 		if err != nil {
 			return err
 		}
