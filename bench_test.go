@@ -217,9 +217,9 @@ func BenchmarkAblationExactAllocator(b *testing.B) {
 
 // BenchmarkDeriveFleet measures the concurrent fleet-derivation engine on
 // the calibrated fleet (calibration excluded; the derivation cache is reset
-// and the applications are fresh copies each iteration, so neither the
-// cache nor a per-application memo serves them and the matrix exponentials
-// and dwell curves are recomputed).
+// and the applications are fresh copies each iteration, and DeriveFleet
+// fills a fresh result slice, so nothing serves them warm and the matrix
+// exponentials and dwell curves are recomputed).
 func BenchmarkDeriveFleet(b *testing.B) {
 	fleet := derivedFleet(b)
 	apps := make([]*core.Application, len(fleet))

@@ -165,8 +165,7 @@ func ciProbeRow() (service.StreamRow, error) {
 }
 
 // probeApp compiles design 0 of the CI probe family the way cpsdynd
-// compiles a request row: a fresh Application with fresh matrices, so no
-// per-Application memo can serve it.
+// compiles a request row: a fresh Application with fresh matrices.
 func probeApp() *core.Application {
 	return &core.Application{
 		Name: "probe-0",

@@ -53,10 +53,13 @@
 // keys are built by appending hex and decimal digits, without fmt; their
 // bytes are the store's record addresses and a golden test pins them.
 //
-// The per-Application derive memo (see Performance) stays above the
-// bundle. It serves a re-derivation of the very same Application with
-// pointer loads and no key, lock or allocation, which is what the gated
-// DeriveFleetWarm benchmark measures.
+// DeriveContext keeps no state on the Application: a second derivation of
+// the same Application is another key build and bundle lookup. Only
+// core.DeriveFleetInto re-serves results (see Performance): each result
+// slot it fills records a bit-exact snapshot of its application's inputs,
+// and a slot whose application is the same pointer with unchanged inputs
+// is served again with no key, lock or allocation, which is what the
+// gated DeriveFleetWarm benchmark measures.
 //
 // # Slot allocation
 //
@@ -162,15 +165,15 @@
 // semigroup identity Γ(h) = Γ(h−d) + Φ(h−d)·Γ(d) turns the delay-split
 // discretisation into two exponential evaluations instead of four
 // (lti.Discretize; lti.DelayTable caches Γ(h) at construction and spends
-// exactly one evaluation per queried delay). Above the kernels, every
-// core.Application carries a derive memo — a bit-exact snapshot of the
-// fields that feed DeriveContext plus the last *Derived — so a warm
-// core.DeriveFleetInto sweep over an unchanged fleet is a sequence of
-// pointer loads: zero allocations, no goroutines, verified by an
-// AllocsPerRun test and benchmarked by BenchmarkDeriveFleetWarm.
-// Mutating any derivation input in place invalidates the memo on the
-// next call. Because the memo embeds an atomic.Pointer, Application
-// values must not be copied; use CloneShallow.
+// exactly one evaluation per queried delay). Above the kernels,
+// core.DeriveFleetInto records in every result it derives a bit-exact
+// snapshot of the fields that fed it, so a later sweep over the same,
+// unchanged fleet into the same result slice is a sequence of pointer and
+// field comparisons: zero allocations, no goroutines, verified by an
+// AllocsPerRun test and benchmarked by BenchmarkDeriveFleetWarm. Mutating
+// any derivation input in place, or putting another *Application in a
+// slot, re-derives that slot on the next sweep. core.Application is a
+// plain value and may be copied.
 //
 // The settling walks stop at their certificates (see Sharded sampling
 // and cancellation), so a cold derive simulates hundreds of steps per
@@ -226,8 +229,12 @@
 // fan-out, or the buffered request's own decode or compile, fails that
 // request with a 500 ("internal error: …") and the daemon serves on; a
 // panicking stream row becomes that row's error row and the rest of the
-// stream is answered. One helper counts cancellations and budget overruns
-// for both framings. One rule resolves a client's worker request (the
+// stream is answered. The guard counts each panic it recovers (panics on
+// /statsz, cpsdynd_panics_total), and every error status a handler writes
+// counts by class (server.clientErrors and server.serverErrors for 4xx
+// and 5xx); a stream's error rows are rows of its 200 response, not
+// statuses. One helper counts cancellations and budget overruns for both
+// framings. One rule resolves a client's worker request (the
 // buffered workers field, a stream's ?workers=): the operator's -workers
 // is the ceiling, GOMAXPROCS without it, and a request above it, or of 0,
 // runs at the ceiling.
@@ -291,11 +298,11 @@
 // sub-stream per peer (cluster.Session over the streaming codec), matching
 // response rows to senders FIFO per peer and re-indexing them into the
 // caller's numbering. A replica that is down, slow (-peer-timeout) or
-// circuit-broken (consecutive-failure breaker with half-open probes) costs
-// only warmth: its rows are derived locally and counted — /statsz and
-// /metrics expose per-peer health plus peerRows and peerFallbacks, and a
-// replica's effective workers/streamWindow capacity is introspectable over
-// its own /statsz.
+// circuit-broken (open at the third consecutive failure, for 5 s, then a
+// half-open probe) costs only warmth: its rows are derived locally and
+// counted — /statsz and /metrics expose per-peer health plus peerRows and
+// peerFallbacks, and a replica's effective workers/streamWindow capacity
+// is introspectable over its own /statsz.
 //
 // # Persistent derivation store
 //
@@ -319,7 +326,7 @@
 // in-memory LRU: a memory miss reads through the store before computing —
 // inside the same single-flight entry, so concurrent callers share one
 // disk read — and is counted as a diskHit, not a miss; a successful
-// computation is written behind on a bounded queue that drops writes
+// computation is written behind on a 256-slot queue that drops writes
 // under saturation rather than stalling derivations. cpsdynd -cache-dir
 // enables it (off by default; -cache-dir-bytes caps the on-disk footprint,
 // oldest records evicted first) and surfaces store loads/stores/
@@ -346,10 +353,10 @@
 // snapshot: /metrics is generated from the metric and help struct tags on
 // its fields (see Enforced invariants), so the two pages cannot drift.
 // Per-endpoint request histograms live on the service.Server;
-// the pipeline histograms (per-row derive on the memo-cache slow path,
-// store load/store, peer round trip) are process-wide like the caches
-// they instrument — and the warm derive path stays uninstrumented: a
-// memo hit takes zero clock reads.
+// the pipeline histograms (per-row derive, one sample per DeriveContext
+// call; store load/store; peer round trip) are process-wide like the
+// caches they instrument — and a warm DeriveFleetInto slot stays
+// uninstrumented: serving it takes zero clock reads.
 //
 // Every request and stream carries an obs.Trace in its context: a 16-hex
 // span ID, an optional parent (the X-Cpsdyn-Trace request header; the

@@ -22,13 +22,10 @@ type breaker struct {
 	probing   bool // a half-open probe is in flight; hold further traffic
 }
 
+// newBreaker opens after threshold consecutive failures, for cooldown; both
+// must be positive. A gateway's peers use breakerThreshold and
+// breakerCooldown.
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 

@@ -96,10 +96,14 @@ func TestBreakerInterleavedSuccessKeepsClosed(t *testing.T) {
 	}
 }
 
-// Non-positive constructor arguments fall back to the documented defaults
-// rather than producing a breaker that trips instantly or never cools down.
+// A gateway's peers get the fixed breaker: open at the third consecutive
+// failure, for 5 s.
 func TestBreakerDefaults(t *testing.T) {
-	b := newBreaker(0, 0)
+	g, err := New(Config{Peers: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := g.peers[0].brk
 	if b.threshold != 3 || b.cooldown != 5*time.Second {
 		t.Fatalf("defaults = (%d, %v), want (3, 5s)", b.threshold, b.cooldown)
 	}

@@ -13,8 +13,8 @@ import (
 	"cpsdyn/internal/obs"
 )
 
-// Config tunes a Gateway. Peers is required; the zero value of everything
-// else selects sensible defaults.
+// Config tunes a Gateway. Peers is required; a zero Timeout selects the
+// default.
 type Config struct {
 	// Peers are the replica addresses, e.g. "10.0.0.2:8700" or a full URL.
 	// The configured string is the peer's ring identity verbatim, so every
@@ -24,11 +24,14 @@ type Config struct {
 	// includes the dial — before the peer is declared slow and the row
 	// falls back to local computation (≤ 0 selects 10 s).
 	Timeout time.Duration
-	// FailThreshold consecutive failures open a peer's circuit breaker
-	// (≤ 0 selects 3); Cooldown is how long it stays open (≤ 0 selects 5 s).
-	FailThreshold int
-	Cooldown      time.Duration
 }
+
+// breakerThreshold consecutive failures open a peer's circuit breaker, and
+// it stays open for breakerCooldown.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 5 * time.Second
+)
 
 // peerPath is the streaming endpoint a gateway opens on each replica.
 const peerPath = "/v1/derive/stream"
@@ -87,7 +90,7 @@ func New(cfg Config) (*Gateway, error) {
 		p := &Peer{
 			name: name,
 			url:  strings.TrimRight(base, "/") + peerPath,
-			brk:  newBreaker(cfg.FailThreshold, cfg.Cooldown),
+			brk:  newBreaker(breakerThreshold, breakerCooldown),
 		}
 		g.byName[name] = p
 		g.peers = append(g.peers, p)

@@ -83,6 +83,14 @@ func testGateway(t *testing.T, cfg Config) *Gateway {
 	return g
 }
 
+// setBreakers gives every peer of g a fresh breaker with its own threshold
+// and cooldown.
+func setBreakers(g *Gateway, threshold int, cooldown time.Duration) {
+	for _, p := range g.peers {
+		p.brk = newBreaker(threshold, cooldown)
+	}
+}
+
 // Rows round-trip through a persistent sub-stream and come back matched to
 // their waiters even when sent concurrently.
 func TestSessionRoundTripsRows(t *testing.T) {
@@ -139,11 +147,10 @@ func TestSessionFallsBackAndBreaksDeadPeer(t *testing.T) {
 	dead.Close() // the port now refuses connections
 
 	g := testGateway(t, Config{
-		Peers:         []string{ts.URL, deadURL},
-		Timeout:       2 * time.Second,
-		FailThreshold: 2,
-		Cooldown:      time.Minute,
+		Peers:   []string{ts.URL, deadURL},
+		Timeout: 2 * time.Second,
 	})
+	setBreakers(g, 2, time.Minute)
 	sess := g.Session(context.Background(), 4)
 	defer sess.Close()
 
@@ -292,11 +299,8 @@ func TestSessionCallerCancellationDoesNotChargePeer(t *testing.T) {
 // breaker like any other consecutive peer failure.
 func TestSessionRejectedRowsOpenBreaker(t *testing.T) {
 	ts := echoReplica(t)
-	g := testGateway(t, Config{
-		Peers:         []string{ts.URL},
-		FailThreshold: 3,
-		Cooldown:      time.Minute,
-	})
+	g := testGateway(t, Config{Peers: []string{ts.URL}})
+	setBreakers(g, 3, time.Minute)
 	sess := g.Session(context.Background(), 4)
 	defer sess.Close()
 

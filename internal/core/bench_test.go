@@ -6,10 +6,10 @@ import (
 )
 
 // BenchmarkDeriveFleetWarm measures the steady-state fleet sweep: every
-// application still matches its derivation memo, so each iteration is the
-// pure warm path (pointer loads plus bit-exact snapshot compares) with
-// zero allocations — the per-request cost of a service re-deriving an
-// unchanged fleet.
+// application still matches the snapshot in its result slot, so each
+// iteration is the pure warm path (pointer loads plus bit-exact snapshot
+// compares) with zero allocations — the per-iteration cost of a design
+// loop re-deriving an unchanged fleet.
 func BenchmarkDeriveFleetWarm(b *testing.B) {
 	apps := fleetApps()
 	out := make([]*Derived, len(apps))

@@ -396,7 +396,7 @@ func SetDeriveStore(s ArtifactStore) { deriveCache.setStore(s) }
 // patterns differ (0x0 vs 0x8000000000000000). That strictness is
 // load-bearing: the disk store (internal/store) addresses records by these
 // keys, so two inputs share an artefact exactly when their keys are equal,
-// and every comparison layered above (appMemo.matches) must be equally
+// and every comparison layered above (appSnapshot.matches) must be equally
 // bit-exact or it would serve a stale value the key discipline would
 // recompute. TestCacheKeyDistinguishesSignedZero pins the contract.
 func keyFloat(b []byte, v float64) []byte {

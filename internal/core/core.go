@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync/atomic"
 	"time"
 
 	"cpsdyn/internal/control"
@@ -57,40 +56,14 @@ type Application struct {
 	PolesTT, PolesET []complex128
 	QTT, RTT         *mat.Matrix
 	QET, RET         *mat.Matrix
-
-	// memo caches the latest successful derivation with a bit-exact input
-	// snapshot (see appMemo), making repeated warm derivations of an
-	// unchanged application a pointer load. Its atomic.Pointer embeds a
-	// noCopy sentinel, so an Application must be handled by pointer once
-	// it has been derived (the whole API already does).
-	memo atomic.Pointer[appMemo]
 }
 
-// CloneShallow returns a copy of the application description with a fresh
-// (empty) derivation memo. Matrices and slices are shared with the
-// original, so callers overwrite whole fields on the copy rather than
-// mutating shared contents. It exists because Application carries an
-// atomic memo and therefore must not be copied by plain assignment
-// (go vet copylocks enforces that).
+// CloneShallow returns a copy of the application description. Matrices
+// and slices are shared with the original, so callers overwrite whole
+// fields on the copy rather than mutating shared contents.
 func (a *Application) CloneShallow() *Application {
-	return &Application{
-		Name:     a.Name,
-		Plant:    a.Plant,
-		H:        a.H,
-		DelayTT:  a.DelayTT,
-		DelayET:  a.DelayET,
-		Eth:      a.Eth,
-		X0:       a.X0,
-		R:        a.R,
-		Deadline: a.Deadline,
-		FrameID:  a.FrameID,
-		PolesTT:  a.PolesTT,
-		PolesET:  a.PolesET,
-		QTT:      a.QTT,
-		RTT:      a.RTT,
-		QET:      a.QET,
-		RET:      a.RET,
-	}
+	c := *a
+	return &c
 }
 
 // Validate checks the application description. The comparisons are
@@ -172,6 +145,11 @@ type Derived struct {
 	NonMono        *pwl.Model
 	Conservative   *pwl.Model
 	Simple         *pwl.Model
+
+	// snap is App's input snapshot when DeriveFleetInto derived this
+	// result, and nil otherwise: the test that lets a later
+	// DeriveFleetInto serve the result again.
+	snap *appSnapshot
 }
 
 // DeriveContext designs both controllers, forms the switched closed
@@ -182,10 +160,13 @@ type Derived struct {
 // memoised discretisations and dwell curve it is built from: repeated
 // derivations of identical plants (fleets reuse a few plant models
 // heavily) are one key build and one lookup; see DeriveFleet for the
-// concurrent fleet entry point. The cached values are shared between
-// Derived values and must not be mutated. On a cache miss the dwell-curve
-// sampling itself fans out across the worker pool configured by
-// SetCurveSamplingWorkers.
+// concurrent fleet entry point. DeriveContext keeps no state on the
+// Application: every call validates, builds the key and returns a fresh
+// Derived, also for an Application it derived before (DeriveFleetInto is
+// the entry point that re-serves the results of an unchanged fleet). The
+// cached values are shared between Derived values and must not be
+// mutated. On a cache miss the dwell-curve sampling itself fans out
+// across the worker pool configured by SetCurveSamplingWorkers.
 //
 // When ctx expires, the in-flight matrix work stops promptly and the
 // error unwraps to ctx.Err(). A cancelled derivation never poisons the
@@ -194,17 +175,6 @@ type Derived struct {
 // when the failed computation was shared with (and run by) a concurrent
 // one.
 func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
-	// Warm path: the latest successful derivation of this very Application
-	// is kept alongside a bit-exact input snapshot; while nothing has been
-	// mutated, re-deriving is a pointer load — deliberately ahead of any
-	// instrumentation, so the warm fleet sweep stays allocation- and
-	// clock-free.
-	if m := a.memo.Load(); m != nil && m.matches(a) {
-		return m.derived, nil
-	}
-	// Everything past the memo is the slow path the latency histogram is
-	// about: validation, cache lookups, disk read-through, recomputation,
-	// model fits.
 	defer obs.DeriveRowLatency.Since(time.Now())
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -217,7 +187,6 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 	}
 	d := *v.(*Derived)
 	d.App = a
-	a.memo.Store(&appMemo{snap: snapshotApp(a), derived: &d})
 	return &d, nil
 }
 

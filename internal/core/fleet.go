@@ -33,12 +33,16 @@ func DeriveFleet(ctx context.Context, apps []*Application) ([]*Derived, error) {
 }
 
 // DeriveFleetInto is DeriveFleet writing into a caller-held result slice,
-// which must have exactly one slot per application. A fleet whose every
-// application still matches its warm-derivation memo is served by a
-// sequential sweep of pointer loads — zero allocations, no goroutines —
-// which is the steady state of a service re-deriving an unchanged fleet
-// per request; any miss falls back to the concurrent engine. On error the
-// out slice is zeroed, mirroring DeriveFleet's nil result.
+// which must have exactly one slot per application. Every result it
+// derives records a bit-exact snapshot of its application's inputs, and a
+// later call serves slot i again, untouched, while out[i].App == apps[i]
+// and that snapshot still matches: a fleet re-derived unchanged is a
+// sequential sweep of pointer and field comparisons (zero allocations, no
+// goroutines), which is the design-iteration loop of a caller that edits
+// a few applications of a fleet and re-derives it. Every other slot (nil,
+// another or a replaced *Application, a mutated input) is derived on the
+// concurrent engine. On error the out slice is zeroed, mirroring
+// DeriveFleet's nil result.
 func DeriveFleetInto(ctx context.Context, out []*Derived, apps []*Application) error {
 	if len(out) != len(apps) {
 		return fmt.Errorf("core: DeriveFleetInto: out has %d slots for %d apps", len(out), len(apps))
@@ -49,9 +53,7 @@ func DeriveFleetInto(ctx context.Context, out []*Derived, apps []*Application) e
 	}
 	warm := true
 	for i, a := range apps {
-		if m := a.memo.Load(); m != nil && m.matches(a) {
-			out[i] = m.derived
-		} else {
+		if d := out[i]; d == nil || d.App != a || d.snap == nil || !d.snap.matches(a) {
 			out[i] = nil
 			warm = false
 		}
@@ -61,7 +63,12 @@ func DeriveFleetInto(ctx context.Context, out []*Derived, apps []*Application) e
 	}
 	errs := make([]error, len(apps))
 	ferr := conc.ForEachCtx(ctx, len(apps), 0, func(i int) error {
-		out[i], errs[i] = apps[i].DeriveContext(ctx)
+		if out[i] != nil {
+			return nil // a warm slot
+		}
+		if out[i], errs[i] = apps[i].DeriveContext(ctx); errs[i] == nil {
+			out[i].snap = snapshotApp(apps[i])
+		}
 		return nil // app failures are aggregated, not dispatch-stopping
 	})
 	if ferr == nil {

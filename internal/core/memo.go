@@ -6,21 +6,15 @@ import (
 	"cpsdyn/internal/mat"
 )
 
-// appMemo caches the most recent successful derivation of one Application
-// together with a deep snapshot of every input field, so a warm
-// DeriveContext (and the DeriveFleetInto sweep above it) is a pointer load
-// plus a bit-exact field comparison — no hashing, no allocation, no lock.
-// The snapshot is deliberately bit-exact (math.Float64bits) to mirror the
-// central cache's key discipline: any mutation, however small, forces a
-// full re-derivation.
-type appMemo struct {
-	snap    appSnapshot
-	derived *Derived
-}
-
-// appSnapshot deep-copies the Application fields a derivation reads, so
-// later mutations of the live struct (or of the matrices it shares) are
-// detected instead of silently serving stale artefacts. R, Deadline and
+// appSnapshot deep-copies the Application fields a derivation reads.
+// DeriveFleetInto records one in every result it derives and serves that
+// result again, for the same *Application, only while the snapshot still
+// matches (a pointer comparison plus a bit-exact field comparison: no
+// hashing, no allocation, no lock). Later mutations of the live struct (or
+// of the matrices it shares) are therefore detected instead of silently
+// serving stale artefacts. The snapshot is deliberately bit-exact
+// (math.Float64bits) to mirror the central cache's key discipline: any
+// mutation, however small, forces a full re-derivation. R, Deadline and
 // FrameID do not shape the Derived value — it reaches them through the
 // live App pointer — but they gate Validate, so they are snapshotted too:
 // mutating one re-runs the full path including validation.
@@ -43,8 +37,8 @@ func cloneMatrix(m *mat.Matrix) *mat.Matrix {
 	return m.Clone()
 }
 
-func snapshotApp(a *Application) appSnapshot {
-	return appSnapshot{
+func snapshotApp(a *Application) *appSnapshot {
+	return &appSnapshot{
 		name:      a.Name,
 		plantName: a.Plant.Name,
 		plantA:    cloneMatrix(a.Plant.A),
@@ -110,17 +104,16 @@ func polesEqualBits(a, b []complex128) bool {
 }
 
 // matches reports whether the Application still looks exactly like it did
-// when the memoised derivation ran. Scalar fields compare by
-// math.Float64bits, not ==: the central cache keys (CacheKey/keyFloat)
-// distinguish +0 from −0 bit-exactly, so a memo that equated them would
-// serve the stale derivation while the central cache — and the disk store
-// addressed by those keys — treat the mutated field as a different key.
+// when the snapshot was taken. Scalar fields compare by math.Float64bits,
+// not ==: the central cache keys (CacheKey/keyFloat) distinguish +0 from
+// −0 bit-exactly, so a snapshot that equated them would serve the stale
+// derivation while the central cache — and the disk store addressed by
+// those keys — treat the mutated field as a different key.
 // (NaN inputs never reach a successful derivation, so bitwise comparison
 // only tightens the check.)
 //
-//cpsdyn:allocfree the warm-path probe DeriveFleetInto sweeps once per app
-func (m *appMemo) matches(a *Application) bool {
-	s := &m.snap
+//cpsdyn:allocfree the warm-slot probe DeriveFleetInto sweeps once per app
+func (s *appSnapshot) matches(a *Application) bool {
 	return a.Plant != nil &&
 		s.name == a.Name &&
 		s.plantName == a.Plant.Name &&

@@ -252,26 +252,20 @@ func TestDeriveWarmRejoinFromDiskStore(t *testing.T) {
 	}
 }
 
-// The memo must be exactly as strict as the cache key: flipping a zero
-// field's sign bit is invisible to == but changes CacheKey (and the disk
-// record address), so it must invalidate the memo. Regression for the
-// +0/−0 aliasing in appMemo.matches.
+// A result slot's snapshot must be exactly as strict as the cache key:
+// flipping a zero field's sign bit is invisible to == but changes CacheKey
+// (and the disk record address), so it must invalidate the slot.
+// Regression for the +0/−0 aliasing in appSnapshot.matches.
 func TestDeriveMemoInvalidatesOnSignedZeroFlip(t *testing.T) {
 	app := servoApp("zero", 1, 3)
 	app.DelayTT = 0 // +0
-	d1, err := app.DeriveContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2, err := app.DeriveContext(context.Background()); err != nil || d2 != d1 {
-		t.Fatalf("unchanged app re-derived (%v)", err)
+	slot := make([]*Derived, 1)
+	d1 := deriveSlot(t, slot, app)
+	if d2 := deriveSlot(t, slot, app); d2 != d1 {
+		t.Fatal("unchanged app re-derived")
 	}
 	app.DelayTT = math.Copysign(0, -1) // −0: same == class, different bits
-	d3, err := app.DeriveContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 == d1 {
+	if d3 := deriveSlot(t, slot, app); d3 == d1 {
 		t.Fatal("memo served the stale derivation across a +0 → −0 flip")
 	}
 }

@@ -170,11 +170,11 @@ func quantile(counts *[NumBuckets]uint64, total uint64, q float64) float64 {
 // cpsdynd's /statsz and /metrics next to its per-endpoint request
 // histograms.
 var (
-	// DeriveRowLatency is one application's full derivation on the slow
-	// path — everything past the warm per-Application memo: validation,
-	// cache lookups, any disk read-through or recomputation, model fits.
-	// Warm memo hits are deliberately not recorded: the steady-state fleet
-	// sweep stays a pointer load with zero instrumentation cost.
+	// DeriveRowLatency is one application's derivation, one sample per
+	// core DeriveContext call: validation, cache lookups, any disk
+	// read-through or recomputation, model fits. A DeriveFleetInto slot
+	// served warm calls no DeriveContext and is not recorded: the
+	// steady-state fleet sweep stays free of instrumentation.
 	DeriveRowLatency Histogram
 	// StoreLoadLatency is one persistent-store record load attempt (read,
 	// CRC validation, decode), hit or corrupt alike.

@@ -90,6 +90,9 @@ type ServerStats struct {
 	RowsOut         uint64 `json:"rowsOut" metric:"stream_rows_out_total" help:"NDJSON result rows written across all streams."`
 	StreamCancelled uint64 `json:"streamCancelled" metric:"stream_cancelled_total" help:"Streams cut short by budget expiry, disconnect or write failure."`
 
+	ClientErrors uint64 `json:"clientErrors" metric:"client_errors_total" help:"Responses answered with a 4xx status."`
+	ServerErrors uint64 `json:"serverErrors" metric:"server_errors_total" help:"Responses answered with a 5xx status."`
+
 	Workers      int `json:"workers" metric:"workers" help:"Per-request worker ceiling (defaults resolved)."`
 	StreamWindow int `json:"streamWindow" metric:"stream_window" help:"Per-stream NDJSON reorder window (defaults resolved)."`
 }
@@ -116,6 +119,9 @@ type Server struct {
 	rowsIn          atomic.Uint64
 	rowsOut         atomic.Uint64
 	streamCancelled atomic.Uint64
+
+	clientErrors atomic.Uint64 // 4xx statuses written
+	serverErrors atomic.Uint64 // 5xx statuses written
 
 	lat    latencyHistograms // per-endpoint request latency
 	traces *obs.Ring         // recent finished traces, behind GET /tracez
@@ -185,6 +191,9 @@ func (s *Server) Stats() ServerStats {
 		RowsOut:         s.rowsOut.Load(),
 		StreamCancelled: s.streamCancelled.Load(),
 
+		ClientErrors: s.clientErrors.Load(),
+		ServerErrors: s.serverErrors.Load(),
+
 		Workers:      s.workers(0),
 		StreamWindow: StreamOptions{Workers: s.workers(0)}.window(),
 	}
@@ -221,7 +230,15 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
+// writeError answers a 4xx or 5xx status with err as the body and counts
+// it by class. Every error status the handlers write passes through here;
+// a stream's error rows are rows of a 200 response, not statuses.
+func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+	if status >= http.StatusInternalServerError {
+		s.serverErrors.Add(1)
+	} else {
+		s.clientErrors.Add(1)
+	}
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
@@ -235,7 +252,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // (switching.SimSteps) — a live compute gauge: it stops climbing when
 // cancelled computations actually stop. CertRefusals counts the loop
 // matrices that got no stop certificate (switching.CertRefusals), each of
-// whose walks ran to its horizon. Gateway is only present in
+// whose walks ran to its horizon. Panics counts the panics guard
+// recovered, process-wide like SimSteps. Gateway is only present in
 // sharding-gateway mode: the peer list with per-peer health plus the
 // peerRows/peerFallbacks counters. Store is only present when the operator
 // enabled the persistent derivation store (-cache-dir): its load/store/
@@ -247,6 +265,7 @@ type StatszResponse struct {
 	Latency      LatencyStats    `json:"latency"`
 	SimSteps     uint64          `json:"simSteps" metric:"sim_steps_total" help:"Cumulative closed-loop simulation steps across all derivations."`
 	CertRefusals uint64          `json:"certRefusals" metric:"cert_refusals_total" help:"Loop matrices without a stop certificate, whose settling walks ran to the horizon."`
+	Panics       uint64          `json:"panics" metric:"panics_total" help:"Panics recovered in request work (a buffered request, one of its items or one stream row), each answered as an internal error."`
 	Gateway      *cluster.Stats  `json:"gateway,omitempty"`
 	Store        *store.Stats    `json:"store,omitempty"`
 }
@@ -260,6 +279,7 @@ func (s *Server) statsz() StatszResponse {
 		Latency:      s.latencyStats(),
 		SimSteps:     switching.SimSteps(),
 		CertRefusals: switching.CertRefusals(),
+		Panics:       recoveredPanics.Load(),
 	}
 	if s.gw != nil {
 		gst := s.gw.Stats()
@@ -295,15 +315,22 @@ func (e *internalError) Unwrap() error { return e.err }
 // (internal/mat panics on shape errors, and validation can have gaps). It
 // is the package's only recover. fn stores its result in the caller's
 // variables, so guard is one small frame under every request, item and
-// row.
+// row. Each recovered panic counts once, in recoveredPanics: the
+// innermost guard recovers it, and the guards around it see an error.
 func guard(fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			recoveredPanics.Add(1)
 			err = &internalError{fmt.Errorf("internal error: %v", p)}
 		}
 	}()
 	return fn()
 }
+
+// recoveredPanics counts the panics guard recovered in this process: the
+// library entry points (DeriveStream, …) run under guard too, so the
+// count is process-wide, like the caches.
+var recoveredPanics atomic.Uint64
 
 // isCancellation reports whether err is a context expiry.
 func isCancellation(err error) bool {
@@ -342,7 +369,7 @@ func (s *Server) acquire(ctx context.Context, w http.ResponseWriter) bool {
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				s.rejected.Add(1)
 			}
-			writeError(w, http.StatusServiceUnavailable,
+			s.writeError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("server busy: %d requests in flight", s.inFlight.Load()))
 			return false
 		}
@@ -404,7 +431,7 @@ func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.Handle
 		start := time.Now()
 		body, status, err := readBody(r)
 		if err != nil {
-			writeError(w, status, err)
+			s.writeError(w, status, err)
 			return
 		}
 		// Every request past the body read is traced and timed.
@@ -423,7 +450,7 @@ func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.Handle
 			writeJSON(w, http.StatusOK, v)
 			tr.StageSince(obs.StageEncode, encodeStart)
 		case overBudget:
-			writeError(w, http.StatusGatewayTimeout,
+			s.writeError(w, http.StatusGatewayTimeout,
 				fmt.Errorf("request exceeded the %s compute budget", s.cfg.Timeout))
 		case isCancellation(err) && ctx.Err() != nil:
 			// The client disconnected: nobody is listening for a reply.
@@ -435,7 +462,7 @@ func (s *Server) compute(op string, lat *obs.Histogram, fn endpoint) http.Handle
 				// context did not cause: the server failed, not the client.
 				status = http.StatusInternalServerError
 			}
-			writeError(w, status, err)
+			s.writeError(w, status, err)
 		}
 	}
 }

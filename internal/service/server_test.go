@@ -580,6 +580,7 @@ func TestComputeRecoversPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	panics := s.statsz().Panics
 	h := s.compute("panic", &s.lat.derive, func(context.Context, *Server, []byte) (any, error) { panic("boom") })
 	rr := httptest.NewRecorder()
 	h(rr, httptest.NewRequest(http.MethodPost, "/x", strings.NewReader(`{}`)))
@@ -592,6 +593,10 @@ func TestComputeRecoversPanic(t *testing.T) {
 	}
 	if st := s.Stats(); st.InFlight != 0 || st.Requests != 1 {
 		t.Fatalf("stats after panic = %+v, want drained", st)
+	}
+	if st := s.statsz(); st.Panics-panics != 1 || st.Server.ServerErrors != 1 || st.Server.ClientErrors != 0 {
+		t.Fatalf("panics +%d, server errors %d, client errors %d; want +1, 1, 0",
+			st.Panics-panics, st.Server.ServerErrors, st.Server.ClientErrors)
 	}
 }
 
@@ -630,9 +635,15 @@ func TestComputeRecoversItemPanic(t *testing.T) {
 		h(rr, httptest.NewRequest(http.MethodPost, "/v1/derive", bytes.NewReader(body)))
 		return rr
 	}
+	panics := s.statsz().Panics
 	rr := post(servoDeriveRequest(3))
 	if rr.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d (%s), want 500", rr.Code, rr.Body)
+	}
+	// The item's guard recovers the panic; the request's guard around it
+	// sees an error, so the panic counts once.
+	if st := s.statsz(); st.Panics-panics != 1 || st.Server.ServerErrors != 1 {
+		t.Fatalf("panics +%d, server errors %d; want +1, 1", st.Panics-panics, st.Server.ServerErrors)
 	}
 	var body errorBody
 	if err := json.NewDecoder(rr.Body).Decode(&body); err != nil || body.Error != "internal error: boom in item" {
@@ -646,6 +657,54 @@ func TestComputeRecoversItemPanic(t *testing.T) {
 	}
 	if st := s.Stats(); st.InFlight != 0 || st.Requests != 2 {
 		t.Fatalf("stats after the next request = %+v", st)
+	}
+	if st := s.statsz(); st.Panics-panics != 1 || st.Server.ServerErrors != 1 || st.Server.ClientErrors != 0 {
+		t.Fatalf("after the next request: panics +%d, server errors %d, client errors %d; want +1, 1, 0",
+			st.Panics-panics, st.Server.ServerErrors, st.Server.ClientErrors)
+	}
+}
+
+// Every error status a handler writes counts once, by class: a client
+// error, a budget overrun and a stream refused before its 200 each move
+// their own counter, and a success moves neither.
+func TestErrorStatusesCountedByClass(t *testing.T) {
+	s, err := New(Config{Timeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.compute("status", &s.lat.derive, func(ctx context.Context, _ *Server, body []byte) (any, error) {
+		switch string(body) {
+		case "bad":
+			return nil, errors.New("bad request")
+		case "slow":
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return map[string]string{"status": "ok"}, nil
+	})
+	stream := s.stream("derive/stream", &s.lat.deriveStream, DeriveStream)
+	for _, c := range []struct {
+		body, query    string
+		code           int
+		client, server uint64
+	}{
+		{"ok", "", http.StatusOK, 0, 0},
+		{"bad", "", http.StatusBadRequest, 1, 0},
+		{"slow", "", http.StatusGatewayTimeout, 1, 1},
+		{"", "?workers=x", http.StatusBadRequest, 2, 1},
+	} {
+		rr := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/x"+c.query, strings.NewReader(c.body))
+		if c.query != "" {
+			stream(rr, req)
+		} else {
+			h(rr, req)
+		}
+		st := s.Stats()
+		if rr.Code != c.code || st.ClientErrors != c.client || st.ServerErrors != c.server {
+			t.Fatalf("%q%s: status %d, client errors %d, server errors %d; want %d, %d, %d",
+				c.body, c.query, rr.Code, st.ClientErrors, st.ServerErrors, c.code, c.client, c.server)
+		}
 	}
 }
 

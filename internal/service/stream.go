@@ -384,7 +384,7 @@ func (s *Server) stream(op string, lat *obs.Histogram, engine streamEngine) http
 		if q := r.URL.Query().Get("workers"); q != "" {
 			n, err := strconv.Atoi(q)
 			if err != nil || n < 0 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("invalid workers value %q", q))
+				s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid workers value %q", q))
 				return
 			}
 			requested = n

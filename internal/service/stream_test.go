@@ -280,6 +280,7 @@ func TestStreamRecoversRowPanic(t *testing.T) {
 			return deriveStream(ctx, r, w, opts, boom)
 		}))
 	defer ts.Close()
+	panics := s.statsz().Panics
 	rows := streamNDJSON(t, ts.URL+"?workers=2", ndjsonBody(t, servoDeriveRequest(5).Apps))
 	if len(rows) != 5 {
 		t.Fatalf("%d rows, want 5: %+v", len(rows), rows)
@@ -301,6 +302,12 @@ func TestStreamRecoversRowPanic(t *testing.T) {
 	st := s.Stats()
 	if st.Streams != 1 || st.StreamCancelled != 0 || st.RowsIn != 5 || st.RowsOut != 5 || st.InFlight != 0 {
 		t.Fatalf("stats = %+v, want one clean 5-row stream", st)
+	}
+	// The row's panic counts once; its error row is a row of a 200
+	// response, not an error status.
+	if sz := s.statsz(); sz.Panics-panics != 1 || st.ServerErrors != 0 || st.ClientErrors != 0 {
+		t.Fatalf("panics +%d, server errors %d, client errors %d; want +1, 0, 0",
+			sz.Panics-panics, st.ServerErrors, st.ClientErrors)
 	}
 }
 

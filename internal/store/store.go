@@ -47,10 +47,11 @@ type Options struct {
 	// MaxBytes caps the total on-disk record bytes; once exceeded the
 	// least-recently-loaded records are deleted. ≤ 0 means unbounded.
 	MaxBytes int64
-	// QueueLen bounds the write-behind queue; ≤ 0 selects 256. A full
-	// queue drops further writes instead of blocking the compute path.
-	QueueLen int
 }
+
+// queueLen bounds the write-behind queue. A full queue drops further
+// writes instead of blocking the compute path.
+const queueLen = 256
 
 // Stats is a snapshot of the store's counters, exported by cpsdynd's
 // /statsz and /metrics endpoints.
@@ -106,12 +107,13 @@ type Store struct {
 // write-behind writer. Records are validated lazily: a corrupt file is
 // only detected — and deleted — when a Get reads it.
 func Open(dir string, opts Options) (*Store, error) {
+	return open(dir, opts, queueLen)
+}
+
+// open is Open with a write-behind queue of qlen slots.
+func open(dir string, opts Options, qlen int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-	qlen := opts.QueueLen
-	if qlen <= 0 {
-		qlen = 256
 	}
 	s := &Store{
 		dir:      dir,

@@ -203,7 +203,13 @@ func TestCodecRejectsWrongKeyHash(t *testing.T) {
 
 func openTestStore(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
-	s, err := Open(dir, opts)
+	return openQueueStore(t, dir, opts, queueLen)
+}
+
+// openQueueStore is openTestStore with a write-behind queue of qlen slots.
+func openQueueStore(t *testing.T, dir string, opts Options, qlen int) *Store {
+	t.Helper()
+	s, err := open(dir, opts, qlen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +418,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 func TestStoreCountsLostWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	dir := t.TempDir()
-	s := openTestStore(t, dir, Options{QueueLen: 1})
+	s := openQueueStore(t, dir, Options{}, 1)
 	h := keyHash("disc|blocked")
 	if err := os.WriteFile(filepath.Join(dir, hex.EncodeToString(h[:1])), nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -442,7 +448,7 @@ func TestStoreCountsLostWrites(t *testing.T) {
 // panicked with a negative WaitGroup counter). The race is not
 // reproducible on demand; run with -race, this pins the accounting.
 func TestConcurrentPutsAreAccounted(t *testing.T) {
-	s := openTestStore(t, t.TempDir(), Options{QueueLen: 2})
+	s := openQueueStore(t, t.TempDir(), Options{}, 2)
 	disc := randDiscrete(rand.New(rand.NewSource(15)))
 	const writers, perWriter = 8, 40
 	var wg sync.WaitGroup
