@@ -70,14 +70,17 @@
 //
 // -cache-dir DIR (off by default) backs the in-memory cache with a
 // content-addressed disk store: every derived discretisation and dwell
-// curve is written behind to DIR as a CRC-guarded record keyed by the
-// SHA-256 of its bit-exact cache key, and a memory miss reads through DIR
-// before recomputing. A restarted daemon pointed at the same directory
-// rejoins warm — it serves its shard from disk (counted as diskHits and
-// store loads, not misses) instead of re-deriving it. Torn or corrupt
-// records are detected by CRC, deleted and re-derived; they can never be
-// served. -cache-dir-bytes bounds the on-disk footprint (oldest records
-// evicted first; 0 = unbounded).
+// curve is appended behind to DIR/records.log as a CRC-guarded record
+// keyed by the SHA-256 of its bit-exact cache key, and a memory miss reads
+// through DIR before recomputing. A restarted daemon pointed at the same
+// directory rejoins warm — it serves its shard from disk (counted as
+// diskHits and store loads, not misses) instead of re-deriving it. A torn
+// tail is cut on start; corrupt records are detected by CRC, unindexed and
+// re-derived; they can never be served. A directory written by a build
+// that kept one file per record rejoins cold once. -cache-dir-bytes caps
+// the live record bytes (oldest records evicted first; 0 = unbounded);
+// compaction keeps the log within max(2 × the cap, 1 MiB) plus one
+// record.
 //
 // # Observability
 //
@@ -164,7 +167,7 @@ func main() {
 		cacheEntries = flag.Int("cache-entries", 1024, "derivation cache capacity in entries, clamped to ≥ 1; a design takes up to 4 (2 discretisations, 1 curve, 1 derivation bundle)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "derivation cache budget in approximate bytes (0 = unbounded)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the persistent derivation store (empty = no persistence)")
-		cacheDirMax  = flag.Int64("cache-dir-bytes", 0, "on-disk byte cap for -cache-dir, oldest records evicted first (0 = unbounded)")
+		cacheDirMax  = flag.Int64("cache-dir-bytes", 0, "byte cap on -cache-dir's live records, oldest evicted first; the log stays within max(2 × cap, 1 MiB) plus one record (0 = unbounded)")
 		maxInFlight  = flag.Int("max-inflight", 0, "maximum concurrently computing requests (0 = 2×GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-request compute budget")
 		workers      = flag.Int("workers", 0, "ceiling of each request's derivation/allocation workers; clients may ask for fewer (0 = GOMAXPROCS)")

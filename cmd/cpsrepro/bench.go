@@ -3,16 +3,16 @@ package main
 // bench-export runs the kernel benchmarks that gate this repository's
 // performance trajectory (matrix exponentials, discretisation, the warm
 // fleet sweep, the service's warm row path, its cache key, its codec, the
-// slot-allocation race, the certified dwell-curve sampling stage and one
-// cold derivation) hermetically via testing.Benchmark — no `go test`
-// subprocess — and writes them as one JSON report (BENCH_N.json is the
-// committed artefact per perf PR), together with exact work counters: the
-// simulated steps and kwait samples of one sequential curve sampling per
-// fixture curve. bench-compare diffs two such reports with
-// benchstat-style semantics: it fails on a >threshold geometric-mean
-// regression in ns/op, on any allocs/op increase or on any counter
-// increase, which is what the CI bench-compare job runs against the merge
-// base.
+// slot-allocation race, the certified dwell-curve sampling stage, one
+// cold derivation and the persistent store's write and read) hermetically
+// via testing.Benchmark — no `go test` subprocess — and writes them as one
+// JSON report (BENCH_N.json is the committed artefact per perf PR),
+// together with exact work counters: the simulated steps and kwait samples
+// of one sequential curve sampling per fixture curve. bench-compare diffs
+// two such reports with benchstat-style semantics: it fails on a
+// >threshold geometric-mean regression in ns/op, on any allocs/op increase
+// or on any counter increase, which is what the CI bench-compare job runs
+// against the merge base.
 
 import (
 	"bytes"
@@ -38,6 +38,7 @@ import (
 	"cpsdyn/internal/plants"
 	"cpsdyn/internal/sched"
 	"cpsdyn/internal/service"
+	"cpsdyn/internal/store"
 	"cpsdyn/internal/switching"
 )
 
@@ -422,7 +423,59 @@ func kernelBenchmarks() []struct {
 			}
 		}
 	}})
+	// The persistent store on the diesel curve's record: a write-behind Put
+	// and the Flush that waits for its append (one key, re-put, so
+	// compaction keeps the log at its floor), and a Get of the record.
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"StorePut", storeBench(func(b *testing.B, st *store.Store, curve *switching.Curve) {
+		for i := 0; i < b.N; i++ {
+			st.Put(storeBenchKey, curve)
+			st.Flush()
+		}
+	})})
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"StoreGet", storeBench(func(b *testing.B, st *store.Store, curve *switching.Curve) {
+		st.Put(storeBenchKey, curve)
+		st.Flush()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := st.Get(storeBenchKey); !ok {
+				b.Fatal("the stored record did not load")
+			}
+		}
+	})})
 	return out
+}
+
+// storeBenchKey addresses the record the store stages write and read.
+const storeBenchKey = "bench|diesel-curve"
+
+// storeBench runs body on a store opened in a fresh temp directory, with
+// the diesel curve to write; the directory goes when the run ends.
+func storeBench(body func(b *testing.B, st *store.Store, curve *switching.Curve)) func(b *testing.B) {
+	return func(b *testing.B) {
+		d, err := dieselApp().DeriveContext(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		dir, err := os.MkdirTemp("", "cpsdyn-bench-store-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		body(b, st, d.Curve)
+	}
 }
 
 // workCounters samples every fixture curve once, sequentially and

@@ -93,14 +93,25 @@
 //
 // The dominant cost of a cache-miss derive — measuring the non-monotone
 // dwell curve by exhaustive simulation (§III) — is itself sharded: a cheap
-// sequential prepass walks the switch states A1^kwait·x0 once, then every
-// kwait's independent settling simulation fans out across a bounded worker
-// pool (switching.SampleCurveWith; core.SetCurveSamplingWorkers tunes the
-// width, defaulting to every core). The sampled curve is byte-identical
-// for any worker count. The settling kernel steps in reusable scratch
-// buffers (mat.MulVecTo), so simulation allocates nothing per step, and
-// advances the process-wide switching.SimSteps gauge and the request
-// trace's simulated-step count (simSteps on /tracez).
+// sequential prepass walks the switch states A1^kwait·x0 once, then chunks
+// of 16 consecutive kwaits fan out across a bounded worker pool
+// (switching.SampleCurveWith; core.SetCurveSamplingWorkers tunes the
+// width, defaulting to every core). Inside a chunk the settling walks run
+// in lockstep: the chunk's live states sit in one block, every step tests
+// each of them (threshold, then certificate), swap-removes the ones whose
+// walk ended and steps the rest in one mat.MulVecsTo batch: four states
+// per pass over A2's rows, or, at order 3 (the probe family and every §V
+// loop), every state with A2's nine entries in registers. Each state's
+// dot products keep mat.MulVecTo's order from a +0 seed, so every
+// walk is bit-identical to the one-state walk, and the sampled curve is
+// byte-identical for any worker count. The threshold test takes no square
+// root: it compares the sum of squares with the largest float64 whose
+// rounded square root is at most Eth, computed once per curve, which
+// decides exactly as ‖x‖ > Eth because a correctly rounded square root is
+// monotone. The walks step in reusable scratch carved from one buffer, so
+// simulation allocates nothing per step, and advance the process-wide
+// switching.SimSteps gauge and the request trace's simulated-step count
+// (simSteps on /tracez) by exactly the steps the one-state walks take.
 //
 // Each settling walk looks for the last threshold excursion, which the
 // full walk only finds by stepping to the horizon (20 000 steps from
@@ -127,8 +138,9 @@
 // and counts in switching.CertRefusals (certRefusals on /statsz and on
 // its /tracez span). A walk whose state overflows to NaN fails its
 // derivation instead of counting as settled. switching.System.DwellSteps
-// keeps the exhaustive walk as the reference oracle that the property and
-// fixture tests compare against.
+// keeps the exhaustive one-state walk, with Norm's square root, as the
+// reference oracle that the property and fixture tests compare against;
+// so do the pure-mode walks and the calibration probes.
 //
 // The hot paths are cancellable end to end: context.Context threads from
 // core.DeriveFleet / (*core.Application).DeriveContext through the memo
@@ -159,7 +171,8 @@
 // runtime to fully unrolled kernels whose accumulation order is
 // bit-identical to the generic loop, so the determinism contract (and the
 // byte-exact cache keys built on it) survive the fast path; property
-// tests compare the two paths with math.Float64bits.
+// tests compare the two paths with math.Float64bits. MulVecsTo, the batch
+// form the lockstep walks step with, is held to MulVecTo the same way.
 //
 // One augmented Van Loan exponential yields both Φ(t) and Γ(t), and the
 // semigroup identity Γ(h) = Γ(h−d) + Φ(h−d)·Γ(d) turns the delay-split
@@ -178,10 +191,13 @@
 // The settling walks stop at their certificates (see Sharded sampling
 // and cancellation), so a cold derive simulates hundreds of steps per
 // kwait instead of the horizon: the CI probe stream of 20 curves costs
-// about 28 000 simulated steps instead of 19 million, and it never reaches
+// about 18 000 simulated steps instead of 19 million, and it never reaches
 // the subnormal tails that made each full-horizon step ~40× slower than a
 // normal-range one. CI pins this with a simSteps bound on the gateway
-// e2e's reference stream.
+// e2e's reference stream. The lockstep walks then make each of those steps
+// cheaper: on one worker the probe-0 curve samples in ~36 µs instead of
+// ~65 µs, the diesel curve in ~1.3 ms instead of ~1.9 ms (BENCH_26.json
+// against its parent, same host).
 //
 // The benchmark trajectory is CI-gated: cpsrepro bench-export runs the
 // kernel suite hermetically (testing.Benchmark in-process) and writes a
@@ -189,14 +205,16 @@
 // merge base, failing on a >15% geometric-mean ns/op regression or on any
 // benchmark whose allocs/op increased. The gate compares two exports made
 // in the same CI job, the PR's and its merge base's. The committed
-// reports (BENCH_8.json, BENCH_16.json, BENCH_17.json, BENCH_19.json,
-// BENCH_21.json) are records of the trajectory, not the gate: on a shared
-// host, drift alone moved untouched kernels 1.4–1.7× between them. Besides
-// the kernels, the suite times the service's row path (DeriveRowWarm: a
-// freshly compiled probe app on a warm cache), the CacheKey the gateway
-// computes for every routed row, the allocation race, the NDJSON codec,
-// the certified curve sampling of probe design 0, the diesel loop and §V
-// loop C4 on one worker, and one cold derivation (DeriveCold).
+// reports (BENCH_8.json through BENCH_26.json) are records of the
+// trajectory, not the gate: on a shared host, drift alone moved untouched
+// kernels 1.4–1.7× between them. Besides the kernels, the suite times the
+// service's row path (DeriveRowWarm: a freshly compiled probe app on a
+// warm cache), the CacheKey the gateway computes for every routed row,
+// the allocation race, the NDJSON codec, the certified curve sampling of
+// probe design 0, the diesel loop and §V loop C4 on one worker, one cold
+// derivation (DeriveCold), and the persistent store's write-behind Put of
+// the diesel curve's record with the Flush that waits for its append
+// (StorePut) and a Get of it (StoreGet).
 //
 // # Service mode (cmd/cpsdynd)
 //
@@ -232,8 +250,9 @@
 // stream is answered. The guard counts each panic it recovers (panics on
 // /statsz, cpsdynd_panics_total), and every error status a handler writes
 // counts by class (server.clientErrors and server.serverErrors for 4xx
-// and 5xx); a stream's error rows are rows of its 200 response, not
-// statuses. One helper counts cancellations and budget overruns for both
+// and 5xx), as do the 404 and 405 answers the mux writes itself for an
+// unknown path or a wrong method; a stream's error rows are rows of its
+// 200 response, not statuses. One helper counts cancellations and budget overruns for both
 // framings. One rule resolves a client's worker request (the
 // buffered workers field, a stream's ?workers=): the operator's -workers
 // is the ceiling, GOMAXPROCS without it, and a request above it, or of 0,
@@ -310,17 +329,27 @@
 // internal/store persist it: an artefact is a pure function of its
 // bit-exact cache key, so a disk record can only ever disagree with a
 // recomputation by being corrupt — staleness cannot exist. The store is
-// content-addressed and one-file-per-key: record dir/<hh>/<hex>.rec holds
-// a 48-byte header (magic "CPSD", format version, artefact kind, the
-// SHA-256 of the full cache-key string, payload length, CRC-32C of the
-// payload) followed by a versioned binary payload in which every float64
-// crosses as its math.Float64bits pattern — a decoded discretisation or
-// dwell curve is bit-identical to the encoded one, pinned by
-// property tests that also prove every single-byte flip and truncation is
-// rejected. Writes go to a temp file and rename into place atomically;
-// Open sweeps orphaned temp files; a torn or bit-rotted record fails its
-// CRC on load, is counted as a loadError, deleted and re-derived — never
-// served, never fatal.
+// content-addressed and one append-only log per directory:
+// dir/records.log holds records back to back, each a 48-byte header
+// (magic "CPSD", format version, artefact kind, the SHA-256 of the full
+// cache-key string, payload length, CRC-32C of the payload) followed by a
+// versioned binary payload in which every float64 crosses as its
+// math.Float64bits pattern — a decoded discretisation or dwell curve is
+// bit-identical to the encoded one, pinned by property tests that also
+// prove every single-byte flip and truncation is rejected. The index maps
+// a key's hash to the offset and size of its latest record, so a write is
+// one append and a load one positioned read. Open indexes the log in
+// order and cuts a torn tail, the half record a crash mid-append leaves;
+// a record that fails its checks on load is counted as a loadError,
+// unindexed and re-derived — never served, never fatal. Superseded,
+// evicted and rejected records are dead bytes: once they outweigh the
+// live ones and the log is past 1 MiB, the writer rewrites the live
+// records, least recently used first, into a temp file and renames it over
+// the log, so the log stays within max(2 × live bytes, 1 MiB) plus one
+// record and a reopened store keeps the LRU order. A closed store holds no
+// file descriptor. A directory written in the one-file-per-record layout
+// that came before the log (dir/<hh>/<hex>.rec) is not read: it rejoins
+// cold once, and its old files can be deleted.
 //
 // core.SetDeriveStore hangs the store (any core.ArtifactStore) under the
 // in-memory LRU: a memory miss reads through the store before computing —
@@ -328,9 +357,11 @@
 // disk read — and is counted as a diskHit, not a miss; a successful
 // computation is written behind on a 256-slot queue that drops writes
 // under saturation rather than stalling derivations. cpsdynd -cache-dir
-// enables it (off by default; -cache-dir-bytes caps the on-disk footprint,
-// oldest records evicted first) and surfaces store loads/stores/
-// loadErrors/dropped/writeErrors/records/bytes in /statsz and as
+// enables it (off by default; -cache-dir-bytes caps the live record
+// bytes, oldest records evicted first, which holds the log within
+// max(2 × the cap, 1 MiB) plus one record) and surfaces store
+// loads/stores/loadErrors/dropped/writeErrors/records/bytes in /statsz
+// and as
 // cpsdynd_store_* in /metrics — a write lost to a full queue or a failed
 // disk write is counted, not silent.
 // The operational payoff is warm rejoin: a replica restarted onto the

@@ -214,6 +214,56 @@ func (m *Matrix) MulVecTo(dst, v []float64) {
 	}
 }
 
+// MulVecsTo computes m·v for a batch of vectors stored back to back: v
+// holds k vectors of length Cols(), and dst[q·Rows():(q+1)·Rows()]
+// receives m times the q-th. dst must not alias v. Each product keeps
+// MulVecTo's accumulation order from a +0 seed, so every entry is
+// bit-identical to k MulVecTo calls; what the batch saves is the per-call
+// overhead and the reloads of m. The generic form steps four vectors per
+// pass over m's rows and the one to three left over singly; the order-3
+// form keeps m's nine entries in registers across the batch. It is the
+// lockstep kernel of the dwell-curve walks.
+//
+//cpsdyn:allocfree steps every live lane of a lockstep walk once per call; a walk makes thousands
+func (m *Matrix) MulVecsTo(dst, v []float64) {
+	r, c := m.rows, m.cols
+	if c == 0 || len(v)%c != 0 || len(dst) != len(v)/c*r {
+		panic(fmt.Sprintf("mat: MulVecsTo shape mismatch %d×%d · %d values into %d", r, c, len(v), len(dst)))
+	}
+	if r == 3 && c == 3 {
+		mulVecs3(dst, m.data, v)
+		return
+	}
+	k := len(v) / c
+	q := 0
+	for ; q+4 <= k; q += 4 {
+		x0, x1, x2, x3 := v[q*c:][:c], v[(q+1)*c:][:c], v[(q+2)*c:][:c], v[(q+3)*c:][:c]
+		y0, y1, y2, y3 := dst[q*r:][:r], dst[(q+1)*r:][:r], dst[(q+2)*r:][:r], dst[(q+3)*r:][:r]
+		for i := range y0 {
+			row := m.data[i*c:][:c]
+			var s0, s1, s2, s3 float64
+			for j, a := range row {
+				s0 += a * x0[j]
+				s1 += a * x1[j]
+				s2 += a * x2[j]
+				s3 += a * x3[j]
+			}
+			y0[i], y1[i], y2[i], y3[i] = s0, s1, s2, s3
+		}
+	}
+	for ; q < k; q++ {
+		x, y := v[q*c:][:c], dst[q*r:][:r]
+		for i := range y {
+			row := m.data[i*c:][:c]
+			var s float64
+			for j, a := range row {
+				s += a * x[j]
+			}
+			y[i] = s
+		}
+	}
+}
+
 // T returns the transpose of m.
 func (m *Matrix) T() *Matrix {
 	out := New(m.cols, m.rows)

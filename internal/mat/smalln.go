@@ -126,3 +126,29 @@ func mulVecSmall(dst, m, v []float64, r, c int) {
 		}
 	}
 }
+
+// mulVecs3 is MulVecsTo for a 3×3 matrix m: the nine entries stay in
+// registers across the whole batch.
+//
+//cpsdyn:allocfree the unrolled fast path under MulVecsTo's allocfree contract
+func mulVecs3(dst, m, v []float64) {
+	m = m[:9]
+	a00, a01, a02 := m[0], m[1], m[2]
+	a10, a11, a12 := m[3], m[4], m[5]
+	a20, a21, a22 := m[6], m[7], m[8]
+	for len(v) >= 3 && len(dst) >= 3 {
+		v0, v1, v2 := v[0], v[1], v[2]
+		var s0, s1, s2 float64
+		s0 += a00 * v0
+		s1 += a10 * v0
+		s2 += a20 * v0
+		s0 += a01 * v1
+		s1 += a11 * v1
+		s2 += a21 * v1
+		s0 += a02 * v2
+		s1 += a12 * v2
+		s2 += a22 * v2
+		dst[0], dst[1], dst[2] = s0, s1, s2
+		v, dst = v[3:], dst[3:]
+	}
+}

@@ -113,6 +113,61 @@ func TestPropMulVecToMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestPropMulVecsToMatchesMulVecTo pins the batch kernel, generic and
+// unrolled, to MulVecTo bit for bit: square orders 1..8 and rectangular
+// shapes, batches of 0..9 vectors (whole passes of four and the singles
+// left over). Every other trial draws plain normal entries, whose sums
+// round differently in any other order; the rest mix in signed zeros,
+// subnormals and huge and tiny values.
+func TestPropMulVecsToMatchesMulVecTo(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	plain := false
+	awkward := func() float64 {
+		if plain {
+			return r.NormFloat64()
+		}
+		switch r.Intn(6) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		case 2:
+			return math.Float64frombits(r.Uint64()&(1<<52-1)) * float64(1-2*r.Intn(2)) // subnormal
+		case 3:
+			return r.NormFloat64() * math.Pow(2, float64(r.Intn(2000)-1000))
+		}
+		return r.NormFloat64()
+	}
+	for trial := 0; trial < 4000; trial++ {
+		rows, cols := 1+trial%8, 1+trial%8
+		if trial%5 == 4 {
+			rows, cols = 1+r.Intn(8), 1+r.Intn(8)
+		}
+		k := r.Intn(10)
+		plain = trial%2 == 1
+		m := New(rows, cols)
+		for i := range m.data {
+			m.data[i] = awkward()
+		}
+		v := make([]float64, k*cols)
+		for i := range v {
+			v[i] = awkward()
+		}
+		want := make([]float64, k*rows)
+		for q := 0; q < k; q++ {
+			m.MulVecTo(want[q*rows:(q+1)*rows], v[q*cols:(q+1)*cols])
+		}
+		got := make([]float64, k*rows)
+		m.MulVecsTo(got, v)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d×%d, %d vectors: entry %d = %g (bits %016x), MulVecTo %g (bits %016x)\nm = %v v = %v",
+					rows, cols, k, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), m, v)
+			}
+		}
+	}
+}
+
 // TestPropExpmToMatchesExpm holds the workspace exponential (with a reused,
 // dirty workspace) byte-identical to the allocating wrapper for orders 1..8.
 func TestPropExpmToMatchesExpm(t *testing.T) {

@@ -173,8 +173,16 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. The 404 and 405 answers the mux
+// writes itself (no route matches the path, or none the method) pass no
+// handler's writeError, so they are counted here: the mux reports an empty
+// pattern for exactly those two.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if _, pattern := s.mux.Handler(r); pattern == "" {
+		s.clientErrors.Add(1)
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() ServerStats {

@@ -706,6 +706,28 @@ func TestErrorStatusesCountedByClass(t *testing.T) {
 				c.body, c.query, rr.Code, st.ClientErrors, st.ServerErrors, c.code, c.client, c.server)
 		}
 	}
+	// The mux's own answers, an unknown path and a wrong method, count as
+	// client errors too; their statuses, bodies and Allow header are the
+	// mux's.
+	for _, c := range []struct {
+		method, path string
+		code         int
+		client       uint64
+		allow, body  string
+	}{
+		{http.MethodPost, "/v1/nope", http.StatusNotFound, 3, "", "404 page not found\n"},
+		{http.MethodGet, "/v1/derive", http.StatusMethodNotAllowed, 4, "POST", "Method Not Allowed\n"},
+	} {
+		rr := httptest.NewRecorder()
+		s.ServeHTTP(rr, httptest.NewRequest(c.method, c.path, nil))
+		st := s.Stats()
+		if rr.Code != c.code || rr.Header().Get("Allow") != c.allow || rr.Body.String() != c.body ||
+			st.ClientErrors != c.client || st.ServerErrors != 1 {
+			t.Fatalf("%s %s: status %d, Allow %q, body %q, client errors %d, server errors %d; want %d, %q, %q, %d, 1",
+				c.method, c.path, rr.Code, rr.Header().Get("Allow"), rr.Body, st.ClientErrors, st.ServerErrors,
+				c.code, c.allow, c.body, c.client)
+		}
+	}
 }
 
 // One rule resolves a client's worker request in both framings, the

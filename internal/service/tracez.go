@@ -38,7 +38,7 @@ type LatencyStats struct {
 	AllocateStream  obs.Snapshot  `json:"allocateStream" metric:"latency_allocate_stream_seconds" help:"/v1/allocate/stream request latency (whole stream)."`
 	Calibrate       obs.Snapshot  `json:"calibrate" metric:"latency_calibrate_seconds" help:"Buffered /v1/calibrate request latency."`
 	CalibrateStream obs.Snapshot  `json:"calibrateStream" metric:"latency_calibrate_stream_seconds" help:"/v1/calibrate/stream request latency (whole stream)."`
-	DeriveRow       obs.Snapshot  `json:"deriveRow" metric:"latency_derive_row_seconds" help:"Per-row derivation latency on the memo-cache slow path."`
+	DeriveRow       obs.Snapshot  `json:"deriveRow" metric:"latency_derive_row_seconds" help:"Per-row derivation latency: one sample per derivation call, cache hit or miss."`
 	StoreLoad       *obs.Snapshot `json:"storeLoad,omitempty" metric:"latency_store_load_seconds" help:"Persistent-store load latency (disk-touching attempts, hit or corrupt)."`
 	StoreStore      *obs.Snapshot `json:"storeStore,omitempty" metric:"latency_store_store_seconds" help:"Persistent-store write latency."`
 	PeerRoundTrip   *obs.Snapshot `json:"peerRoundTrip,omitempty" metric:"latency_peer_round_trip_seconds" help:"Settled peer exchange round-trip latency in sharding-gateway mode."`

@@ -1,12 +1,13 @@
 package store
 
 import (
-	"encoding/hex"
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -261,9 +262,50 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// A torn or corrupt record — here a flipped byte in place — must be
-// rejected, counted, deleted and served as a miss, never crash or serve
-// wrong data.
+// logPath is the log of the store in dir.
+func logPath(dir string) string { return filepath.Join(dir, logName) }
+
+// readLog returns the bytes of the log in dir.
+func readLog(t *testing.T, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// bigCurve is a curve whose record is about 64 KiB, so a few dozen
+// re-puts of one key carry the log past compactFloor.
+func bigCurve(rng *rand.Rand) *switching.Curve {
+	c := randCurve(rng)
+	c.Samples = make([]pwl.Point, 4000)
+	for i := range c.Samples {
+		c.Samples[i] = pwl.Point{Wait: randFloat(rng), Dwell: randFloat(rng)}
+	}
+	return c
+}
+
+// churn re-puts one key with fresh big curves until a compaction has
+// shrunk the log.
+func churn(t *testing.T, s *Store, dir, key string, rng *rand.Rand) {
+	t.Helper()
+	prev := len(readLog(t, dir))
+	for i := 0; i < 100; i++ {
+		putAndFlush(t, s, key, bigCurve(rng))
+		size := len(readLog(t, dir))
+		if size < prev {
+			return
+		}
+		prev = size
+	}
+	t.Fatal("the log never compacted")
+}
+
+// A corrupt record — here a flipped byte inside it in the log — must be
+// rejected, counted once, unindexed and served as a miss, never crash or
+// serve wrong data; a re-put heals the key, and the next compaction drops
+// the bad bytes from the log.
 func TestStoreCorruptRecordRejectedAndSwept(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	dir := t.TempDir()
@@ -271,30 +313,25 @@ func TestStoreCorruptRecordRejectedAndSwept(t *testing.T) {
 	putAndFlush(t, s, "disc|torn", randDiscrete(rng))
 	s.Close()
 
-	h := keyHash("disc|torn")
-	path := filepath.Join(dir, hex.EncodeToString(h[:])[:2], hex.EncodeToString(h[:])+".rec")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readLog(t, dir)
 	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	bad := append([]byte(nil), data...)
+	if err := os.WriteFile(logPath(dir), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := openTestStore(t, dir, Options{})
-	if v, ok := s2.Get("disc|torn"); ok {
-		t.Fatalf("corrupt record served: %T", v)
+	for i := 0; i < 2; i++ {
+		if v, ok := s2.Get("disc|torn"); ok {
+			t.Fatalf("corrupt record served: %T", v)
+		}
 	}
 	st := s2.Stats()
 	if st.LoadErrors != 1 || st.Loads != 0 {
 		t.Fatalf("corrupt load: %+v", st)
 	}
-	if st.Records != 0 {
+	if st.Records != 0 || st.Bytes != 0 {
 		t.Fatalf("corrupt record still indexed: %+v", st)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt record not deleted: %v", err)
 	}
 	// Re-storing under the same key heals the entry.
 	want := randDiscrete(rng)
@@ -304,25 +341,191 @@ func TestStoreCorruptRecordRejectedAndSwept(t *testing.T) {
 		t.Fatal("healed record missing")
 	}
 	matricesIdentical(t, "Phi", v.(*lti.Discrete).Phi, want.Phi)
+	// Compaction keeps the healed record and drops the bad one.
+	churn(t, s2, dir, "curve|churn", rng)
+	if log := readLog(t, dir); bytes.Contains(log, bad) {
+		t.Fatal("the corrupt record survived a compaction")
+	}
+	v, ok = s2.Get("disc|torn")
+	if !ok {
+		t.Fatal("healed record lost in the compaction")
+	}
+	matricesIdentical(t, "Phi", v.(*lti.Discrete).Phi, want.Phi)
 }
 
-// Orphaned temp files — a crash between write and rename — are swept on
-// Open and never indexed.
+// A crash mid-append leaves half a record at the end of the log, and one
+// mid-compaction a temp file: Open indexes only the whole records, cuts
+// the tail and removes the temp file.
 func TestStoreSweepsTempOrphans(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "ab"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	orphan := filepath.Join(dir, "ab", "ab0000.rec.tmp")
-	if err := os.WriteFile(orphan, []byte("half a record"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	s := openTestStore(t, dir, Options{})
-	if st := s.Stats(); st.Records != 0 {
-		t.Fatalf("orphan indexed: %+v", st)
+	disc, curve := randDiscrete(rng), randCurve(rng)
+	putAndFlush(t, s, "disc|a", disc)
+	putAndFlush(t, s, "curve|b", curve)
+	s.Close()
+	whole := readLog(t, dir)
+	torn, err := encodeRecord(keyHash("disc|torn"), randDiscrete(rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath(dir), append(append([]byte(nil), whole...), torn[:len(torn)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, tmpName)
+	if err := os.WriteFile(orphan, []byte("half a compaction"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openTestStore(t, dir, Options{})
+	if st := s2.Stats(); st.Records != 2 || st.Bytes != int64(len(whole)) {
+		t.Fatalf("after reopening: %+v, want the 2 whole records (%d bytes)", st, len(whole))
+	}
+	if got := readLog(t, dir); !bytes.Equal(got, whole) {
+		t.Fatalf("torn tail not cut: log is %d bytes, want %d", len(got), len(whole))
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphan not swept: %v", err)
+	}
+	if _, ok := s2.Get("disc|torn"); ok {
+		t.Fatal("torn record served")
+	}
+	v, ok := s2.Get("disc|a")
+	if !ok {
+		t.Fatal("disc|a lost")
+	}
+	matricesIdentical(t, "Phi", v.(*lti.Discrete).Phi, disc.Phi)
+	if _, ok := s2.Get("curve|b"); !ok {
+		t.Fatal("curve|b lost")
+	}
+	// Appends continue after the cut, and a reopened store finds them.
+	putAndFlush(t, s2, "disc|c", disc)
+	s2.Close()
+	if st := openTestStore(t, dir, Options{}).Stats(); st.Records != 3 {
+		t.Fatalf("after an append past the cut: %+v, want 3 records", st)
+	}
+}
+
+// Compaction keeps every live record bit-identical, holds the log within
+// max(2 × live bytes, compactFloor) plus one record, and writes the live
+// records least recently used first, so a reopened store evicts in the
+// order the closed one would have.
+func TestStoreCompactionKeepsLiveRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	dir := t.TempDir()
+	s := openTestStore(t, dir, Options{})
+	want := map[string]any{}
+	put := func(key string, v any) {
+		putAndFlush(t, s, key, v)
+		want[key] = v
+		size, live := int64(len(readLog(t, dir))), s.Stats().Bytes
+		if bound := max(2*live, compactFloor) + 70<<10; size > bound {
+			t.Fatalf("log is %d bytes with %d live, bound %d", size, live, bound)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if i%2 == 0 {
+			put(fmt.Sprintf("disc|%d", i), randDiscrete(rng))
+		} else {
+			put(fmt.Sprintf("curve|%d", i), randCurve(rng))
+		}
+	}
+	for _, i := range []int{3, 7, 1} {
+		if _, ok := s.Get(fmt.Sprintf("curve|%d", i)); !ok {
+			t.Fatalf("curve|%d missing", i)
+		}
+	}
+	written := int64(0)
+	for i := 0; i < 40; i++ {
+		c := bigCurve(rng)
+		if i%8 == 0 {
+			put(fmt.Sprintf("curve|big%d", i), c)
+		} else {
+			put("curve|churn", c)
+		}
+		rec, _ := encodeRecord(keyHash("curve|churn"), c)
+		written += int64(len(rec))
+	}
+	if size := int64(len(readLog(t, dir))); size >= written {
+		t.Fatalf("log is %d bytes after %d bytes of writes: never compacted", size, written)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		for key, v := range want {
+			got, ok := s.Get(key)
+			if !ok {
+				t.Fatalf("%s: %s missing", when, key)
+			}
+			h := keyHash(key)
+			a, _ := encodeRecord(h, got)
+			b, _ := encodeRecord(h, v)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s: %s is not bit-identical to what was put", when, key)
+			}
+		}
+	}
+	order := func(s *Store) [][32]byte {
+		var out [][32]byte
+		for el := s.lru.Front(); el != nil; el = el.Next() {
+			out = append(out, el.Value.(*record).hash)
+		}
+		return out
+	}
+	before := order(s)
+	s.Close()
+	s2 := openTestStore(t, dir, Options{})
+	if after := order(s2); !slices.Equal(after, before) {
+		t.Fatalf("LRU order changed across a reopen:\nbefore %x\nafter  %x", before, after)
+	}
+	check(s, "closed")
+	check(s2, "reopened")
+}
+
+// A store of N records is one directory holding one log, and a closed
+// store holds no descriptor of it.
+func TestStoreIsOneLogAndCloseReleasesIt(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dir := t.TempDir()
+	s := openTestStore(t, dir, Options{})
+	if _, err := os.Stat(logPath(dir)); !os.IsNotExist(err) {
+		t.Fatalf("Open created the log: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		s.Put(fmt.Sprintf("disc|%d", i), randDiscrete(rng))
+	}
+	s.Flush()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != logName || !entries[0].Type().IsRegular() {
+		t.Fatalf("store directory holds %v, want just %s", entries, logName)
+	}
+	if s.Stats().Records != 20 {
+		t.Fatalf("%+v, want 20 records", s.Stats())
+	}
+	openLogs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		n := 0
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == logPath(dir) {
+				n++
+			}
+		}
+		return n
+	}
+	if openLogs() != 1 {
+		t.Fatalf("an open store holds %d descriptors of its log, want 1", openLogs())
+	}
+	s.Close()
+	if n := openLogs(); n != 0 {
+		t.Fatalf("a closed store holds %d descriptors of its log", n)
+	}
+	// Gets still serve, each on a descriptor of its own.
+	if _, ok := s.Get("disc|7"); !ok || openLogs() != 0 {
+		t.Fatal("a Get after Close failed or kept a descriptor")
 	}
 }
 
@@ -412,15 +615,14 @@ func TestStoreConcurrentAccess(t *testing.T) {
 }
 
 // Every encodable Put is accounted once Flush returns: stored, lost to a
-// write error, or dropped by the full queue. A regular file where the
-// first record's <hh> fan-out directory belongs fails its mkdir even for
-// root; a one-slot queue fed faster than the writer drops the rest.
+// write error, or dropped by the full queue. A directory where the log
+// belongs fails every append, even for root; a one-slot queue fed faster
+// than the writer drops the rest.
 func TestStoreCountsLostWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	dir := t.TempDir()
 	s := openQueueStore(t, dir, Options{}, 1)
-	h := keyHash("disc|blocked")
-	if err := os.WriteFile(filepath.Join(dir, hex.EncodeToString(h[:1])), nil, 0o644); err != nil {
+	if err := os.Mkdir(logPath(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	disc := randDiscrete(rng)
@@ -436,8 +638,8 @@ func TestStoreCountsLostWrites(t *testing.T) {
 		t.Fatalf("stores %d + write errors %d + dropped %d = %d, want %d encodable puts",
 			st.Stores, st.WriteErrors, st.Dropped, got, puts)
 	}
-	if st.WriteErrors == 0 || st.Dropped == 0 {
-		t.Fatalf("want both loss paths counted: %+v", st)
+	if st.Stores != 0 || st.WriteErrors == 0 || st.Dropped == 0 {
+		t.Fatalf("want every write lost, to both loss paths: %+v", st)
 	}
 }
 

@@ -125,7 +125,7 @@ type certificate struct {
 // or else both tests of step 5. NaN entries fail.
 //
 //cpsdyn:allocfree checked on every below-threshold step of the settle hot path
-func (c certificate) holds(x []float64) bool {
+func (c *certificate) holds(x []float64) bool {
 	if inBox(c.box, x) {
 		return true
 	}

@@ -278,8 +278,9 @@ type Curve struct {
 
 // SampleCurveOptions tunes the dwell-curve sampling.
 type SampleCurveOptions struct {
-	// Workers bounds the fan-out of the per-kwait settling simulations.
-	// 1 runs strictly sequentially; ≤ 0 selects runtime.GOMAXPROCS(0).
+	// Workers bounds the fan-out of the settling simulations' lockstep
+	// chunks. 1 runs strictly sequentially; ≤ 0 selects
+	// runtime.GOMAXPROCS(0).
 	// The sampled curve is byte-identical for every worker count.
 	Workers int
 	// Horizon bounds each settling simulation; it must comfortably exceed
@@ -294,10 +295,11 @@ type SampleCurveOptions struct {
 // SampleCurveWith measures kdw(kwait) for every kwait from 0 up to the
 // pure-ET settling time in two phases. A sequential prepass walks
 // x_kwait = A1^kwait·x0 once (kET cheap matrix–vector products into one flat
-// buffer); the fan-out then runs each kwait's independent A2 settling
-// simulation across a bounded worker pool. Every simulation performs the
-// exact same float arithmetic in every configuration, so the curve is
-// byte-identical to the sequential path for any worker count.
+// buffer); the fan-out then hands chunks of consecutive kwaits to a bounded
+// worker pool, and each chunk walks its A2 settling simulations in
+// lockstep. Every simulation performs the exact same float arithmetic as
+// settle's in every configuration, so the curve is byte-identical for any
+// worker count.
 func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -340,39 +342,44 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 		}
 		countSteps(obs.FromContext(ctx), uint64(kET-1))
 	}
-	// Fan-out: the settling runs are independent; shard them across the
-	// pool, one scratch pair per worker.
+	// Fan-out: the settling runs are independent. Chunks of laneChunk
+	// consecutive kwaits go to the pool, and each chunk walks its switch
+	// states in lockstep (lockstep.go).
+	chunks := (kET + laneChunk - 1) / laneChunk
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > kET {
-		workers = kET
+	if workers > chunks {
+		workers = chunks
 	}
-	// One flat backing array carries every worker's ping-pong pair — the
-	// same flat-buffer idiom as the states prepass above — so the scratch
-	// cost is two allocations however wide the pool is, instead of three
-	// per shard.
-	flat := make([]float64, 2*workers*n)
-	scratches := make([]scratch, workers)
-	for w := range scratches {
-		pair := flat[2*w*n : 2*(w+1)*n]
-		scratches[w] = scratch{cur: pair[:n:n], nxt: pair[n:]}
-	}
+	// One flat backing array carries every worker's pair of lane blocks —
+	// the same flat-buffer idiom as the states prepass above — so the
+	// scratch cost is one allocation however wide the pool is.
+	lanes := laneChunk * n
+	flat := make([]float64, 2*workers*lanes)
+	t := sumSqThreshold(s.Eth)
 	kdw := make([]int, kET)
-	err = conc.ForEachWorkerCtx(ctx, kET, workers, func(w, kwait int) error {
-		k, ok, err := s.settle(ctx, s.A2, states[kwait*n:(kwait+1)*n], horizon, &scratches[w], cert2)
-		if errors.Is(err, errOverflow) {
-			return s.walkError(fmt.Sprintf("TT loop from kwait=%d", kwait), err)
+	err = conc.ForEachWorkerCtx(ctx, chunks, workers, func(w, c int) error {
+		var idx [laneChunk]int
+		lo, hi := c*laneChunk, min((c+1)*laneChunk, kET)
+		for l := range hi - lo {
+			idx[l] = lo + l
 		}
-		if err != nil {
+		blk := flat[2*w*lanes : 2*(w+1)*lanes]
+		cur, nxt := blk[:(hi-lo)*n], blk[lanes:lanes+(hi-lo)*n]
+		copy(cur, states[lo*n:hi*n])
+		cert := cert2 // a chunk's own copy keeps cert2 off the heap
+		kwait, overflow, err := s.walkLanes(ctx, s.A2, cur, nxt, idx[:hi-lo], kdw, horizon, t, &cert)
+		switch {
+		case err != nil:
 			return err
+		case kwait < 0:
+			return nil
+		case overflow:
+			return s.walkError(fmt.Sprintf("TT loop from kwait=%d", kwait), errOverflow)
 		}
-		if !ok {
-			return s.errorf("TT loop did not settle from kwait=%d within %d steps", kwait, horizon)
-		}
-		kdw[kwait] = k
-		return nil
+		return s.errorf("TT loop did not settle from kwait=%d within %d steps", kwait, horizon)
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
