@@ -4,11 +4,13 @@ package main
 // performance trajectory (matrix exponentials, discretisation, the warm
 // fleet sweep, the service's warm row path, its cache key, its codec, the
 // slot-allocation race, the certified dwell-curve sampling stage, one
-// cold derivation and the persistent store's write and read) hermetically
-// via testing.Benchmark — no `go test` subprocess — and writes them as one
-// JSON report (BENCH_N.json is the committed artefact per perf PR),
-// together with exact work counters: the simulated steps and kwait samples
-// of one sequential curve sampling per fixture curve. bench-compare diffs
+// cold derivation, the persistent store's write and read, and one servo
+// calibration) hermetically via testing.Benchmark — no `go test`
+// subprocess — and writes them as one JSON report (BENCH_N.json is the
+// committed artefact per perf PR), together with exact work counters: the
+// simulated steps and kwait samples of one sequential curve sampling per
+// fixture curve, and the simulated steps of each §V calibration search.
+// bench-compare diffs
 // two such reports with benchstat-style semantics: it fails on a
 // >threshold geometric-mean regression in ns/op, on any allocs/op increase
 // or on any counter increase, which is what the CI bench-compare job runs
@@ -200,6 +202,23 @@ func dieselApp() *core.Application {
 		R: 8, Deadline: 3, FrameID: 1,
 		PolesTT: []complex128{0.80, 0.78, 0.76, 0.74, 0.72, 0.70, 0.05},
 		PolesET: []complex128{0.93, 0.92, 0.91, 0.90, 0.89, 0.88, 0.10},
+	}
+}
+
+// accApp is the adaptive cruise control loop of SNIPPETS.md's Snippet 2
+// reduced to its controllable part, relative distance and velocity driven
+// by the host's acceleration: a double integrator, marginal in open loop,
+// under design 10 of the probe family.
+func accApp() *core.Application {
+	return &core.Application{
+		Name: "acc",
+		Plant: &lti.Continuous{Name: "acc",
+			A: mat.FromRows([][]float64{{0, -1}, {0, 0}}),
+			B: mat.FromRows([][]float64{{0}, {1}})},
+		H: 0.02, DelayTT: 0.002, DelayET: 0.02, Eth: 0.1, X0: []float64{0, 2},
+		R: 8, Deadline: 3, FrameID: 1,
+		PolesTT: []complex128{0.80, 0.7, 0.05},
+		PolesET: []complex128{0.93, 0.88, 0.1},
 	}
 }
 
@@ -423,6 +442,19 @@ func kernelBenchmarks() []struct {
 			}
 		}
 	}})
+	// One measured-mode calibration: the servo's TT and ET searches, as
+	// BenchmarkCalibrate runs them.
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"Calibrate/servo", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := casestudy.ServoAppContext(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
 	// The persistent store on the diesel curve's record: a write-behind Put
 	// and the Flush that waits for its append (one key, re-put, so
 	// compaction keeps the log at its floor), and a Get of the record.
@@ -480,11 +512,20 @@ func storeBench(body func(b *testing.B, st *store.Store, curve *switching.Curve)
 
 // workCounters samples every fixture curve once, sequentially and
 // certified, and counts its simulated steps and kwait samples: the 20 CI
-// probe designs, the diesel engine and the six calibrated §V loops. The
-// counts are exact, so any rise is a certificate that stops later or a
-// walk that runs longer. It must run alone: the step counter is
-// process-wide.
+// probe designs, the diesel engine, the ACC loop and the six calibrated §V
+// loops. It also counts the simulated steps of each §V app's calibration
+// search, one app at a time. The counts are exact, so any rise is a
+// certificate that stops later or a walk or search that runs longer. It
+// must run alone: the step counter is process-wide.
 func workCounters(ctx context.Context) ([]benchCounter, error) {
+	var out []benchCounter
+	for _, r := range casestudy.TableI() {
+		s0 := switching.SimSteps()
+		if _, err := casestudy.FleetAppContext(ctx, r.Name); err != nil {
+			return nil, err
+		}
+		out = append(out, benchCounter{"SearchSteps/" + r.Name, switching.SimSteps() - s0})
+	}
 	var derived []*core.Derived
 	for design := 0; design < 20; design++ {
 		// Design k moves the first TT pole to 0.70 + k/100.
@@ -502,12 +543,15 @@ func workCounters(ctx context.Context) ([]benchCounter, error) {
 		return nil, err
 	}
 	derived = append(derived, d)
+	if d, err = accApp().DeriveContext(ctx); err != nil {
+		return nil, err
+	}
+	derived = append(derived, d)
 	fleet, err := casestudy.DeriveFleetContext(ctx)
 	if err != nil {
 		return nil, err
 	}
 	derived = append(derived, fleet...)
-	var out []benchCounter
 	for _, d := range derived {
 		s0 := switching.SimSteps()
 		c, err := d.Sys.SampleCurveWith(switching.SampleCurveOptions{Workers: 1, Context: ctx})

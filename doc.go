@@ -108,7 +108,10 @@
 // root: it compares the sum of squares with the largest float64 whose
 // rounded square root is at most Eth, computed once per curve, which
 // decides exactly as ‖x‖ > Eth because a correctly rounded square root is
-// monotone. The walks step in reusable scratch carved from one buffer, so
+// monotone. The kernel hands that sum back for every new state, summed in
+// mat.VecNorm2's order as it writes the state's thresholded rows, so the
+// test never reloads a state; only a chunk's starting states are summed
+// apart. The walks step in reusable scratch carved from one buffer, so
 // simulation allocates nothing per step, and advance the process-wide
 // switching.SimSteps gauge and the request trace's simulated-step count
 // (simSteps on /tracez) by exactly the steps the one-state walks take.
@@ -122,33 +125,47 @@
 // contracts 4× in the balanced ∞-norm, and bounds the rounding of both
 // the walk and the computed powers (switching/certificate.go states the
 // proof). The walk then stops at the first below-threshold state that
-// one of two tests certifies, which gives exactly the full walk's
+// one of three tests certifies, which gives exactly the full walk's
 // (kdw, settled). The first test is a box that bounds every future state
 // by one worst-case scalar; the second bounds the first contraction block
 // row by row, with the entrywise maximum of the balanced powers over the
-// thresholded rows, and the later blocks by their 2× shrinkage. The
-// second lets a non-normal loop stop where its transient cannot reach,
-// which the box pays for in every direction: the §V curves walk 1.86×
-// their summed dwells instead of 5.6×. Tests check every fixture
-// certificate against exact powers in math/big and walk states on the
-// edge of every certified region. The curve sampler certifies A1 and A2
-// once per curve, the pure-mode probes (ResponseSteps*Context) once per
-// call; a loop without a certificate — marginal, unstable, or too
-// ill-conditioned for the rounding bound — falls back to the full walk
-// and counts in switching.CertRefusals (certRefusals on /statsz and on
-// its /tracez span). A walk whose state overflows to NaN fails its
-// derivation instead of counting as settled. switching.System.DwellSteps
-// keeps the exhaustive one-state walk, with Norm's square root, as the
-// reference oracle that the property and fixture tests compare against;
-// so do the pure-mode walks and the calibration probes.
+// thresholded rows, and the later blocks by their 2× shrinkage from a
+// small box; the third, tried only when both refuse, bounds the first
+// block the same way from a 256× larger box and the start of the second
+// block through the absolute value of the contracting power itself, so
+// that a state can stop wherever the walk's later blocks start small,
+// not only where every component does. The second and third let a
+// non-normal loop stop where its transient cannot reach, which the box
+// pays for in every direction: the §V curves walk 1.24× their summed
+// dwells (1.86× with the first two tests, 5.6× with the box alone).
+// Tests check every fixture certificate against exact powers in math/big
+// and walk states on the edge of every certified region. The curve
+// sampler certifies A1 and A2 once per curve, the pure-mode probes
+// (ResponseSteps*Context) once per call; a loop without a certificate —
+// marginal, unstable, or too ill-conditioned for the rounding bound —
+// falls back to the full walk and counts in switching.CertRefusals
+// (certRefusals on /statsz and on its /tracez span). A walk whose state
+// overflows to NaN fails its derivation instead of counting as settled.
+// switching.System.DwellSteps keeps the exhaustive one-state walk, with
+// Norm's square root, as the reference oracle that the property and
+// fixture tests compare against; so do the pure-mode walks and the
+// calibration probes.
 //
 // The hot paths are cancellable end to end: context.Context threads from
 // core.DeriveFleet / (*core.Application).DeriveContext through the memo
 // cache's single-flight path into the settling simulations (sub-millisecond
 // cancellation points), and through the measured-mode calibration searches
 // (casestudy.Calibrate, whose sequential bisections check the context
-// before every probe). A cancelled computation never poisons
-// a single-flight entry: waiters with live contexts retake it.
+// before every probe). Each probe (core.ProbeSettleContext) designs,
+// checks, certifies and walks only the loop its search measures: one
+// discretisation, one gain, one eigenvalue check and one walk. The loop a
+// search holds fixed is checked once instead: the ET design the TT search
+// fixes, before that search starts (when it fails, the search ends as if
+// every probe had failed), while the TT design the ET search fixes is one
+// the TT search already walked. cpsdynd books the searches' time as the
+// search stage of a calibrate span on /tracez. A cancelled computation
+// never poisons a single-flight entry: waiters with live contexts retake
+// it.
 //
 // # Performance
 //

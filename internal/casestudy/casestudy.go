@@ -217,28 +217,15 @@ func FleetContext(ctx context.Context) ([]*core.Application, error) {
 	// Resolve every plant before spawning anything, so an unknown plant
 	// cannot strand calibration work behind an early return.
 	for i, s := range specs {
-		plant, ok := plants.All()[s.plant]
-		if !ok {
-			return nil, fmt.Errorf("casestudy: unknown plant %q", s.plant)
+		app, err := s.application()
+		if err != nil {
+			return nil, err
 		}
-		apps[i] = &core.Application{
-			Name:     s.row.Name,
-			Plant:    plant,
-			H:        0.020,
-			DelayTT:  0.002,
-			DelayET:  0.020,
-			Eth:      s.eth,
-			X0:       append([]float64(nil), s.x0...),
-			R:        s.row.R,
-			Deadline: s.row.Xid,
-			FrameID:  s.frameID,
-		}
+		apps[i] = app
 	}
 	errs := make([]error, len(specs))
 	ferr := conc.ForEachCtx(ctx, len(specs), 0, func(i int) error {
-		if err := Calibrate(ctx, apps[i], specs[i].row.XiTT, specs[i].row.XiET, specs[i].etOmega); err != nil {
-			errs[i] = fmt.Errorf("casestudy: %s: %w", specs[i].row.Name, err)
-		}
+		errs[i] = specs[i].calibrate(ctx, apps[i])
 		return nil // per-app failures are aggregated, not dispatch-stopping
 	})
 	if ferr != nil {
@@ -248,6 +235,55 @@ func FleetContext(ctx context.Context) ([]*core.Application, error) {
 		return nil, err
 	}
 	return apps, nil
+}
+
+// FleetAppContext builds and calibrates the one measured-mode application
+// named name (C1…C6) exactly as FleetContext does, and alone: what a
+// caller timing or counting one calibration needs.
+func FleetAppContext(ctx context.Context, name string) (*core.Application, error) {
+	for _, s := range fleetSpecs() {
+		if s.row.Name != name {
+			continue
+		}
+		app, err := s.application()
+		if err != nil {
+			return nil, err
+		}
+		if err := s.calibrate(ctx, app); err != nil {
+			return nil, err
+		}
+		return app, nil
+	}
+	return nil, fmt.Errorf("casestudy: no measured-mode application %q", name)
+}
+
+// application builds the spec's uncalibrated application.
+func (s fleetSpec) application() (*core.Application, error) {
+	plant, ok := plants.All()[s.plant]
+	if !ok {
+		return nil, fmt.Errorf("casestudy: unknown plant %q", s.plant)
+	}
+	return &core.Application{
+		Name:     s.row.Name,
+		Plant:    plant,
+		H:        0.020,
+		DelayTT:  0.002,
+		DelayET:  0.020,
+		Eth:      s.eth,
+		X0:       append([]float64(nil), s.x0...),
+		R:        s.row.R,
+		Deadline: s.row.Xid,
+		FrameID:  s.frameID,
+	}, nil
+}
+
+// calibrate calibrates app, built by application, against the spec's
+// Table I targets.
+func (s fleetSpec) calibrate(ctx context.Context, app *core.Application) error {
+	if err := Calibrate(ctx, app, s.row.XiTT, s.row.XiET, s.etOmega); err != nil {
+		return fmt.Errorf("casestudy: %s: %w", s.row.Name, err)
+	}
+	return nil
 }
 
 // Calibrate binary-searches the dominant closed-loop pole radii of app so
@@ -272,14 +308,27 @@ func Calibrate(ctx context.Context, app *core.Application, targetTT, targetET, e
 		return []complex128{complex(rho, 0), complex(0.92*rho, 0), 0.1}
 	}
 	// Probes run on private shallow copies, so app keeps its designs until
-	// both searches succeed. TT first (ET fixed at a safe slow default),
-	// then ET.
+	// both searches succeed. TT first, with the ET design fixed at a safe
+	// slow default, then ET, with the TT design fixed at the result. Each
+	// probe builds, checks and walks only the loop it searches, and the
+	// fixed ET loop is checked once, before the TT search: when it fails,
+	// every probe of a search that walked both loops failed with it, so
+	// the search ends as such a search ended. The TT loop fixed in the ET
+	// search is one the TT search walked successfully.
+	fixedET := app.CloneShallow()
+	fixedET.PolesTT = ttPoles(0.95)
+	fixedET.PolesET = etPoles(0.95)
+	if _, err := fixedET.ProbeSettleContext(ctx, core.LoopET); err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return fmt.Errorf("TT calibration: %w", ctxErr)
+		}
+		return fmt.Errorf("TT calibration: %w", noDesign(targetTT))
+	}
 	rhoTT, err := searchRho(ctx, func(ctx context.Context, rho float64) (float64, error) {
 		probe := app.CloneShallow()
 		probe.PolesTT = ttPoles(rho)
 		probe.PolesET = etPoles(0.95)
-		tt, _, err := probe.ProbeSettleContext(ctx)
-		return tt, err
+		return probe.ProbeSettleContext(ctx, core.LoopTT)
 	}, targetTT, app.H)
 	if err != nil {
 		return fmt.Errorf("TT calibration: %w", err)
@@ -288,8 +337,7 @@ func Calibrate(ctx context.Context, app *core.Application, targetTT, targetET, e
 		probe := app.CloneShallow()
 		probe.PolesTT = ttPoles(rhoTT)
 		probe.PolesET = etPoles(rho)
-		_, et, err := probe.ProbeSettleContext(ctx)
-		return et, err
+		return probe.ProbeSettleContext(ctx, core.LoopET)
 	}, targetET, app.H)
 	if err != nil {
 		return fmt.Errorf("ET calibration: %w", err)
@@ -297,6 +345,11 @@ func Calibrate(ctx context.Context, app *core.Application, targetTT, targetET, e
 	app.PolesTT = ttPoles(rhoTT)
 	app.PolesET = etPoles(rhoET)
 	return nil
+}
+
+// noDesign is a search's error when no probe succeeded.
+func noDesign(target float64) error {
+	return fmt.Errorf("no stabilising design found for target %.3f s", target)
 }
 
 // searchRho binary-searches a pole radius in (0.30, 0.9995) so that the
@@ -337,7 +390,7 @@ func searchRho(ctx context.Context, measure func(ctx context.Context, rho float6
 		}
 	}
 	if math.IsNaN(best) {
-		return 0, fmt.Errorf("no stabilising design found for target %.3f s", target)
+		return 0, noDesign(target)
 	}
 	return best, nil
 }

@@ -2,8 +2,11 @@ package casestudy
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -351,5 +354,93 @@ func TestCompareMethods(t *testing.T) {
 		if c.FixedPoint > c.ClosedForm+1e-9 {
 			t.Errorf("%s: fixed point %.3f exceeds closed form %.3f", c.App, c.FixedPoint, c.ClosedForm)
 		}
+	}
+}
+
+// calibratedPolesGolden is testdata/calibrated_poles.json: the calibrated
+// pole designs of the six §V apps and of the servo, each pole's real and
+// imaginary part in exact hexadecimal, recorded from the calibration whose
+// probes walked both loops. Never regenerate it from the code it checks.
+const calibratedPolesGolden = "testdata/calibrated_poles.json"
+
+// calibratedPoles renders the calibrated designs of apps for
+// calibratedPolesGolden.
+func calibratedPoles(apps []*core.Application) map[string]map[string][]string {
+	hex := func(ps []complex128) []string {
+		out := make([]string, len(ps))
+		for i, p := range ps {
+			out[i] = strconv.FormatFloat(real(p), 'x', -1, 64) + " " + strconv.FormatFloat(imag(p), 'x', -1, 64) + "i"
+		}
+		return out
+	}
+	out := make(map[string]map[string][]string, len(apps))
+	for _, a := range apps {
+		out[a.Name] = map[string][]string{"tt": hex(a.PolesTT), "et": hex(a.PolesET)}
+	}
+	return out
+}
+
+// The calibration searches find bit for bit the designs they found when
+// each probe built, checked and walked both loops.
+func TestCalibratedPolesMatchGolden(t *testing.T) {
+	ctx := context.Background()
+	apps, err := FleetContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servo, err := ServoAppContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(calibratedPoles(append(apps, servo)), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(calibratedPolesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(got, '\n')) != string(want) {
+		t.Fatalf("calibrated poles differ from %s:\n%s", calibratedPolesGolden, got)
+	}
+}
+
+// A fixed ET design that fails ends the TT search with the error it gave
+// when every TT probe also walked the ET loop, though the TT probes alone
+// succeed: here the ET pair at 150 rad/s lifts the servo's state about 30×
+// and overflows from x0 = [0, 1e307], while every TT design lifts it at
+// most 1.13×. A done ctx gives ctx's error instead.
+func TestCalibrateFailingFixedETDesign(t *testing.T) {
+	app := &core.Application{
+		Name:     "servo",
+		Plant:    plants.Servo(),
+		H:        0.020,
+		DelayTT:  0.0007,
+		DelayET:  0.020,
+		Eth:      0.1,
+		X0:       []float64{0, 1e307},
+		R:        6,
+		Deadline: 3,
+		FrameID:  1,
+	}
+	ctx := context.Background()
+	const want = "TT calibration: no stabilising design found for target 0.680 s"
+	if err := Calibrate(ctx, app, 0.68, 2.16, 150); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if app.PolesTT != nil || app.PolesET != nil {
+		t.Fatal("a failed calibration set the designs")
+	}
+	probe := app.CloneShallow()
+	probe.PolesTT = []complex128{0.5, 0.425, 0.05}
+	probe.PolesET = []complex128{0.95, 0.874, 0.1}
+	if _, err := probe.ProbeSettleContext(ctx, core.LoopTT); err != nil {
+		t.Fatalf("a TT probe failed: %v", err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := Calibrate(cancelled, app, 0.68, 2.16, 150); !errors.Is(err, context.Canceled) ||
+		err.Error() != "TT calibration: context canceled" {
+		t.Fatalf("err = %v, want the TT search's context.Canceled", err)
 	}
 }

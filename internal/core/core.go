@@ -194,10 +194,27 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 // a.CacheKey(): everything of a Derived but App, from nothing but the
 // inputs the key covers. Its errors carry no app name either (see
 // nameError), because every concurrent derivation of the key shares them.
+// When both loops fail, a failed discretisation comes first, the TT
+// loop's before the ET loop's, and then a failed gain design, the TT
+// loop's first.
 func (a *Application) derivation(ctx context.Context) (*Derived, error) {
-	d := &Derived{}
-	if err := a.buildLoops(ctx, d); err != nil {
-		return nil, err
+	tt, errTT := a.buildLoop(ctx, LoopTT)
+	if errTT != nil && !isControllerError(errTT) {
+		return nil, errTT
+	}
+	et, errET := a.buildLoop(ctx, LoopET)
+	switch {
+	case errET != nil && !isControllerError(errET):
+		return nil, errET
+	case errTT != nil:
+		return nil, errTT
+	case errET != nil:
+		return nil, errET
+	}
+	d := &Derived{
+		DiscTT: tt.disc, DiscET: et.disc,
+		KTT: tt.k, KET: et.k,
+		Sys: a.system(et.a, tt.a),
 	}
 	var err error
 	if d.Curve, err = cachedSampleCurve(ctx, d.Sys, 0); err != nil {
@@ -209,34 +226,64 @@ func (a *Application) derivation(ctx context.Context) (*Derived, error) {
 	return d, nil
 }
 
-// buildLoops fills what both the derivation and a settling probe start
-// from: the two discretisations, the gains designed on them and the
-// switched system of the two closed loops. Its errors carry no app name.
-func (a *Application) buildLoops(ctx context.Context, d *Derived) error {
-	var err error
-	if d.DiscTT, err = cachedDiscretize(ctx, a.Plant, a.H, a.DelayTT); err != nil {
-		return err
+// Loop names one of an application's two closed loops.
+type Loop int
+
+const (
+	// LoopTT is the loop closed over the TT slot: DelayTT and PolesTT
+	// (or QTT, RTT).
+	LoopTT Loop = iota
+	// LoopET is the loop closed over ET communication: DelayET and
+	// PolesET (or QET, RET).
+	LoopET
+)
+
+// String returns "TT" or "ET".
+func (l Loop) String() string {
+	if l == LoopET {
+		return "ET"
 	}
-	if d.DiscET, err = cachedDiscretize(ctx, a.Plant, a.H, a.DelayET); err != nil {
-		return err
+	return "TT"
+}
+
+// closedLoop is one closed loop of an application: its discretisation,
+// the gain designed on it and the augmented closed-loop matrix.
+type closedLoop struct {
+	disc *lti.Discrete
+	k, a *mat.Matrix
+}
+
+// buildLoop builds closed loop l: the cached discretisation, the gain
+// (a failed design is a *controllerError) and the closed loop, which
+// cannot fail on a gain designGain returned. It reads only inputs the
+// CacheKey covers, and its errors carry no app name.
+func (a *Application) buildLoop(ctx context.Context, l Loop) (closedLoop, error) {
+	delay, poles, q, r := a.DelayTT, a.PolesTT, a.QTT, a.RTT
+	if l == LoopET {
+		delay, poles, q, r = a.DelayET, a.PolesET, a.QET, a.RET
 	}
-	if d.KTT, err = a.designGain(d.DiscTT, a.PolesTT, a.QTT, a.RTT); err != nil {
-		return &controllerError{loop: "TT", err: err}
-	}
-	if d.KET, err = a.designGain(d.DiscET, a.PolesET, a.QET, a.RET); err != nil {
-		return &controllerError{loop: "ET", err: err}
-	}
-	a1, err := d.DiscET.ClosedLoop(d.KET)
+	disc, err := cachedDiscretize(ctx, a.Plant, a.H, delay)
 	if err != nil {
-		return err
+		return closedLoop{}, err
 	}
-	a2, err := d.DiscTT.ClosedLoop(d.KTT)
+	k, err := a.designGain(disc, poles, q, r)
 	if err != nil {
-		return err
+		return closedLoop{}, &controllerError{loop: l.String(), err: err}
 	}
+	cl, err := disc.ClosedLoop(k)
+	if err != nil {
+		return closedLoop{}, err
+	}
+	return closedLoop{disc: disc, k: k, a: cl}, nil
+}
+
+// system is the name-free switched system of the closed loops a1 (ET) and
+// a2 (TT) on the delay-augmented state: x0 with a zero held input, the
+// threshold on the plant states.
+func (a *Application) system(a1, a2 *mat.Matrix) *switching.System {
 	x0 := make([]float64, a.Plant.Order()+1)
 	copy(x0, a.X0)
-	d.Sys = &switching.System{
+	return &switching.System{
 		A1:       a1,
 		A2:       a2,
 		X0:       x0,
@@ -244,7 +291,6 @@ func (a *Application) buildLoops(ctx context.Context, d *Derived) error {
 		NormDims: a.Plant.Order(),
 		H:        a.H,
 	}
-	return nil
 }
 
 // controllerError is a gain-design failure inside the shared derivation.
@@ -256,6 +302,12 @@ type controllerError struct {
 func (e *controllerError) Error() string { return e.loop + " controller: " + e.err.Error() }
 
 func (e *controllerError) Unwrap() error { return e.err }
+
+// isControllerError reports whether err is a gain-design failure.
+func isControllerError(err error) bool {
+	_, ok := err.(*controllerError)
+	return ok
+}
 
 // nameError renders a failure of the shared, name-free derivation as this
 // application's own: the message an unshared derivation of a would give.
@@ -291,41 +343,42 @@ func (a *Application) designGain(disc *lti.Discrete, poles []complex128, q, r *m
 	return k, err
 }
 
-// ProbeSettleContext designs both controllers and returns the pure-TT and
-// pure-ET settling times (seconds) without sampling the full dwell curve.
-// It is the cheap inner loop for calibrating controller designs against
-// target response times (as the case study does to approach Table I); a
-// calibration search under a compute budget stops its settling
-// simulations the moment ctx expires.
-func (a *Application) ProbeSettleContext(ctx context.Context) (xiTT, xiET float64, err error) {
+// ProbeSettleContext designs the controller of loop l alone and returns
+// that loop's pure-mode settling time in seconds (ξTT or ξET), without the
+// other loop or the dwell curve. It is the cheap inner loop for
+// calibrating controller designs against target response times (as the
+// case study does to approach Table I): one discretisation, one gain
+// design, one stability check and one certified walk. The whole
+// application is validated, the other loop's design included, but only
+// loop l is built. A calibration search under a compute budget stops its
+// settling simulation the moment ctx expires.
+func (a *Application) ProbeSettleContext(ctx context.Context, l Loop) (float64, error) {
 	if err := a.Validate(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	var d Derived
-	if err := a.buildLoops(ctx, &d); err != nil {
-		return 0, 0, err
+	cl, err := a.buildLoop(ctx, l)
+	if err != nil {
+		return 0, err
 	}
-	sys := d.Sys
+	sys := a.system(nil, cl.a)
+	walk := sys.ResponseStepsTTContext
+	if l == LoopET {
+		sys.A1, sys.A2 = cl.a, nil
+		walk = sys.ResponseStepsETContext
+	}
 	sys.Name = a.Name
-	if err := sys.Validate(); err != nil {
-		return 0, 0, err
+	if err := sys.ValidateLoop(cl.a); err != nil {
+		return 0, err
 	}
 	const horizon = 60000
-	kTT, ok, err := sys.ResponseStepsTTContext(ctx, horizon)
+	k, ok, err := walk(ctx, horizon)
 	if err != nil {
-		return 0, 0, probeError(a.Name, err)
+		return 0, probeError(a.Name, err)
 	}
 	if !ok {
-		return 0, 0, fmt.Errorf("core: app %q: TT loop did not settle within the probe horizon", a.Name)
+		return 0, fmt.Errorf("core: app %q: %s loop did not settle within the probe horizon", a.Name, l)
 	}
-	kET, ok, err := sys.ResponseStepsETContext(ctx, horizon)
-	if err != nil {
-		return 0, 0, probeError(a.Name, err)
-	}
-	if !ok {
-		return 0, 0, fmt.Errorf("core: app %q: ET loop did not settle within the probe horizon", a.Name)
-	}
-	return float64(kTT) * a.H, float64(kET) * a.H, nil
+	return float64(k) * a.H, nil
 }
 
 // probeError renders a failed settling probe of app name: an overflowed

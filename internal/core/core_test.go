@@ -159,7 +159,7 @@ func TestOverflowedWalkFails(t *testing.T) {
 		app := probeApp()
 		app.X0 = []float64{0, c.x0}
 		d, err := app.DeriveContext(ctx)
-		xiTT, _, perr := app.ProbeSettleContext(ctx)
+		xiTT, perr := app.ProbeSettleContext(ctx, LoopTT)
 		if !c.overflow {
 			if err != nil || perr != nil {
 				t.Fatalf("x0 = [0, %g]: derive %v, probe %v", c.x0, err, perr)
@@ -449,5 +449,28 @@ func TestTimingRowFields(t *testing.T) {
 	}
 	if row.XiTT <= 0 || row.XiET <= row.XiTT {
 		t.Fatalf("row timings: %+v", row)
+	}
+}
+
+// A failed gain design names its loop and its app, and when both designs
+// fail the TT loop's failure is the one reported, as it was when both
+// loops were discretised before either gain was designed.
+func TestDeriveGainFailureNamesTTLoopFirst(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		tt, et []complex128
+		want   string
+	}{
+		{[]complex128{0.5, 0.5}, []complex128{0.9}, `core: app "probe-0" TT controller: control: Ackermann: 2 poles for order-3 system`},
+		{nil, []complex128{0.9}, `core: app "probe-0" ET controller: control: Ackermann: 1 poles for order-3 system`},
+	} {
+		app := probeApp()
+		if c.tt != nil {
+			app.PolesTT = c.tt
+		}
+		app.PolesET = c.et
+		if _, err := app.DeriveContext(ctx); err == nil || err.Error() != c.want {
+			t.Errorf("TT poles %v, ET poles %v: err = %v, want %q", app.PolesTT, app.PolesET, err, c.want)
+		}
 	}
 }

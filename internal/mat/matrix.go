@@ -215,23 +215,27 @@ func (m *Matrix) MulVecTo(dst, v []float64) {
 }
 
 // MulVecsTo computes m·v for a batch of vectors stored back to back: v
-// holds k vectors of length Cols(), and dst[q·Rows():(q+1)·Rows()]
-// receives m times the q-th. dst must not alias v. Each product keeps
+// holds k vectors of length Cols(), dst[q·Rows():(q+1)·Rows()] receives m
+// times the q-th, and sums[q] (len(sums) = k) the sum of squares of that
+// product's first d entries, summed as VecNorm2 sums them: in order, from
+// +0. dst must not alias v, and 0 ≤ d ≤ Rows(). Each product keeps
 // MulVecTo's accumulation order from a +0 seed, so every entry is
-// bit-identical to k MulVecTo calls; what the batch saves is the per-call
-// overhead and the reloads of m. The generic form steps four vectors per
-// pass over m's rows and the one to three left over singly; the order-3
-// form keeps m's nine entries in registers across the batch. It is the
-// lockstep kernel of the dwell-curve walks.
+// bit-identical to k MulVecTo calls and every sum to the sum under
+// VecNorm2's square root; what the batch saves is the per-call overhead,
+// the reloads of m and the reloads of the products. The generic form
+// steps four vectors per pass over m's rows and the one to three left
+// over singly; the order-3 form keeps m's nine entries in registers
+// across the batch. It is the lockstep kernel of the dwell-curve walks.
 //
 //cpsdyn:allocfree steps every live lane of a lockstep walk once per call; a walk makes thousands
-func (m *Matrix) MulVecsTo(dst, v []float64) {
+func (m *Matrix) MulVecsTo(dst, v, sums []float64, d int) {
 	r, c := m.rows, m.cols
-	if c == 0 || len(v)%c != 0 || len(dst) != len(v)/c*r {
-		panic(fmt.Sprintf("mat: MulVecsTo shape mismatch %d×%d · %d values into %d", r, c, len(v), len(dst)))
+	if c == 0 || len(v)%c != 0 || len(dst) != len(v)/c*r || len(sums) != len(v)/c || d < 0 || d > r {
+		panic(fmt.Sprintf("mat: MulVecsTo shape mismatch %d×%d · %d values into %d, %d sums of %d rows",
+			r, c, len(v), len(dst), len(sums), d))
 	}
 	if r == 3 && c == 3 {
-		mulVecs3(dst, m.data, v)
+		mulVecs3(dst, m.data, v, sums, d)
 		return
 	}
 	k := len(v) / c
@@ -239,6 +243,7 @@ func (m *Matrix) MulVecsTo(dst, v []float64) {
 	for ; q+4 <= k; q += 4 {
 		x0, x1, x2, x3 := v[q*c:][:c], v[(q+1)*c:][:c], v[(q+2)*c:][:c], v[(q+3)*c:][:c]
 		y0, y1, y2, y3 := dst[q*r:][:r], dst[(q+1)*r:][:r], dst[(q+2)*r:][:r], dst[(q+3)*r:][:r]
+		var q0, q1, q2, q3 float64
 		for i := range y0 {
 			row := m.data[i*c:][:c]
 			var s0, s1, s2, s3 float64
@@ -249,10 +254,18 @@ func (m *Matrix) MulVecsTo(dst, v []float64) {
 				s3 += a * x3[j]
 			}
 			y0[i], y1[i], y2[i], y3[i] = s0, s1, s2, s3
+			if i < d {
+				q0 += s0 * s0
+				q1 += s1 * s1
+				q2 += s2 * s2
+				q3 += s3 * s3
+			}
 		}
+		sums[q], sums[q+1], sums[q+2], sums[q+3] = q0, q1, q2, q3
 	}
 	for ; q < k; q++ {
 		x, y := v[q*c:][:c], dst[q*r:][:r]
+		var sq float64
 		for i := range y {
 			row := m.data[i*c:][:c]
 			var s float64
@@ -260,7 +273,11 @@ func (m *Matrix) MulVecsTo(dst, v []float64) {
 				s += a * x[j]
 			}
 			y[i] = s
+			if i < d {
+				sq += s * s
+			}
 		}
+		sums[q] = sq
 	}
 }
 

@@ -131,12 +131,15 @@ func mulVecSmall(dst, m, v []float64, r, c int) {
 // registers across the whole batch.
 //
 //cpsdyn:allocfree the unrolled fast path under MulVecsTo's allocfree contract
-func mulVecs3(dst, m, v []float64) {
+func mulVecs3(dst, m, v, sums []float64, d int) {
 	m = m[:9]
 	a00, a01, a02 := m[0], m[1], m[2]
 	a10, a11, a12 := m[3], m[4], m[5]
 	a20, a21, a22 := m[6], m[7], m[8]
-	for len(v) >= 3 && len(dst) >= 3 {
+	for q := range sums {
+		if len(v) < 3 || len(dst) < 3 {
+			break
+		}
 		v0, v1, v2 := v[0], v[1], v[2]
 		var s0, s1, s2 float64
 		s0 += a00 * v0
@@ -149,6 +152,17 @@ func mulVecs3(dst, m, v []float64) {
 		s1 += a12 * v2
 		s2 += a22 * v2
 		dst[0], dst[1], dst[2] = s0, s1, s2
+		var sq float64
+		if d > 0 {
+			sq += s0 * s0
+			if d > 1 {
+				sq += s1 * s1
+				if d > 2 {
+					sq += s2 * s2
+				}
+			}
+		}
+		sums[q] = sq
 		v, dst = v[3:], dst[3:]
 	}
 }

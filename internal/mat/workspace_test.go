@@ -114,10 +114,12 @@ func TestPropMulVecToMatchesNaive(t *testing.T) {
 }
 
 // TestPropMulVecsToMatchesMulVecTo pins the batch kernel, generic and
-// unrolled, to MulVecTo bit for bit: square orders 1..8 and rectangular
-// shapes, batches of 0..9 vectors (whole passes of four and the singles
-// left over). Every other trial draws plain normal entries, whose sums
-// round differently in any other order; the rest mix in signed zeros,
+// unrolled, to MulVecTo bit for bit, and each of its sums of squares to
+// the sum under VecNorm2's square root (in order, from +0) over every
+// leading block of rows: square orders 1..8 and rectangular shapes,
+// batches of 0..9 vectors (whole passes of four and the singles left
+// over). Every other trial draws plain normal entries, whose sums round
+// differently in any other order; the rest mix in signed zeros,
 // subnormals and huge and tiny values.
 func TestPropMulVecsToMatchesMulVecTo(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
@@ -144,6 +146,7 @@ func TestPropMulVecsToMatchesMulVecTo(t *testing.T) {
 			rows, cols = 1+r.Intn(8), 1+r.Intn(8)
 		}
 		k := r.Intn(10)
+		d := r.Intn(rows + 1)
 		plain = trial%2 == 1
 		m := New(rows, cols)
 		for i := range m.data {
@@ -154,15 +157,32 @@ func TestPropMulVecsToMatchesMulVecTo(t *testing.T) {
 			v[i] = awkward()
 		}
 		want := make([]float64, k*rows)
+		wantSums := make([]float64, k)
 		for q := 0; q < k; q++ {
-			m.MulVecTo(want[q*rows:(q+1)*rows], v[q*cols:(q+1)*cols])
+			y := want[q*rows : (q+1)*rows]
+			m.MulVecTo(y, v[q*cols:(q+1)*cols])
+			s := 0.0
+			for _, x := range y[:d] {
+				s += x * x
+			}
+			wantSums[q] = s
 		}
 		got := make([]float64, k*rows)
-		m.MulVecsTo(got, v)
+		gotSums := make([]float64, k)
+		m.MulVecsTo(got, v, gotSums, d)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%d×%d, %d vectors: entry %d = %g (bits %016x), MulVecTo %g (bits %016x)\nm = %v v = %v",
 					rows, cols, k, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), m, v)
+			}
+		}
+		for q := range wantSums {
+			if math.Float64bits(gotSums[q]) != math.Float64bits(wantSums[q]) {
+				t.Fatalf("%d×%d, %d vectors, d = %d: sum %d = %g (bits %016x), want %g (bits %016x)\nm = %v v = %v",
+					rows, cols, k, d, q, gotSums[q], math.Float64bits(gotSums[q]), wantSums[q], math.Float64bits(wantSums[q]), m, v)
+			}
+			if d == rows && math.Float64bits(math.Sqrt(gotSums[q])) != math.Float64bits(VecNorm2(want[q*rows:(q+1)*rows])) {
+				t.Fatalf("%d×%d: √sum %d differs from VecNorm2", rows, cols, q)
 			}
 		}
 	}

@@ -45,6 +45,9 @@ const (
 	// StagePeerRoundTrip is a gateway row's round trip to a shard owner
 	// over its persistent sub-stream.
 	StagePeerRoundTrip
+	// StageSearch is a calibration's pole-radius searches: every settling
+	// probe of one application's TT and ET bisections.
+	StageSearch
 
 	// NumStages bounds the per-trace accumulator arrays.
 	NumStages int = iota
@@ -52,7 +55,7 @@ const (
 
 var stageNames = [NumStages]string{
 	"decode", "cacheLookup", "diskLoad", "discretize", "curveSample",
-	"encode", "peerRoundTrip",
+	"encode", "peerRoundTrip", "search",
 }
 
 // String returns the stage's wire name as it appears in /tracez.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"cpsdyn/internal/casestudy"
 	"cpsdyn/internal/core"
+	"cpsdyn/internal/obs"
 )
 
 // CalibrateAppSpec describes one application for measured-mode calibration:
@@ -124,9 +126,13 @@ func Calibrate(ctx context.Context, req *CalibrateRequest) (*CalibrateResponse, 
 // calibrateApp runs one app's measured-mode workflow: search the controller
 // designs against its targets (a sequential bisection per loop), derive the
 // calibrated app on the shared memo cache, and report the derive row with
-// the calibrated poles. A failed search names its app.
+// the calibrated poles. The searches' time is ctx's span's search stage. A
+// failed search names its app.
 func calibrateApp(ctx context.Context, spec *CalibrateAppSpec, app *core.Application) (CalibrateResult, error) {
-	if err := casestudy.Calibrate(ctx, app, spec.TargetXiTT, spec.TargetXiET, spec.EtOmega); err != nil {
+	t0 := time.Now()
+	err := casestudy.Calibrate(ctx, app, spec.TargetXiTT, spec.TargetXiET, spec.EtOmega)
+	obs.FromContext(ctx).StageSince(obs.StageSearch, t0)
+	if err != nil {
 		return CalibrateResult{}, fmt.Errorf("app %q: %w", spec.Name, err)
 	}
 	d, err := app.DeriveContext(ctx)

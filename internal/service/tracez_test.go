@@ -222,3 +222,47 @@ func TestTracezReportsCertRefusals(t *testing.T) {
 		t.Fatalf("derive spans report %v certificate refusals, want 1 for the slow loop and 0 for the servo", refusals)
 	}
 }
+
+// A calibrate stream's span carries the time of its pole-radius searches
+// as the search stage, one count per calibrated app.
+func TestTracezReportsSearchStage(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	servo := servoDeriveRequest(1).Apps[0]
+	spec := CalibrateAppSpec{
+		Name: "servo", Plant: servo.Plant, H: servo.H, DelayTT: servo.DelayTT, DelayET: servo.DelayET,
+		Eth: servo.Eth, X0: servo.X0, R: servo.R, Deadline: servo.Deadline,
+		TargetXiTT: 0.68, TargetXiET: 2.16,
+	}
+	var buf bytes.Buffer
+	if err := EncodeResult(&buf, spec); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/calibrate/stream", "application/x-ndjson", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || bytes.Contains(out, []byte(`"error"`)) {
+		t.Fatalf("calibrate stream status = %d, err %v: %s", resp.StatusCode, err, out)
+	}
+	var tz TracezResponse
+	if code := getJSON(t, ts.URL+"/tracez", &tz); code != http.StatusOK {
+		t.Fatalf("/tracez status = %d", code)
+	}
+	for _, tr := range tz.Traces {
+		if tr.Op != "calibrate/stream" {
+			continue
+		}
+		for _, st := range tr.Stages {
+			if st.Stage == obs.StageSearch.String() {
+				if st.Count != 1 || !(st.Seconds > 0) {
+					t.Fatalf("search stage = %+v, want one count and a positive time", st)
+				}
+				return
+			}
+		}
+		t.Fatalf("calibrate stream span has no search stage: %+v", tr.Stages)
+	}
+	t.Fatalf("no calibrate/stream span on /tracez: %+v", tz.Traces)
+}

@@ -78,12 +78,12 @@ const (
 type Stats struct {
 	Loads      uint64 `json:"loads" metric:"store_loads_total" help:"Records loaded from the persistent derivation store."`
 	Stores     uint64 `json:"stores" metric:"store_stores_total" help:"Records written to the persistent derivation store."`
-	LoadErrors uint64 `json:"loadErrors" metric:"store_load_errors_total" help:"Corrupt or torn records rejected (and deleted) on load."`
+	LoadErrors uint64 `json:"loadErrors" metric:"store_load_errors_total" help:"Corrupt or torn records rejected on load: left out of the index and dropped by the next compaction."`
 	// Dropped and WriteErrors count the writes the store loses: Puts
 	// refused by a full write-behind queue, and queued writes whose
 	// encode, log creation or append failed.
 	Dropped     uint64 `json:"dropped" metric:"store_dropped_total" help:"Writes dropped because the write-behind queue was full."`
-	WriteErrors uint64 `json:"writeErrors" metric:"store_write_errors_total" help:"Queued writes lost to an encode, mkdir, write or rename failure."`
+	WriteErrors uint64 `json:"writeErrors" metric:"store_write_errors_total" help:"Queued writes lost to an encode failure or to a failure creating or appending to the log."`
 	Records     int    `json:"records" metric:"store_records" help:"Records currently indexed in the persistent derivation store."`
 	// Bytes counts the live records, the ones the index serves; the log
 	// also holds dead ones until a compaction.

@@ -191,3 +191,28 @@ func TestCertifiedRegionBoundaryIsSound(t *testing.T) {
 	}
 	t.Logf("fixture loops: largest norm/Eth from box vertices %.6f, from region edges 1 − %.3g", vertexWorst, 1-edgeWorst)
 }
+
+// Box (a') is the box the exact checker's bounds assume, K times box (a).
+// No walk can show a wider one: a component that tests (b') and (c')
+// weigh by ε alone is one the first block barely feeds, and only the
+// rounding term of the proof grows with it. So the test holds Holds to the
+// declared K directly, on a loop whose last component is unthresholded
+// and feeds nothing: box (a') alone bounds it, and Holds must accept it
+// up to K·τ₂·d and refuse it one ULP beyond.
+func TestLaterBlockBoxIsAsDeclared(t *testing.T) {
+	a := mat.FromRows([][]float64{{0.5, 0.3, 0}, {-0.2, 0.4, 0}, {0, 0, 0}})
+	s := &switching.System{Name: "dead", A1: a, A2: a, X0: make([]float64, 3), NormDims: 2, Eth: 0.1, H: 0.01}
+	c := switching.CertificateOf(s, a, 1000)
+	if c == nil || c.Q == nil {
+		t.Fatalf("certificate %+v: want the later-block test armed", c)
+	}
+	edge := c.K * c.Box2[2]
+	for _, v := range []float64{c.Box2[2], edge, -edge} {
+		if !c.Holds([]float64{0, 0, v}) {
+			t.Fatalf("Holds refuses the dead component at %g (box (a) %g, K = %g)", v, c.Box2[2], c.K)
+		}
+	}
+	if beyond := math.Nextafter(edge, math.Inf(1)); c.Holds([]float64{0, 0, beyond}) {
+		t.Fatalf("Holds accepts the dead component at %g, beyond K·τ₂·d = %g", beyond, edge)
+	}
+}

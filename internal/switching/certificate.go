@@ -85,13 +85,54 @@ import (
 //     within the first block. The box of step 4 is tested first, so no
 //     walk stops later than with it alone; for n ≥ 5 it need not lie
 //     inside (a)–(b).
+//  6. Later-block stop. Box (a) stands for the later blocks of step 5:
+//     it bounds them through ‖W·1‖₂·‖y‖∞/2, which weighs every component
+//     of the start state alike. This test bounds the start of the second
+//     block through the m-th power instead. Let Q = |P_m| + ε entrywise.
+//     Step 2's sums take in r = m, so its ε bounds P_m's error too, and
+//     |Ã^m| ≤ Q. With the constants K = 256 and η = 2⁻¹⁹ (laterK,
+//     laterEta), the test is armed when step 5 is and
+//     κ = 2.5·K·γ·C'·G' ≤ 2⁻²¹. Let Θ' = Eth/(1 + κ + 2⁻⁴⁰). A
+//     below-threshold state x_k = D·y_k with
+//       (a') ‖y_k‖∞ ≤ K·τ₂,
+//       (b') ‖W·|y_k|‖₂ ≤ Θ' and
+//       (c') ‖Q·|y_k|‖∞ ≤ (1−η)·τ₂/2
+//     stops the walk:
+//     - Rounding. By (a'), Y ≤ K·τ₂ in step 3, so
+//       e ≤ 1.25·γ·G'·C'·K·τ₂ + 1.25·ν‖S‖∞ ≤ (κ/2 + 2⁻⁶⁹)·τ₂, using
+//       γ·G' ≤ 1/5 and step 5's ν‖S‖∞ ≤ 2⁻⁷⁰·τ₂.
+//     - First block, r < m. As in step 5 the threshold norm is at most
+//       Θ' + e·‖d_{:d}‖₂ ≤ Θ' + e·‖W·1‖₂ ≤ Θ' + (κ + 2⁻⁶⁸)·Θ, with
+//       τ₂·‖W·1‖₂ = 2·Θ. Since Θ ≤ Eth = Θ'·(1 + κ + 2⁻⁴⁰) and κ ≤ 2⁻²¹,
+//       Θ' + κ·Θ ≤ Θ'·(1 + κ + κ² + 2⁻⁴⁰·κ) ≤ Eth − 2⁻⁴¹·Θ'.
+//     - Second block. Step 3 holds at r = m too:
+//       |y_{k+m}| ≤ |Ã^m|·|y_k| + e·1 ≤ Q·|y_k| + e·1, so by (c') the
+//       second block starts at ‖y_{k+m}‖∞ ≤ (1−η)·τ₂/2 + e ≤ τ₂/2, since
+//       κ/2 + 2⁻⁶⁹ ≤ 2⁻²² + 2⁻⁶⁹ leaves most of η/2 = 2⁻²⁰ free.
+//     - Later blocks. From a start of at most τ₂/2, every later block
+//       starts at most τ₂/2 + 2.5·ν‖S‖∞ (step 3, repeated), so step 5's
+//       later-block bound holds for all of them as it stands.
+//     - Slack. The 2⁻⁴¹·Θ' left in the first block and the η/2 − 2⁻²¹
+//       left at the second block's start cover the rounding of the
+//       stored tests and of Norm, the ν terms and the subnormal errors of
+//       P_m, each by many orders of magnitude, as in step 5.
+//     (c') holds wherever box (a) does, since ‖Q‖∞ ≤ ‖P_m‖∞ + n·ε is
+//     about 1/4; where Q's columns are small it holds much further out,
+//     and (a') then carries only the rounding term of the first block.
+//     The stored form of (b') is (b)'s sum against L = (Θ'/Θ)² < 1, so
+//     the test can stop only states outside box (a), and that of (c') is
+//     max_i Σ_j U_ij·|x_j| ≤ 1 with U = Q·D⁻¹·2/((1−η)·τ₂), that is
+//     column j of Q times 2/((1−η)·τ₂·d_j), a box (a) entry. It is tried
+//     after steps 4 and 5 refuse, so no walk stops later than without
+//     it.
 //
 // The bounds themselves are computed in round-to-nearest. Their relative
 // errors (below m·n·u ≈ 10⁻¹¹ for any horizon this package runs) sit far
 // inside the slack of the constants: the end-of-block factor 1/2 against
-// 1/4, 0.4375·Eth against Eth for the box, and δ's 2⁻⁴⁰ for the
-// componentwise test. The certificate tests check every fixture
-// certificate against exact powers of Ã in math/big.
+// 1/4, 0.4375·Eth against Eth for the box, δ's 2⁻⁴⁰ for the
+// componentwise test and η for the later-block test. The certificate
+// tests check every fixture certificate against exact powers of Ã in
+// math/big.
 
 // gamma is γ_n = n·u/(1−n·u) for u = 2⁻⁵³: a computed n-term dot product
 // differs from the exact one by at most γ_n times the sum of its absolute
@@ -111,6 +152,14 @@ var certRefusals atomic.Uint64
 // so on a service that derives stable designs it should stay at 0.
 func CertRefusals() uint64 { return certRefusals.Load() }
 
+// The constants of step 6: the box (a') is laterK times box (a), and
+// laterEta is the share of (c')'s bound left for the first block's
+// rounding.
+const (
+	laterK   = 256
+	laterEta = 0x1p-19
+)
+
 // certificate is the stop test of one loop matrix: a below-threshold
 // state it holds for can never again have a threshold norm above Eth. The
 // zero value certifies nothing, so a walk without one runs to its
@@ -119,18 +168,31 @@ type certificate struct {
 	box  []float64 // τ·d_i, step 4's box; nil: no certificate
 	box2 []float64 // τ₂·d_i, box (a) of step 5; nil: step 5 is not armed
 	v    []float64 // V = W·D⁻¹/Θ, d×n row-major, for test (b) of step 5
+	q    []float64 // U = Q·D⁻¹·2/((1−η)·τ₂), n×n row-major, for test (c') of step 6; nil: step 6 is not armed
+	lim  float64   // L = (Θ'/Θ)², test (b')'s bound on the sum of test (b)
 }
 
 // holds reports whether x is inside the certified region: step 4's box,
-// or else both tests of step 5. NaN entries fail.
+// or else both tests of step 5, or else the three tests of step 6. Box (a)
+// and box (a') are one pass, and the sum of test (b) serves (b') too.
+// NaN entries fail.
 //
 //cpsdyn:allocfree checked on every below-threshold step of the settle hot path
 func (c *certificate) holds(x []float64) bool {
 	if inBox(c.box, x) {
 		return true
 	}
-	if !inBox(c.box2, x) {
+	if c.box2 == nil {
 		return false
+	}
+	inA := true
+	for i, b := range c.box2 {
+		if a := math.Abs(x[i]); !(a <= b) {
+			if c.q == nil || !(a <= laterK*b) {
+				return false
+			}
+			inA = false
+		}
 	}
 	n := len(x)
 	sum := 0.0
@@ -141,7 +203,22 @@ func (c *certificate) holds(x []float64) bool {
 		}
 		sum += z * z
 	}
-	return sum <= 1
+	if inA {
+		return sum <= 1
+	}
+	if !(sum <= c.lim) {
+		return false
+	}
+	for i := 0; i < len(c.q); i += n {
+		z := 0.0
+		for j, w := range c.q[i : i+n] {
+			z += w * math.Abs(x[j])
+		}
+		if !(z <= 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // inBox reports whether |x_i| ≤ b_i for every i; a nil box holds for
@@ -161,8 +238,8 @@ func inBox(b, x []float64) bool {
 }
 
 // certLen is the length of the buffer an order-n certificate lives in:
-// both boxes and the (at most n×n) matrix V.
-func certLen(n int) int { return 2*n + n*n }
+// both boxes, the (at most n×n) matrix V and the n×n matrix U.
+func certLen(n int) int { return 2*n + 2*n*n }
 
 // certWorkLen is the workspace length certify needs for an order-n loop:
 // the balanced matrix, two power buffers and four n-vectors.
@@ -196,12 +273,11 @@ func (s *System) prove(ctx context.Context, a *mat.Matrix, horizon int, work, ou
 		return certificate{}
 	}
 	nn := n * n
-	at, p, q := mat.Wrap(n, n, work[:nn]), mat.Wrap(n, n, work[nn:2*nn]), mat.Wrap(n, n, work[2*nn:3*nn])
-	atd, pd, qd := work[:nn], work[nn:2*nn], work[2*nn:3*nn]
+	at, atd := mat.Wrap(n, n, work[:nn]), work[:nn]
 	vec := work[3*nn : 3*nn+4*n]
 	scale, rowAbs, g, sp := vec[:n], vec[n:2*n], vec[2*n:3*n], vec[3*n:]
 	d := s.normDims()
-	box, box2, w := out[:n], out[n:2*n], out[2*n:2*n+d*n]
+	box, box2, w, qm := out[:n], out[n:2*n], out[2*n:2*n+d*n], out[2*n+nn:]
 
 	// 1. Balance, and check that the scaling was exact: a power-of-two
 	// rescaling round-trips bit for bit unless it lost bits.
@@ -220,71 +296,17 @@ func (s *System) prove(ctx context.Context, a *mat.Matrix, horizon int, work, ou
 		alpha = max(alpha, row)
 	}
 
-	// 2. Contraction block. The sums also take in r = m itself, which
-	// only loosens them; C cannot grow there, since ‖P_m‖∞ ≤ 1/4 < 1 ≤ C.
-	for i := range pd {
-		pd[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		pd[i*n+i] = 1
-		g[i], sp[i] = 0, 0
-	}
-	for i := range w {
-		w[i] = 0
-	}
-	gam := gamma(n)
-	c, h, gMax, sMax, eps := 1.0, 0.0, 0.0, 0.0, 0.0
-	m := 0
-	for r := 0; ; r++ {
-		// Row i of |P_r| sums to u and weighs |Ã|'s row sums to t; g and
-		// sp accumulate the rows of S_P·|Ã| and S_P.
-		norm, worst := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			var t, u float64
-			for j, v := range pd[i*n : (i+1)*n] {
-				v = math.Abs(v)
-				t += v * rowAbs[j]
-				u += v
-			}
-			g[i] += t
-			sp[i] += u
-			norm, worst = max(norm, u), max(worst, t)
-			gMax, sMax = max(gMax, g[i]), max(sMax, sp[i])
-		}
-		if !(gMax <= math.MaxFloat64) {
-			return certificate{} // overflow or NaN
-		}
-		h += worst
-		c = max(c, norm)
-		if gam*h >= 0.5 {
-			return certificate{}
-		}
-		eps = gam * h * c / (1 - gam*h)
-		// The 2⁻⁶⁰ margin covers subnormal products in the powers.
-		if r > 0 && norm+eps+0x1p-60 <= 0.25 {
-			m = r
-			break
-		}
-		// C and G only grow with r: once step 3 fails it fails for good.
-		if gam*c*gMax > 0.2 || r == horizon {
-			return certificate{}
-		}
-		if ctx != nil && r%certCheck == 0 && ctx.Err() != nil {
-			return certificate{}
-		}
-		// M, over the thresholded rows of every P_r with r < m.
-		for i, v := range pd[:d*n] {
-			w[i] = max(w[i], math.Abs(v))
-		}
-		p.MulTo(q, at)
-		p, q = q, p
-		pd, qd = qd, pd
+	// 2. Contraction block.
+	k, ok := contract(ctx, atd, work[nn:2*nn], work[2*nn:3*nn], rowAbs, g, sp, w, n, d, horizon)
+	if !ok {
+		return certificate{}
 	}
 
 	// 3. Rounding, on the exact powers' bounds.
-	cTrue := c + eps
-	gTrue := gMax + float64(m)*eps*alpha
-	sTrue := sMax + float64(m)*eps
+	cTrue := k.c + k.eps
+	gTrue := k.gMax + float64(k.m)*k.eps*alpha
+	sTrue := k.sMax + float64(k.m)*k.eps
+	gam := gamma(n)
 	if !(gam*cTrue*gTrue <= 0.2) || !(sTrue*float64(n) <= 0x1p100) {
 		return certificate{}
 	}
@@ -312,7 +334,7 @@ func (s *System) prove(ctx context.Context, a *mat.Matrix, horizon int, work, ou
 	for i := 0; i < d; i++ {
 		row := 0.0
 		for _, v := range w[i*n : (i+1)*n] {
-			row += v + eps
+			row += v + k.eps
 		}
 		row *= scale[i] / dMax
 		ss += row * row
@@ -323,11 +345,123 @@ func (s *System) prove(ctx context.Context, a *mat.Matrix, horizon int, work, ou
 	}
 	for i := 0; i < d; i++ {
 		for j, v := range w[i*n : (i+1)*n] {
-			w[i*n+j] = (v + eps) / theta * (scale[i] / scale[j])
+			w[i*n+j] = (v + k.eps) / theta * (scale[i] / scale[j])
 		}
 	}
 	for i, v := range scale {
 		box2[i] = tau2 * v
 	}
-	return certificate{box: box, box2: box2, v: w}
+
+	// 6. Later-block stop. Each column of Q is divided by its box (a)
+	// entry τ₂·d_j, which step 5's guards keep between 2⁻⁹⁰⁰ and 2¹⁰⁰.
+	kappa := laterK * 2.5 * gam * cTrue * gTrue
+	if !(kappa <= 0x1p-21) {
+		return certificate{box: box, box2: box2, v: w}
+	}
+	theta6 := s.Eth / (1 + kappa + 0x1p-40)
+	for i, v := range k.pm {
+		qm[i] = (math.Abs(v) + k.eps) * (2 / (1 - laterEta)) / box2[i%n]
+	}
+	return certificate{box: box, box2: box2, v: w, q: qm, lim: (theta6 / theta) * (theta6 / theta)}
+}
+
+// contraction is what step 2's power search found.
+type contraction struct {
+	m    int       // the first power with ‖P_m‖∞ + ε ≤ 1/4
+	c    float64   // C = max_{r<m} ‖P_r‖∞
+	gMax float64   // ‖S_P·|Ã|‖∞, with r = m taken in
+	sMax float64   // ‖S_P‖∞, with r = m taken in
+	eps  float64   // ε
+	pm   []float64 // the computed P_m, n×n row-major: one of the two power buffers
+}
+
+// contract runs step 2 on the order-n balanced matrix atd (row-major,
+// with absolute row sums rowAbs): it computes P_r = fl(P_{r−1}·Ã) from
+// P_0 = I, ping-ponging between the buffers pd and qd, until the first
+// power that contracts 4×. On the way it accumulates the rows of S_P·|Ã|
+// in g and of S_P in sp, and M, the entrywise maximum of |P_r| over the
+// first d rows, in w (d×n). It fails when no power within horizon
+// contracts, when step 3's inequality fails first, on overflow or NaN, and
+// when ctx (nil: never) is cancelled.
+func contract(ctx context.Context, atd, pd, qd, rowAbs, g, sp, w []float64, n, d, horizon int) (contraction, bool) {
+	at, p, q := mat.Wrap(n, n, atd), mat.Wrap(n, n, pd), mat.Wrap(n, n, qd)
+	// The sums also take in r = m, which only loosens them; C cannot grow
+	// there, since ‖P_m‖∞ ≤ 1/4 < 1 ≤ C.
+	for i := range pd {
+		pd[i] = 0
+	}
+	for i := 0; i < n; i++ {
+		pd[i*n+i] = 1
+		g[i], sp[i] = 0, 0
+	}
+	for i := range w {
+		w[i] = 0
+	}
+	gam := gamma(n)
+	c, h, gMax, sMax := 1.0, 0.0, 0.0, 0.0
+	for r := 0; ; r++ {
+		// Row i of |P_r| sums to u and weighs |Ã|'s row sums to t; g and
+		// sp accumulate the rows of S_P·|Ã| and S_P. Every term is
+		// non-negative, so a comparison takes each maximum; a NaN or
+		// infinite entry of P_r makes its row's g non-finite.
+		norm, worst := 0.0, 0.0
+		for i := 0; i < n; i++ {
+			var t, u float64
+			for j, v := range pd[i*n : (i+1)*n] {
+				v = math.Abs(v)
+				t += v * rowAbs[j]
+				u += v
+			}
+			gi := g[i] + t
+			if !(gi <= math.MaxFloat64) {
+				return contraction{}, false // overflow or NaN
+			}
+			g[i] = gi
+			sp[i] += u
+			if u > norm {
+				norm = u
+			}
+			if t > worst {
+				worst = t
+			}
+			if gi > gMax {
+				gMax = gi
+			}
+			if sp[i] > sMax {
+				sMax = sp[i]
+			}
+		}
+		h += worst
+		if norm > c {
+			c = norm
+		}
+		if gam*h >= 0.5 {
+			return contraction{}, false
+		}
+		// The 2⁻⁶⁰ margin covers subnormal products in the powers. ε ≥ 0
+		// and rounding is monotone, so the test cannot pass unless
+		// ‖P_r‖∞ + 2⁻⁶⁰ ≤ 1/4 does, and ε is formed only then.
+		if r > 0 && norm+0x1p-60 <= 0.25 {
+			eps := gam * h * c / (1 - gam*h)
+			if norm+eps+0x1p-60 <= 0.25 {
+				return contraction{m: r, c: c, gMax: gMax, sMax: sMax, eps: eps, pm: pd}, true
+			}
+		}
+		// C and G only grow with r: once step 3 fails it fails for good.
+		if gam*c*gMax > 0.2 || r == horizon {
+			return contraction{}, false
+		}
+		if ctx != nil && r%certCheck == 0 && ctx.Err() != nil {
+			return contraction{}, false
+		}
+		// M, over the thresholded rows of every P_r with r < m.
+		for i, v := range pd[:d*n] {
+			if v = math.Abs(v); v > w[i] {
+				w[i] = v
+			}
+		}
+		p.MulTo(q, at)
+		p, q = q, p
+		pd, qd = qd, pd
+	}
 }

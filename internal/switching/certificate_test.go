@@ -185,3 +185,136 @@ func TestCertifiedWalkStopsEarly(t *testing.T) {
 		t.Fatalf("certified TT walk simulated %d steps, want it to stop within a few dozen", steps)
 	}
 }
+
+// contractReference is step 2's power loop as it stood before contract
+// took its maxima by comparison, formed ε only once the norm alone passes
+// and checked each row's g: builtin maxima, ε at every power and one
+// overflow check per power. It is the reference contract must match bit
+// for bit.
+func contractReference(atd, pd, qd, rowAbs, g, sp, w []float64, n, d, horizon int) (contraction, bool) {
+	at, p, q := mat.Wrap(n, n, atd), mat.Wrap(n, n, pd), mat.Wrap(n, n, qd)
+	for i := range pd {
+		pd[i] = 0
+	}
+	for i := 0; i < n; i++ {
+		pd[i*n+i] = 1
+		g[i], sp[i] = 0, 0
+	}
+	for i := range w {
+		w[i] = 0
+	}
+	gam := gamma(n)
+	c, h, gMax, sMax, eps := 1.0, 0.0, 0.0, 0.0, 0.0
+	for r := 0; ; r++ {
+		norm, worst := 0.0, 0.0
+		for i := 0; i < n; i++ {
+			var t, u float64
+			for j, v := range pd[i*n : (i+1)*n] {
+				v = math.Abs(v)
+				t += v * rowAbs[j]
+				u += v
+			}
+			g[i] += t
+			sp[i] += u
+			norm, worst = max(norm, u), max(worst, t)
+			gMax, sMax = max(gMax, g[i]), max(sMax, sp[i])
+		}
+		if !(gMax <= math.MaxFloat64) {
+			return contraction{}, false
+		}
+		h += worst
+		c = max(c, norm)
+		if gam*h >= 0.5 {
+			return contraction{}, false
+		}
+		eps = gam * h * c / (1 - gam*h)
+		if r > 0 && norm+eps+0x1p-60 <= 0.25 {
+			return contraction{m: r, c: c, gMax: gMax, sMax: sMax, eps: eps, pm: pd}, true
+		}
+		if gam*c*gMax > 0.2 || r == horizon {
+			return contraction{}, false
+		}
+		for i, v := range pd[:d*n] {
+			w[i] = max(w[i], math.Abs(v))
+		}
+		p.MulTo(q, at)
+		p, q = q, p
+		pd, qd = qd, pd
+	}
+}
+
+// contract returns exactly what the loop it replaced returned, bit for
+// bit, on random loops of order 1..8: stable ones (one in ten slow),
+// unstable ones, and ones with an infinite or a 1e300 entry. Equal search
+// results make equal certificates, since the rest of prove reads nothing
+// else. -short draws 1 000 loops instead of 5 000.
+func TestContractMatchesReferenceLoop(t *testing.T) {
+	trials := 5000
+	if testing.Short() {
+		trials = 1000
+	}
+	r := rand.New(rand.NewSource(31))
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	found := 0
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + r.Intn(8)
+		rho := 0.05 + 0.94*r.Float64()
+		if r.Intn(10) == 0 {
+			rho = 1 - math.Pow(10, -4+2*r.Float64())
+		}
+		a := randomLoop(r, n, rho)
+		horizon := min(20000, 50+int(30/(1-rho)))
+		switch trial % 5 {
+		case 1: // unstable: spectral radius 1.01–2
+			f := (1.01 + r.Float64()) / rho
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					a.Set(i, j, f*a.At(i, j))
+				}
+			}
+			horizon = 500
+		case 2:
+			a.Set(r.Intn(n), r.Intn(n), []float64{math.Inf(1), math.Inf(-1), 1e300, -1e300}[r.Intn(4)])
+		}
+		d := 1 + r.Intn(n)
+		at, scale := mat.New(n, n), make([]float64, n)
+		a.BalanceTo(at, scale)
+		atd := make([]float64, n*n)
+		rowAbs := make([]float64, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				atd[i*n+j] = at.At(i, j)
+				rowAbs[i] += math.Abs(at.At(i, j))
+			}
+		}
+		type bufs struct{ p, q, g, sp, w []float64 }
+		newBufs := func() bufs {
+			return bufs{make([]float64, n*n), make([]float64, n*n), make([]float64, n), make([]float64, n), make([]float64, d*n)}
+		}
+		got, want := newBufs(), newBufs()
+		k, ok := contract(nil, atd, got.p, got.q, rowAbs, got.g, got.sp, got.w, n, d, horizon)
+		kr, okr := contractReference(atd, want.p, want.q, rowAbs, want.g, want.sp, want.w, n, d, horizon)
+		if ok != okr {
+			t.Fatalf("trial %d (n=%d): contract found a power %v, the reference %v\nA =\n%v", trial, n, ok, okr, a)
+		}
+		if !ok {
+			continue
+		}
+		found++
+		if k.m != kr.m || !same([]float64{k.c, k.gMax, k.sMax, k.eps}, []float64{kr.c, kr.gMax, kr.sMax, kr.eps}) ||
+			!same(k.pm, kr.pm) || !same(got.g, want.g) || !same(got.sp, want.sp) || !same(got.w, want.w) {
+			t.Fatalf("trial %d (n=%d): contract %+v, reference %+v\nA =\n%v", trial, n, k, kr, a)
+		}
+	}
+	t.Logf("%d of %d searches found a contracting power", found, trials)
+	if found < trials/2 {
+		t.Fatalf("only %d of %d searches found a contracting power", found, trials)
+	}
+}

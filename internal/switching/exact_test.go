@@ -16,7 +16,8 @@ import (
 // Ã = N·2^e for an integer matrix N), and re-derives every bound of the
 // proof in certificate.go with outward rounding at 256 bits. Each region
 // the walk tests must then keep every later state of the computed walk at
-// or below Eth, with room for the rounding of Norm itself.
+// or below Eth, with room for the rounding of Norm itself, and each stored
+// test must stand for the bound the proof names.
 
 const exactPrec = 256
 
@@ -79,6 +80,7 @@ type exactBounds struct {
 	s           *big.Float   // ‖S‖∞, S = Σ_{r<m} |Ã^r|
 	g           *big.Float   // ‖S·|Ã|‖∞
 	maxPow      []*big.Float // max_{r<m} |Ã^r|_ij over the rows i < d, d×n
+	powM        []*big.Float // |Ã^m|, n×n
 }
 
 // exactPowers walks Ã^r = N^r·2^{r·e} exactly up to the first 4×
@@ -130,6 +132,10 @@ func exactPowers(t *testing.T, at []float64, n, d, horizon int) exactBounds {
 			}
 			if cmp <= 0 {
 				b.m, b.contraction = r, norm
+				b.powM = make([]*big.Float, n*n)
+				for k, v := range p {
+					b.powM[k] = scaled(abs.Abs(v), exp)
+				}
 				break
 			}
 		}
@@ -169,10 +175,11 @@ func exactPowers(t *testing.T, at []float64, n, d, horizon int) exactBounds {
 	return b
 }
 
-// checkCertificate re-derives the soundness of both stored regions of
-// loop a's certificate and returns Eth over the largest threshold norm
-// each allows after the stop (the componentwise one 0 when unarmed).
-func checkCertificate(t *testing.T, s *switching.System, a *mat.Matrix, horizon int) (boxMargin, compMargin float64, m int) {
+// checkCertificate re-derives the soundness of the stored regions of loop
+// a's certificate and returns Eth over the largest threshold norm each
+// allows after the stop (the componentwise and the later-block one 0 when
+// unarmed).
+func checkCertificate(t *testing.T, s *switching.System, a *mat.Matrix, horizon int) (boxMargin, compMargin, laterMargin float64, m int) {
 	t.Helper()
 	n := a.Rows()
 	d := s.NormDims
@@ -269,7 +276,10 @@ func checkCertificate(t *testing.T, s *switching.System, a *mat.Matrix, horizon 
 		t.Fatalf("box lets the walk reach %v > Eth = %g", boxBound, s.Eth)
 	}
 	if cert.Box2 == nil {
-		return boxMargin, 0, m
+		if cert.Q != nil {
+			t.Fatal("step 6 is armed without step 5")
+		}
+		return boxMargin, 0, 0, m
 	}
 
 	// 5. The componentwise test. theta is the least Θ with
@@ -315,12 +325,72 @@ func checkCertificate(t *testing.T, s *switching.System, a *mat.Matrix, horizon 
 		t.Fatalf("componentwise test lets the walk reach %v (first block) / %v (later blocks) > Eth = %g",
 			first, later, s.Eth)
 	}
-	return boxMargin, compMargin, m
+	if cert.Q == nil {
+		return boxMargin, compMargin, 0, m
+	}
+
+	// 6. The later-block test. Its arming inequality κ = 2.5·K·γ·C·G ≤ 2⁻²¹
+	// on the exact C and G, and the two stored tests against the bounds
+	// the proof names: (b') against Θ' = Eth/(1 + κ + 2⁻⁴⁰), (c') against
+	// (1−η)·τ₂/2, each up to the rounding of forming them.
+	if len(cert.Q) != n*n || !(cert.L > 0 && cert.L < 1) {
+		t.Fatalf("U has %d entries, want %d×%d; L = %g, want it in (0, 1)", len(cert.Q), n, n, cert.L)
+	}
+	k := exactF(cert.K)
+	kappa6 := upMul(upMul(upMul(exactF(2.5), k), gam), upMul(b.c, b.g))
+	if kappa6.Cmp(exactF(0x1p-21)) > 0 {
+		t.Fatalf("step 6 is armed, but 2.5·K·γ·C·G = %v > 2⁻²¹", kappa6)
+	}
+	formed := exactF(1 + 0x1p-45) // room for the rounding of the stored forms
+	// (b'): the computed sum of test (b) at most L bounds ‖V·|x|‖₂ by
+	// testL, so ‖W·|y|‖₂ by theta·testL.
+	sqL := upQuo(upAdd(exactF(cert.L), upMul(exactF(float64(d)), tiny)), downF().Sub(one, gd))
+	testL := upQuo(upAdd(upSqrt(sqL), upMul(exactF(float64(d*n)), tiny)), downF().Sub(one, gam))
+	thetaB := upMul(theta, upSqrt(exactF(cert.L)))
+	thetaLo := downF().Quo(eth, upAdd(upAdd(one, kappa6), exactF(0x1p-40)))
+	if thetaB.Cmp(upMul(thetaLo, formed)) > 0 {
+		t.Fatalf("test (b') stands for ‖W·|y|‖₂ ≤ %v, above Θ' = %v", thetaB, thetaLo)
+	}
+	// (c'): lam is the least λ with λ·U_ij·d_j ≥ |Ã^m|_ij, and a passing
+	// computed row sum Σ_j U_ij·|x_j| ≤ 1 is at most testQ exactly.
+	lam := upF()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			pij := b.powM[i*n+j]
+			if pij.Sign() == 0 {
+				continue
+			}
+			if cert.Q[i*n+j] <= 0 {
+				t.Fatalf("U_%d%d = %g under a nonzero entry of Ã^m", i, j, cert.Q[i*n+j])
+			}
+			qd := exactF(cert.Q[i*n+j])
+			qd.SetMantExp(qd, dExp[j])
+			lam = upMax(lam, upQuo(pij, qd))
+		}
+	}
+	halfTau := upMul(upMul(tau2, exactF(1-0x1p-19)), exactF(0.5))
+	if lam.Cmp(upMul(halfTau, formed)) > 0 {
+		t.Fatalf("test (c') stands for ‖|Ã^m|·|y|‖∞ ≤ %v, above (1−η)·τ₂/2 = %v", lam, halfTau)
+	}
+	testQ := upQuo(upAdd(one, upMul(exactF(float64(n)), tiny)), downF().Sub(one, gam))
+	// From ‖y_k‖∞ ≤ K·τ₂: the first block by (b'); the second starts at
+	// most y1, and every later block at most y1 + σ.
+	drift6 := drift(upMul(k, tau2))
+	first6 := upAdd(upMul(thetaB, testL), upMul(dNorm, drift6))
+	y1 := upAdd(upMul(lam, testQ), drift6)
+	later6 := upAdd(upMul(upMul(theta, w1), upAdd(y1, sigma)), upMul(dNorm, drift(y1)))
+	if laterMargin = margin(upMax(first6, later6)); laterMargin < 1 {
+		t.Fatalf("later-block test lets the walk reach %v (first block) / %v (later blocks) > Eth = %g",
+			first6, later6, s.Eth)
+	}
+	return boxMargin, compMargin, laterMargin, m
 }
 
 // Every fixture certificate passes the exact checker: A1 and A2 of the 20
-// probe designs, the diesel engine and the six calibrated §V loops. -short
-// checks the §V TT loops and probe design 0.
+// probe designs, the diesel engine, the ACC loop and the six calibrated §V
+// loops. Every test is armed on every loop but the diesel engine's, whose
+// powers grow too far for the later-block test. -short checks the §V TT
+// loops and probe design 0.
 func TestFixtureCertificatesCheckExactly(t *testing.T) {
 	for i, d := range fixtureLoops(t) {
 		s, name := d.Sys, d.App.Name
@@ -332,10 +402,14 @@ func TestFixtureCertificatesCheckExactly(t *testing.T) {
 				continue
 			}
 			t.Run(name+"/"+loop.name, func(t *testing.T) {
-				boxMargin, compMargin, m := checkCertificate(t, s, loop.a, horizon)
-				t.Logf("m = %d; Eth over the largest reachable norm: box %.4g, componentwise %.4g", m, boxMargin, compMargin)
+				boxMargin, compMargin, laterMargin, m := checkCertificate(t, s, loop.a, horizon)
+				t.Logf("m = %d; Eth over the largest reachable norm: box %.4g, componentwise %.4g, later-block %.4g",
+					m, boxMargin, compMargin, laterMargin)
 				if compMargin == 0 {
 					t.Error("the componentwise test is not armed")
+				}
+				if laterMargin == 0 && name != "diesel" {
+					t.Error("the later-block test is not armed")
 				}
 			})
 		}

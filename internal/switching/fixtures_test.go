@@ -62,8 +62,30 @@ func dieselApp() *core.Application {
 	}
 }
 
+// accApp is the adaptive cruise control loop of SNIPPETS.md's Snippet 2
+// reduced to its controllable part: the relative distance and velocity to
+// the target vehicle, driven by the host's acceleration,
+// A = [[0, −1], [0, 0]] and B = [0; 1]. The host velocity, which no input
+// reaches (row 3 of the snippet's A and B is zero), is dropped. The plant
+// is a double integrator, marginal in open loop, unlike every other
+// fixture; the design is probe-style, h = 20 ms with 2 and 20 ms delays,
+// and x0 = [0, 2] a 2 m/s relative velocity kick against Eth = 0.1.
+func accApp() *core.Application {
+	return &core.Application{
+		Name: "acc",
+		Plant: &lti.Continuous{Name: "acc",
+			A: mat.FromRows([][]float64{{0, -1}, {0, 0}}),
+			B: mat.FromRows([][]float64{{0}, {1}})},
+		H: 0.02, DelayTT: 0.002, DelayET: 0.02, Eth: 0.1, X0: []float64{0, 2},
+		R: 8, Deadline: 3, FrameID: 1,
+		PolesTT: realPoles(0.80, 0.7, 0.05),
+		PolesET: realPoles(0.93, 0.88, 0.1),
+	}
+}
+
 // fixtureLoops derives every loop the benchmarks and the case study run:
-// the 20 probe designs, the diesel engine and the six calibrated §V apps.
+// the 20 probe designs, the diesel engine, the ACC loop and the six
+// calibrated §V apps.
 func fixtureLoops(t *testing.T) []*core.Derived {
 	t.Helper()
 	var out []*core.Derived
@@ -76,6 +98,10 @@ func fixtureLoops(t *testing.T) []*core.Derived {
 	}
 	d, err := dieselApp().DeriveContext(context.Background())
 	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, d)
+	if d, err = accApp().DeriveContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	out = append(out, d)

@@ -19,7 +19,9 @@ import (
 // left over singly, or, at order 3, every state with A2's nine entries in
 // registers). Each state's dot products keep MulVecTo's order from a +0
 // seed, so every walk is bit-identical to settle's; only the loads of A2
-// and the loop overhead are shared.
+// and the loop overhead are shared. The kernel also hands back each new
+// state's threshold sum of squares, formed as it writes the state, so the
+// threshold test reads one number per lane instead of reloading the state.
 //
 // The threshold test needs no square root. A correctly rounded square
 // root is monotone, so with t the largest float64 whose root is ≤ Eth,
@@ -50,9 +52,9 @@ func sumSqThreshold(eth float64) float64 {
 }
 
 // sumSq is the sum of squares under mat.VecNorm2's square root, summed in
-// the same order from the same +0.
+// the same order from the same +0 (as mat.MulVecsTo sums a product's).
 //
-//cpsdyn:allocfree called for every live lane on every lockstep step
+//cpsdyn:allocfree called for each starting state of a lockstep chunk
 func sumSq(x []float64) float64 {
 	s := 0.0
 	for _, v := range x {
@@ -62,8 +64,9 @@ func sumSq(x []float64) float64 {
 }
 
 // walkLanes walks the lanes of one chunk in lockstep on loop matrix a.
-// Lane l's state is cur[l*n:(l+1)*n] and its kwait
-// idx[l]; nxt is as long as cur. Every lane follows settle's rules with
+// Lane l's state is cur[l*n:(l+1)*n], its threshold sum of squares ss[l]
+// and its kwait idx[l]; nxt is as long as cur, and ss as idx (walkLanes
+// fills it). Every lane follows settle's rules with
 // certificate cert and threshold t (sumSqThreshold(Eth)): kdw[kwait]
 // holds the lane's last above-threshold step while it walks and its
 // settling step once it stops. A lane that cannot settle — its state
@@ -74,7 +77,7 @@ func sumSq(x []float64) float64 {
 // step and every stepFlush lane-steps, and its error ends the walk.
 //
 //cpsdyn:allocfree the lockstep kernel under SampleCurveWith; one chunk walks thousands of lane-steps
-func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt []float64, idx, kdw []int, horizon int, t float64, cert *certificate) (fail int, overflow bool, err error) {
+func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt, ss []float64, idx, kdw []int, horizon int, t float64, cert *certificate) (fail int, overflow bool, err error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return -1, false, err
@@ -83,8 +86,9 @@ func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt []float6
 	tr := obs.FromContext(ctx)
 	n, d := len(s.X0), s.normDims()
 	live := len(idx)
-	for _, kw := range idx {
+	for l, kw := range idx {
 		kdw[kw] = -1
+		ss[l] = sumSq(cur[l*n : l*n+d])
 	}
 	fail = -1
 	pending := 0 // lane-steps not yet flushed to the counters
@@ -92,11 +96,11 @@ func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt []float6
 		for l := 0; l < live; {
 			x := cur[l*n : (l+1)*n]
 			kw := idx[l]
-			if ss := sumSq(x[:d]); ss > t {
+			if q := ss[l]; q > t {
 				kdw[kw] = k
 				l++
 				continue
-			} else if !(ss <= t) {
+			} else if !(q <= t) {
 				if fail < 0 || kw < fail {
 					fail, overflow = kw, true
 				}
@@ -110,7 +114,7 @@ func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt []float6
 			// place, and is tested at this step in its turn.
 			live--
 			copy(x, cur[live*n:(live+1)*n])
-			idx[l] = idx[live]
+			ss[l], idx[l] = ss[live], idx[live]
 		}
 		if k == horizon {
 			for _, kw := range idx[:live] {
@@ -122,7 +126,7 @@ func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt []float6
 			}
 			break
 		}
-		a.MulVecsTo(nxt[:live*n], cur[:live*n])
+		a.MulVecsTo(nxt[:live*n], cur[:live*n], ss[:live], d)
 		cur, nxt = nxt, cur
 		if pending += live; pending >= stepFlush {
 			countSteps(tr, uint64(pending))

@@ -211,7 +211,7 @@ func TestLockstepOverflowingLaneMatchesSweep(t *testing.T) {
 	idx := []int{0, 1, 2}
 	kdw := make([]int, 3)
 	var none certificate
-	fail, overflow, err := s.walkLanes(nil, a2, cur, nxt, idx, kdw, 30, sumSqThreshold(s.Eth), &none)
+	fail, overflow, err := s.walkLanes(nil, a2, cur, nxt, make([]float64, 3), idx, kdw, 30, sumSqThreshold(s.Eth), &none)
 	if err != nil || fail != 0 || overflow {
 		t.Fatalf("walkLanes = (%d, %v, %v), want lane 0 unsettled", fail, overflow, err)
 	}
@@ -250,7 +250,7 @@ func TestLockstepCancelledWalk(t *testing.T) {
 		}
 		ctx := &errAfter{Context: context.Background(), calls: calls}
 		before := SimSteps()
-		_, _, err := s.walkLanes(ctx, s.A2, cur, make([]float64, len(cur)), idx, make([]int, laneChunk), 20000, sumSqThreshold(s.Eth), &none)
+		_, _, err := s.walkLanes(ctx, s.A2, cur, make([]float64, len(cur)), make([]float64, laneChunk), idx, make([]int, laneChunk), 20000, sumSqThreshold(s.Eth), &none)
 		steps := SimSteps() - before
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%d checks: err = %v, want context.Canceled", calls, err)

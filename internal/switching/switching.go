@@ -70,11 +70,39 @@ func (s *System) Validate() error {
 		return s.errorf("A1 (%d×%d) and A2 (%d×%d) must be square and equal-sized",
 			s.A1.Rows(), s.A1.Cols(), s.A2.Rows(), s.A2.Cols())
 	}
+	if err := s.validateShared(n, s.A1.IsFinite() && s.A2.IsFinite(), "A1, A2"); err != nil {
+		return err
+	}
+	if err := s.validateStable(s.A1); err != nil {
+		return err
+	}
+	return s.validateStable(s.A2)
+}
+
+// ValidateLoop is Validate for a pure-mode walk of the one loop a (A1 or
+// A2 of s, or a loop of the same state space): the inputs both loops
+// share, checked as Validate checks them, and a's shape, finiteness and
+// stability. A settling probe's System may carry only the loop it walks.
+func (s *System) ValidateLoop(a *mat.Matrix) error {
+	n := a.Rows()
+	if a.Cols() != n {
+		return s.errorf("loop matrix (%d×%d) must be square", n, a.Cols())
+	}
+	if err := s.validateShared(n, a.IsFinite(), "the loop matrix"); err != nil {
+		return err
+	}
+	return s.validateStable(a)
+}
+
+// validateShared checks the inputs shared by the loops of order n: x0's
+// length, that the loops (finite, named by loops in the error), x0, Eth
+// and h are finite, the threshold, the period and NormDims.
+func (s *System) validateShared(n int, finite bool, loops string) error {
 	if len(s.X0) != n {
 		return s.errorf("x0 has %d entries, want %d", len(s.X0), n)
 	}
-	if !s.A1.IsFinite() || !s.A2.IsFinite() || !mat.VecIsFinite(s.X0) {
-		return s.errorf("A1, A2 and x0 must be finite")
+	if !finite || !mat.VecIsFinite(s.X0) {
+		return s.errorf("%s and x0 must be finite", loops)
 	}
 	if !(s.Eth > 0) {
 		return s.errorf("threshold Eth = %g must be positive", s.Eth)
@@ -88,14 +116,18 @@ func (s *System) Validate() error {
 	if s.NormDims < 0 || s.NormDims > n {
 		return s.errorf("NormDims %d outside [0, %d]", s.NormDims, n)
 	}
-	for _, a := range []*mat.Matrix{s.A1, s.A2} {
-		stable, err := mat.IsSchurStable(a)
-		if err != nil {
-			return &Error{System: s.Name, Err: err}
-		}
-		if !stable {
-			return s.errorf("closed loop is not Schur stable")
-		}
+	return nil
+}
+
+// validateStable checks the Schur stability of loop a: one QR eigenvalue
+// solve.
+func (s *System) validateStable(a *mat.Matrix) error {
+	stable, err := mat.IsSchurStable(a)
+	if err != nil {
+		return &Error{System: s.Name, Err: err}
+	}
+	if !stable {
+		return s.errorf("closed loop is not Schur stable")
 	}
 	return nil
 }
@@ -362,6 +394,7 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	kdw := make([]int, kET)
 	err = conc.ForEachWorkerCtx(ctx, chunks, workers, func(w, c int) error {
 		var idx [laneChunk]int
+		var ss [laneChunk]float64
 		lo, hi := c*laneChunk, min((c+1)*laneChunk, kET)
 		for l := range hi - lo {
 			idx[l] = lo + l
@@ -370,7 +403,7 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 		cur, nxt := blk[:(hi-lo)*n], blk[lanes:lanes+(hi-lo)*n]
 		copy(cur, states[lo*n:hi*n])
 		cert := cert2 // a chunk's own copy keeps cert2 off the heap
-		kwait, overflow, err := s.walkLanes(ctx, s.A2, cur, nxt, idx[:hi-lo], kdw, horizon, t, &cert)
+		kwait, overflow, err := s.walkLanes(ctx, s.A2, cur, nxt, ss[:hi-lo], idx[:hi-lo], kdw, horizon, t, &cert)
 		switch {
 		case err != nil:
 			return err
