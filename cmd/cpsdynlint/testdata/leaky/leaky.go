@@ -1,8 +1,8 @@
 // Package leaky is a cpsdynlint route-test fixture. It carries exactly
-// one deliberate lockguard violation and one atomicmix violation so the
-// command tests can assert on the finding set in both output modes. The
-// testdata directory name keeps it out of ./... wildcards, so the
-// tree-wide CI lint run never sees it.
+// two deliberate lockguard violations, a leaked lock and an untyped
+// sync/atomic call, so the command tests can assert on the finding set
+// in both output modes. The testdata directory name keeps it out of
+// ./... wildcards, so the tree-wide CI lint run never sees it.
 package leaky
 
 import (
@@ -22,7 +22,8 @@ func Leak(fail bool) {
 	mu.Unlock()
 }
 
-// Mixed bumps n atomically but reads it plainly.
+// Mixed bumps n atomically but reads it plainly, which the untyped
+// atomic.AddInt64 allows.
 func Mixed() int64 {
 	atomic.AddInt64(&n, 1)
 	return n

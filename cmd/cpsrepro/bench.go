@@ -1,20 +1,20 @@
 package main
 
 // bench-export runs the kernel benchmarks that gate this repository's
-// performance trajectory (matrix exponentials, discretisation, the warm
-// fleet sweep, the service's warm row path, its cache key, its codec, the
-// slot-allocation race, the certified dwell-curve sampling stage, one
-// cold derivation, the persistent store's write and read, and one servo
-// calibration) hermetically via testing.Benchmark — no `go test`
+// performance trajectory (matrix exponentials, discretisation, the
+// service's warm row path, its cache key, its codec, the slot-allocation
+// race, the certified dwell-curve sampling stage, one cold derivation, the
+// persistent store's write and read, and one servo calibration)
+// hermetically via testing.Benchmark — no `go test`
 // subprocess — and writes them as one JSON report (BENCH_N.json is the
 // committed artefact per perf PR), together with exact work counters: the
 // simulated steps and kwait samples of one sequential curve sampling per
 // fixture curve, and the simulated steps of each §V calibration search.
-// bench-compare diffs
-// two such reports with benchstat-style semantics: it fails on a
-// >threshold geometric-mean regression in ns/op, on any allocs/op increase
-// or on any counter increase, which is what the CI bench-compare job runs
-// against the merge base.
+// bench-compare diffs two such reports with benchstat-style semantics: it
+// fails on a >threshold geometric-mean regression in ns/op, on any
+// allocs/op increase or on any counter increase, and lists every
+// benchmark and counter only one report carries; the CI bench-compare job
+// runs it against the merge base.
 
 import (
 	"bytes"
@@ -81,30 +81,6 @@ func benchKernelMatrix(n int) *mat.Matrix {
 		a.Set(i, i, a.At(i, i)-1)
 	}
 	return a
-}
-
-func benchFleet() []*core.Application {
-	poles := func(scale float64) []complex128 {
-		return []complex128{complex(0.80*scale, 0), complex(0.70*scale, 0), 0.05}
-	}
-	apps := make([]*core.Application, 4)
-	for i := range apps {
-		apps[i] = &core.Application{
-			Name:     fmt.Sprintf("bench-%d", i),
-			Plant:    plants.Servo(),
-			H:        0.020,
-			DelayTT:  0.002,
-			DelayET:  0.020,
-			Eth:      0.1,
-			X0:       []float64{0, 2.0},
-			R:        8,
-			Deadline: 2 + float64(i),
-			FrameID:  i + 1,
-			PolesTT:  poles(1 - 0.01*float64(i)),
-			PolesET:  []complex128{0.93, 0.88, 0.10},
-		}
-	}
-	return apps
 }
 
 // benchAppSpecs draws n paper-style schedulability views from a fixed
@@ -301,24 +277,7 @@ func kernelBenchmarks() []struct {
 			}
 		}
 	}})
-	apps := benchFleet()
-	warm := make([]*core.Derived, len(apps))
 	ctx := context.Background()
-	out = append(out, struct {
-		name string
-		fn   func(b *testing.B)
-	}{"DeriveFleetWarm", func(b *testing.B) {
-		if err := core.DeriveFleetInto(ctx, warm, apps); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := core.DeriveFleetInto(ctx, warm, apps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}})
 	out = append(out, struct {
 		name string
 		fn   func(b *testing.B)
@@ -631,8 +590,11 @@ func runBenchExport(args []string) error {
 // runBenchCompare diffs two bench-export reports (old, new) and fails on
 // a geometric-mean ns/op regression beyond -threshold, on any benchmark
 // whose allocs/op increased, or on any work counter both reports carry
-// that increased. A report without counters compares on its benchmarks.
-func runBenchCompare(args []string) error {
+// that increased. A benchmark or counter only one report carries is
+// listed as "only in old" or "only in new" and does not fail the
+// comparison, so a dropped gate shows in the log. A report without
+// counters compares on its benchmarks.
+func runBenchCompare(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("bench-compare", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.15, "allowed geomean ns/op regression (0.15 = +15%)")
 	if err := fs.Parse(args); err != nil {
@@ -669,21 +631,31 @@ func runBenchCompare(args []string) error {
 	}
 	logSum := 0.0
 	var allocRegressions []string
-	fmt.Printf("%-20s %14s %14s %8s %s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "allocs old→new")
+	fmt.Fprintf(w, "%-20s %14s %14s %8s %s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "allocs old→new")
 	for _, name := range names {
 		o, n := oldBy[name], newBy[name]
 		ratio := n.NsPerOp / o.NsPerOp
 		logSum += math.Log(ratio)
-		fmt.Printf("%-20s %14.1f %14.1f %8.3f %d→%d\n",
+		fmt.Fprintf(w, "%-20s %14.1f %14.1f %8.3f %d→%d\n",
 			name, o.NsPerOp, n.NsPerOp, ratio, o.AllocsPerOp, n.AllocsPerOp)
 		if n.AllocsPerOp > o.AllocsPerOp {
 			allocRegressions = append(allocRegressions,
 				fmt.Sprintf("%s: %d → %d allocs/op", name, o.AllocsPerOp, n.AllocsPerOp))
 		}
 	}
+	for _, r := range oldRep.Benchmarks {
+		if _, ok := newBy[r.Name]; !ok {
+			fmt.Fprintf(w, "%-20s only in old\n", r.Name)
+		}
+	}
+	for _, r := range newRep.Benchmarks {
+		if _, ok := oldBy[r.Name]; !ok {
+			fmt.Fprintf(w, "%-20s only in new\n", r.Name)
+		}
+	}
 	geomean := math.Exp(logSum / float64(len(names)))
-	fmt.Printf("geomean ns/op ratio: %.3f (gate: ≤ %.3f)\n", geomean, 1+*threshold)
-	counterRegressions := compareCounters(oldRep.Counters, newRep.Counters)
+	fmt.Fprintf(w, "geomean ns/op ratio: %.3f (gate: ≤ %.3f)\n", geomean, 1+*threshold)
+	counterRegressions := compareCounters(w, oldRep.Counters, newRep.Counters)
 	if len(allocRegressions) > 0 {
 		return fmt.Errorf("bench-compare: allocs/op regressed: %v", allocRegressions)
 	}
@@ -698,26 +670,40 @@ func runBenchCompare(args []string) error {
 }
 
 // compareCounters prints the counters both reports carry, in the new
-// report's order, and lists every one that rose.
-func compareCounters(oldCs, newCs []benchCounter) []string {
+// report's order, then the ones only one report carries, and lists every
+// one that rose.
+func compareCounters(w io.Writer, oldCs, newCs []benchCounter) []string {
+	if len(oldCs)+len(newCs) == 0 {
+		return nil
+	}
 	oldBy := make(map[string]uint64, len(oldCs))
 	for _, c := range oldCs {
 		oldBy[c.Name] = c.Value
 	}
+	newBy := make(map[string]uint64, len(newCs))
+	for _, c := range newCs {
+		newBy[c.Name] = c.Value
+	}
+	fmt.Fprintf(w, "%-26s %12s %12s %8s\n", "counter", "old", "new", "ratio")
 	var rose []string
-	header := false
 	for _, c := range newCs {
 		o, ok := oldBy[c.Name]
 		if !ok {
 			continue
 		}
-		if !header {
-			fmt.Printf("%-26s %12s %12s %8s\n", "counter", "old", "new", "ratio")
-			header = true
-		}
-		fmt.Printf("%-26s %12d %12d %8.3f\n", c.Name, o, c.Value, float64(c.Value)/float64(max(o, 1)))
+		fmt.Fprintf(w, "%-26s %12d %12d %8.3f\n", c.Name, o, c.Value, float64(c.Value)/float64(max(o, 1)))
 		if c.Value > o {
 			rose = append(rose, fmt.Sprintf("%s: %d → %d", c.Name, o, c.Value))
+		}
+	}
+	for _, c := range oldCs {
+		if _, ok := newBy[c.Name]; !ok {
+			fmt.Fprintf(w, "%-26s only in old\n", c.Name)
+		}
+	}
+	for _, c := range newCs {
+		if _, ok := oldBy[c.Name]; !ok {
+			fmt.Fprintf(w, "%-26s only in new\n", c.Name)
 		}
 	}
 	return rose

@@ -67,11 +67,13 @@ func main() {
 	// they parse os.Args directly instead of the shared reproduction flags.
 	switch cmd {
 	case "bench-export", "bench-compare":
-		run := runBenchExport
+		var err error
 		if cmd == "bench-compare" {
-			run = runBenchCompare
+			err = runBenchCompare(os.Stdout, os.Args[2:])
+		} else {
+			err = runBenchExport(os.Args[2:])
 		}
-		if err := run(os.Args[2:]); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "cpsrepro:", err)
 			os.Exit(1)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,23 +41,27 @@ func TestAllMatchesGolden(t *testing.T) {
 	t.Fatalf("output has %d lines, golden %d", len(gotLines), len(wantLines))
 }
 
+// writeBenchReport writes rep to a fresh file and returns its path.
+func writeBenchReport(t *testing.T, rep benchReport) string {
+	t.Helper()
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // bench-compare fails on any work counter that rose, compares only the
 // counters both reports carry, and still compares a report without them.
 func TestBenchCompareGatesCounters(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, counters []benchCounter) string {
-		rep := benchReport{Schema: 1, Benchmarks: []benchResult{{Name: "X", NsPerOp: 100}}, Counters: counters}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+	write := func(counters []benchCounter) string {
+		return writeBenchReport(t, benchReport{Schema: 1, Benchmarks: []benchResult{{Name: "X", NsPerOp: 100}}, Counters: counters})
 	}
-	old := write("old.json", []benchCounter{{"SimSteps/a", 10}, {"SimSteps/b", 5}})
+	old := write([]benchCounter{{"SimSteps/a", 10}, {"SimSteps/b", 5}})
 	for _, c := range []struct {
 		name     string
 		counters []benchCounter
@@ -67,9 +72,37 @@ func TestBenchCompareGatesCounters(t *testing.T) {
 		{"new counter", []benchCounter{{"SimSteps/a", 10}, {"SimSteps/c", 99}}, false},
 		{"no counters", nil, false},
 	} {
-		err := runBenchCompare([]string{old, write(c.name+".json", c.counters)})
+		err := runBenchCompare(io.Discard, []string{old, write(c.counters)})
 		if (err != nil) != c.fail {
 			t.Errorf("%s: bench-compare error %v, want failure %v", c.name, err, c.fail)
+		}
+	}
+}
+
+// A benchmark or counter only one report carries is not compared, but
+// bench-compare names it, so a gate dropped from the suite shows in the
+// log; it does not fail the comparison.
+func TestBenchCompareListsOneSidedNames(t *testing.T) {
+	old := writeBenchReport(t, benchReport{Schema: 1,
+		Benchmarks: []benchResult{{Name: "X", NsPerOp: 100}, {Name: "Dropped", NsPerOp: 50, AllocsPerOp: 3}},
+		Counters:   []benchCounter{{"SimSteps/a", 10}, {"SimSteps/dropped", 7}}})
+	cur := writeBenchReport(t, benchReport{Schema: 1,
+		Benchmarks: []benchResult{{Name: "Added", NsPerOp: 9e9, AllocsPerOp: 99}, {Name: "X", NsPerOp: 100}},
+		Counters:   []benchCounter{{"SimSteps/added", 99}, {"SimSteps/a", 10}}})
+	var out bytes.Buffer
+	if err := runBenchCompare(&out, []string{old, cur}); err != nil {
+		t.Fatalf("bench-compare failed on one-sided names: %v\n%s", err, out.String())
+	}
+	lines := map[string]bool{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		lines[strings.Join(strings.Fields(line), " ")] = true
+	}
+	for _, want := range []string{
+		"Dropped only in old", "Added only in new",
+		"SimSteps/dropped only in old", "SimSteps/added only in new",
+	} {
+		if !lines[want] {
+			t.Errorf("output has no line %q:\n%s", want, out.String())
 		}
 	}
 }

@@ -54,12 +54,8 @@
 // bytes are the store's record addresses and a golden test pins them.
 //
 // DeriveContext keeps no state on the Application: a second derivation of
-// the same Application is another key build and bundle lookup. Only
-// core.DeriveFleetInto re-serves results (see Performance): each result
-// slot it fills records a bit-exact snapshot of its application's inputs,
-// and a slot whose application is the same pointer with unchanged inputs
-// is served again with no key, lock or allocation, which is what the
-// gated DeriveFleetWarm benchmark measures.
+// the same Application is another key build and bundle lookup, and
+// core.DeriveFleet is that lookup fanned out over a fleet.
 //
 // # Slot allocation
 //
@@ -195,15 +191,10 @@
 // semigroup identity Γ(h) = Γ(h−d) + Φ(h−d)·Γ(d) turns the delay-split
 // discretisation into two exponential evaluations instead of four
 // (lti.Discretize; lti.DelayTable caches Γ(h) at construction and spends
-// exactly one evaluation per queried delay). Above the kernels,
-// core.DeriveFleetInto records in every result it derives a bit-exact
-// snapshot of the fields that fed it, so a later sweep over the same,
-// unchanged fleet into the same result slice is a sequence of pointer and
-// field comparisons: zero allocations, no goroutines, verified by an
-// AllocsPerRun test and benchmarked by BenchmarkDeriveFleetWarm. Mutating
-// any derivation input in place, or putting another *Application in a
-// slot, re-derives that slot on the next sweep. core.Application is a
-// plain value and may be copied.
+// exactly one evaluation per queried delay). Above the kernels, no
+// per-application memo sits in front of the derivation cache: a warm
+// derivation is one key build and one bundle lookup, and
+// core.Application is a plain value that may be copied.
 //
 // The settling walks stop at their certificates (see Sharded sampling
 // and cancellation), so a cold derive simulates hundreds of steps per
@@ -403,8 +394,7 @@
 // Per-endpoint request histograms live on the service.Server;
 // the pipeline histograms (per-row derive, one sample per DeriveContext
 // call; store load/store; peer round trip) are process-wide like the
-// caches they instrument — and a warm DeriveFleetInto slot stays
-// uninstrumented: serving it takes zero clock reads.
+// caches they instrument.
 //
 // Every request and stream carries an obs.Trace in its context: a 16-hex
 // span ID, an optional parent (the X-Cpsdyn-Trace request header; the
@@ -423,17 +413,16 @@
 //
 // # Enforced invariants
 //
-// Six project invariants are machine-checked by the internal/analysis
+// Five project invariants are machine-checked by the internal/analysis
 // suite, run as a blocking CI gate via cmd/cpsdynlint:
 //
 //   - Context flow (ctxflow): library code under internal/ neither mints
 //     context.Background()/TODO() nor, holding a ctx, calls a non-context
 //     variant that discards it — cancellation threads end to end, which is
 //     what makes the service's compute budgets actually stop work. No
-//     function outside internal/analysis carries a ctx-compat exemption:
-//     every cancellable library operation has one exported entry point,
-//     which takes ctx first, and only main packages and tests mint the
-//     root context.
+//     function is exempt: every cancellable library operation has one
+//     exported entry point, which takes ctx first, and only main packages
+//     and tests mint the root context.
 //   - Allocation-free kernels (allocfree): functions on the simulation hot
 //     path declare themselves allocation-free and the analyzer holds them
 //     to it (no make/new/append, no map or slice literals, no closures).
@@ -442,40 +431,36 @@
 //     worker count — no ordered writes under map iteration, no wall clock
 //     or process-global rand, no unindexed goroutine fan-in. This is the
 //     contract the cache keys, the streaming golden diffs and the cluster
-//     sharding all rest on.
-//   - Lock discipline (lockguard): a mutex acquired in internal/ or cmd/
-//     code is released on every path to a function exit, and is never held
-//     across an operation that may block — channel operations, network
-//     I/O, context/WaitGroup waits — as summarised transitively by the
-//     cross-package facts internal/analysis.Load derives.
+//     sharding all rest on. No function is exempt.
+//   - Lock and atomic discipline (lockguard): a mutex is released on every
+//     path to a function exit, and is never held across an operation that
+//     may block — channel operations, network I/O, context/WaitGroup
+//     waits — as summarised transitively by the cross-package facts
+//     internal/analysis.Load derives. No code calls the package-level
+//     sync/atomic functions (AddInt64, LoadUint64, …): every atomic is a
+//     typed atomic.Int64, atomic.Pointer, …, which has no plain access, so
+//     a plain read racing with an atomic write cannot be written.
 //   - Goroutine lifecycle (goroleak): every go statement in internal/
 //     either reaches a join (WaitGroup/Cond Wait, channel receive, select,
 //     range over a channel, a conc pool) on some path after the spawn, or
 //     the goroutine body watches ctx.Done() — no fire-and-forget work that
 //     outlives its request.
-//   - Atomic consistency (atomicmix): a variable or field accessed through
-//     sync/atomic anywhere is never plainly read or written elsewhere —
-//     the mixed access the race detector only catches when both sides
-//     happen to run.
 //
-// The last three are path-sensitive: they run forward dataflow over the
-// intraprocedural control-flow graphs of internal/analysis/cfg, consulting
-// per-function blocks/spawns summaries propagated bottom-up through the
-// whole go list -deps closure (internal/analysis.Facts).
+// The lock and goroutine checks are path-sensitive: they run forward
+// dataflow over the intraprocedural control-flow graphs of
+// internal/analysis/cfg, consulting per-function blocks/spawns summaries
+// propagated bottom-up through the whole go list -deps closure
+// (internal/analysis.Facts).
 //
 // Deliberate exceptions are declared where they occur, never in a central
 // allowlist, using //cpsdyn: directives (each carrying its justification
 // inline):
 //
-//	//cpsdyn:ctx-compat <why>     on a function: may use context.Background
 //	//cpsdyn:allocfree <why>      on a function: body must not allocate
-//	//cpsdyn:order-invariant <why> on a function: exempt from determinism
 //	//cpsdyn:lock-across <why>    on a function: may hold a lock across a
 //	                              blocking operation (leaks still flagged)
 //	//cpsdyn:detached <why>       on or above a go statement: deliberately
 //	                              unjoined goroutine
-//	//cpsdyn:nonatomic <why>      line comment: plain access to an
-//	                              atomically-updated variable is safe here
 //
 // See internal/analysis/README.md for the analyzer framework and how to
 // add a check.

@@ -9,7 +9,7 @@
 // analyzers port mechanically.
 //
 // The project invariants themselves live in the subpackages ctxflow,
-// allocfree, determinism, lockguard, goroleak and atomicmix;
+// allocfree, determinism, lockguard and goroleak;
 // cmd/cpsdynlint is the multichecker that CI runs as a blocking gate. See
 // README.md for how to add an analyzer.
 package analysis
@@ -57,12 +57,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // DirectivePrefix is the comment prefix of all cpsdyn annotations, e.g.
-// //cpsdyn:allocfree or //cpsdyn:ctx-compat. Text after the directive name
-// is a free-form justification for the human reader.
+// //cpsdyn:allocfree or //cpsdyn:lock-across. Text after the directive
+// name is a free-form justification for the human reader.
 const DirectivePrefix = "//cpsdyn:"
 
 // hasDirective reports whether the comment group carries //cpsdyn:<name>.
-// Directives are whole-word: //cpsdyn:ctx does not match //cpsdyn:ctx-compat.
+// Directives are whole-word: //cpsdyn:lock does not match //cpsdyn:lock-across.
 func hasDirective(doc *ast.CommentGroup, name string) bool {
 	if doc == nil {
 		return false
@@ -84,23 +84,6 @@ func hasDirective(doc *ast.CommentGroup, name string) bool {
 // carries the //cpsdyn:<name> directive.
 func FuncDirective(decl *ast.FuncDecl, name string) bool {
 	return decl != nil && hasDirective(decl.Doc, name)
-}
-
-// LineDirective reports whether any comment on the same line as pos (in the
-// file containing pos) carries the //cpsdyn:<name> directive. It is how
-// single expressions — a metric emission, say — opt out of a check without
-// exempting their whole function.
-func LineDirective(fset *token.FileSet, file *ast.File, pos token.Pos, name string) bool {
-	line := fset.Position(pos).Line
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if fset.Position(c.Pos()).Line == line &&
-				hasDirective(&ast.CommentGroup{List: []*ast.Comment{c}}, name) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // StmtDirective reports whether a //cpsdyn:<name> directive sits on the

@@ -4,13 +4,10 @@
 // fresh root context or silently drops the one in scope.
 //
 // Two rules, checked in every package the driver points it at (cpsdynlint
-// scopes it to the library packages under internal/):
+// scopes it to the library packages under internal/), with no exemption:
 //
-//  1. No context.Background() or context.TODO() outside functions
-//     annotated //cpsdyn:ctx-compat — the annotation is for the legacy
-//     convenience wrappers (Derive → DeriveContext and kin) whose whole
-//     job is to supply the root context, and each use carries a written
-//     justification.
+//  1. No context.Background() or context.TODO(): only main packages and
+//     tests mint a root context.
 //
 //  2. A function that receives a context.Context must not call a
 //     context-discarding variant when a context-aware sibling exists:
@@ -27,9 +24,6 @@ import (
 
 	"cpsdyn/internal/analysis"
 )
-
-// Directive is the annotation exempting a function from both rules.
-const Directive = "ctx-compat"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
@@ -48,16 +42,13 @@ func run(pass *analysis.Pass) error {
 			if fn == nil {
 				return true
 			}
-			encl := analysis.EnclosingFunc(file, call.Pos())
-			if analysis.FuncDirective(encl, Directive) {
-				return true
-			}
 			if isRootContext(fn) {
 				pass.Reportf(call.Pos(),
-					"context.%s() in library code severs cancellation: thread the caller's ctx, or annotate the function //cpsdyn:ctx-compat with a justification",
+					"context.%s() in library code severs cancellation: take the caller's ctx and thread it through",
 					fn.Name())
 				return true
 			}
+			encl := analysis.EnclosingFunc(file, call.Pos())
 			if encl == nil || !funcHasCtxParam(encl, pass.TypesInfo) {
 				return true
 			}

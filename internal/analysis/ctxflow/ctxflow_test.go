@@ -10,5 +10,3 @@ import (
 func TestPositive(t *testing.T) { analysistest.Run(t, "testdata/src/a", ctxflow.Analyzer) }
 
 func TestNegative(t *testing.T) { analysistest.Run(t, "testdata/src/b", ctxflow.Analyzer) }
-
-func TestAnnotatedExemption(t *testing.T) { analysistest.Run(t, "testdata/src/c", ctxflow.Analyzer) }

@@ -41,3 +41,11 @@ func threaded(ctx context.Context, a *App) error {
 	}
 	return ProbeContext(ctx)
 }
+
+// legacyWrapper still carries the annotation that once exempted it; no
+// directive exempts a function from ctxflow any more.
+//
+//cpsdyn:ctx-compat the annotation no longer exempts anything
+func legacyWrapper(a *App) error {
+	return a.DeriveContext(context.Background()) // want `context\.Background\(\) in library code`
+}

@@ -24,9 +24,8 @@
 //     Give the worker its index (`go func(i int) { ... }(i)`) so the
 //     receiver can restore input order — the conc package's pattern.
 //
-// A function annotated //cpsdyn:order-invariant is exempt from all three
-// (for bodies whose writes are provably order-free in ways the AST cannot
-// see); the annotation carries a written justification.
+// No function is exempt: a body whose writes are order-free in a way the
+// AST cannot see iterates sorted keys like any other.
 package determinism
 
 import (
@@ -36,9 +35,6 @@ import (
 
 	"cpsdyn/internal/analysis"
 )
-
-// Directive is the annotation exempting a function from the checks.
-const Directive = "order-invariant"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
@@ -56,13 +52,6 @@ var seededConstructors = map[string]bool{
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			if n == nil {
-				return false
-			}
-			encl := analysis.EnclosingFunc(file, n.Pos())
-			if analysis.FuncDirective(encl, Directive) {
-				return false
-			}
 			switch n := n.(type) {
 			case *ast.RangeStmt:
 				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
@@ -132,7 +121,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 				}
 				if n.Tok == token.ASSIGN {
 					pass.Reportf(lhs.Pos(),
-						"last-writer-wins assignment to %s under a map range depends on iteration order; iterate sorted keys or annotate //cpsdyn:order-invariant if the reduction is order-free", root.Name)
+						"last-writer-wins assignment to %s under a map range depends on iteration order; iterate sorted keys", root.Name)
 				} else {
 					// Compound assignment (+=, -=, ...): floating-point
 					// accumulation order changes the bits.

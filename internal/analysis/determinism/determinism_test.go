@@ -10,7 +10,3 @@ import (
 func TestPositive(t *testing.T) { analysistest.Run(t, "testdata/src/a", determinism.Analyzer) }
 
 func TestNegative(t *testing.T) { analysistest.Run(t, "testdata/src/b", determinism.Analyzer) }
-
-func TestAnnotatedExemption(t *testing.T) {
-	analysistest.Run(t, "testdata/src/c", determinism.Analyzer)
-}

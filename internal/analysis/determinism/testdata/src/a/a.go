@@ -69,3 +69,17 @@ func fanIn(xs []float64) []float64 {
 	}
 	return out
 }
+
+// maxNorm still carries the annotation that once exempted it; no
+// directive exempts a function from determinism any more.
+//
+//cpsdyn:order-invariant the annotation no longer exempts anything
+func maxNorm(m map[string]float64) float64 {
+	peak := 0.0
+	for _, v := range m {
+		if v > peak {
+			peak = v // want `last-writer-wins assignment to peak under a map range`
+		}
+	}
+	return peak
+}

@@ -1,5 +1,5 @@
 // Package lockguard defines an Analyzer that checks two path-sensitive
-// mutex invariants over the cfg/dataflow layer:
+// mutex invariants over the cfg/dataflow layer, and one rule on atomics:
 //
 //  1. a sync.Mutex/RWMutex acquired on some path must be released on every
 //     path to a function exit (return, panic, or falling off the end) —
@@ -7,7 +7,12 @@
 //  2. a held lock must not live across an operation that may block
 //     indefinitely: a channel send/receive, a select without default, a
 //     range over a channel, or a call whose cross-package Blocks fact is
-//     set (network I/O, WaitGroup waits, time.Sleep and friends).
+//     set (network I/O, WaitGroup waits, time.Sleep and friends);
+//  3. no call to a package-level sync/atomic function (atomic.AddInt64,
+//     LoadUint64, …): the variable it addresses stays a plain one that
+//     any other line may read or write without the atomic API, which
+//     races. A typed atomic (atomic.Int64, atomic.Pointer, …) has no
+//     plain access, so the mix cannot be written.
 //
 // The second check is the bug class that deadlocks a fan-out under peer
 // stall: a goroutine parks inside the critical section and every other
@@ -38,7 +43,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockguard",
-	Doc:  "check that mutexes are released on all paths and never held across blocking operations",
+	Doc:  "check that mutexes are released on all paths and never held across blocking operations, and that atomics are typed",
 	Run:  run,
 }
 
@@ -73,6 +78,9 @@ func run(pass *analysis.Pass) error {
 			var body *ast.BlockStmt
 			var pos token.Pos
 			switch n := n.(type) {
+			case *ast.CallExpr:
+				checkAtomicCall(pass, n)
+				return true
 			case *ast.FuncDecl:
 				if n.Body == nil {
 					return true
@@ -91,6 +99,17 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// checkAtomicCall reports a call to a package-level sync/atomic function;
+// the methods of the typed atomics are the sanctioned form.
+func checkAtomicCall(pass *analysis.Pass, call *ast.CallExpr) {
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Signature().Recv() != nil {
+		return
+	}
+	pass.Reportf(call.Pos(), "atomic.%s leaves its variable open to plain reads and writes that race with it; declare the variable as a typed atomic (atomic.Int64, atomic.Uint64, atomic.Pointer, …) and use its methods",
+		fn.Name())
 }
 
 func check(pass *analysis.Pass, body *ast.BlockStmt, exempt bool) {

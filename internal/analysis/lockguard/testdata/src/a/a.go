@@ -1,10 +1,11 @@
-// Package a holds lockguard positives: locks leaked on some path and
-// locks held across blocking operations.
+// Package a holds lockguard positives: locks leaked on some path, locks
+// held across blocking operations and a package-level sync/atomic call.
 package a
 
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 var errBoom = errors.New("boom")
@@ -71,4 +72,12 @@ func heldAcrossRange(c *counter, ch chan int) {
 		c.n += v
 	}
 	c.mu.Unlock()
+}
+
+var hits int64
+
+// plainAtomic bumps a plain int64 through a package-level sync/atomic
+// function; any other line may still read hits plainly.
+func plainAtomic() {
+	atomic.AddInt64(&hits, 1) // want `atomic\.AddInt64 leaves its variable open to plain reads and writes`
 }

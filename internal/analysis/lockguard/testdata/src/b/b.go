@@ -1,8 +1,12 @@
 // Package b holds lockguard negatives: balanced, deferred and
-// released-before-blocking locks the analyzer must stay silent on.
+// released-before-blocking locks and a typed atomic, which the analyzer
+// must stay silent on.
 package b
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type counter struct {
 	mu sync.Mutex
@@ -95,4 +99,12 @@ func loopLocked(c *counter, xs []int) {
 		c.n += x
 		c.mu.Unlock()
 	}
+}
+
+// hits is a typed atomic: every access goes through its methods.
+var hits atomic.Int64
+
+func typedAtomic() int64 {
+	hits.Add(1)
+	return hits.Load()
 }

@@ -17,21 +17,12 @@ import (
 // converge, which typically indicates an unstabilisable pair (A, B).
 var ErrRiccatiDiverged = errors.New("control: Riccati iteration did not converge")
 
-// LQROptions tunes the Riccati fixed-point iteration.
-type LQROptions struct {
-	MaxIter int     // iteration budget (default 10000)
-	Tol     float64 // convergence tolerance on ‖P−P′‖∞ (default 1e-12)
-}
-
-func (o LQROptions) withDefaults() LQROptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 10000
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-12
-	}
-	return o
-}
+// The Riccati fixed-point iteration stops once ‖P−P′‖∞ ≤ lqrTol·(1+‖P‖∞),
+// and gives up after lqrMaxIter steps.
+const (
+	lqrMaxIter = 10000
+	lqrTol     = 1e-12
+)
 
 // LQR solves the discrete-time infinite-horizon LQR problem
 //
@@ -39,8 +30,7 @@ func (o LQROptions) withDefaults() LQROptions {
 //
 // by iterating the Riccati difference equation to its fixed point P and
 // returns the optimal gain K = (R + B'PB)⁻¹B'PA (so u = −K·x) along with P.
-func LQR(a, b, q, r *mat.Matrix, opts LQROptions) (k, p *mat.Matrix, err error) {
-	opts = opts.withDefaults()
+func LQR(a, b, q, r *mat.Matrix) (k, p *mat.Matrix, err error) {
 	n := a.Rows()
 	if a.Cols() != n {
 		return nil, nil, fmt.Errorf("control: LQR: A is %d×%d, want square", a.Rows(), a.Cols())
@@ -58,7 +48,7 @@ func LQR(a, b, q, r *mat.Matrix, opts LQROptions) (k, p *mat.Matrix, err error) 
 	at := a.T()
 	bt := b.T()
 	p = q.Clone()
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < lqrMaxIter; iter++ {
 		btp := bt.Mul(p)
 		gram := r.Add(btp.Mul(b)) // R + B'PB
 		rhs := btp.Mul(a)         // B'PA
@@ -72,7 +62,7 @@ func LQR(a, b, q, r *mat.Matrix, opts LQROptions) (k, p *mat.Matrix, err error) 
 		pNext = pNext.Add(pNext.T()).Scale(0.5)
 		diff := pNext.MaxAbsDiff(p)
 		p = pNext
-		if diff <= opts.Tol*(1+p.NormInf()) {
+		if diff <= lqrTol*(1+p.NormInf()) {
 			return kk, p, nil
 		}
 		if !p.IsFinite() {

@@ -24,7 +24,7 @@ func TestLQRScalar(t *testing.T) {
 	b := mat.FromRows([][]float64{{1}})
 	q := mat.Identity(1)
 	r := mat.Identity(1)
-	k, p, err := LQR(a, b, q, r, LQROptions{})
+	k, p, err := LQR(a, b, q, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestLQRScalar(t *testing.T) {
 
 func TestLQRStabilizesDoubleIntegrator(t *testing.T) {
 	a, b := discreteDoubleIntegrator(0.02)
-	k, _, err := LQR(a, b, mat.Identity(2), mat.Identity(1).Scale(0.1), LQROptions{})
+	k, _, err := LQR(a, b, mat.Identity(2), mat.Identity(1).Scale(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +61,16 @@ func TestLQRStabilizesDoubleIntegrator(t *testing.T) {
 
 func TestLQRShapeErrors(t *testing.T) {
 	a, b := discreteDoubleIntegrator(0.02)
-	if _, _, err := LQR(mat.New(2, 3), b, mat.Identity(2), mat.Identity(1), LQROptions{}); err == nil {
+	if _, _, err := LQR(mat.New(2, 3), b, mat.Identity(2), mat.Identity(1)); err == nil {
 		t.Fatal("want error for non-square A")
 	}
-	if _, _, err := LQR(a, mat.New(3, 1), mat.Identity(2), mat.Identity(1), LQROptions{}); err == nil {
+	if _, _, err := LQR(a, mat.New(3, 1), mat.Identity(2), mat.Identity(1)); err == nil {
 		t.Fatal("want error for B rows")
 	}
-	if _, _, err := LQR(a, b, mat.Identity(3), mat.Identity(1), LQROptions{}); err == nil {
+	if _, _, err := LQR(a, b, mat.Identity(3), mat.Identity(1)); err == nil {
 		t.Fatal("want error for Q shape")
 	}
-	if _, _, err := LQR(a, b, mat.Identity(2), mat.Identity(2), LQROptions{}); err == nil {
+	if _, _, err := LQR(a, b, mat.Identity(2), mat.Identity(2)); err == nil {
 		t.Fatal("want error for R shape")
 	}
 }
@@ -156,7 +156,7 @@ func TestPropLQRStabilizes(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b.Set(i, 0, r.NormFloat64())
 		}
-		k, _, err := LQR(a, b, mat.Identity(n), mat.Identity(1), LQROptions{MaxIter: 20000})
+		k, _, err := LQR(a, b, mat.Identity(n), mat.Identity(1))
 		if err != nil {
 			return true // random pair may be unstabilisable; skip
 		}

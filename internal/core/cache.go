@@ -395,10 +395,8 @@ func SetDeriveStore(s ArtifactStore) { deriveCache.setStore(s) }
 // that differ below formatting precision — including +0 and −0, whose bit
 // patterns differ (0x0 vs 0x8000000000000000). That strictness is
 // load-bearing: the disk store (internal/store) addresses records by these
-// keys, so two inputs share an artefact exactly when their keys are equal,
-// and every comparison layered above (appSnapshot.matches) must be equally
-// bit-exact or it would serve a stale value the key discipline would
-// recompute. TestCacheKeyDistinguishesSignedZero pins the contract.
+// keys, so two inputs share an artefact exactly when their keys are equal.
+// TestCacheKeyDistinguishesSignedZero pins the contract.
 func keyFloat(b []byte, v float64) []byte {
 	var bits [8]byte
 	binary.BigEndian.PutUint64(bits[:], math.Float64bits(v))

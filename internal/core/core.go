@@ -145,11 +145,6 @@ type Derived struct {
 	NonMono        *pwl.Model
 	Conservative   *pwl.Model
 	Simple         *pwl.Model
-
-	// snap is App's input snapshot when DeriveFleetInto derived this
-	// result, and nil otherwise: the test that lets a later
-	// DeriveFleetInto serve the result again.
-	snap *appSnapshot
 }
 
 // DeriveContext designs both controllers, forms the switched closed
@@ -162,11 +157,10 @@ type Derived struct {
 // heavily) are one key build and one lookup; see DeriveFleet for the
 // concurrent fleet entry point. DeriveContext keeps no state on the
 // Application: every call validates, builds the key and returns a fresh
-// Derived, also for an Application it derived before (DeriveFleetInto is
-// the entry point that re-serves the results of an unchanged fleet). The
-// cached values are shared between Derived values and must not be
-// mutated. On a cache miss the dwell-curve sampling itself fans out
-// across the worker pool configured by SetCurveSamplingWorkers.
+// Derived, also for an Application it derived before. The cached values
+// are shared between Derived values and must not be mutated. On a cache
+// miss the dwell-curve sampling itself fans out across the worker pool
+// configured by SetCurveSamplingWorkers.
 //
 // When ctx expires, the in-flight matrix work stops promptly and the
 // error unwraps to ctx.Err(). A cancelled derivation never poisons the
@@ -339,7 +333,7 @@ func (a *Application) designGain(disc *lti.Discrete, poles []complex128, q, r *m
 	if r == nil {
 		r = mat.Identity(1)
 	}
-	k, _, err := control.LQR(abar, bbar, q, r, control.LQROptions{})
+	k, _, err := control.LQR(abar, bbar, q, r)
 	return k, err
 }
 

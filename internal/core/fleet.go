@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"cpsdyn/internal/conc"
 	"cpsdyn/internal/sched"
@@ -20,65 +19,22 @@ import (
 // errors are aggregated with errors.Join, so a single poisoned application
 // reports precisely while the rest of the fleet still validates. A ctx
 // expiry is different: it aborts the in-flight derivations promptly, skips
-// the undispatched ones and returns ctx.Err() alone.
+// the undispatched ones and returns ctx.Err() alone. On any error the
+// result is nil.
 func DeriveFleet(ctx context.Context, apps []*Application) ([]*Derived, error) {
 	out := make([]*Derived, len(apps))
-	if len(apps) == 0 {
-		return out, ctx.Err()
+	errs := make([]error, len(apps))
+	err := conc.ForEachCtx(ctx, len(apps), 0, func(i int) error {
+		out[i], errs[i] = apps[i].DeriveContext(ctx)
+		return nil // app failures are aggregated, not dispatch-stopping
+	})
+	if err == nil {
+		err = errors.Join(errs...)
 	}
-	if err := DeriveFleetInto(ctx, out, apps); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// DeriveFleetInto is DeriveFleet writing into a caller-held result slice,
-// which must have exactly one slot per application. Every result it
-// derives records a bit-exact snapshot of its application's inputs, and a
-// later call serves slot i again, untouched, while out[i].App == apps[i]
-// and that snapshot still matches: a fleet re-derived unchanged is a
-// sequential sweep of pointer and field comparisons (zero allocations, no
-// goroutines), which is the design-iteration loop of a caller that edits
-// a few applications of a fleet and re-derives it. Every other slot (nil,
-// another or a replaced *Application, a mutated input) is derived on the
-// concurrent engine. On error the out slice is zeroed, mirroring
-// DeriveFleet's nil result.
-func DeriveFleetInto(ctx context.Context, out []*Derived, apps []*Application) error {
-	if len(out) != len(apps) {
-		return fmt.Errorf("core: DeriveFleetInto: out has %d slots for %d apps", len(out), len(apps))
-	}
-	if err := ctx.Err(); err != nil {
-		clear(out)
-		return err
-	}
-	warm := true
-	for i, a := range apps {
-		if d := out[i]; d == nil || d.App != a || d.snap == nil || !d.snap.matches(a) {
-			out[i] = nil
-			warm = false
-		}
-	}
-	if warm {
-		return nil
-	}
-	errs := make([]error, len(apps))
-	ferr := conc.ForEachCtx(ctx, len(apps), 0, func(i int) error {
-		if out[i] != nil {
-			return nil // a warm slot
-		}
-		if out[i], errs[i] = apps[i].DeriveContext(ctx); errs[i] == nil {
-			out[i].snap = snapshotApp(apps[i])
-		}
-		return nil // app failures are aggregated, not dispatch-stopping
-	})
-	if ferr == nil {
-		ferr = errors.Join(errs...)
-	}
-	if ferr != nil {
-		clear(out)
-		return ferr
-	}
-	return nil
 }
 
 // schedApps bridges a derived fleet to the schedulability layer.

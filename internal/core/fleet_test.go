@@ -21,122 +21,8 @@ func fleetApps() []*Application {
 	}
 }
 
-// A fleet whose applications are untouched since DeriveFleetInto derived
-// them is served entirely from the snapshots in its result slots: no
-// goroutines, no cache hashing, zero allocations. This is the steady state
-// of a caller re-deriving an unchanged fleet on every iteration.
-func TestDeriveFleetWarmZeroAlloc(t *testing.T) {
-	apps := fleetApps()
-	out := make([]*Derived, len(apps))
-	ctx := context.Background()
-	if err := DeriveFleetInto(ctx, out, apps); err != nil {
-		t.Fatal(err)
-	}
-	warm := make([]*Derived, len(apps))
-	copy(warm, out)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := DeriveFleetInto(ctx, out, apps); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("warm DeriveFleetInto allocates %.1f per run, want 0", allocs)
-	}
-	for i := range out {
-		if out[i] != warm[i] {
-			t.Fatalf("warm sweep rebuilt result %d instead of reusing the memo", i)
-		}
-	}
-}
-
-// deriveSlot re-derives app through a one-slot DeriveFleetInto sweep over
-// slot, the way a design loop re-derives its fleet.
-func deriveSlot(t *testing.T, slot []*Derived, app *Application) *Derived {
-	t.Helper()
-	if err := DeriveFleetInto(context.Background(), slot, []*Application{app}); err != nil {
-		t.Fatal(err)
-	}
-	return slot[0]
-}
-
-// A result slot serves the identical Derived until any input field —
-// including the contents of a shared plant matrix — is mutated, at which
-// point the full pipeline re-runs.
-func TestDeriveMemoInvalidatesOnMutation(t *testing.T) {
-	app := servoApp("memo", 1, 3)
-	slot := make([]*Derived, 1)
-	d1 := deriveSlot(t, slot, app)
-	d2 := deriveSlot(t, slot, app)
-	if d2 != d1 {
-		t.Fatal("unchanged application re-derived instead of serving the memo")
-	}
-	// In-place mutation of the plant matrix contents must be detected even
-	// though the pointer is unchanged.
-	app.Plant.A.Set(0, 1, app.Plant.A.At(0, 1)*1.5)
-	d3 := deriveSlot(t, slot, app)
-	if d3 == d2 {
-		t.Fatal("mutated plant served the stale memo")
-	}
-	if d3.DiscTT.Phi.EqualTol(d2.DiscTT.Phi, 0) {
-		t.Fatal("re-derivation did not see the mutated dynamics")
-	}
-	if d4 := deriveSlot(t, slot, app); d4 != d3 {
-		t.Fatal("memo did not re-arm after recomputation")
-	}
-}
-
-// A slot is warm only for the very *Application it was derived from: a
-// copy with equal inputs put in its place is derived afresh, so every
-// result names the application it was derived for.
-func TestDeriveFleetIntoRederivesReplacedApp(t *testing.T) {
-	apps := fleetApps()
-	out := make([]*Derived, len(apps))
-	ctx := context.Background()
-	if err := DeriveFleetInto(ctx, out, apps); err != nil {
-		t.Fatal(err)
-	}
-	before := append([]*Derived(nil), out...)
-	apps[2] = apps[2].CloneShallow()
-	if err := DeriveFleetInto(ctx, out, apps); err != nil {
-		t.Fatal(err)
-	}
-	for i := range apps {
-		if out[i].App != apps[i] {
-			t.Fatalf("result %d names app %p, want %p", i, out[i].App, apps[i])
-		}
-		if kept := out[i] == before[i]; kept != (i != 2) {
-			t.Fatalf("result %d kept = %v, want only the replaced slot re-derived", i, kept)
-		}
-	}
-	if out[2].Curve != before[2].Curve {
-		t.Fatal("the equal copy did not share the cached derivation")
-	}
-}
-
-// DeriveFleetInto must reject a mis-sized result slice and must zero the
-// slice on error rather than leaving partial results behind.
-func TestDeriveFleetIntoContract(t *testing.T) {
-	apps := fleetApps()
-	if err := DeriveFleetInto(context.Background(), make([]*Derived, 1), apps); err == nil || !strings.Contains(err.Error(), "slots") {
-		t.Fatalf("mis-sized out slice: err = %v", err)
-	}
-	bad := servoApp("bad", 9, 3)
-	bad.H = -1
-	mixed := append(fleetApps(), bad)
-	out := make([]*Derived, len(mixed))
-	if err := DeriveFleetInto(context.Background(), out, mixed); err == nil {
-		t.Fatal("poisoned fleet derived without error")
-	}
-	for i, d := range out {
-		if d != nil {
-			t.Fatalf("out[%d] not zeroed on error", i)
-		}
-	}
-}
-
 // The concurrent engine must produce exactly what sequential DeriveContext
-// does, in input order. The result slice is fresh, so no slot is warm and
-// every application passes through the worker pool. Only the fleet's
-// results carry an input snapshot, so the comparison leaves it out.
+// does, in input order.
 func TestDeriveFleetMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	seq := fleetApps()
@@ -162,7 +48,6 @@ func TestDeriveFleetMatchesSequential(t *testing.T) {
 		}
 		g := *got[i]
 		g.App = want[i].App
-		g.snap = nil
 		if !reflect.DeepEqual(&g, want[i]) {
 			t.Fatalf("result %d differs from sequential DeriveContext", i)
 		}

@@ -252,24 +252,6 @@ func TestDeriveWarmRejoinFromDiskStore(t *testing.T) {
 	}
 }
 
-// A result slot's snapshot must be exactly as strict as the cache key:
-// flipping a zero field's sign bit is invisible to == but changes CacheKey
-// (and the disk record address), so it must invalidate the slot.
-// Regression for the +0/−0 aliasing in appSnapshot.matches.
-func TestDeriveMemoInvalidatesOnSignedZeroFlip(t *testing.T) {
-	app := servoApp("zero", 1, 3)
-	app.DelayTT = 0 // +0
-	slot := make([]*Derived, 1)
-	d1 := deriveSlot(t, slot, app)
-	if d2 := deriveSlot(t, slot, app); d2 != d1 {
-		t.Fatal("unchanged app re-derived")
-	}
-	app.DelayTT = math.Copysign(0, -1) // −0: same == class, different bits
-	if d3 := deriveSlot(t, slot, app); d3 == d1 {
-		t.Fatal("memo served the stale derivation across a +0 → −0 flip")
-	}
-}
-
 // CacheKey must distinguish +0 from −0 — the disk store addresses records
 // by the key, so collapsing them would alias two distinct inputs to one
 // record.

@@ -370,10 +370,10 @@ func (m *Matrix) MaxAbsDiff(b *Matrix) float64 {
 
 // EqualBits reports whether m and b have identical shape and bit-identical
 // entries (math.Float64bits comparison, so −0 ≠ +0 and NaNs compare by
-// payload). This is the change-detection primitive for memo layers that
-// key on exact matrix contents.
+// payload): the test that a workspace kernel or a store round trip
+// reproduces a matrix exactly.
 //
-//cpsdyn:allocfree probed once per app on the warm fleet-derivation sweep
+//cpsdyn:allocfree a read-only comparison of two matrices; nothing in it needs the heap
 func (m *Matrix) EqualBits(b *Matrix) bool {
 	if m.rows != b.rows || m.cols != b.cols {
 		return false

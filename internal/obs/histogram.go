@@ -172,9 +172,8 @@ func quantile(counts *[NumBuckets]uint64, total uint64, q float64) float64 {
 var (
 	// DeriveRowLatency is one application's derivation, one sample per
 	// core DeriveContext call: validation, cache lookups, any disk
-	// read-through or recomputation, model fits. A DeriveFleetInto slot
-	// served warm calls no DeriveContext and is not recorded: the
-	// steady-state fleet sweep stays free of instrumentation.
+	// read-through or recomputation, model fits. Every derivation goes
+	// through DeriveContext, so every one is recorded.
 	DeriveRowLatency Histogram
 	// StoreLoadLatency is one persistent-store record load attempt (read,
 	// CRC validation, decode), hit or corrupt alike.

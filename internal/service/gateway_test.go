@@ -59,9 +59,6 @@ func gatewayStats(t *testing.T, url string) *StatszResponse {
 // against it cold or warm alike (derivation is deterministic), and every
 // row must match byte for byte.
 func TestGatewayGoldenMatchesSingleNode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping multi-replica cold derivations in -short mode (CI's gateway e2e job diffs a live cluster)")
-	}
 	req := shardedDeriveRequest(10)
 	single := newTestServer(t, Config{})
 	code, out := postJSON(t, single.URL+"/v1/derive", req)
@@ -202,9 +199,6 @@ func TestGatewayKeepsSingleNodeErrorContract(t *testing.T) {
 // pipe so the kill happens while the stream is demonstrably in flight —
 // after the first response row, before the last request line is written.
 func TestGatewayStreamSurvivesMidStreamPeerKill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping multi-replica cold derivations in -short mode (CI's gateway e2e job kills a live replica)")
-	}
 	req := shardedDeriveRequest(24)
 	gw, replicas := newGatewayCluster(t, 2, Config{PeerTimeout: 2 * time.Second})
 
@@ -403,9 +397,6 @@ func TestGatewayRejectsBadPeerConfig(t *testing.T) {
 // it read was answered, and together the replicas wrote exactly the rows
 // the gateway counts as answered by peers.
 func TestGatewayEndsSubStreamsCleanly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots a 2-replica cluster")
-	}
 	// A peer timeout far above the run time: no row may fall back.
 	gw, replicas := newGatewayCluster(t, 2, Config{PeerTimeout: 5 * time.Minute})
 	req := shardedDeriveRequest(6)
@@ -533,9 +524,6 @@ func TestAllocateStreamRoute(t *testing.T) {
 
 // The /v1/calibrate/stream route runs the measured-mode workflow per line.
 func TestCalibrateStreamRoute(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping calibration search in -short mode")
-	}
 	ts := newTestServer(t, Config{})
 	servo := servoDeriveRequest(1).Apps[0]
 	spec := CalibrateAppSpec{

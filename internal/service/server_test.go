@@ -407,9 +407,6 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 // /v1/calibrate owns the measured-mode workflow: targets in, calibrated
 // poles plus a derive row out, feasible as an allocate request.
 func TestCalibrateEndpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping calibration search in -short mode")
-	}
 	ts := newTestServer(t, Config{})
 	servo := servoDeriveRequest(1).Apps[0]
 	req := &CalibrateRequest{Apps: []CalibrateAppSpec{{

@@ -58,9 +58,6 @@ func TestTracezReportsFinishedRequests(t *testing.T) {
 // parent ID, and every row is accounted for by replica child spans whose
 // Parent is the gateway's trace ID.
 func TestGatewayTracePropagation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping multi-replica cold derivations in -short mode (CI's gateway e2e job checks /tracez live)")
-	}
 	req := shardedDeriveRequest(24)
 
 	// Untraced reference: the stream engine run directly, no server, no
