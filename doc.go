@@ -135,17 +135,34 @@
 // pays for in every direction: the §V curves walk 1.24× their summed
 // dwells (1.86× with the first two tests, 5.6× with the box alone).
 // Tests check every fixture certificate against exact powers in math/big
-// and walk states on the edge of every certified region. The curve
-// sampler certifies A1 and A2 once per curve, the pure-mode probes
-// (ResponseSteps*Context) once per call; a loop without a certificate —
-// marginal, unstable, or too ill-conditioned for the rounding bound —
-// falls back to the full walk and counts in switching.CertRefusals
-// (certRefusals on /statsz and on its /tracez span). A walk whose state
-// overflows to NaN fails its derivation instead of counting as settled.
+// and walk states on the edge of every certified region. The power search
+// forms each power's bookkeeping (its rows' plain and weighted sums, the
+// running maxima) while it forms the power, with an unrolled order-3
+// path; the tests hold it bit for bit to a two-pass reference loop.
+// The stop test reads each |x_j| once, refuses a state outside the
+// largest box in the same pass, and then refuses a sum of the row test
+// above 1 before it looks at the smaller box: every branch refuses such a
+// sum, since the later-block bound L is at most 1.
+//
+// The curve sampler certifies A1 and A2 once per curve, a calibration
+// probe its one loop; a loop without a certificate — marginal, unstable,
+// or too ill-conditioned for the rounding bound — falls back to the full
+// walk and counts in switching.CertRefusals (certRefusals on /statsz and
+// on its /tracez span). The checks run in Validate's order and give its
+// errors, but a certificate proves its loop Schur stable, so only a loop
+// it refuses takes the QR eigenvalue check: a curve or probe checks
+// shapes and finiteness, certifies, and solves for eigenvalues only on a
+// refusal. An unstable or marginal loop therefore costs a refused power
+// search (bounded by the horizon and the context) before the QR solve
+// names it unstable, and only a stable loop that walks uncertified counts
+// as a refusal. A walk whose state overflows to NaN fails its derivation
+// instead of counting as settled. Every certified walk runs on the
+// lockstep kernel: the pure-mode walks (ξTT and ξET of a curve, the
+// calibration probes, ResponseSteps*Context) are one-lane walks
+// (switching's walkOne) with the same square-root-free threshold.
 // switching.System.DwellSteps keeps the exhaustive one-state walk, with
 // Norm's square root, as the reference oracle that the property and
-// fixture tests compare against; so do the pure-mode walks and the
-// calibration probes.
+// fixture tests compare against.
 //
 // The hot paths are cancellable end to end: context.Context threads from
 // core.DeriveFleet / (*core.Application).DeriveContext through the memo
@@ -154,7 +171,11 @@
 // (casestudy.Calibrate, whose sequential bisections check the context
 // before every probe). Each probe (core.ProbeSettleContext) designs,
 // checks, certifies and walks only the loop its search measures: one
-// discretisation, one gain, one eigenvalue check and one walk. The loop a
+// discretisation, one gain, one certificate and one walk, all in one
+// core.ProbeWorkspace that Calibrate passes to every probe of both its
+// searches (the loop's matrices, control.AckermannWorkspace, the walk's
+// switching.Workspace), so a warm probe allocates only its
+// discretisation's cache key. The loop a
 // search holds fixed is checked once instead: the ET design the TT search
 // fixes, before that search starts (when it fails, the search ends as if
 // every probe had failed), while the TT design the ET search fixes is one
@@ -167,7 +188,7 @@
 //
 // The numeric kernels in internal/mat follow an explicit-workspace
 // discipline: every allocating operation has a To-suffixed twin that writes
-// into caller-held memory (MulTo, AddTo, SubTo, ScaleTo, LU.SolveTo,
+// into caller-held memory (MulTo, AddTo, SubTo, ScaleTo, Zero, LU.SolveTo,
 // ExpmTo, ExpmIntegralTo) and is annotated //cpsdyn:allocfree, so the
 // allocfree analyzer enforces the zero-allocation contract statically and
 // testing.AllocsPerRun tests pin it at runtime. ExpmTo runs the Padé
@@ -175,7 +196,12 @@
 // mat.ExpmWorkspace; the classic names (Expm, ExpmIntegral, Solve, Mul)
 // remain as thin wrappers that rent a workspace from the process-wide
 // mat.SharedPool (a sync.Pool keyed by matrix order, hit/miss/put counters
-// in /statsz and /metrics), so legacy call sites get pooling for free.
+// in /statsz and /metrics), so legacy call sites get pooling for free. The
+// loop builders follow the same rule: control.AckermannTo designs a gain
+// in a control.AckermannWorkspace, and lti's AugmentedTo and ClosedLoopTo
+// build the augmented pair and the closed loop in caller-held matrices,
+// with the same products in the same order; Ackermann, Augmented and
+// ClosedLoop are their allocating wrappers.
 //
 // Aliasing rules: dst of MulTo must not alias either operand (checked,
 // panics); AddTo/SubTo/ScaleTo/CopyTo allow any aliasing; LU.SolveTo
@@ -205,7 +231,11 @@
 // e2e's reference stream. The lockstep walks then make each of those steps
 // cheaper: on one worker the probe-0 curve samples in ~36 µs instead of
 // ~65 µs, the diesel curve in ~1.3 ms instead of ~1.9 ms (BENCH_26.json
-// against its parent, same host).
+// against its parent, same host). With the fused power search, the
+// sum-first stop test and no QR solve on certified loops, a servo
+// calibration takes 67 allocations instead of 1 803 and about 0.4× the
+// time, a cold probe derivation about 0.5×, and the probe-0 curve samples
+// in ~0.7× (BENCH_29.json against its parent, same session).
 //
 // The benchmark trajectory is CI-gated: cpsrepro bench-export runs the
 // kernel suite hermetically (testing.Benchmark in-process) and writes a
@@ -213,7 +243,7 @@
 // merge base, failing on a >15% geometric-mean ns/op regression or on any
 // benchmark whose allocs/op increased. The gate compares two exports made
 // in the same CI job, the PR's and its merge base's. The committed
-// reports (BENCH_8.json through BENCH_26.json) are records of the
+// reports (BENCH_8.json through BENCH_29.json) are records of the
 // trajectory, not the gate: on a shared host, drift alone moved untouched
 // kernels 1.4–1.7× between them. Besides the kernels, the suite times the
 // service's row path (DeriveRowWarm: a freshly compiled probe app on a

@@ -297,53 +297,57 @@ func (s fleetSpec) calibrate(ctx context.Context, app *core.Application) error {
 // Exported so the cpsdynd /v1/calibrate endpoint can own the measured-mode
 // workflow end to end.
 func Calibrate(ctx context.Context, app *core.Application, targetTT, targetET, etOmega float64) error {
-	ttPoles := func(rho float64) []complex128 {
-		return []complex128{complex(rho, 0), complex(0.85*rho, 0), 0.05}
+	// The pole sets, written into p.
+	ttPoles := func(p []complex128, rho float64) []complex128 {
+		p[0], p[1], p[2] = complex(rho, 0), complex(0.85*rho, 0), 0.05
+		return p
 	}
-	etPoles := func(rho float64) []complex128 {
+	etPoles := func(p []complex128, rho float64) []complex128 {
 		if etOmega > 0 {
-			p := cmplx.Rect(rho, etOmega*app.H)
-			return []complex128{p, cmplx.Conj(p), 0.1}
+			z := cmplx.Rect(rho, etOmega*app.H)
+			p[0], p[1], p[2] = z, cmplx.Conj(z), 0.1
+			return p
 		}
-		return []complex128{complex(rho, 0), complex(0.92*rho, 0), 0.1}
+		p[0], p[1], p[2] = complex(rho, 0), complex(0.92*rho, 0), 0.1
+		return p
 	}
-	// Probes run on private shallow copies, so app keeps its designs until
-	// both searches succeed. TT first, with the ET design fixed at a safe
+	// Probes run on one private shallow copy with its own pole sets, so
+	// app keeps its designs until both searches succeed, and build and
+	// walk in one workspace. TT first, with the ET design fixed at a safe
 	// slow default, then ET, with the TT design fixed at the result. Each
 	// probe builds, checks and walks only the loop it searches, and the
 	// fixed ET loop is checked once, before the TT search: when it fails,
 	// every probe of a search that walked both loops failed with it, so
 	// the search ends as such a search ended. The TT loop fixed in the ET
 	// search is one the TT search walked successfully.
-	fixedET := app.CloneShallow()
-	fixedET.PolesTT = ttPoles(0.95)
-	fixedET.PolesET = etPoles(0.95)
-	if _, err := fixedET.ProbeSettleContext(ctx, core.LoopET); err != nil {
+	var ws core.ProbeWorkspace
+	probe := *app
+	probe.PolesTT, probe.PolesET = make([]complex128, 3), make([]complex128, 3)
+	ttPoles(probe.PolesTT, 0.95)
+	etPoles(probe.PolesET, 0.95)
+	if _, err := probe.ProbeSettleContext(ctx, core.LoopET, &ws); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return fmt.Errorf("TT calibration: %w", ctxErr)
 		}
 		return fmt.Errorf("TT calibration: %w", noDesign(targetTT))
 	}
 	rhoTT, err := searchRho(ctx, func(ctx context.Context, rho float64) (float64, error) {
-		probe := app.CloneShallow()
-		probe.PolesTT = ttPoles(rho)
-		probe.PolesET = etPoles(0.95)
-		return probe.ProbeSettleContext(ctx, core.LoopTT)
+		ttPoles(probe.PolesTT, rho)
+		return probe.ProbeSettleContext(ctx, core.LoopTT, &ws)
 	}, targetTT, app.H)
 	if err != nil {
 		return fmt.Errorf("TT calibration: %w", err)
 	}
+	ttPoles(probe.PolesTT, rhoTT)
 	rhoET, err := searchRho(ctx, func(ctx context.Context, rho float64) (float64, error) {
-		probe := app.CloneShallow()
-		probe.PolesTT = ttPoles(rhoTT)
-		probe.PolesET = etPoles(rho)
-		return probe.ProbeSettleContext(ctx, core.LoopET)
+		etPoles(probe.PolesET, rho)
+		return probe.ProbeSettleContext(ctx, core.LoopET, &ws)
 	}, targetET, app.H)
 	if err != nil {
 		return fmt.Errorf("ET calibration: %w", err)
 	}
-	app.PolesTT = ttPoles(rhoTT)
-	app.PolesET = etPoles(rhoET)
+	app.PolesTT = ttPoles(make([]complex128, 3), rhoTT)
+	app.PolesET = etPoles(make([]complex128, 3), rhoET)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -405,6 +406,35 @@ func TestCalibratedPolesMatchGolden(t *testing.T) {
 	}
 }
 
+// FleetAppContext calibrates each §V app alone to the designs FleetContext
+// finds for it in the fleet, bit for bit (bench-export's SearchSteps/*
+// counters time these single calibrations), and rejects an unknown name.
+func TestFleetAppContextMatchesGolden(t *testing.T) {
+	raw, err := os.ReadFile(calibratedPolesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]map[string][]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, r := range TableI() {
+		app, err := FleetAppContext(ctx, r.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		got := calibratedPoles([]*core.Application{app})[r.Name]
+		if !slices.Equal(got["tt"], want[r.Name]["tt"]) || !slices.Equal(got["et"], want[r.Name]["et"]) {
+			t.Fatalf("%s: poles %v, golden %v", r.Name, got, want[r.Name])
+		}
+	}
+	const unknown = `casestudy: no measured-mode application "C7"`
+	if app, err := FleetAppContext(ctx, "C7"); app != nil || err == nil || err.Error() != unknown {
+		t.Fatalf("FleetAppContext(C7) = %v, %v; want %q", app, err, unknown)
+	}
+}
+
 // A fixed ET design that fails ends the TT search with the error it gave
 // when every TT probe also walked the ET loop, though the TT probes alone
 // succeed: here the ET pair at 150 rad/s lifts the servo's state about 30×
@@ -434,7 +464,7 @@ func TestCalibrateFailingFixedETDesign(t *testing.T) {
 	probe := app.CloneShallow()
 	probe.PolesTT = []complex128{0.5, 0.425, 0.05}
 	probe.PolesET = []complex128{0.95, 0.874, 0.1}
-	if _, err := probe.ProbeSettleContext(ctx, core.LoopTT); err != nil {
+	if _, err := probe.ProbeSettleContext(ctx, core.LoopTT, new(core.ProbeWorkspace)); err != nil {
 		t.Fatalf("a TT probe failed: %v", err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)

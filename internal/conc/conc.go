@@ -7,13 +7,16 @@ import (
 	"iter"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ForEachCtx runs fn(i) for every i in [0, n) across a bounded worker
 // pool. workers ≤ 0 selects runtime.GOMAXPROCS(0); the pool never exceeds
 // n. ForEachCtx returns once every call has finished. Once ctx is
-// cancelled or some fn returns a non-nil error, no further indices are
-// dispatched (in-flight calls finish). It returns ctx.Err() when the
+// cancelled no further index runs (in-flight calls finish), so a
+// pre-cancelled ctx runs none; once some fn returns a non-nil error, no
+// further index is dispatched, and no index above the lowest failed one
+// runs. It returns ctx.Err() when the
 // context was cancelled, else the error of the lowest failed index.
 // Indices are dispatched in order, so the lowest failed index among the
 // dispatched ones matches what a sequential loop would have reported.
@@ -48,23 +51,43 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int) err
 	}
 	next := make(chan int)
 	stop := make(chan struct{})
-	var stopOnce sync.Once
+	// The state the workers share, in one allocation.
+	var shared struct {
+		wg       sync.WaitGroup
+		stopOnce sync.Once
+		lowest   atomic.Int64 // the lowest failed index so far; n while none
+	}
+	// A select picks at random among ready cases, so the feeder could hand
+	// out an index after ctx was cancelled or some fn failed; it checks
+	// both before every offer. A worker skips an index it receives once
+	// ctx is cancelled, or once a lower index has failed: every index below
+	// the lowest failure still runs, so the lowest failed index is the one
+	// a sequential loop would have reported.
+	lowest := &shared.lowest
+	lowest.Store(int64(n))
 	errs := make([]error, n)
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		shared.wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer shared.wg.Done()
 			for i := range next {
+				if closed(done) || int64(i) > lowest.Load() {
+					continue
+				}
 				if err := fn(w, i); err != nil {
 					errs[i] = err
-					stopOnce.Do(func() { close(stop) })
+					for low := lowest.Load(); int64(i) < low; low = lowest.Load() {
+						if lowest.CompareAndSwap(low, int64(i)) {
+							break
+						}
+					}
+					shared.stopOnce.Do(func() { close(stop) })
 				}
 			}
 		}(w)
 	}
 feed:
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !closed(done) && !closed(stop); i++ {
 		select {
 		case next <- i:
 		case <-done:
@@ -74,7 +97,7 @@ feed:
 		}
 	}
 	close(next)
-	wg.Wait()
+	shared.wg.Wait()
 	if err := ctxErr(); err != nil {
 		return err
 	}
@@ -84,6 +107,17 @@ feed:
 		}
 	}
 	return nil
+}
+
+// closed reports, without blocking, whether c is closed; a nil c never
+// is.
+func closed(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
 }
 
 // StreamOrdered is the bounded streaming pipeline stage: it pulls items from

@@ -107,19 +107,44 @@ func TestForEachCtxCancelled(t *testing.T) {
 	}
 }
 
+// A pre-cancelled context runs no index, whichever case the feeder's
+// select would pick: the build before the feeder checked for cancellation
+// called fn once in 2 000 runs of four items on two workers.
 func TestForEachCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// The feeder may or may not dispatch indices, to either worker, before
-	// observing the cancelled context (select picks randomly among ready
-	// cases), so only the returned error is pinned; called is atomic
-	// because both workers may set it.
-	var called atomic.Bool
-	err := ForEachCtx(ctx, 5, 2, func(int) error { called.Store(true); return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	var called atomic.Int32
+	for run := 0; run < 10000; run++ {
+		err := ForEachCtx(ctx, 4, 2, func(int) error { called.Add(1); return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want context.Canceled", run, err)
+		}
 	}
-	t.Logf("fn called: %v", called.Load())
+	if n := called.Load(); n != 0 {
+		t.Fatalf("fn called %d times in 10 000 pre-cancelled runs", n)
+	}
+}
+
+// Once index 0 fails on the only worker, no later index runs: the feeder
+// offering index 1 may find the worker ready and the stop channel closed
+// at once, and the worker skips what it receives after the failure.
+func TestForEachCtxErrorStopsLaterIndices(t *testing.T) {
+	for run := 0; run < 2000; run++ {
+		var later atomic.Int32
+		err := ForEachCtx(context.Background(), 8, 1, func(i int) error {
+			if i == 0 {
+				return errors.New("index 0")
+			}
+			later.Add(1)
+			return nil
+		})
+		if err == nil || err.Error() != "index 0" {
+			t.Fatalf("run %d: err = %v, want index 0's", run, err)
+		}
+		if n := later.Load(); n != 0 {
+			t.Fatalf("run %d: %d later indices ran after index 0 failed", run, n)
+		}
+	}
 }
 
 // Worker indices are within [0, workers) and stable per goroutine, so

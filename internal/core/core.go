@@ -192,11 +192,14 @@ func (a *Application) DeriveContext(ctx context.Context) (*Derived, error) {
 // loop's before the ET loop's, and then a failed gain design, the TT
 // loop's first.
 func (a *Application) derivation(ctx context.Context) (*Derived, error) {
-	tt, errTT := a.buildLoop(ctx, LoopTT)
+	// The Derived keeps both loops' gains and matrices, so each is built in
+	// fresh ones; only Ackermann's scratch is shared.
+	var ack control.AckermannWorkspace
+	tt, errTT := a.buildLoop(ctx, LoopTT, new(loopMatrices), &ack)
 	if errTT != nil && !isControllerError(errTT) {
 		return nil, errTT
 	}
-	et, errET := a.buildLoop(ctx, LoopET)
+	et, errET := a.buildLoop(ctx, LoopET, new(loopMatrices), &ack)
 	switch {
 	case errET != nil && !isControllerError(errET):
 		return nil, errET
@@ -247,11 +250,25 @@ type closedLoop struct {
 	k, a *mat.Matrix
 }
 
-// buildLoop builds closed loop l: the cached discretisation, the gain
-// (a failed design is a *controllerError) and the closed loop, which
-// cannot fail on a gain designGain returned. It reads only inputs the
-// CacheKey covers, and its errors carry no app name.
-func (a *Application) buildLoop(ctx context.Context, l Loop) (closedLoop, error) {
+// loopMatrices holds the matrices buildLoop builds one closed loop in:
+// the augmented pair, the pole-placement gain and the closed loop.
+type loopMatrices struct{ abar, bbar, k, cl *mat.Matrix }
+
+// fit sizes m for a plant of order n with inputs inputs, keeping the
+// matrices when they already fit.
+func (m *loopMatrices) fit(n, inputs int) {
+	if m.abar == nil || m.abar.Rows() != n+inputs || m.bbar.Cols() != inputs {
+		m.abar, m.bbar = mat.New(n+inputs, n+inputs), mat.New(n+inputs, inputs)
+		m.k, m.cl = mat.New(inputs, n+inputs), mat.New(n+inputs, n+inputs)
+	}
+}
+
+// buildLoop builds closed loop l in m, designing a placed gain in ack: the
+// cached discretisation, the gain (a failed design is a *controllerError)
+// and the closed loop, which cannot fail on a gain designGain returned.
+// The result's gain and loop are m's matrices (an LQR gain is its own). It
+// reads only inputs the CacheKey covers, and its errors carry no app name.
+func (a *Application) buildLoop(ctx context.Context, l Loop, m *loopMatrices, ack *control.AckermannWorkspace) (closedLoop, error) {
 	delay, poles, q, r := a.DelayTT, a.PolesTT, a.QTT, a.RTT
 	if l == LoopET {
 		delay, poles, q, r = a.DelayET, a.PolesET, a.QET, a.RET
@@ -260,24 +277,33 @@ func (a *Application) buildLoop(ctx context.Context, l Loop) (closedLoop, error)
 	if err != nil {
 		return closedLoop{}, err
 	}
-	k, err := a.designGain(disc, poles, q, r)
+	m.fit(disc.Order(), disc.Inputs())
+	disc.AugmentedTo(m.abar, m.bbar)
+	k, err := a.designGain(m, ack, poles, q, r)
 	if err != nil {
 		return closedLoop{}, &controllerError{loop: l.String(), err: err}
 	}
-	cl, err := disc.ClosedLoop(k)
-	if err != nil {
+	if err := disc.ClosedLoopTo(m.cl, k, m.abar, m.bbar); err != nil {
 		return closedLoop{}, err
 	}
-	return closedLoop{disc: disc, k: k, a: cl}, nil
+	return closedLoop{disc: disc, k: k, a: m.cl}, nil
 }
 
 // system is the name-free switched system of the closed loops a1 (ET) and
-// a2 (TT) on the delay-augmented state: x0 with a zero held input, the
-// threshold on the plant states.
+// a2 (TT) on the delay-augmented state.
 func (a *Application) system(a1, a2 *mat.Matrix) *switching.System {
-	x0 := make([]float64, a.Plant.Order()+1)
-	copy(x0, a.X0)
-	return &switching.System{
+	s := new(switching.System)
+	a.fillSystem(s, make([]float64, a.Plant.Order()+1), a1, a2)
+	return s
+}
+
+// fillSystem sets s to the name-free switched system of the loops a1 (ET)
+// and a2 (TT): x0 (held in buffer x0, of the augmented order) with a zero
+// held input, the threshold on the plant states.
+func (a *Application) fillSystem(s *switching.System, x0 []float64, a1, a2 *mat.Matrix) {
+	n := copy(x0, a.X0)
+	clear(x0[n:])
+	*s = switching.System{
 		A1:       a1,
 		A2:       a2,
 		X0:       x0,
@@ -318,12 +344,16 @@ func (a *Application) nameError(err error) error {
 	return err
 }
 
-// designGain builds one state-feedback gain on the augmented loop: pole
-// placement when poles are given, LQR otherwise.
-func (a *Application) designGain(disc *lti.Discrete, poles []complex128, q, r *mat.Matrix) (*mat.Matrix, error) {
-	abar, bbar := disc.Augmented()
+// designGain builds one state-feedback gain on the augmented pair of m:
+// pole placement into m.k (designed in ack) when poles are given, LQR
+// otherwise.
+func (a *Application) designGain(m *loopMatrices, ack *control.AckermannWorkspace, poles []complex128, q, r *mat.Matrix) (*mat.Matrix, error) {
+	abar, bbar := m.abar, m.bbar
 	if len(poles) > 0 {
-		return control.Ackermann(abar, bbar, poles)
+		if err := control.AckermannTo(m.k, abar, bbar, poles, ack); err != nil {
+			return nil, err
+		}
+		return m.k, nil
 	}
 	n := abar.Rows()
 	if q == nil {
@@ -337,35 +367,52 @@ func (a *Application) designGain(disc *lti.Discrete, poles []complex128, q, r *m
 	return k, err
 }
 
+// ProbeWorkspace holds what a settling probe builds and walks its loop in:
+// the loop's matrices, Ackermann's scratch, the walk's buffers and the
+// probe's switched system. casestudy.Calibrate passes one to every probe
+// of its searches, so a probe allocates almost nothing once the first has
+// sized it. The zero value is ready to use; a ProbeWorkspace is not safe
+// for concurrent use.
+type ProbeWorkspace struct {
+	loop loopMatrices
+	ack  control.AckermannWorkspace
+	walk switching.Workspace
+	sys  switching.System
+	x0   []float64
+}
+
 // ProbeSettleContext designs the controller of loop l alone and returns
 // that loop's pure-mode settling time in seconds (ξTT or ξET), without the
 // other loop or the dwell curve. It is the cheap inner loop for
 // calibrating controller designs against target response times (as the
 // case study does to approach Table I): one discretisation, one gain
-// design, one stability check and one certified walk. The whole
+// design, one stop certificate (and a stability check only for a loop it
+// does not certify) and one certified walk, all in ws. The whole
 // application is validated, the other loop's design included, but only
 // loop l is built. A calibration search under a compute budget stops its
 // settling simulation the moment ctx expires.
-func (a *Application) ProbeSettleContext(ctx context.Context, l Loop) (float64, error) {
+func (a *Application) ProbeSettleContext(ctx context.Context, l Loop, ws *ProbeWorkspace) (float64, error) {
 	if err := a.Validate(); err != nil {
 		return 0, err
 	}
-	cl, err := a.buildLoop(ctx, l)
+	cl, err := a.buildLoop(ctx, l, &ws.loop, &ws.ack)
 	if err != nil {
 		return 0, err
 	}
-	sys := a.system(nil, cl.a)
-	walk := sys.ResponseStepsTTContext
+	n := cl.a.Rows()
+	if cap(ws.x0) < n {
+		ws.x0 = make([]float64, n)
+	}
+	loop := "TT loop"
 	if l == LoopET {
-		sys.A1, sys.A2 = cl.a, nil
-		walk = sys.ResponseStepsETContext
+		loop = "ET loop"
+		a.fillSystem(&ws.sys, ws.x0[:n], cl.a, nil)
+	} else {
+		a.fillSystem(&ws.sys, ws.x0[:n], nil, cl.a)
 	}
-	sys.Name = a.Name
-	if err := sys.ValidateLoop(cl.a); err != nil {
-		return 0, err
-	}
+	ws.sys.Name = a.Name
 	const horizon = 60000
-	k, ok, err := walk(ctx, horizon)
+	k, ok, err := ws.sys.ProbeSteps(ctx, loop, cl.a, horizon, &ws.walk)
 	if err != nil {
 		return 0, probeError(a.Name, err)
 	}
@@ -375,9 +422,10 @@ func (a *Application) ProbeSettleContext(ctx context.Context, l Loop) (float64, 
 	return float64(k) * a.H, nil
 }
 
-// probeError renders a failed settling probe of app name: an overflowed
-// walk keeps its *switching.Error, which names the app and the loop;
-// anything else is the context's cancellation.
+// probeError renders a failed settling probe of app name: a failed check
+// or an overflowed walk keeps its *switching.Error, which names the app
+// (and the loop, for an overflow); anything else is the context's
+// cancellation.
 func probeError(name string, err error) error {
 	var se *switching.Error
 	if errors.As(err, &se) {

@@ -159,7 +159,7 @@ func TestOverflowedWalkFails(t *testing.T) {
 		app := probeApp()
 		app.X0 = []float64{0, c.x0}
 		d, err := app.DeriveContext(ctx)
-		xiTT, perr := app.ProbeSettleContext(ctx, LoopTT)
+		xiTT, perr := app.ProbeSettleContext(ctx, LoopTT, new(ProbeWorkspace))
 		if !c.overflow {
 			if err != nil || perr != nil {
 				t.Fatalf("x0 = [0, %g]: derive %v, probe %v", c.x0, err, perr)
@@ -472,5 +472,99 @@ func TestDeriveGainFailureNamesTTLoopFirst(t *testing.T) {
 		if _, err := app.DeriveContext(ctx); err == nil || err.Error() != c.want {
 			t.Errorf("TT poles %v, ET poles %v: err = %v, want %q", app.PolesTT, app.PolesET, err, c.want)
 		}
+	}
+}
+
+// Unstable and marginal designs keep their error texts in the probes and
+// the derivation (recorded before the stop certificate came before the
+// stability check): a loop the QR check calls unstable fails with it, and
+// a pair on the unit circle that QR calls stable walks to the horizon.
+func TestBadDesignsKeepErrorTexts(t *testing.T) {
+	ctx := context.Background()
+	stable := []complex128{0.7, 0.7, 0.05}
+	slowET := []complex128{0.93, 0.88, 0.1}
+	for _, c := range []struct {
+		name          string
+		tt, et        []complex128
+		probe, derive string  // the bad loop's probe error and the derivation's
+		probeLoopIsTT bool    // the bad loop is the TT loop
+		otherProbeOK  float64 // the other loop's probe, in seconds
+	}{
+		{name: "unstable-tt", tt: []complex128{1.2, 0.7, 0.05}, et: slowET, probeLoopIsTT: true, otherProbeOK: 0.92,
+			probe: "switching: unstable-tt: closed loop is not Schur stable", derive: "switching: unstable-tt: closed loop is not Schur stable"},
+		{name: "marginal-tt", tt: []complex128{1, 0.7, 0.05}, et: slowET, probeLoopIsTT: true, otherProbeOK: 0.92,
+			probe: "switching: marginal-tt: closed loop is not Schur stable", derive: "switching: marginal-tt: closed loop is not Schur stable"},
+		{name: "unstable-et", tt: stable, et: []complex128{1.05, 0.88, 0.1}, otherProbeOK: 0.26,
+			probe: "switching: unstable-et: closed loop is not Schur stable", derive: "switching: unstable-et: closed loop is not Schur stable"},
+		{name: "marginal-et", tt: stable, et: []complex128{1, 0.88, 0.1}, otherProbeOK: 0.26,
+			probe: "switching: marginal-et: closed loop is not Schur stable", derive: "switching: marginal-et: closed loop is not Schur stable"},
+		{name: "complex-marginal-et", tt: stable, et: []complex128{complex(0.6, 0.8), complex(0.6, -0.8), 0.1}, otherProbeOK: 0.26,
+			probe:  `core: app "complex-marginal-et": ET loop did not settle within the probe horizon`,
+			derive: "switching: complex-marginal-et: ET loop did not settle within 20000 steps"},
+	} {
+		app := probeApp()
+		app.Name = c.name
+		app.PolesTT, app.PolesET = c.tt, c.et
+		bad, good := LoopET, LoopTT
+		if c.probeLoopIsTT {
+			bad, good = LoopTT, LoopET
+		}
+		ws := new(ProbeWorkspace)
+		if _, err := app.ProbeSettleContext(ctx, bad, ws); err == nil || err.Error() != c.probe {
+			t.Fatalf("%s: %v probe error %v, want %q", c.name, bad, err, c.probe)
+		}
+		if xi, err := app.ProbeSettleContext(ctx, good, ws); err != nil || math.Abs(xi-c.otherProbeOK) > 1e-9 {
+			t.Fatalf("%s: %v probe = %g, %v; want %g", c.name, good, xi, err, c.otherProbeOK)
+		}
+		if _, err := app.DeriveContext(ctx); err == nil || err.Error() != c.derive {
+			t.Fatalf("%s: derive error %v, want %q", c.name, err, c.derive)
+		}
+	}
+}
+
+// One probe workspace serves probes of any application in turn, of any
+// order and either loop, and each probe gives what a fresh workspace
+// gives; a warm probe allocates only its discretisation's cache key.
+func TestProbeWorkspaceReuse(t *testing.T) {
+	ctx := context.Background()
+	diesel := &Application{
+		Name: "diesel",
+		Plant: &lti.Continuous{Name: "diesel",
+			A: mat.FromRows([][]float64{
+				{-0.4125, -0.0248, 0.0741, 0.0089, 0, 0},
+				{101.5873, -7.2651, 2.7608, 2.8068, 0, 0},
+				{0.0704, 0.0085, -0.0741, -0.0089, 0, 0.0200},
+				{0.0878, 0.2672, 0, -0.3674, 0.0044, 0.3962},
+				{-1.8414, 0.0990, 0, 0, -0.0343, -0.0330},
+				{0, 0, 0, -359, 187.5364, -87.0316},
+			}),
+			B: mat.FromRows([][]float64{{0.0064}, {1.5849}, {0}, {0}, {-0.0168}, {0}})},
+		H: 0.02, DelayTT: 0.002, DelayET: 0.02, Eth: 0.1, X0: []float64{0, 2, 0, 0, 0, 0},
+		R: 8, Deadline: 3, FrameID: 1,
+		PolesTT: []complex128{0.80, 0.78, 0.76, 0.74, 0.72, 0.70, 0.05},
+		PolesET: []complex128{0.93, 0.92, 0.91, 0.90, 0.89, 0.88, 0.10},
+	}
+	lqr := servoApp("lqr", 1, 6)
+	lqr.PolesTT, lqr.PolesET = nil, nil
+	apps := []*Application{probeApp(), diesel, servoApp("servo", 1, 3), lqr}
+	var ws ProbeWorkspace
+	for round := 0; round < 3; round++ {
+		for _, app := range apps {
+			for _, l := range []Loop{LoopTT, LoopET} {
+				got, err := app.ProbeSettleContext(ctx, l, &ws)
+				want, werr := app.ProbeSettleContext(ctx, l, new(ProbeWorkspace))
+				if err != nil || werr != nil || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %v: reused workspace %g (%v), fresh %g (%v)", app.Name, l, got, err, want, werr)
+				}
+			}
+		}
+	}
+	app := probeApp()
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := app.ProbeSettleContext(ctx, LoopTT, &ws); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("a warm probe allocates %g times, want at most 1 (the cache key)", allocs)
 	}
 }

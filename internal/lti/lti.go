@@ -141,27 +141,56 @@ func Discretize(c *Continuous, h, d float64) (*Discrete, error) {
 //
 // The augmentation is used even for d = 0 (Γ1 = 0) so that the ET and TT
 // closed loops of one application share a state space and can be switched.
+// It is AugmentedTo into fresh matrices.
 func (d *Discrete) Augmented() (abar, bbar *mat.Matrix) {
 	n, m := d.Order(), d.Inputs()
-	abar = mat.Block([][]*mat.Matrix{
-		{d.Phi, d.Gamma1},
-		{mat.New(m, n), mat.New(m, m)},
-	})
-	bbar = mat.Block([][]*mat.Matrix{
-		{d.Gamma0},
-		{mat.Identity(m)},
-	})
+	abar, bbar = mat.New(n+m, n+m), mat.New(n+m, m)
+	d.AugmentedTo(abar, bbar)
 	return abar, bbar
 }
 
+// AugmentedTo writes Augmented's pair into abar ((n+m)×(n+m)) and bbar
+// ((n+m)×m), overwriting every entry: a caller that builds many loops of
+// one plant (a calibration search) reuses its matrices.
+func (d *Discrete) AugmentedTo(abar, bbar *mat.Matrix) {
+	n, m := d.Order(), d.Inputs()
+	if abar.Rows() != n+m || abar.Cols() != n+m || bbar.Rows() != n+m || bbar.Cols() != m {
+		panic(fmt.Sprintf("lti: AugmentedTo into %d×%d and %d×%d, want %d×%d and %d×%d",
+			abar.Rows(), abar.Cols(), bbar.Rows(), bbar.Cols(), n+m, n+m, n+m, m))
+	}
+	abar.Zero()
+	abar.SetSubmatrix(0, 0, d.Phi)
+	abar.SetSubmatrix(0, n, d.Gamma1)
+	bbar.Zero()
+	bbar.SetSubmatrix(0, 0, d.Gamma0)
+	for i := 0; i < m; i++ {
+		bbar.Set(n+i, i, 1)
+	}
+}
+
 // ClosedLoop returns the augmented closed-loop matrix Ā − B̄·K for a
-// state-feedback gain K (m×(n+m)) acting on z = [x; u[k−1]].
+// state-feedback gain K (m×(n+m)) acting on z = [x; u[k−1]]. It is
+// ClosedLoopTo on a fresh augmented pair and result.
 func (d *Discrete) ClosedLoop(k *mat.Matrix) (*mat.Matrix, error) {
 	abar, bbar := d.Augmented()
+	cl := mat.New(abar.Rows(), abar.Cols())
+	if err := d.ClosedLoopTo(cl, k, abar, bbar); err != nil {
+		return nil, err
+	}
+	return cl, nil
+}
+
+// ClosedLoopTo writes Ā − B̄·K into dst ((n+m)×(n+m)), given d's augmented
+// pair abar, bbar as AugmentedTo writes it; dst must not alias abar, bbar
+// or k. It forms B̄·K in dst and subtracts it from Ā there, without
+// allocating.
+func (d *Discrete) ClosedLoopTo(dst, k, abar, bbar *mat.Matrix) error {
 	n, m := d.Order(), d.Inputs()
 	if k.Rows() != m || k.Cols() != n+m {
-		return nil, fmt.Errorf("lti: plant %q: gain is %d×%d, want %d×%d",
+		return fmt.Errorf("lti: plant %q: gain is %d×%d, want %d×%d",
 			d.Name, k.Rows(), k.Cols(), m, n+m)
 	}
-	return abar.Sub(bbar.Mul(k)), nil
+	bbar.MulTo(dst, k)
+	abar.SubTo(dst, dst)
+	return nil
 }

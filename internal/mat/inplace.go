@@ -49,6 +49,11 @@ func (m *Matrix) ScaleTo(dst *Matrix, s float64) {
 	}
 }
 
+// Zero sets every entry of m to +0, as New leaves them.
+//
+//cpsdyn:allocfree resets caller-held workspace matrices
+func (m *Matrix) Zero() { clear(m.data) }
+
 // setIdentityScaled sets m (square) to s·I.
 //
 //cpsdyn:allocfree resets workspace buffers between Expm evaluations

@@ -402,3 +402,15 @@ func TestMulToAliasPanics(t *testing.T) {
 	a := Identity(3)
 	a.MulTo(a, Identity(3))
 }
+
+// Zero leaves every entry +0, as New does, whatever it held (−0 and NaN
+// included), without allocating.
+func TestZeroAllocFree(t *testing.T) {
+	m := FromRows([][]float64{{math.Copysign(0, -1), math.NaN()}, {math.Inf(-1), 3}})
+	if allocs := testing.AllocsPerRun(20, m.Zero); allocs != 0 {
+		t.Fatalf("Zero allocates %g times", allocs)
+	}
+	if !m.EqualBits(New(2, 2)) {
+		t.Fatalf("Zero left\n%v", m)
+	}
+}

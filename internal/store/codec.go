@@ -67,28 +67,33 @@ func encodable(v any) bool {
 }
 
 // encodeRecord serialises one artefact into a complete record (header and
-// payload) addressed by the given key hash.
+// payload) addressed by the given key hash. The payload's length is known
+// before it is written, so the record is one exact-length allocation: the
+// payload is appended behind the header's room, and the header, which
+// carries the payload's length and CRC, is written last.
 func encodeRecord(keyHash [32]byte, v any) ([]byte, error) {
 	var kind byte
 	var e enc
 	switch x := v.(type) {
 	case *lti.Discrete:
 		kind = kindDiscrete
+		e.b = make([]byte, headerLen, headerLen+discreteLen(x))
 		e.discrete(x)
 	case *switching.Curve:
 		kind = kindCurve
+		e.b = make([]byte, headerLen, headerLen+curveLen(x))
 		e.curve(x)
 	default:
 		return nil, errUnsupported
 	}
-	rec := make([]byte, headerLen, headerLen+len(e.b))
+	rec, payload := e.b, e.b[headerLen:]
 	copy(rec[0:4], magic[:])
 	binary.LittleEndian.PutUint16(rec[4:6], version)
 	rec[6] = kind
 	copy(rec[8:40], keyHash[:])
-	binary.LittleEndian.PutUint32(rec[40:44], uint32(len(e.b)))
-	binary.LittleEndian.PutUint32(rec[44:48], crc32.Checksum(e.b, crcTable))
-	return append(rec, e.b...), nil
+	binary.LittleEndian.PutUint32(rec[40:44], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[44:48], crc32.Checksum(payload, crcTable))
+	return rec, nil
 }
 
 // decodeRecord validates a record against the expected key hash and decodes
@@ -159,6 +164,21 @@ func (e *enc) matrix(m *mat.Matrix) {
 		}
 	}
 }
+
+// matrixLen, discreteLen and curveLen are the lengths enc's matrix,
+// discrete and curve append.
+func matrixLen(m *mat.Matrix) int {
+	if m == nil {
+		return 4
+	}
+	return 8 + 8*m.Rows()*m.Cols()
+}
+
+func discreteLen(d *lti.Discrete) int {
+	return 4 + len(d.Name) + 16 + matrixLen(d.Phi) + matrixLen(d.Gamma0) + matrixLen(d.Gamma1) + matrixLen(d.C)
+}
+
+func curveLen(c *switching.Curve) int { return 28 + 16*len(c.Samples) }
 
 func (e *enc) discrete(d *lti.Discrete) {
 	e.str(d.Name)

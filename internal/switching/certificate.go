@@ -11,16 +11,19 @@ import (
 
 // Stop certificates.
 //
-// settle looks for the last step at which the walk x_{k+1} = fl(A·x_k) is
-// above Eth. A stable loop decays geometrically, so after a few hundred
-// steps the answer is known, but the walk cannot see that by itself: a
-// non-normal A can lift a small state above Eth again. A certificate
-// proves, once per loop matrix, that from some small region on the state
-// can never return above Eth, rounding of the walk included; settle stops
-// at the first below-threshold step inside the region. Every later step of
-// the full walk is then provably below Eth, so lastAbove is final and
-// (k, ok) is exactly the full walk's. DwellSteps keeps the exhaustive walk
-// as the reference.
+// A settling walk looks for the last step at which the walk
+// x_{k+1} = fl(A·x_k) is above Eth. A stable loop decays geometrically, so
+// after a few hundred steps the answer is known, but the walk cannot see
+// that by itself: a non-normal A can lift a small state above Eth again. A
+// certificate proves, once per loop matrix, that from some small region on
+// the state can never return above Eth, rounding of the walk included; the
+// certified walks (walkLanes, and walkOne for the pure-mode walks) stop at
+// the first below-threshold step inside the region. Every later step of
+// the full walk is then provably below Eth, so the last step above is
+// final and (k, ok) is exactly the full walk's. A certificate also proves
+// ‖Ã^m‖∞ ≤ 1/4, so ρ(A) < 1: the checked walks take the QR stability check
+// only for a loop without one (certifyStable). settle and DwellSteps keep
+// the exhaustive walk as the reference.
 //
 // The proof, for the n×n loop matrix A with the threshold on the first
 // d = NormDims components, u = 2⁻⁵³ and γ = n·u/(1−n·u):
@@ -173,38 +176,61 @@ type certificate struct {
 }
 
 // holds reports whether x is inside the certified region: step 4's box,
-// or else both tests of step 5, or else the three tests of step 6. Box (a)
-// and box (a') are one pass, and the sum of test (b) serves (b') too.
-// NaN entries fail.
+// or else both tests of step 5, or else the three tests of step 6. It
+// reads each |x_j| once, into ax (as long as x), in one pass that tests
+// step 4's box and box (a') (box (a) when step 6 is not armed), the only
+// box test that can refuse, and ends as soon as both fail. The sum of
+// test (b) comes next: (b) and (b') both refuse a sum above 1, since
+// L ≤ 1 (prove checks it), so such a state is refused before box (a)'s
+// pass decides between them. NaN entries fail every test.
 //
-//cpsdyn:allocfree checked on every below-threshold step of the settle hot path
-func (c *certificate) holds(x []float64) bool {
-	if inBox(c.box, x) {
-		return true
-	}
-	if c.box2 == nil {
+//cpsdyn:allocfree checked on every below-threshold step of the walks
+func (c *certificate) holds(x, ax []float64) bool {
+	if c.box == nil {
 		return false
 	}
-	inA := true
-	for i, b := range c.box2 {
-		if a := math.Abs(x[i]); !(a <= b) {
-			if c.q == nil || !(a <= laterK*b) {
-				return false
-			}
-			inA = false
+	if len(x) == 3 {
+		return c.holds3(x)
+	}
+	k := 1.0 // box (a'), K·box (a), when step 6 is armed; box (a) else
+	if c.q != nil {
+		k = laterK
+	}
+	in, inK := true, c.box2 != nil
+	for i, b := range c.box {
+		a := math.Abs(x[i])
+		ax[i] = a
+		in = in && a <= b
+		inK = inK && a <= k*c.box2[i]
+		if !in && !inK {
+			return false
 		}
+	}
+	if in {
+		return true
 	}
 	n := len(x)
 	sum := 0.0
 	for i := 0; i < len(c.v); i += n {
 		z := 0.0
 		for j, w := range c.v[i : i+n] {
-			z += w * math.Abs(x[j])
+			z += w * ax[j]
 		}
 		sum += z * z
 	}
+	if !(sum <= 1) {
+		return false
+	}
+	inA := true
+	for i, b := range c.box2 {
+		if !(ax[i] <= b) {
+			inA = false
+			break
+		}
+	}
+	// Outside box (a), step 6 is armed: without it box (a') is box (a).
 	if inA {
-		return sum <= 1
+		return true
 	}
 	if !(sum <= c.lim) {
 		return false
@@ -212,7 +238,7 @@ func (c *certificate) holds(x []float64) bool {
 	for i := 0; i < len(c.q); i += n {
 		z := 0.0
 		for j, w := range c.q[i : i+n] {
-			z += w * math.Abs(x[j])
+			z += w * ax[j]
 		}
 		if !(z <= 1) {
 			return false
@@ -221,16 +247,50 @@ func (c *certificate) holds(x []float64) bool {
 	return true
 }
 
-// inBox reports whether |x_i| ≤ b_i for every i; a nil box holds for
-// nothing, and NaN entries fail.
+// holds3 is holds at order 3, unrolled: |x| stays in registers, and every
+// sum is formed in holds' order.
 //
-//cpsdyn:allocfree called by holds
-func inBox(b, x []float64) bool {
-	if b == nil {
+//cpsdyn:allocfree holds' order-3 path
+func (c *certificate) holds3(x []float64) bool {
+	x, box := x[:3], c.box[:3]
+	a0, a1, a2 := math.Abs(x[0]), math.Abs(x[1]), math.Abs(x[2])
+	if a0 <= box[0] && a1 <= box[1] && a2 <= box[2] {
+		return true
+	}
+	if c.box2 == nil {
 		return false
 	}
-	for i, v := range b {
-		if !(math.Abs(x[i]) <= v) {
+	b := c.box2[:3]
+	k := 1.0
+	if c.q != nil {
+		k = laterK
+	}
+	if !(a0 <= k*b[0] && a1 <= k*b[1] && a2 <= k*b[2]) {
+		return false
+	}
+	sum := 0.0
+	for v := c.v; len(v) >= 3; v = v[3:] {
+		z := 0.0
+		z += v[0] * a0
+		z += v[1] * a1
+		z += v[2] * a2
+		sum += z * z
+	}
+	if !(sum <= 1) {
+		return false
+	}
+	if a0 <= b[0] && a1 <= b[1] && a2 <= b[2] {
+		return true
+	}
+	if !(sum <= c.lim) {
+		return false
+	}
+	for q := c.q; len(q) >= 3; q = q[3:] {
+		z := 0.0
+		z += q[0] * a0
+		z += q[1] * a1
+		z += q[2] * a2
+		if !(z <= 1) {
 			return false
 		}
 	}
@@ -254,16 +314,42 @@ const certCheck = 64
 // scratch. It returns the zero certificate when the proof in this file's
 // header does not go through within horizon steps, or when ctx (nil:
 // never) is cancelled mid-search; the walk then runs as without a
-// certificate, and settle reports the cancellation. A refusal counts in
+// certificate, and reports the cancellation. A refusal counts in
 // CertRefusals and in ctx's trace. Nothing here allocates beyond what the
 // caller passes in: the matrix headers over work stay on the stack.
 func (s *System) certify(ctx context.Context, a *mat.Matrix, horizon int, work, out []float64) certificate {
 	c := s.prove(ctx, a, horizon, work, out)
-	if c.box == nil && (ctx == nil || ctx.Err() == nil) {
+	if c.box == nil {
+		countRefusal(ctx)
+	}
+	return c
+}
+
+// certifyStable is certify for a loop whose stability is not yet checked.
+// A certificate proves ‖Ã^m‖∞ ≤ 1/4, so ρ(a) < 1 and a is Schur stable;
+// only a refused loop takes validateStable's QR solve, and an unstable one
+// fails with its error. A refused stable loop walks uncertified, and only
+// it counts as a refusal.
+func (s *System) certifyStable(ctx context.Context, a *mat.Matrix, horizon int, work, out []float64) (certificate, error) {
+	c := s.prove(ctx, a, horizon, work, out)
+	if c.box != nil {
+		return c, nil
+	}
+	if err := s.validateStable(a); err != nil {
+		return certificate{}, err
+	}
+	countRefusal(ctx)
+	return c, nil
+}
+
+// countRefusal counts one refused certificate in CertRefusals and in
+// ctx's trace, unless ctx (nil: never) was cancelled: a cancelled search
+// is no refusal.
+func countRefusal(ctx context.Context) {
+	if ctx == nil || ctx.Err() == nil {
 		certRefusals.Add(1)
 		obs.FromContext(ctx).AddCertRefusals(1)
 	}
-	return c
 }
 
 // prove is certify without the refusal count.
@@ -359,10 +445,16 @@ func (s *System) prove(ctx context.Context, a *mat.Matrix, horizon int, work, ou
 		return certificate{box: box, box2: box2, v: w}
 	}
 	theta6 := s.Eth / (1 + kappa + 0x1p-40)
+	// κ ≥ 2.5·γ·C'·G' and rounding is monotone, so Θ' ≤ Θ and L ≤ 1: holds
+	// refuses any sum above 1 before it reads box (a).
+	lim := (theta6 / theta) * (theta6 / theta)
+	if !(lim <= 1) {
+		return certificate{box: box, box2: box2, v: w}
+	}
 	for i, v := range k.pm {
 		qm[i] = (math.Abs(v) + k.eps) * (2 / (1 - laterEta)) / box2[i%n]
 	}
-	return certificate{box: box, box2: box2, v: w, q: qm, lim: (theta6 / theta) * (theta6 / theta)}
+	return certificate{box: box, box2: box2, v: w, q: qm, lim: lim}
 }
 
 // contraction is what step 2's power search found.
@@ -382,9 +474,10 @@ type contraction struct {
 // in g and of S_P in sp, and M, the entrywise maximum of |P_r| over the
 // first d rows, in w (d×n). It fails when no power within horizon
 // contracts, when step 3's inequality fails first, on overflow or NaN, and
-// when ctx (nil: never) is cancelled.
+// when ctx (nil: never) is cancelled. Each power's bookkeeping is formed
+// with the power itself (powers.step), in the order a separate pass over
+// P_r would form it.
 func contract(ctx context.Context, atd, pd, qd, rowAbs, g, sp, w []float64, n, d, horizon int) (contraction, bool) {
-	at, p, q := mat.Wrap(n, n, atd), mat.Wrap(n, n, pd), mat.Wrap(n, n, qd)
 	// The sums also take in r = m, which only loosens them; C cannot grow
 	// there, since ‖P_m‖∞ ≤ 1/4 < 1 ≤ C.
 	for i := range pd {
@@ -398,42 +491,16 @@ func contract(ctx context.Context, atd, pd, qd, rowAbs, g, sp, w []float64, n, d
 		w[i] = 0
 	}
 	gam := gamma(n)
-	c, h, gMax, sMax := 1.0, 0.0, 0.0, 0.0
+	c, h := 1.0, 0.0
+	ps := powers{at: atd, rowAbs: rowAbs, g: g, sp: sp, w: w, n: n, d: d}
+	ps.bookRows(pd)
 	for r := 0; ; r++ {
-		// Row i of |P_r| sums to u and weighs |Ã|'s row sums to t; g and
-		// sp accumulate the rows of S_P·|Ã| and S_P. Every term is
-		// non-negative, so a comparison takes each maximum; a NaN or
-		// infinite entry of P_r makes its row's g non-finite.
-		norm, worst := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			var t, u float64
-			for j, v := range pd[i*n : (i+1)*n] {
-				v = math.Abs(v)
-				t += v * rowAbs[j]
-				u += v
-			}
-			gi := g[i] + t
-			if !(gi <= math.MaxFloat64) {
-				return contraction{}, false // overflow or NaN
-			}
-			g[i] = gi
-			sp[i] += u
-			if u > norm {
-				norm = u
-			}
-			if t > worst {
-				worst = t
-			}
-			if gi > gMax {
-				gMax = gi
-			}
-			if sp[i] > sMax {
-				sMax = sp[i]
-			}
+		if !ps.ok {
+			return contraction{}, false // overflow or NaN
 		}
-		h += worst
-		if norm > c {
-			c = norm
+		h += ps.worst
+		if ps.norm > c {
+			c = ps.norm
 		}
 		if gam*h >= 0.5 {
 			return contraction{}, false
@@ -441,27 +508,175 @@ func contract(ctx context.Context, atd, pd, qd, rowAbs, g, sp, w []float64, n, d
 		// The 2⁻⁶⁰ margin covers subnormal products in the powers. ε ≥ 0
 		// and rounding is monotone, so the test cannot pass unless
 		// ‖P_r‖∞ + 2⁻⁶⁰ ≤ 1/4 does, and ε is formed only then.
-		if r > 0 && norm+0x1p-60 <= 0.25 {
+		if r > 0 && ps.norm+0x1p-60 <= 0.25 {
 			eps := gam * h * c / (1 - gam*h)
-			if norm+eps+0x1p-60 <= 0.25 {
-				return contraction{m: r, c: c, gMax: gMax, sMax: sMax, eps: eps, pm: pd}, true
+			if ps.norm+eps+0x1p-60 <= 0.25 {
+				return contraction{m: r, c: c, gMax: ps.gMax, sMax: ps.sMax, eps: eps, pm: pd}, true
 			}
 		}
 		// C and G only grow with r: once step 3 fails it fails for good.
-		if gam*c*gMax > 0.2 || r == horizon {
+		if gam*c*ps.gMax > 0.2 || r == horizon {
 			return contraction{}, false
 		}
 		if ctx != nil && r%certCheck == 0 && ctx.Err() != nil {
 			return contraction{}, false
 		}
-		// M, over the thresholded rows of every P_r with r < m.
-		for i, v := range pd[:d*n] {
-			if v = math.Abs(v); v > w[i] {
-				w[i] = v
-			}
+		if n == 3 {
+			ps.step3(qd, pd)
+		} else {
+			ps.step(qd, pd)
 		}
-		p.MulTo(q, at)
-		p, q = q, p
 		pd, qd = qd, pd
 	}
+}
+
+// powers is the state of contract's search between two powers: the
+// balanced matrix Ã (at, row-major) and its absolute row sums, the rows of
+// S_P·|Ã| (g) and of S_P (sp) and M (w, d×n) so far, and the bookkeeping
+// of the last power booked.
+type powers struct {
+	at, rowAbs, g, sp, w []float64
+	n, d                 int
+	norm, worst          float64 // ‖P_r‖∞ and the largest row of |P_r|·|Ã|, its term of H
+	gMax, sMax           float64 // the largest rows of S_P·|Ã| and S_P so far
+	ok                   bool    // false: a row of S_P·|Ã| overflowed or is NaN
+}
+
+// bookRows books P_0 (p) as step books every later power.
+//
+//cpsdyn:allocfree books P_0 of every power search
+func (ps *powers) bookRows(p []float64) {
+	n := ps.n
+	ps.norm, ps.worst, ps.ok = 0, 0, false
+	for i := 0; i < n; i++ {
+		var t, u float64
+		for j, v := range p[i*n : (i+1)*n] {
+			v = math.Abs(v)
+			t += v * ps.rowAbs[j]
+			u += v
+		}
+		if !ps.book(i, t, u) {
+			return
+		}
+	}
+	ps.ok = true
+}
+
+// book takes row i of a power into the sums: row i of |P_r| sums to u and
+// weighs |Ã|'s row sums to t, and g_i, sp_i take them in. Every term is
+// non-negative, so a comparison takes each maximum; a NaN or infinite
+// entry of P_r makes its row's g non-finite, and book then reports false.
+//
+//cpsdyn:allocfree inlined into every row of the power search
+func (ps *powers) book(i int, t, u float64) bool {
+	gi := ps.g[i] + t
+	if !(gi <= math.MaxFloat64) {
+		return false
+	}
+	ps.g[i] = gi
+	si := ps.sp[i] + u
+	ps.sp[i] = si
+	if u > ps.norm {
+		ps.norm = u
+	}
+	if t > ps.worst {
+		ps.worst = t
+	}
+	if gi > ps.gMax {
+		ps.gMax = gi
+	}
+	if si > ps.sMax {
+		ps.sMax = si
+	}
+	return true
+}
+
+// step forms q = p·Ã and books it, while it raises M to |p| over p's
+// first d rows: p is the power just tested, q the next. Each entry of q is
+// summed over k ascending from +0, as MulTo sums it, so q is fl(p·Ã) bit
+// for bit, and its row sums over j ascending from +0, as a separate pass
+// over q would.
+//
+//cpsdyn:allocfree one call per power of the search
+func (ps *powers) step(q, p []float64) {
+	n, at, rowAbs := ps.n, ps.at, ps.rowAbs
+	ps.norm, ps.worst, ps.ok = 0, 0, false
+	for i := 0; i < n; i++ {
+		prow, qrow := p[i*n:(i+1)*n], q[i*n:(i+1)*n]
+		if i < ps.d {
+			wrow := ps.w[i*n : (i+1)*n]
+			for j, v := range prow {
+				if v = math.Abs(v); v > wrow[j] {
+					wrow[j] = v
+				}
+			}
+		}
+		var t, u float64
+		for j := range qrow {
+			var s float64
+			for k, a := range prow {
+				s += a * at[k*n+j]
+			}
+			qrow[j] = s
+			v := math.Abs(s)
+			t += v * rowAbs[j]
+			u += v
+		}
+		if !ps.book(i, t, u) {
+			return
+		}
+	}
+	ps.ok = true
+}
+
+// step3 is step at order 3, unrolled as mulToSmall's order-3 product is:
+// Ã's nine entries and |Ã|'s row sums stay in registers.
+//
+//cpsdyn:allocfree one call per power of the order-3 searches
+func (ps *powers) step3(q, p []float64) {
+	at, rowAbs, w := ps.at[:9], ps.rowAbs[:3], ps.w
+	b00, b01, b02 := at[0], at[1], at[2]
+	b10, b11, b12 := at[3], at[4], at[5]
+	b20, b21, b22 := at[6], at[7], at[8]
+	r0, r1, r2 := rowAbs[0], rowAbs[1], rowAbs[2]
+	ps.norm, ps.worst, ps.ok = 0, 0, false
+	for i := 0; i < 3; i++ {
+		prow, qrow := p[3*i:3*i+3], q[3*i:3*i+3]
+		a0, a1, a2 := prow[0], prow[1], prow[2]
+		if i < ps.d {
+			wrow := w[3*i : 3*i+3]
+			if v := math.Abs(a0); v > wrow[0] {
+				wrow[0] = v
+			}
+			if v := math.Abs(a1); v > wrow[1] {
+				wrow[1] = v
+			}
+			if v := math.Abs(a2); v > wrow[2] {
+				wrow[2] = v
+			}
+		}
+		var s0, s1, s2 float64
+		s0 += a0 * b00
+		s0 += a1 * b10
+		s0 += a2 * b20
+		s1 += a0 * b01
+		s1 += a1 * b11
+		s1 += a2 * b21
+		s2 += a0 * b02
+		s2 += a1 * b12
+		s2 += a2 * b22
+		qrow[0], qrow[1], qrow[2] = s0, s1, s2
+		v0, v1, v2 := math.Abs(s0), math.Abs(s1), math.Abs(s2)
+		var t, u float64
+		t += v0 * r0
+		u += v0
+		t += v1 * r1
+		u += v1
+		t += v2 * r2
+		u += v2
+		if !ps.book(i, t, u) {
+			return
+		}
+	}
+	ps.ok = true
 }

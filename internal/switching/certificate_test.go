@@ -102,9 +102,9 @@ func TestPropCertifiedWalkMatchesFullWalk(t *testing.T) {
 		horizon := min(20000, 50+int(30/(1-rho)))
 		cert := s.certified(nil, a, horizon)
 		full := newScratch(n)
-		wantK, wantOK, _ := s.settle(nil, a, x0, horizon, full, certificate{})
+		wantK, wantOK, _ := s.settle(nil, a, x0, horizon, full)
 		before := SimSteps()
-		gotK, gotOK, _ := s.settle(nil, a, x0, horizon, newScratch(n), cert)
+		gotK, gotOK, _ := s.walkCertified(nil, a, horizon, cert)
 		if gotK != wantK || gotOK != wantOK {
 			t.Fatalf("trial %d (n=%d, ρ=%.6f, d=%d, Eth=%g, horizon %d, certified %v): certified walk (%d, %v), full walk (%d, %v)\nA =\n%v x0 = %v",
 				trial, n, rho, s.NormDims, s.Eth, horizon, cert.box != nil, gotK, gotOK, wantK, wantOK, a, x0)

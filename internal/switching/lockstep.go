@@ -27,7 +27,8 @@ import (
 // root is monotone, so with t the largest float64 whose root is ≤ Eth,
 // ‖x‖ > Eth exactly when the sum of squares under the root exceeds t; a
 // NaN sum fails both comparisons, as a NaN norm does, and +Inf counts as
-// above. settle and DwellSteps keep Norm, so the reference walks stay
+// above. The pure-mode walks (walkOne) are one-lane walks of the same
+// kernel. settle and DwellSteps keep Norm, so the reference walk stays
 // independent of this test.
 
 // laneChunk is how many consecutive kwaits one lockstep walk carries.
@@ -65,9 +66,10 @@ func sumSq(x []float64) float64 {
 
 // walkLanes walks the lanes of one chunk in lockstep on loop matrix a.
 // Lane l's state is cur[l*n:(l+1)*n], its threshold sum of squares ss[l]
-// and its kwait idx[l]; nxt is as long as cur, and ss as idx (walkLanes
-// fills it). Every lane follows settle's rules with
-// certificate cert and threshold t (sumSqThreshold(Eth)): kdw[kwait]
+// and its kwait idx[l]; nxt is as long as cur, ss as idx (walkLanes
+// fills it), and ax (n entries) is the stop test's scratch. Every lane
+// follows settle's rules, stopped by certificate cert, with threshold t
+// (sumSqThreshold(Eth)): kdw[kwait]
 // holds the lane's last above-threshold step while it walks and its
 // settling step once it stops. A lane that cannot settle — its state
 // overflowed to NaN, or it is still above Eth at the horizon — stops
@@ -77,7 +79,7 @@ func sumSq(x []float64) float64 {
 // step and every stepFlush lane-steps, and its error ends the walk.
 //
 //cpsdyn:allocfree the lockstep kernel under SampleCurveWith; one chunk walks thousands of lane-steps
-func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt, ss []float64, idx, kdw []int, horizon int, t float64, cert *certificate) (fail int, overflow bool, err error) {
+func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt, ax, ss []float64, idx, kdw []int, horizon int, t float64, cert *certificate) (fail int, overflow bool, err error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return -1, false, err
@@ -94,18 +96,16 @@ func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt, ss []fl
 	pending := 0 // lane-steps not yet flushed to the counters
 	for k := 0; live > 0; k++ {
 		for l := 0; l < live; {
-			x := cur[l*n : (l+1)*n]
-			kw := idx[l]
 			if q := ss[l]; q > t {
-				kdw[kw] = k
+				kdw[idx[l]] = k
 				l++
 				continue
 			} else if !(q <= t) {
-				if fail < 0 || kw < fail {
+				if kw := idx[l]; fail < 0 || kw < fail {
 					fail, overflow = kw, true
 				}
-			} else if cert.holds(x) {
-				kdw[kw]++
+			} else if cert.holds(cur[l*n:(l+1)*n], ax) {
+				kdw[idx[l]]++
 			} else {
 				l++
 				continue
@@ -113,7 +113,7 @@ func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt, ss []fl
 			// The walk of lane l stopped: the last live lane takes its
 			// place, and is tested at this step in its turn.
 			live--
-			copy(x, cur[live*n:(live+1)*n])
+			copy(cur[l*n:(l+1)*n], cur[live*n:(live+1)*n])
 			ss[l], idx[l] = ss[live], idx[live]
 		}
 		if k == horizon {
@@ -140,4 +140,30 @@ func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt, ss []fl
 	}
 	countSteps(tr, uint64(pending))
 	return fail, overflow, nil
+}
+
+// walkOne is the certified pure-mode walk of loop a from X0: walkLanes
+// with one lane, whose buffers are lane's 3n entries (state, next state,
+// the stop test's scratch). It returns settle's (k, ok, err): the first
+// step from which the threshold norm stays at most Eth, false with the
+// horizon when the state is still above Eth there, and errOverflow when
+// the state became NaN. Its steps count as settle's do.
+//
+//cpsdyn:allocfree every calibration probe walks one loop through it
+func (s *System) walkOne(ctx context.Context, a *mat.Matrix, cert *certificate, horizon int, lane []float64) (int, bool, error) {
+	n := len(s.X0)
+	cur, nxt, ax := lane[:n], lane[n:2*n], lane[2*n:3*n]
+	copy(cur, s.X0)
+	var ss [1]float64
+	var idx, kdw [1]int
+	fail, overflow, err := s.walkLanes(ctx, a, cur, nxt, ax, ss[:], idx[:], kdw[:], horizon, sumSqThreshold(s.Eth), cert)
+	switch {
+	case err != nil:
+		return 0, false, err
+	case fail < 0:
+		return kdw[0], true, nil
+	case overflow:
+		return 0, false, errOverflow
+	}
+	return horizon, false, nil
 }

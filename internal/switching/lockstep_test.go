@@ -13,9 +13,10 @@ import (
 )
 
 // sweepCurve is the per-kwait reference for SampleCurveWith: the same
-// certificates and pure-mode walks, then one settle per kwait in kwait
-// order, each from its own copy of the switch state, stopping at the first
-// failing kwait with its error.
+// certificates, and the certified walk before walkOne (settleCertified)
+// for the pure-mode walks and then once per kwait in kwait order, each
+// from its own copy of the switch state, stopping at the first failing
+// kwait with its error.
 func sweepCurve(s *System, horizon int) (*Curve, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -24,14 +25,14 @@ func sweepCurve(s *System, horizon int) (*Curve, error) {
 	cert1 := s.certified(nil, s.A1, horizon)
 	cert2 := s.certified(nil, s.A2, horizon)
 	sc := newScratch(n)
-	kET, ok, err := s.settle(nil, s.A1, s.X0, horizon, sc, cert1)
+	kET, ok, err := s.settleCertified(nil, s.A1, s.X0, horizon, sc, cert1)
 	if err != nil {
 		return nil, s.walkError("ET loop", err)
 	}
 	if !ok {
 		return nil, s.errorf("ET loop did not settle within %d steps", horizon)
 	}
-	kTT, ok, err := s.settle(nil, s.A2, s.X0, horizon, sc, cert2)
+	kTT, ok, err := s.settleCertified(nil, s.A2, s.X0, horizon, sc, cert2)
 	if err != nil {
 		return nil, s.walkError("TT loop", err)
 	}
@@ -47,7 +48,7 @@ func sweepCurve(s *System, horizon int) (*Curve, error) {
 			countSteps(nil, 1)
 			x = next
 		}
-		k, ok, err := s.settle(nil, s.A2, x, horizon, newScratch(n), cert2)
+		k, ok, err := s.settleCertified(nil, s.A2, x, horizon, newScratch(n), cert2)
 		if err != nil {
 			return nil, s.walkError(fmt.Sprintf("TT loop from kwait=%d", kwait), err)
 		}
@@ -211,11 +212,11 @@ func TestLockstepOverflowingLaneMatchesSweep(t *testing.T) {
 	idx := []int{0, 1, 2}
 	kdw := make([]int, 3)
 	var none certificate
-	fail, overflow, err := s.walkLanes(nil, a2, cur, nxt, make([]float64, 3), idx, kdw, 30, sumSqThreshold(s.Eth), &none)
+	fail, overflow, err := s.walkLanes(nil, a2, cur, nxt, make([]float64, 2), make([]float64, 3), idx, kdw, 30, sumSqThreshold(s.Eth), &none)
 	if err != nil || fail != 0 || overflow {
 		t.Fatalf("walkLanes = (%d, %v, %v), want lane 0 unsettled", fail, overflow, err)
 	}
-	if k, ok, _ := s.settle(nil, a2, []float64{0.5, 0}, 30, newScratch(2), none); !ok || kdw[2] != k {
+	if k, ok, _ := s.settle(nil, a2, []float64{0.5, 0}, 30, newScratch(2)); !ok || kdw[2] != k {
 		t.Fatalf("lane 2 settled at %d, settle (%d, %v)", kdw[2], k, ok)
 	}
 }
@@ -250,7 +251,7 @@ func TestLockstepCancelledWalk(t *testing.T) {
 		}
 		ctx := &errAfter{Context: context.Background(), calls: calls}
 		before := SimSteps()
-		_, _, err := s.walkLanes(ctx, s.A2, cur, make([]float64, len(cur)), make([]float64, laneChunk), idx, make([]int, laneChunk), 20000, sumSqThreshold(s.Eth), &none)
+		_, _, err := s.walkLanes(ctx, s.A2, cur, make([]float64, len(cur)), make([]float64, 2), make([]float64, laneChunk), idx, make([]int, laneChunk), 20000, sumSqThreshold(s.Eth), &none)
 		steps := SimSteps() - before
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%d checks: err = %v, want context.Canceled", calls, err)

@@ -65,12 +65,7 @@ func (s *System) errorf(format string, args ...any) error {
 // asymptotic stability of both loops (switching stability holds because
 // the scheme switches at most once, §II-B of the paper).
 func (s *System) Validate() error {
-	n := s.A1.Rows()
-	if s.A1.Cols() != n || s.A2.Rows() != n || s.A2.Cols() != n {
-		return s.errorf("A1 (%d×%d) and A2 (%d×%d) must be square and equal-sized",
-			s.A1.Rows(), s.A1.Cols(), s.A2.Rows(), s.A2.Cols())
-	}
-	if err := s.validateShared(n, s.A1.IsFinite() && s.A2.IsFinite(), "A1, A2"); err != nil {
+	if err := s.validateLoops(); err != nil {
 		return err
 	}
 	if err := s.validateStable(s.A1); err != nil {
@@ -79,19 +74,15 @@ func (s *System) Validate() error {
 	return s.validateStable(s.A2)
 }
 
-// ValidateLoop is Validate for a pure-mode walk of the one loop a (A1 or
-// A2 of s, or a loop of the same state space): the inputs both loops
-// share, checked as Validate checks them, and a's shape, finiteness and
-// stability. A settling probe's System may carry only the loop it walks.
-func (s *System) ValidateLoop(a *mat.Matrix) error {
-	n := a.Rows()
-	if a.Cols() != n {
-		return s.errorf("loop matrix (%d×%d) must be square", n, a.Cols())
+// validateLoops is Validate without the stability checks: the loops'
+// shapes and every input's finiteness and range.
+func (s *System) validateLoops() error {
+	n := s.A1.Rows()
+	if s.A1.Cols() != n || s.A2.Rows() != n || s.A2.Cols() != n {
+		return s.errorf("A1 (%d×%d) and A2 (%d×%d) must be square and equal-sized",
+			s.A1.Rows(), s.A1.Cols(), s.A2.Rows(), s.A2.Cols())
 	}
-	if err := s.validateShared(n, a.IsFinite(), "the loop matrix"); err != nil {
-		return err
-	}
-	return s.validateStable(a)
+	return s.validateShared(n, s.A1.IsFinite() && s.A2.IsFinite(), "A1, A2")
 }
 
 // validateShared checks the inputs shared by the loops of order n: x0's
@@ -120,7 +111,8 @@ func (s *System) validateShared(n int, finite bool, loops string) error {
 }
 
 // validateStable checks the Schur stability of loop a: one QR eigenvalue
-// solve.
+// solve. The checked walks run it only on a loop that has no certificate
+// (certifyStable).
 func (s *System) validateStable(a *mat.Matrix) error {
 	stable, err := mat.IsSchurStable(a)
 	if err != nil {
@@ -186,14 +178,13 @@ var errOverflow = errors.New("state overflowed to NaN")
 // x0 satisfies ‖x[j]‖ ≤ Eth for all j ∈ [k, horizon]. The state is stepped
 // in sc's buffers (x0 may alias sc.cur); a nil ctx disables cancellation
 // checks, a cancelled ctx aborts mid-run with its error. A non-finite norm
-// counts as above Eth, and a NaN one ends the walk with errOverflow. With
-// a certificate for a (see certificate.go) the walk ends at the first
-// below-threshold state inside the certified region, which yields the
-// same (k, ok) as walking on to the horizon; the zero certificate walks
-// the whole way. Steps are counted in SimSteps and in ctx's trace.
+// counts as above Eth, and a NaN one ends the walk with errOverflow. It
+// walks every step to the horizon: it is DwellSteps' uncertified
+// reference walk, and the certified walks (walkLanes, walkOne) must give
+// its (k, ok). Steps are counted in SimSteps and in ctx's trace.
 //
-//cpsdyn:allocfree the dwell-curve sampler calls this tens of thousands of times per curve; an allocation here shows up directly in BenchmarkSampleCurve
-func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizon int, sc *scratch, cert certificate) (int, bool, error) {
+//cpsdyn:allocfree DwellSteps walks every kwait of a reference sweep through it
+func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizon int, sc *scratch) (int, bool, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return 0, false, err
@@ -210,8 +201,6 @@ func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizo
 		} else if !(nrm <= s.Eth) {
 			countSteps(tr, uint64(pending))
 			return 0, false, errOverflow
-		} else if cert.holds(cur) {
-			break
 		}
 		if k == horizon {
 			break
@@ -235,12 +224,26 @@ func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizo
 	return lastAbove + 1, true, nil
 }
 
-// certified computes the stop certificate of loop matrix a in a fresh
-// workspace (one allocation); the zero certificate when there is none.
-func (s *System) certified(ctx context.Context, a *mat.Matrix, horizon int) certificate {
-	n := a.Rows()
-	buf := make([]float64, certWorkLen(n)+certLen(n))
-	return s.certify(ctx, a, horizon, buf[certLen(n):], buf[:certLen(n)])
+// Workspace holds the buffers of one pure-mode walk: the loop's stop
+// certificate, the power search's scratch and the walk's lane. A
+// calibration search passes one to every probe, so a probe allocates
+// nothing for its walk once the workspace has grown to the loop's order.
+// The zero value is ready to use; a Workspace is not safe for concurrent
+// use.
+type Workspace struct{ buf []float64 }
+
+// walkLen is the length of a pure-mode walk's buffers at order n: the
+// certificate, the power search's scratch and walkOne's lane.
+func walkLen(n int) int { return certLen(n) + certWorkLen(n) + 3*n }
+
+// split returns ws's buffers for an order-n walk, carved from one backing
+// array that grows only when an order needs more.
+func (ws *Workspace) split(n int) (cert, work, lane []float64) {
+	if len(ws.buf) < walkLen(n) {
+		ws.buf = make([]float64, walkLen(n))
+	}
+	cl, wl := certLen(n), certWorkLen(n)
+	return ws.buf[:cl], ws.buf[cl : cl+wl], ws.buf[cl+wl : walkLen(n)]
 }
 
 // walkError renders a failed settling walk of the named loop: an
@@ -254,14 +257,24 @@ func (s *System) walkError(loop string, err error) error {
 }
 
 // response is the pure-mode settling walk of loop a from x0, stopped at
-// a's certificate. An overflowed walk fails with a *Error naming the
+// a's certificate (walkOne). It checks nothing: a loop that never decays
+// walks to the horizon. An overflowed walk fails with a *Error naming the
 // loop; a cancelled one returns ctx's error as is.
 func (s *System) response(ctx context.Context, loop string, a *mat.Matrix, horizon int) (int, bool, error) {
-	k, ok, err := s.settle(ctx, a, s.X0, horizon, newScratch(len(s.X0)), s.certified(ctx, a, horizon))
+	var ws Workspace
+	cert, work, lane := ws.split(len(s.X0))
+	c := s.certify(ctx, a, horizon, work, cert)
+	k, ok, err := s.walkOne(ctx, a, &c, horizon, lane)
+	return k, ok, s.overflowError(loop, err)
+}
+
+// overflowError renders an overflowed walk of the named loop as a *Error;
+// any other error, or nil, passes through.
+func (s *System) overflowError(loop string, err error) error {
 	if errors.Is(err, errOverflow) {
-		err = s.walkError(loop, err)
+		return s.walkError(loop, err)
 	}
-	return k, ok, err
+	return err
 }
 
 // ResponseStepsETContext returns the settling step count under pure ET
@@ -278,6 +291,31 @@ func (s *System) ResponseStepsTTContext(ctx context.Context, horizon int) (int, 
 	return s.response(ctx, "TT loop", s.A2, horizon)
 }
 
+// ProbeSteps is a settling probe's walk: the pure-mode settling step count
+// of loop a (A1 or A2 of s, or a loop of the same state space; a probe's
+// System may carry only a), checked first. It checks a's shape and
+// finiteness and the inputs both loops share as Validate checks them,
+// then certifies a, and checks a's stability only when the certificate is
+// refused (certifyStable), with Validate's error for an unstable loop. The
+// walk then runs in ws's buffers and fails as ResponseStepsTTContext's
+// does, naming the loop as loop ("TT loop", say).
+func (s *System) ProbeSteps(ctx context.Context, loop string, a *mat.Matrix, horizon int, ws *Workspace) (int, bool, error) {
+	n := a.Rows()
+	if a.Cols() != n {
+		return 0, false, s.errorf("loop matrix (%d×%d) must be square", n, a.Cols())
+	}
+	if err := s.validateShared(n, a.IsFinite(), "the loop matrix"); err != nil {
+		return 0, false, err
+	}
+	cert, work, lane := ws.split(n)
+	c, err := s.certifyStable(ctx, a, horizon, work, cert)
+	if err != nil {
+		return 0, false, err
+	}
+	k, ok, err := s.walkOne(ctx, a, &c, horizon, lane)
+	return k, ok, s.overflowError(loop, err)
+}
+
 // DwellSteps returns kdw for a given kwait (both in samples): the settling
 // step count of A2 started from A1^kwait·x0. It is the reference oracle
 // for the certified walks: no certificate, every step to the horizon. The
@@ -292,7 +330,7 @@ func (s *System) DwellSteps(kwait, horizon int) (int, bool) {
 		sc.cur, sc.nxt = sc.nxt, sc.cur
 	}
 	simSteps.Add(uint64(kwait))
-	k, ok, err := s.settle(nil, s.A2, sc.cur, horizon, sc, certificate{})
+	k, ok, err := s.settle(nil, s.A2, sc.cur, horizon, sc)
 	if err != nil {
 		return horizon, false
 	}
@@ -332,8 +370,12 @@ type SampleCurveOptions struct {
 // lockstep. Every simulation performs the exact same float arithmetic as
 // settle's in every configuration, so the curve is byte-identical for any
 // worker count.
+//
+// It checks what Validate checks, in Validate's order, but takes the QR
+// stability check only for a loop without a stop certificate: a
+// certificate proves its loop Schur stable (certifyStable).
 func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validateLoops(); err != nil {
 		return nil, err
 	}
 	ctx := opts.Context
@@ -342,20 +384,27 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 		horizon = 20000
 	}
 	n := len(s.X0)
-	sc := newScratch(n)
-	// One workspace serves both certificates; they sit in front of it.
-	cl := certLen(n)
-	certBuf := make([]float64, 2*cl+certWorkLen(n))
-	cert1 := s.certify(ctx, s.A1, horizon, certBuf[2*cl:], certBuf[:cl])
-	cert2 := s.certify(ctx, s.A2, horizon, certBuf[2*cl:], certBuf[cl:2*cl])
-	kET, ok, err := s.settle(ctx, s.A1, s.X0, horizon, sc, cert1)
+	// One power-search scratch serves both certificates, which sit in
+	// front of it; the pure-mode walks' lane follows it.
+	cl, wl := certLen(n), certWorkLen(n)
+	buf := make([]float64, 2*cl+wl+3*n)
+	work, lane := buf[2*cl:2*cl+wl], buf[2*cl+wl:]
+	cert1, err := s.certifyStable(ctx, s.A1, horizon, work, buf[:cl])
+	if err != nil {
+		return nil, err
+	}
+	cert2, err := s.certifyStable(ctx, s.A2, horizon, work, buf[cl:2*cl])
+	if err != nil {
+		return nil, err
+	}
+	kET, ok, err := s.walkOne(ctx, s.A1, &cert1, horizon, lane)
 	if err != nil {
 		return nil, s.walkError("ET loop", err)
 	}
 	if !ok {
 		return nil, s.errorf("ET loop did not settle within %d steps", horizon)
 	}
-	kTT, ok, err := s.settle(ctx, s.A2, s.X0, horizon, sc, cert2)
+	kTT, ok, err := s.walkOne(ctx, s.A2, &cert2, horizon, lane)
 	if err != nil {
 		return nil, s.walkError("TT loop", err)
 	}
@@ -385,11 +434,13 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	if workers > chunks {
 		workers = chunks
 	}
-	// One flat backing array carries every worker's pair of lane blocks —
-	// the same flat-buffer idiom as the states prepass above — so the
-	// scratch cost is one allocation however wide the pool is.
+	// One flat backing array carries every worker's pair of lane blocks
+	// and its stop test's scratch — the same flat-buffer idiom as the
+	// states prepass above — so the scratch cost is one allocation however
+	// wide the pool is.
 	lanes := laneChunk * n
-	flat := make([]float64, 2*workers*lanes)
+	per := 2*lanes + n
+	flat := make([]float64, workers*per)
 	t := sumSqThreshold(s.Eth)
 	kdw := make([]int, kET)
 	err = conc.ForEachWorkerCtx(ctx, chunks, workers, func(w, c int) error {
@@ -399,11 +450,11 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 		for l := range hi - lo {
 			idx[l] = lo + l
 		}
-		blk := flat[2*w*lanes : 2*(w+1)*lanes]
-		cur, nxt := blk[:(hi-lo)*n], blk[lanes:lanes+(hi-lo)*n]
+		blk := flat[w*per : (w+1)*per]
+		cur, nxt, ax := blk[:(hi-lo)*n], blk[lanes:lanes+(hi-lo)*n], blk[2*lanes:]
 		copy(cur, states[lo*n:hi*n])
 		cert := cert2 // a chunk's own copy keeps cert2 off the heap
-		kwait, overflow, err := s.walkLanes(ctx, s.A2, cur, nxt, ss[:hi-lo], idx[:hi-lo], kdw, horizon, t, &cert)
+		kwait, overflow, err := s.walkLanes(ctx, s.A2, cur, nxt, ax, ss[:hi-lo], idx[:hi-lo], kdw, horizon, t, &cert)
 		switch {
 		case err != nil:
 			return err
