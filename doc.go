@@ -148,18 +148,21 @@
 // probe its one loop; a loop without a certificate — marginal, unstable,
 // or too ill-conditioned for the rounding bound — falls back to the full
 // walk and counts in switching.CertRefusals (certRefusals on /statsz and
-// on its /tracez span). The checks run in Validate's order and give its
-// errors, but a certificate proves its loop Schur stable, so only a loop
-// it refuses takes the QR eigenvalue check: a curve or probe checks
-// shapes and finiteness, certifies, and solves for eigenvalues only on a
-// refusal. An unstable or marginal loop therefore costs a refused power
-// search (bounded by the horizon and the context) before the QR solve
-// names it unstable, and only a stable loop that walks uncertified counts
-// as a refusal. A walk whose state overflows to NaN fails its derivation
-// instead of counting as settled. Every certified walk runs on the
-// lockstep kernel: the pure-mode walks (ξTT and ξET of a curve, the
-// calibration probes, ResponseSteps*Context) are one-lane walks
-// (switching's walkOne) with the same square-root-free threshold.
+// on its /tracez span). A certificate proves its loop Schur stable, so
+// only a loop it refuses takes the QR eigenvalue check: a curve
+// (SampleCurveWith) checks shapes and finiteness, then certifies A1 and
+// solves for its eigenvalues only on a refusal, then the same for A2, and
+// a probe (System.ProbeSteps) does the same for its one loop; the errors
+// are the ones the QR check always gave. An unstable or marginal loop
+// therefore costs a refused power search (bounded by the horizon and the
+// context) before the QR solve names it unstable, and a refusal counts
+// only once every loop of the curve or probe has passed, for a stable
+// loop that then walks uncertified. A walk whose state overflows to NaN
+// fails its derivation instead of counting as settled. Every certified
+// walk runs on the lockstep kernel: the pure-mode walks (ξTT and ξET of a
+// curve, and System.ProbeSteps, the calibration probes' walk) are
+// one-lane walks (switching's walkOne) with the same square-root-free
+// threshold.
 // switching.System.DwellSteps keeps the exhaustive one-state walk, with
 // Norm's square root, as the reference oracle that the property and
 // fixture tests compare against.

@@ -227,8 +227,10 @@ func TestDeriveLQRFallback(t *testing.T) {
 	if d.KTT == nil || d.KET == nil {
 		t.Fatal("LQR gains missing")
 	}
-	if err := d.Sys.Validate(); err != nil {
-		t.Fatalf("LQR closed loops invalid: %v", err)
+	for _, a := range []*mat.Matrix{d.Sys.A1, d.Sys.A2} {
+		if stable, err := mat.IsSchurStable(a); err != nil || !stable {
+			t.Fatalf("LQR closed loop not Schur stable (%v):\n%v", err, a)
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func TestSimMatchesAnalyticalTTResponse(t *testing.T) {
 		NormDims: 2,
 		H:        h,
 	}
-	kTT, ok, err := sys.ResponseStepsTTContext(context.Background(), 10000)
+	kTT, ok, err := sys.ProbeSteps(context.Background(), "TT loop", sys.A2, 10000, new(switching.Workspace))
 	if err != nil || !ok {
 		t.Fatalf("analytical TT loop did not settle: %v", err)
 	}

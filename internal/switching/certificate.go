@@ -21,9 +21,9 @@ import (
 // the first below-threshold step inside the region. Every later step of
 // the full walk is then provably below Eth, so the last step above is
 // final and (k, ok) is exactly the full walk's. A certificate also proves
-// ‖Ã^m‖∞ ≤ 1/4, so ρ(A) < 1: the checked walks take the QR stability check
-// only for a loop without one (certifyStable). settle and DwellSteps keep
-// the exhaustive walk as the reference.
+// ‖Ã^m‖∞ ≤ 1/4, so ρ(A) < 1: the walks take the QR stability check only
+// for a loop without one (certifyStable). settle and DwellSteps keep the
+// exhaustive walk as the reference.
 //
 // The proof, for the n×n loop matrix A with the threshold on the first
 // d = NormDims components, u = 2⁻⁵³ and γ = n·u/(1−n·u):
@@ -145,9 +145,9 @@ func gamma(n int) float64 {
 	return nu / (1 - nu)
 }
 
-// certRefusals counts, process-wide, the certify calls that found no
-// certificate. A cancelled search is not counted: its loop may well have
-// one, and its walk stops on the cancellation anyway.
+// certRefusals counts, process-wide, the checked loops that walk without
+// a certificate (countRefusal). A cancelled search is not counted: its
+// loop may well have one, and its walk stops on the cancellation anyway.
 var certRefusals atomic.Uint64
 
 // CertRefusals returns how many loop matrices got no stop certificate.
@@ -181,16 +181,13 @@ type certificate struct {
 // step 4's box and box (a') (box (a) when step 6 is not armed), the only
 // box test that can refuse, and ends as soon as both fail. The sum of
 // test (b) comes next: (b) and (b') both refuse a sum above 1, since
-// L ≤ 1 (prove checks it), so such a state is refused before box (a)'s
+// L ≤ 1 (certify checks it), so such a state is refused before box (a)'s
 // pass decides between them. NaN entries fail every test.
 //
 //cpsdyn:allocfree checked on every below-threshold step of the walks
 func (c *certificate) holds(x, ax []float64) bool {
 	if c.box == nil {
 		return false
-	}
-	if len(x) == 3 {
-		return c.holds3(x)
 	}
 	k := 1.0 // box (a'), K·box (a), when step 6 is armed; box (a) else
 	if c.q != nil {
@@ -247,56 +244,6 @@ func (c *certificate) holds(x, ax []float64) bool {
 	return true
 }
 
-// holds3 is holds at order 3, unrolled: |x| stays in registers, and every
-// sum is formed in holds' order.
-//
-//cpsdyn:allocfree holds' order-3 path
-func (c *certificate) holds3(x []float64) bool {
-	x, box := x[:3], c.box[:3]
-	a0, a1, a2 := math.Abs(x[0]), math.Abs(x[1]), math.Abs(x[2])
-	if a0 <= box[0] && a1 <= box[1] && a2 <= box[2] {
-		return true
-	}
-	if c.box2 == nil {
-		return false
-	}
-	b := c.box2[:3]
-	k := 1.0
-	if c.q != nil {
-		k = laterK
-	}
-	if !(a0 <= k*b[0] && a1 <= k*b[1] && a2 <= k*b[2]) {
-		return false
-	}
-	sum := 0.0
-	for v := c.v; len(v) >= 3; v = v[3:] {
-		z := 0.0
-		z += v[0] * a0
-		z += v[1] * a1
-		z += v[2] * a2
-		sum += z * z
-	}
-	if !(sum <= 1) {
-		return false
-	}
-	if a0 <= b[0] && a1 <= b[1] && a2 <= b[2] {
-		return true
-	}
-	if !(sum <= c.lim) {
-		return false
-	}
-	for q := c.q; len(q) >= 3; q = q[3:] {
-		z := 0.0
-		z += q[0] * a0
-		z += q[1] * a1
-		z += q[2] * a2
-		if !(z <= 1) {
-			return false
-		}
-	}
-	return true
-}
-
 // certLen is the length of the buffer an order-n certificate lives in:
 // both boxes, the (at most n×n) matrix V and the n×n matrix U.
 func certLen(n int) int { return 2*n + 2*n*n }
@@ -314,46 +261,10 @@ const certCheck = 64
 // scratch. It returns the zero certificate when the proof in this file's
 // header does not go through within horizon steps, or when ctx (nil:
 // never) is cancelled mid-search; the walk then runs as without a
-// certificate, and reports the cancellation. A refusal counts in
-// CertRefusals and in ctx's trace. Nothing here allocates beyond what the
-// caller passes in: the matrix headers over work stay on the stack.
+// certificate, and reports the cancellation. Nothing here allocates
+// beyond what the caller passes in: the matrix headers over work stay on
+// the stack.
 func (s *System) certify(ctx context.Context, a *mat.Matrix, horizon int, work, out []float64) certificate {
-	c := s.prove(ctx, a, horizon, work, out)
-	if c.box == nil {
-		countRefusal(ctx)
-	}
-	return c
-}
-
-// certifyStable is certify for a loop whose stability is not yet checked.
-// A certificate proves ‖Ã^m‖∞ ≤ 1/4, so ρ(a) < 1 and a is Schur stable;
-// only a refused loop takes validateStable's QR solve, and an unstable one
-// fails with its error. A refused stable loop walks uncertified, and only
-// it counts as a refusal.
-func (s *System) certifyStable(ctx context.Context, a *mat.Matrix, horizon int, work, out []float64) (certificate, error) {
-	c := s.prove(ctx, a, horizon, work, out)
-	if c.box != nil {
-		return c, nil
-	}
-	if err := s.validateStable(a); err != nil {
-		return certificate{}, err
-	}
-	countRefusal(ctx)
-	return c, nil
-}
-
-// countRefusal counts one refused certificate in CertRefusals and in
-// ctx's trace, unless ctx (nil: never) was cancelled: a cancelled search
-// is no refusal.
-func countRefusal(ctx context.Context) {
-	if ctx == nil || ctx.Err() == nil {
-		certRefusals.Add(1)
-		obs.FromContext(ctx).AddCertRefusals(1)
-	}
-}
-
-// prove is certify without the refusal count.
-func (s *System) prove(ctx context.Context, a *mat.Matrix, horizon int, work, out []float64) certificate {
 	n := a.Rows()
 	if n == 0 || a.Cols() != n || len(out) != certLen(n) {
 		return certificate{}
@@ -455,6 +366,31 @@ func (s *System) prove(ctx context.Context, a *mat.Matrix, horizon int, work, ou
 		qm[i] = (math.Abs(v) + k.eps) * (2 / (1 - laterEta)) / box2[i%n]
 	}
 	return certificate{box: box, box2: box2, v: w, q: qm, lim: lim}
+}
+
+// certifyStable is certify for a loop whose stability is not yet checked.
+// A certificate proves ‖Ã^m‖∞ ≤ 1/4, so ρ(a) < 1 and a is Schur stable;
+// only a refused loop takes validateStable's QR solve, and an unstable one
+// fails with its error. The caller counts a refusal (countRefusal) once
+// every loop it walks has passed.
+func (s *System) certifyStable(ctx context.Context, a *mat.Matrix, horizon int, work, out []float64) (certificate, error) {
+	c := s.certify(ctx, a, horizon, work, out)
+	if c.box == nil {
+		if err := s.validateStable(a); err != nil {
+			return certificate{}, err
+		}
+	}
+	return c, nil
+}
+
+// countRefusal counts c in CertRefusals and in ctx's trace when it is the
+// zero certificate of a loop about to walk, unless ctx (nil: never) was
+// cancelled: a cancelled search is no refusal.
+func countRefusal(ctx context.Context, c *certificate) {
+	if c.box == nil && (ctx == nil || ctx.Err() == nil) {
+		certRefusals.Add(1)
+		obs.FromContext(ctx).AddCertRefusals(1)
+	}
 }
 
 // contraction is what step 2's power search found.

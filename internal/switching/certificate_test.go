@@ -167,19 +167,19 @@ func TestCertificateFallsBack(t *testing.T) {
 	}
 }
 
-// ResponseStepsTTContext stops at its certificate long before the
-// horizon, and the step counter shows it.
+// The pure-TT walk (ProbeSteps of A2) stops at its certificate long
+// before the horizon, and the step counter shows it.
 func TestCertifiedWalkStopsEarly(t *testing.T) {
 	s := nonNormalSystem()
 	before := SimSteps()
-	k, ok, err := s.ResponseStepsTTContext(context.Background(), 20000)
+	k, ok, err := s.ProbeSteps(context.Background(), "TT loop", s.A2, 20000, new(Workspace))
 	steps := SimSteps() - before
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantK, wantOK := s.DwellSteps(0, 20000)
 	if k != wantK || ok != wantOK {
-		t.Fatalf("ResponseStepsTTContext = (%d, %v), DwellSteps(0) = (%d, %v)", k, ok, wantK, wantOK)
+		t.Fatalf("ProbeSteps of A2 = (%d, %v), DwellSteps(0) = (%d, %v)", k, ok, wantK, wantOK)
 	}
 	if steps > 200 {
 		t.Fatalf("certified TT walk simulated %d steps, want it to stop within a few dozen", steps)

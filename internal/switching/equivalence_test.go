@@ -173,7 +173,9 @@ func TestWalkOneCancelsLikeSettle(t *testing.T) {
 }
 
 // badLoops are loops without a certificate that the stability check
-// refuses, each with a stable partner.
+// refuses, each with a stable partner. refused-et's stable ET loop has no
+// certificate either: at ρ = 1 − 10⁻⁶ it needs ~1.4 M powers to contract
+// 4×, far past a curve's horizon.
 var badLoops = []struct {
 	name   string
 	a1, a2 *mat.Matrix
@@ -184,12 +186,13 @@ var badLoops = []struct {
 	{"marginal-tt", mat.Diag(0.9, 0.5), mat.FromRows([][]float64{{1, 1}, {0, 1}})},
 	{"rotation-tt", mat.Diag(0.9, 0.5), mat.FromRows([][]float64{{0, 1}, {-1, 0}})},
 	{"both", mat.Diag(1.5, 0.5), mat.Diag(2, 0.5)},
+	{"refused-et", mat.Diag(1-1e-6, 0.5), mat.FromRows([][]float64{{0.5, 1}, {0, 1.01}})},
 }
 
 // Unstable and marginal loops keep the errors the QR check gave before
 // the certificate came first (recorded from that build), named and
-// unnamed, in the curve and in the probe walk, and count no refusal: they
-// never walk.
+// unnamed, in the curve and in the probe walk, and count no refusal:
+// nothing walks, not even refused-et's stable but uncertified ET loop.
 func TestBadLoopsKeepErrorTexts(t *testing.T) {
 	for _, c := range badLoops {
 		for _, name := range []string{c.name, ""} {
@@ -310,7 +313,7 @@ func TestCertifiedLoopsAreSchurStable(t *testing.T) {
 		s := &System{Name: "edge", A1: a, A2: a, X0: make([]float64, n), Eth: 0.1, H: 0.01}
 		var ws Workspace
 		cert, work, _ := ws.split(n)
-		if c := s.prove(nil, a, horizon, work, cert); c.box != nil {
+		if c := s.certify(nil, a, horizon, work, cert); c.box != nil {
 			certified++
 			if stable, err := mat.IsSchurStable(a); err != nil || !stable {
 				t.Fatalf("%s: certified, but QR says stable = %v (%v)\nA =\n%v", what, stable, err, a)

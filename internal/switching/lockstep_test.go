@@ -12,13 +12,20 @@ import (
 	"cpsdyn/internal/pwl"
 )
 
-// sweepCurve is the per-kwait reference for SampleCurveWith: the same
-// certificates, and the certified walk before walkOne (settleCertified)
-// for the pure-mode walks and then once per kwait in kwait order, each
-// from its own copy of the switch state, stopping at the first failing
-// kwait with its error.
+// sweepCurve is the per-kwait reference for SampleCurveWith: the checks
+// in their order before the certificate replaced the QR check of a
+// certified loop, the same certificates, and the certified walk before
+// walkOne (settleCertified) for the pure-mode walks and then once per
+// kwait in kwait order, each from its own copy of the switch state,
+// stopping at the first failing kwait with its error.
 func sweepCurve(s *System, horizon int) (*Curve, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validateLoops(); err != nil {
+		return nil, err
+	}
+	if err := s.validateStable(s.A1); err != nil {
+		return nil, err
+	}
+	if err := s.validateStable(s.A2); err != nil {
 		return nil, err
 	}
 	n := len(s.X0)

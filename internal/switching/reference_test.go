@@ -118,11 +118,14 @@ func (s *System) settleCertified(ctx context.Context, a *mat.Matrix, x0 []float6
 }
 
 // certified computes the stop certificate of loop matrix a in a fresh
-// workspace; the zero certificate when there is none.
+// workspace, the zero certificate when there is none, and counts a
+// refusal as a walk of a would.
 func (s *System) certified(ctx context.Context, a *mat.Matrix, horizon int) certificate {
 	var ws Workspace
 	cert, work, _ := ws.split(a.Rows())
-	return s.certify(ctx, a, horizon, work, cert)
+	c := s.certify(ctx, a, horizon, work, cert)
+	countRefusal(ctx, &c)
+	return c
 }
 
 // walkCertified is the production certified walk of loop a from X0 in a

@@ -61,21 +61,10 @@ func (s *System) errorf(format string, args ...any) error {
 	return &Error{System: s.Name, Err: fmt.Errorf(format, args...)}
 }
 
-// Validate checks shapes, that every input is finite, the threshold and
-// asymptotic stability of both loops (switching stability holds because
-// the scheme switches at most once, §II-B of the paper).
-func (s *System) Validate() error {
-	if err := s.validateLoops(); err != nil {
-		return err
-	}
-	if err := s.validateStable(s.A1); err != nil {
-		return err
-	}
-	return s.validateStable(s.A2)
-}
-
-// validateLoops is Validate without the stability checks: the loops'
-// shapes and every input's finiteness and range.
+// validateLoops checks the loops' shapes and every input's finiteness and
+// range. Their asymptotic stability (switching stability holds because the
+// scheme switches at most once, §II-B of the paper) is checked by
+// certifyStable.
 func (s *System) validateLoops() error {
 	n := s.A1.Rows()
 	if s.A1.Cols() != n || s.A2.Rows() != n || s.A2.Cols() != n {
@@ -111,7 +100,7 @@ func (s *System) validateShared(n int, finite bool, loops string) error {
 }
 
 // validateStable checks the Schur stability of loop a: one QR eigenvalue
-// solve. The checked walks run it only on a loop that has no certificate
+// solve. The walks run it only on a loop that has no certificate
 // (certifyStable).
 func (s *System) validateStable(a *mat.Matrix) error {
 	stable, err := mat.IsSchurStable(a)
@@ -256,18 +245,6 @@ func (s *System) walkError(loop string, err error) error {
 	return s.errorf("sampling cancelled: %w", err)
 }
 
-// response is the pure-mode settling walk of loop a from x0, stopped at
-// a's certificate (walkOne). It checks nothing: a loop that never decays
-// walks to the horizon. An overflowed walk fails with a *Error naming the
-// loop; a cancelled one returns ctx's error as is.
-func (s *System) response(ctx context.Context, loop string, a *mat.Matrix, horizon int) (int, bool, error) {
-	var ws Workspace
-	cert, work, lane := ws.split(len(s.X0))
-	c := s.certify(ctx, a, horizon, work, cert)
-	k, ok, err := s.walkOne(ctx, a, &c, horizon, lane)
-	return k, ok, s.overflowError(loop, err)
-}
-
 // overflowError renders an overflowed walk of the named loop as a *Error;
 // any other error, or nil, passes through.
 func (s *System) overflowError(loop string, err error) error {
@@ -277,28 +254,16 @@ func (s *System) overflowError(loop string, err error) error {
 	return err
 }
 
-// ResponseStepsETContext returns the settling step count under pure ET
-// communication (the paper's ξET in samples). The error is ctx's when it
-// expired mid-simulation, and a *Error when the state overflowed.
-func (s *System) ResponseStepsETContext(ctx context.Context, horizon int) (int, bool, error) {
-	return s.response(ctx, "ET loop", s.A1, horizon)
-}
-
-// ResponseStepsTTContext returns the settling step count under pure TT
-// communication (the paper's ξTT in samples), failing like
-// ResponseStepsETContext.
-func (s *System) ResponseStepsTTContext(ctx context.Context, horizon int) (int, bool, error) {
-	return s.response(ctx, "TT loop", s.A2, horizon)
-}
-
-// ProbeSteps is a settling probe's walk: the pure-mode settling step count
-// of loop a (A1 or A2 of s, or a loop of the same state space; a probe's
-// System may carry only a), checked first. It checks a's shape and
-// finiteness and the inputs both loops share as Validate checks them,
-// then certifies a, and checks a's stability only when the certificate is
-// refused (certifyStable), with Validate's error for an unstable loop. The
-// walk then runs in ws's buffers and fails as ResponseStepsTTContext's
-// does, naming the loop as loop ("TT loop", say).
+// ProbeSteps returns the pure-mode settling step count of loop a (A1 or
+// A2 of s, or a loop of the same state space; a probe's System may carry
+// only a): the paper's ξET or ξTT in samples, and a calibration probe's
+// walk. It checks a's shape and finiteness and the inputs both loops
+// share as SampleCurveWith checks them, then certifies a, and checks a's
+// stability only when the certificate is refused (certifyStable), with
+// SampleCurveWith's error for an unstable loop. The walk then runs in
+// ws's buffers, stopped at a's certificate (walkOne). An overflowed walk
+// fails with a *Error naming the loop as loop ("TT loop", say); a
+// cancelled one returns ctx's error as is.
 func (s *System) ProbeSteps(ctx context.Context, loop string, a *mat.Matrix, horizon int, ws *Workspace) (int, bool, error) {
 	n := a.Rows()
 	if a.Cols() != n {
@@ -312,6 +277,7 @@ func (s *System) ProbeSteps(ctx context.Context, loop string, a *mat.Matrix, hor
 	if err != nil {
 		return 0, false, err
 	}
+	countRefusal(ctx, &c)
 	k, ok, err := s.walkOne(ctx, a, &c, horizon, lane)
 	return k, ok, s.overflowError(loop, err)
 }
@@ -354,8 +320,8 @@ type SampleCurveOptions struct {
 	// The sampled curve is byte-identical for every worker count.
 	Workers int
 	// Horizon bounds each settling simulation; it must comfortably exceed
-	// the slowest settling (Validate-checked stability guarantees
-	// existence). ≤ 0 selects 20000.
+	// the slowest settling (checked stability guarantees existence). ≤ 0
+	// selects 20000.
 	Horizon int
 	// Context cancels the sampling cooperatively; nil means no
 	// cancellation. On expiry the error unwraps to ctx.Err().
@@ -371,9 +337,11 @@ type SampleCurveOptions struct {
 // settle's in every configuration, so the curve is byte-identical for any
 // worker count.
 //
-// It checks what Validate checks, in Validate's order, but takes the QR
-// stability check only for a loop without a stop certificate: a
-// certificate proves its loop Schur stable (certifyStable).
+// It first checks the loops' shapes and every input (validateLoops), then
+// the stability of A1 and of A2, in that order, taking the QR check only
+// for a loop without a stop certificate: a certificate proves its loop
+// Schur stable (certifyStable). A refused loop counts in CertRefusals only
+// once both loops have passed, since only then does it walk.
 func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	if err := s.validateLoops(); err != nil {
 		return nil, err
@@ -397,6 +365,8 @@ func (s *System) SampleCurveWith(opts SampleCurveOptions) (*Curve, error) {
 	if err != nil {
 		return nil, err
 	}
+	countRefusal(ctx, &cert1)
+	countRefusal(ctx, &cert2)
 	kET, ok, err := s.walkOne(ctx, s.A1, &cert1, horizon, lane)
 	if err != nil {
 		return nil, s.walkError("ET loop", err)

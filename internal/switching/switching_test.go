@@ -35,33 +35,39 @@ func diagonalSystem() *System {
 	}
 }
 
+// SampleCurveWith checks shapes, that every input is finite, the
+// threshold and the asymptotic stability of both loops before it walks.
 func TestValidate(t *testing.T) {
-	if err := nonNormalSystem().Validate(); err != nil {
+	validate := func(s *System) error {
+		_, err := s.SampleCurveWith(SampleCurveOptions{Workers: 1})
+		return err
+	}
+	if err := validate(nonNormalSystem()); err != nil {
 		t.Fatal(err)
 	}
 	bad := nonNormalSystem()
 	bad.A1 = mat.Diag(1.1, 0.5)
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Fatal("want error for unstable A1")
 	}
 	bad2 := nonNormalSystem()
 	bad2.Eth = 0
-	if err := bad2.Validate(); err == nil {
+	if err := validate(bad2); err == nil {
 		t.Fatal("want error for zero threshold")
 	}
 	bad3 := nonNormalSystem()
 	bad3.X0 = []float64{1}
-	if err := bad3.Validate(); err == nil {
+	if err := validate(bad3); err == nil {
 		t.Fatal("want error for x0 length mismatch")
 	}
 	bad4 := nonNormalSystem()
 	bad4.H = 0
-	if err := bad4.Validate(); err == nil {
+	if err := validate(bad4); err == nil {
 		t.Fatal("want error for zero sampling period")
 	}
 	bad5 := nonNormalSystem()
 	bad5.A2 = mat.New(3, 3)
-	if err := bad5.Validate(); err == nil {
+	if err := validate(bad5); err == nil {
 		t.Fatal("want error for A2 size mismatch")
 	}
 	// NaN fails every ordered comparison, and an infinite threshold,
@@ -76,16 +82,15 @@ func TestValidate(t *testing.T) {
 		} {
 			bad := nonNormalSystem()
 			set(bad)
-			if err := bad.Validate(); err == nil {
+			if err := validate(bad); err == nil {
 				t.Fatalf("%s = %g: want an error", name, v)
 			}
 		}
 	}
 }
 
-// The settle step count itself, on systems small enough to count by hand.
-// ResponseStepsTTContext runs settle on A2 from X0 without validating stability,
-// so a loop that never decays is a legal input.
+// The pure-TT settle step count itself (ProbeSteps of A2 from X0), on
+// systems small enough to count by hand.
 func TestResponseStepsTTSettleCounts(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -100,15 +105,19 @@ func TestResponseStepsTTSettleCounts(t *testing.T) {
 		// with everything after it below the threshold is k = 4.
 		{"scalar", mat.FromRows([][]float64{{0.5}}), []float64{1}, 0, 100, 4, true},
 		{"immediate", mat.FromRows([][]float64{{0.5}}), []float64{0.05}, 0, 10, 0, true},
-		{"never-settles", mat.FromRows([][]float64{{1}}), []float64{1}, 0, 50, 50, false},
-		// The second component stays at 5 but is outside the norm.
-		{"partial-norm", mat.Diag(0.5, 1), []float64{1, 5}, 1, 100, 4, true},
+		// Norms 0.99^k stay above 0.6 up to the horizon: the loop is
+		// stable, but it has not settled by then (and has no certificate
+		// within 50 steps).
+		{"never-settles", mat.FromRows([][]float64{{0.99}}), []float64{1}, 0, 50, 50, false},
+		// The second component stays above Eth up to k = 38 but is
+		// outside the norm.
+		{"partial-norm", mat.Diag(0.5, 0.9), []float64{1, 5}, 1, 100, 4, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := &System{Name: c.name, A1: c.a2, A2: c.a2, X0: c.x0, Eth: 0.1, NormDims: c.normDims, H: 0.02}
-			steps, settled, err := s.ResponseStepsTTContext(context.Background(), c.horizon)
+			steps, settled, err := s.ProbeSteps(context.Background(), "TT loop", s.A2, c.horizon, new(Workspace))
 			if err != nil || steps != c.steps || settled != c.settled {
-				t.Fatalf("ResponseStepsTTContext = %d, %v, %v; want %d, %v", steps, settled, err, c.steps, c.settled)
+				t.Fatalf("ProbeSteps = %d, %v, %v; want %d, %v", steps, settled, err, c.steps, c.settled)
 			}
 		})
 	}
@@ -116,13 +125,13 @@ func TestResponseStepsTTSettleCounts(t *testing.T) {
 
 func TestDwellAtZeroEqualsTTResponse(t *testing.T) {
 	s := nonNormalSystem()
-	kTT, ok1, err := s.ResponseStepsTTContext(context.Background(), 10000)
+	kTT, ok1, err := s.ProbeSteps(context.Background(), "TT loop", s.A2, 10000, new(Workspace))
 	kdw0, ok2 := s.DwellSteps(0, 10000)
 	if err != nil || !ok1 || !ok2 {
 		t.Fatalf("settling failed: %v", err)
 	}
 	if kTT != kdw0 {
-		t.Fatalf("DwellSteps(0) = %d, ResponseStepsTTContext = %d", kdw0, kTT)
+		t.Fatalf("DwellSteps(0) = %d, ProbeSteps of A2 = %d", kdw0, kTT)
 	}
 }
 
@@ -326,12 +335,13 @@ func TestDwellStepsAllocationIsHorizonIndependent(t *testing.T) {
 	}
 	ctx := context.Background()
 	et := testing.AllocsPerRun(20, func() {
-		if _, _, err := s.ResponseStepsETContext(ctx, 20000); err != nil {
+		var ws Workspace
+		if _, _, err := s.ProbeSteps(ctx, "ET loop", s.A1, 20000, &ws); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if et > 4 {
-		t.Fatalf("ResponseStepsETContext allocates %g times, want ≤ 4", et)
+		t.Fatalf("ProbeSteps of A1 in a fresh workspace allocates %g times, want ≤ 4", et)
 	}
 }
 
