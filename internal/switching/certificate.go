@@ -189,6 +189,9 @@ func (c *certificate) holds(x, ax []float64) bool {
 	if c.box == nil {
 		return false
 	}
+	if len(x) == 3 {
+		return c.holds3(x)
+	}
 	k := 1.0 // box (a'), K·box (a), when step 6 is armed; box (a) else
 	if c.q != nil {
 		k = laterK
@@ -237,6 +240,58 @@ func (c *certificate) holds(x, ax []float64) bool {
 		for j, w := range c.q[i : i+n] {
 			z += w * ax[j]
 		}
+		if !(z <= 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// holds3 is holds at order 3, unrolled: |x| stays in registers, and every
+// sum is formed in holds' order. The §V loops are all of order 3, and on
+// them it made a `calibrate` pass ~9 % faster than holds' loops
+// (EXPERIMENTS.md).
+//
+//cpsdyn:allocfree holds' order-3 path
+func (c *certificate) holds3(x []float64) bool {
+	x, box := x[:3], c.box[:3]
+	a0, a1, a2 := math.Abs(x[0]), math.Abs(x[1]), math.Abs(x[2])
+	if a0 <= box[0] && a1 <= box[1] && a2 <= box[2] {
+		return true
+	}
+	if c.box2 == nil {
+		return false
+	}
+	b := c.box2[:3]
+	k := 1.0
+	if c.q != nil {
+		k = laterK
+	}
+	if !(a0 <= k*b[0] && a1 <= k*b[1] && a2 <= k*b[2]) {
+		return false
+	}
+	sum := 0.0
+	for v := c.v; len(v) >= 3; v = v[3:] {
+		z := 0.0
+		z += v[0] * a0
+		z += v[1] * a1
+		z += v[2] * a2
+		sum += z * z
+	}
+	if !(sum <= 1) {
+		return false
+	}
+	if a0 <= b[0] && a1 <= b[1] && a2 <= b[2] {
+		return true
+	}
+	if !(sum <= c.lim) {
+		return false
+	}
+	for q := c.q; len(q) >= 3; q = q[3:] {
+		z := 0.0
+		z += q[0] * a0
+		z += q[1] * a1
+		z += q[2] * a2
 		if !(z <= 1) {
 			return false
 		}
