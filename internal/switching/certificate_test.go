@@ -246,7 +246,7 @@ func contractReference(atd, pd, qd, rowAbs, g, sp, w []float64, n, d, horizon in
 // contract returns exactly what the loop it replaced returned, bit for
 // bit, on random loops of order 1..8: stable ones (one in ten slow),
 // unstable ones, and ones with an infinite or a 1e300 entry. Equal search
-// results make equal certificates, since the rest of prove reads nothing
+// results make equal certificates, since the rest of certify reads nothing
 // else. -short draws 1 000 loops instead of 5 000.
 func TestContractMatchesReferenceLoop(t *testing.T) {
 	trials := 5000
