@@ -14,8 +14,11 @@
 //
 // Fleet workloads derive many applications that reuse a handful of plant
 // models. core.DeriveFleet fans the per-application DeriveContext calls
-// out across a pool of runtime.GOMAXPROCS workers and aggregates
-// per-application failures into one joined error. The expensive intermediates — the delay-split matrix
+// out across a conc pool of runtime.GOMAXPROCS workers and aggregates
+// per-application failures into one joined error. A conc pool hands out
+// indices in order from one atomic counter, and its first worker is the
+// calling goroutine, so a pool of one (a one-app fleet, a one-core host)
+// starts no goroutine. The expensive intermediates — the delay-split matrix
 // exponentials and the exhaustively simulated dwell/wait curves — are
 // memoised in a small thread-safe single-flight cache keyed by the exact
 // plant dynamics and timing, so repeated derivations of identical plants
@@ -49,9 +52,12 @@
 // artefacts the store already persists, and a restarted replica refills
 // each one from three disk hits. The bundle and the curve are shared by
 // every app with the key, so their errors carry no app name;
-// DeriveContext renders a shared failure under its own app's name. The
-// keys are built by appending hex and decimal digits, without fmt; their
-// bytes are the store's record addresses and a golden test pins them.
+// DeriveContext renders a shared failure under its own app's name. A fill
+// that panics completes its entry with an error, so its waiters fail and
+// the next lookup computes afresh, and the panic goes on to the fill's
+// caller. The keys are built by appending hex and decimal digits, without
+// fmt; their bytes are the store's record addresses and a golden test pins
+// them.
 //
 // DeriveContext keeps no state on the Application: a second derivation of
 // the same Application is another key build and bundle lookup, and
@@ -90,9 +96,11 @@
 // The dominant cost of a cache-miss derive — measuring the non-monotone
 // dwell curve by exhaustive simulation (§III) — is itself sharded: a cheap
 // sequential prepass walks the switch states A1^kwait·x0 once, then chunks
-// of 16 consecutive kwaits fan out across a bounded worker pool
-// (switching.SampleCurveWith; core.SetCurveSamplingWorkers tunes the
-// width, defaulting to every core). Inside a chunk the settling walks run
+// of 16 consecutive kwaits fan out across a conc pool whose first worker
+// is the sampling goroutine itself (switching.SampleCurveWith;
+// core.SetCurveSamplingWorkers tunes the width, defaulting to every core),
+// so a curve sampled on one worker walks its chunks in order and starts
+// no goroutine. Inside a chunk the settling walks run
 // in lockstep: the chunk's live states sit in one block, every step tests
 // each of them (threshold, then certificate), swap-removes the ones whose
 // walk ended and steps the rest in one mat.MulVecsTo batch: four states

@@ -11,113 +11,104 @@ import (
 )
 
 // ForEachCtx runs fn(i) for every i in [0, n) across a bounded worker
-// pool. workers ≤ 0 selects runtime.GOMAXPROCS(0); the pool never exceeds
-// n. ForEachCtx returns once every call has finished. Once ctx is
-// cancelled no further index runs (in-flight calls finish), so a
+// pool whose first worker is the calling goroutine. workers ≤ 0 selects
+// runtime.GOMAXPROCS(0); the pool never exceeds n, and a pool of one starts
+// no goroutine. ForEachCtx returns once every worker has stopped. Once ctx
+// is cancelled no further index runs (in-flight calls finish), so a
 // pre-cancelled ctx runs none; once some fn returns a non-nil error, no
 // further index is dispatched, and no index above the lowest failed one
-// runs. It returns ctx.Err() when the
-// context was cancelled, else the error of the lowest failed index.
+// runs. It returns ctx.Err() when the context was cancelled, else the
+// error of the lowest failed index.
 // Indices are dispatched in order, so the lowest failed index among the
 // dispatched ones matches what a sequential loop would have reported.
+//
+// A panic in fn on the calling goroutine stops the other workers at their
+// next index and goes on to the caller once they have exited; a panic on
+// another worker ends the process.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) error { return fn(i) })
 }
 
 // ForEachWorkerCtx is ForEachCtx for callers that keep per-worker scratch
-// state: fn additionally receives the worker index w in [0, workers), stable
-// for the lifetime of that worker goroutine, so fn can reuse preallocated
-// buffers without synchronisation. A nil ctx means no cancellation (the
-// curve sampler passes SampleCurveOptions.Context through as it is).
+// state: fn additionally receives the worker index w in [0, workers), 0 on
+// the calling goroutine and stable for the lifetime of each worker, so fn
+// can reuse preallocated buffers without synchronisation. A nil ctx means
+// no cancellation (the curve sampler passes SampleCurveOptions.Context
+// through as it is).
 func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int) error) error {
-	ctxErr := func() error {
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Err()
-	}
 	if n <= 0 {
-		return ctxErr()
+		return ctxErr(ctx)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	next := make(chan int)
-	stop := make(chan struct{})
-	// The state the workers share, in one allocation.
-	var shared struct {
-		wg       sync.WaitGroup
-		stopOnce sync.Once
-		lowest   atomic.Int64 // the lowest failed index so far; n while none
-	}
-	// A select picks at random among ready cases, so the feeder could hand
-	// out an index after ctx was cancelled or some fn failed; it checks
-	// both before every offer. A worker skips an index it receives once
-	// ctx is cancelled, or once a lower index has failed: every index below
-	// the lowest failure still runs, so the lowest failed index is the one
-	// a sequential loop would have reported.
-	lowest := &shared.lowest
-	lowest.Store(int64(n))
-	errs := make([]error, n)
-	for w := 0; w < workers; w++ {
-		shared.wg.Add(1)
-		go func(w int) {
-			defer shared.wg.Done()
-			for i := range next {
-				if closed(done) || int64(i) > lowest.Load() {
-					continue
-				}
-				if err := fn(w, i); err != nil {
-					errs[i] = err
-					for low := lowest.Load(); int64(i) < low; low = lowest.Load() {
-						if lowest.CompareAndSwap(low, int64(i)) {
-							break
-						}
-					}
-					shared.stopOnce.Do(func() { close(stop) })
-				}
-			}
-		}(w)
-	}
-feed:
-	for i := 0; i < n && !closed(done) && !closed(stop); i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break feed
-		case <-stop:
-			break feed
-		}
-	}
-	close(next)
-	shared.wg.Wait()
-	if err := ctxErr(); err != nil {
+	p := &pool{ctx: ctx, n: int64(n), fn: fn}
+	p.lowest.Store(int64(n))
+	p.run(min(workers, n))
+	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.err
 }
 
-// closed reports, without blocking, whether c is closed; a nil c never
-// is.
-func closed(c <-chan struct{}) bool {
-	select {
-	case <-c:
-		return true
-	default:
-		return false
+// pool is the state the workers of one ForEachWorkerCtx call share.
+type pool struct {
+	ctx    context.Context // nil: no cancellation
+	n      int64
+	fn     func(w, i int) error
+	next   atomic.Int64 // the next index to take
+	lowest atomic.Int64 // the lowest failed index so far; n while none
+	mu     sync.Mutex   // orders the writes of lowest and err
+	err    error        // the error of index lowest
+	wg     sync.WaitGroup
+}
+
+// run runs worker 0 on the calling goroutine and the others on their own.
+// However worker 0 leaves, by returning or by a panic in fn, the others
+// take no further index, and run returns, or the panic goes on, only once
+// they have exited.
+func (p *pool) run(workers int) {
+	defer func() {
+		p.next.Store(p.n)
+		p.wg.Wait()
+	}()
+	for w := 1; w < workers; w++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.work(w)
+		}()
 	}
+	p.work(0)
+}
+
+// work takes indices in order until they run out, ctx is cancelled or an
+// index below the one it took has failed. Every index below the lowest
+// failure still runs, so that failure is the one a sequential loop would
+// have reported.
+func (p *pool) work(w int) {
+	for {
+		i := p.next.Add(1) - 1
+		if i >= p.n || i > p.lowest.Load() || ctxErr(p.ctx) != nil {
+			return
+		}
+		if err := p.fn(w, int(i)); err != nil {
+			p.mu.Lock()
+			if i < p.lowest.Load() {
+				p.lowest.Store(i)
+				p.err = err
+			}
+			p.mu.Unlock()
+		}
+	}
+}
+
+// ctxErr is ctx.Err(), nil for a nil ctx.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // StreamOrdered is the bounded streaming pipeline stage: it pulls items from

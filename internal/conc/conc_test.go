@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -426,5 +428,81 @@ func TestForEachWorkerCtxBoundsConcurrency(t *testing.T) {
 	}
 	if p := peak.Load(); p > workers {
 		t.Fatalf("peak concurrency %d exceeds %d workers", p, workers)
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1] // "goroutine <id> [running]:"
+}
+
+// A pool of one runs every index on the calling goroutine and starts no
+// goroutine; a wider pool's worker 0 is the caller too.
+func TestForEachWorkerCtxOneWorkerStartsNoGoroutine(t *testing.T) {
+	caller, before := goid(), runtime.NumGoroutine()
+	for _, workers := range []int{1, 2} {
+		var onCaller atomic.Int32
+		err := ForEachWorkerCtx(context.Background(), 5, workers, func(w, i int) error {
+			if (goid() == caller) != (w == 0) {
+				t.Errorf("workers=%d: index %d ran on worker %d, goroutine %s (caller %s)", workers, i, w, goid(), caller)
+			}
+			if w == 0 {
+				onCaller.Add(1)
+			}
+			if workers == 1 && runtime.NumGoroutine() > before {
+				t.Errorf("index %d: %d goroutines, %d before the call", i, runtime.NumGoroutine(), before)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 && onCaller.Load() != 5 {
+			t.Fatalf("%d of 5 indices ran on the caller", onCaller.Load())
+		}
+	}
+}
+
+// A panic in fn on worker 0, the caller, stops the other workers at their
+// next index and reaches the caller only once they have exited: each of
+// them is still inside its first call when worker 0 panics, and is let go
+// only afterwards.
+func TestForEachWorkerCtxPanicWaitsForWorkers(t *testing.T) {
+	const workers = 4
+	var inFlight, ran atomic.Int32
+	started := make(chan struct{}, workers)
+	release := make(chan struct{})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = ForEachWorkerCtx(context.Background(), 1000, workers, func(w, _ int) error {
+			if w == 0 {
+				for range workers - 1 {
+					<-started
+				}
+				time.AfterFunc(20*time.Millisecond, func() { close(release) })
+				panic("boom")
+			}
+			inFlight.Add(1)
+			defer inFlight.Add(-1)
+			select {
+			case started <- struct{}{}:
+			default: // a worker that did not stop
+			}
+			<-release
+			ran.Add(1)
+			return nil
+		})
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want boom", got)
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("the panic reached the caller with %d calls still running", n)
+	}
+	if n := ran.Load(); n != workers-1 {
+		t.Fatalf("the other workers ran %d indices, want %d: one each, then stop", n, workers-1)
 	}
 }

@@ -206,55 +206,79 @@ func (c *memoCache) lookup(ctx context.Context, key string, persist bool, comput
 		c.m[key] = e
 		c.evictLocked()
 		c.mu.Unlock()
+		return c.fill(ctx, e, store, persist, compute)
+	}
+}
 
-		fromDisk := false
-		if store != nil {
-			var diskStart time.Time
-			if tr != nil {
-				diskStart = time.Now()
-			}
-			if v, ok := store.Get(key); ok {
-				e.val, fromDisk = v, true
-			}
-			if tr != nil {
-				tr.StageSince(obs.StageDiskLoad, diskStart)
-			}
-		}
-		if !fromDisk {
-			e.val, e.err = compute(ctx)
-		}
-		close(e.ready)
+// errFillPanicked is what the waiters of a fill that panicked get.
+var errFillPanicked = errors.New("core: the computation this lookup waited for panicked")
 
-		c.mu.Lock()
-		cur, present := c.m[key]
-		switch {
-		case e.err != nil:
-			if persist {
-				c.misses++
-			}
-			if present && cur == e {
-				c.removeLocked(e)
-			}
-		default:
-			if fromDisk {
-				c.diskHits++
-			} else if persist {
-				c.misses++
-			}
-			if present && cur == e {
-				// Account the now-known size and re-check the byte budget.
-				// An entry evicted (or reset away) while in flight is never
-				// accounted, so bytes can't be double-counted or leak.
-				e.size = c.sizeOf(e.val)
-				c.bytes += e.size
-				c.evictLocked()
-			}
+// fill loads the value of the entry e that lookup just inserted from store,
+// or computes it, and completes e. A panic in either completes e with
+// errFillPanicked, so that its waiters fail and the next lookup computes
+// afresh, and then goes on to the caller.
+func (c *memoCache) fill(ctx context.Context, e *memoEntry, store ArtifactStore, persist bool, compute func(context.Context) (any, error)) (any, error) {
+	filled := false
+	defer func() {
+		if !filled {
+			e.val, e.err = nil, errFillPanicked
+			c.complete(e, persist, false)
 		}
-		c.mu.Unlock()
-		if !fromDisk && e.err == nil && store != nil {
-			store.Put(key, e.val)
+	}()
+	fromDisk := false
+	if store != nil {
+		tr := obs.FromContext(ctx)
+		var diskStart time.Time
+		if tr != nil {
+			diskStart = time.Now()
 		}
-		return e.val, e.err
+		if v, ok := store.Get(e.key); ok {
+			e.val, fromDisk = v, true
+		}
+		if tr != nil {
+			tr.StageSince(obs.StageDiskLoad, diskStart)
+		}
+	}
+	if !fromDisk {
+		e.val, e.err = compute(ctx)
+	}
+	filled = true
+	c.complete(e, persist, fromDisk)
+	if !fromDisk && e.err == nil && store != nil {
+		store.Put(e.key, e.val)
+	}
+	return e.val, e.err
+}
+
+// complete wakes e's waiters and accounts e's outcome: a failed entry
+// leaves the map, a value's size joins the byte budget.
+func (c *memoCache) complete(e *memoEntry, persist, fromDisk bool) {
+	close(e.ready)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur, present := c.m[e.key]
+	switch {
+	case e.err != nil:
+		if persist {
+			c.misses++
+		}
+		if present && cur == e {
+			c.removeLocked(e)
+		}
+	default:
+		if fromDisk {
+			c.diskHits++
+		} else if persist {
+			c.misses++
+		}
+		if present && cur == e {
+			// Account the now-known size and re-check the byte budget.
+			// An entry evicted (or reset away) while in flight is never
+			// accounted, so bytes can't be double-counted or leak.
+			e.size = c.sizeOf(e.val)
+			c.bytes += e.size
+			c.evictLocked()
+		}
 	}
 }
 

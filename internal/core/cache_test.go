@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // cacheGetter returns a helper that fetches a key and counts computations.
@@ -249,6 +251,82 @@ func TestMemoCacheWaiterContextExpiry(t *testing.T) {
 	}
 	close(release)
 	<-ownerDone
+}
+
+// getPanic looks key up with a fill that panics, after closing started
+// and waiting for release when they are not nil, and returns what the
+// lookup's caller recovers.
+func getPanic(c *memoCache, key string, started, release chan struct{}) (p any) {
+	defer func() { p = recover() }()
+	_, _ = c.get(context.Background(), key, func(context.Context) (any, error) {
+		if started != nil {
+			close(started)
+			<-release
+		}
+		panic("boom")
+	})
+	return nil
+}
+
+// A fill that panics is not retained: the panic reaches the lookup's
+// caller, and the next lookup computes afresh instead of waiting for an
+// entry that never completes.
+func TestMemoCachePanickingFillIsNotRetained(t *testing.T) {
+	c := newMemoCache(4, 0)
+	if p := getPanic(c, "k", nil, nil); p != "boom" {
+		t.Fatalf("recovered %v, want boom", p)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	v, err := c.get(ctx, "k", func(context.Context) (any, error) { return "v", nil })
+	if err != nil || v != "v" {
+		t.Fatalf("later lookup got (%v, %v), want a fresh v", v, err)
+	}
+	if st := c.stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 misses (the panicked fill and v) and 1 entry", st)
+	}
+}
+
+// A lookup waiting on a fill that panics fails at once with
+// errFillPanicked, while the panic goes on to the fill's own caller.
+func TestMemoCachePanickingFillFailsItsWaiters(t *testing.T) {
+	c := newMemoCache(4, 0)
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan any, 1)
+	go func() { owner <- getPanic(c, "k", started, release) }()
+	<-started
+	// "other" goes to the front of the LRU list, so the waiter's lookup,
+	// which moves "k" back there, shows when it has found the fill.
+	if _, err := c.get(context.Background(), "other", func(context.Context) (any, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.get(ctx, "k", func(context.Context) (any, error) {
+			return nil, errors.New("the waiter computed")
+		})
+		waiter <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		c.mu.Lock()
+		front := c.lru.Front().Value.(*memoEntry).key
+		c.mu.Unlock()
+		if front == "k" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter never found the fill")
+		}
+	}
+	close(release)
+	if p := <-owner; p != "boom" {
+		t.Fatalf("the fill's caller recovered %v, want boom", p)
+	}
+	if err := <-waiter; !errors.Is(err, errFillPanicked) {
+		t.Fatalf("waiter err = %v, want errFillPanicked", err)
+	}
 }
 
 func TestSetDeriveCacheCapacityEvictsShared(t *testing.T) {

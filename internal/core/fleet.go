@@ -8,8 +8,9 @@ import (
 	"cpsdyn/internal/sched"
 )
 
-// DeriveFleet derives every application of a fleet across a worker pool
-// of runtime.GOMAXPROCS(0) goroutines. Results keep the input order and
+// DeriveFleet derives every application of a fleet across a conc pool of
+// runtime.GOMAXPROCS(0) workers, the first of them the calling goroutine,
+// so a one-app fleet starts no goroutine. Results keep the input order and
 // are identical to calling (*Application).DeriveContext sequentially —
 // derivation is deterministic and the expensive intermediates are
 // memoised centrally, so identical plants are derived once no matter

@@ -247,9 +247,6 @@ func (b *Bus) ProcessCycle(cycleStart int64) []Arrival {
 // PendingDynamic returns how many dynamic messages are waiting.
 func (b *Bus) PendingDynamic() int { return len(b.pendDyn) }
 
-// PendingStatic returns how many static messages are waiting.
-func (b *Bus) PendingStatic() int { return len(b.pendStatic) }
-
 func (b *Bus) sortedDynIDs() []int {
 	ids := make([]int, 0, len(b.pendDyn))
 	for id := range b.pendDyn {

@@ -79,45 +79,23 @@ func (d *Discrete) Inputs() int { return d.Gamma0.Cols() }
 // Discretize samples the continuous plant with period h and constant
 // sensor-to-actuator delay d (0 ≤ d ≤ h), both finite.
 func Discretize(c *Continuous, h, d float64) (*Discrete, error) {
-	if err := c.Validate(); err != nil {
+	if err := checkPeriod(c, h); err != nil {
 		return nil, err
 	}
 	// Written so that NaN fails: a NaN d would otherwise take the
-	// zero-delay branch below.
-	if !(h > 0) {
-		return nil, fmt.Errorf("lti: plant %q: sampling period %g must be positive", c.Name, h)
-	}
-	if math.IsInf(h, 1) {
-		return nil, fmt.Errorf("lti: plant %q: sampling period %g must be finite", c.Name, h)
-	}
+	// zero-delay branch of gammas.
 	if !(d >= 0 && d <= h) {
 		return nil, fmt.Errorf("lti: plant %q: delay %g outside [0, h=%g]", c.Name, d, h)
 	}
-	// One augmented exponential per evaluation point: exp([A B; 0 0]·t)
-	// yields Φ(t) and Γ(t) together, and the semigroup split
-	//
-	//	Γ(h) = Γ(h−d) + Φ(h−d)·Γ(d)
-	//
-	// gives Γ1 = Φ(h−d)·Γ(d) = Γ(h) − Γ(h−d) directly, so the whole
-	// delay-split model costs two evaluations (one when d = 0) instead of
-	// the former three. The split integral itself: u[k−1] is held on
-	// [0, d), u[k] on [d, h), so Γ0 = Γ(h−d).
-	n, m := c.Order(), c.Inputs()
-	ws := mat.SharedPool.Get(n + m)
+	ws := mat.SharedPool.Get(c.Order() + c.Inputs())
 	defer mat.SharedPool.Put(ws)
-	phi := mat.New(n, n)
-	gammaH := mat.New(n, m)
-	if err := mat.ExpmIntegralTo(phi, gammaH, c.A, c.B, h, ws); err != nil {
-		return nil, fmt.Errorf("lti: plant %q: %w", c.Name, err)
+	s, err := sample(c, h, ws)
+	if err != nil {
+		return nil, err
 	}
-	gamma0, gamma1 := gammaH, mat.New(n, m)
-	if d > 0 {
-		gamma0 = mat.New(n, m)
-		phiHmD := mat.New(n, n) // Φ(h−d), not part of the model
-		if err := mat.ExpmIntegralTo(phiHmD, gamma0, c.A, c.B, h-d, ws); err != nil {
-			return nil, fmt.Errorf("lti: plant %q: %w", c.Name, err)
-		}
-		gammaH.SubTo(gamma1, gamma0)
+	gamma0, gamma1, err := s.gammas(d, ws)
+	if err != nil {
+		return nil, err
 	}
 	cc := c.C
 	if cc == nil {
@@ -125,13 +103,69 @@ func Discretize(c *Continuous, h, d float64) (*Discrete, error) {
 	}
 	return &Discrete{
 		Name:   c.Name,
-		Phi:    phi,
+		Phi:    s.phi,
 		Gamma0: gamma0,
 		Gamma1: gamma1,
 		C:      cc,
 		H:      h,
 		D:      d,
 	}, nil
+}
+
+// checkPeriod checks plant c and a sampling period h for it, written so
+// that a NaN h fails.
+func checkPeriod(c *Continuous, h float64) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if !(h > 0) {
+		return fmt.Errorf("lti: plant %q: sampling period %g must be positive", c.Name, h)
+	}
+	if math.IsInf(h, 1) {
+		return fmt.Errorf("lti: plant %q: sampling period %g must be finite", c.Name, h)
+	}
+	return nil
+}
+
+// sampling is a plant sampled with period h: Φ(h) and Γ(h), from which
+// the delay split of every d ∈ [0, h] follows.
+type sampling struct {
+	c           *Continuous
+	h           float64
+	phi, gammaH *mat.Matrix
+}
+
+// sample forms Φ(h) and Γ(h) of plant c from one augmented exponential
+// exp([A B; 0 0]·h) in ws, of order n+m.
+func sample(c *Continuous, h float64, ws *mat.ExpmWorkspace) (sampling, error) {
+	n, m := c.Order(), c.Inputs()
+	s := sampling{c: c, h: h, phi: mat.New(n, n), gammaH: mat.New(n, m)}
+	if err := mat.ExpmIntegralTo(s.phi, s.gammaH, c.A, c.B, h, ws); err != nil {
+		return sampling{}, fmt.Errorf("lti: plant %q: %w", c.Name, err)
+	}
+	return s, nil
+}
+
+// gammas returns the delay split (Γ0, Γ1) of d ∈ [0, h]. u[k−1] is held on
+// [0, d) and u[k] on [d, h), so Γ0 = Γ(h−d), and the semigroup split
+//
+//	Γ(h) = Γ(h−d) + Φ(h−d)·Γ(d)
+//
+// gives Γ1 = Φ(h−d)·Γ(d) = Γ(h) − Γ0 directly: one further exponential,
+// and none when d = 0, where Γ0 is Γ(h) itself and Γ1 is zero.
+func (s *sampling) gammas(d float64, ws *mat.ExpmWorkspace) (g0, g1 *mat.Matrix, err error) {
+	n, m := s.c.Order(), s.c.Inputs()
+	g1 = mat.New(n, m)
+	if d == 0 {
+		return s.gammaH, g1, nil
+	}
+	g0 = mat.New(n, m)
+	phiHmD := mat.New(n, n) // Φ(h−d), not part of the split
+	if err := mat.ExpmIntegralTo(phiHmD, g0, s.c.A, s.c.B, s.h-d, ws); err != nil {
+		return nil, nil, fmt.Errorf("lti: plant %q: %w", s.c.Name, err)
+	}
+	s.gammaH.SubTo(g1, g0)
+	return g0, g1, nil
 }
 
 // Augmented returns the delay-augmented state-space pair (Ā, B̄) on

@@ -116,6 +116,15 @@ func TestDiscretizeBadArgs(t *testing.T) {
 		if _, err := Discretize(p, c.h, c.d); err == nil {
 			t.Fatalf("h = %g, d = %g: want an error", c.h, c.d)
 		}
+		// A delay table checks h when it is built and d per query.
+		if tab, err := NewDelayTable(p, c.h); err == nil {
+			if _, _, err := tab.Gammas(c.d); err == nil {
+				t.Fatalf("delay table: h = %g, d = %g: want an error", c.h, c.d)
+			}
+		}
+	}
+	if _, err := NewDelayTable(p, nan); err == nil || !strings.Contains(err.Error(), "must be positive") {
+		t.Fatalf("NewDelayTable(h = NaN): err = %v, want Discretize's period check", err)
 	}
 }
 

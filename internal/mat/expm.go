@@ -55,9 +55,6 @@ func NewExpmWorkspace(n int) *ExpmWorkspace {
 	}
 }
 
-// N returns the matrix order the workspace serves.
-func (ws *ExpmWorkspace) N() int { return ws.n }
-
 // Expm returns the matrix exponential e^A computed with a [6/6] Padé
 // approximant and scaling-and-squaring. A must be square. It is a thin
 // allocating wrapper over ExpmTo renting its workspace from SharedPool.

@@ -70,8 +70,8 @@ func (m *Matrix) setIdentityScaled(s float64) {
 // MulTo computes the matrix product dst = m·b without allocating. dst must
 // be m.Rows()×b.Cols() and must not alias m or b. Square products of order
 // ≤ 4 — the plant orders that dominate automotive CPS models — dispatch to
-// fully unrolled kernels; the property tests in smalln_test.go pin those
-// kernels byte-identical to the generic loop.
+// fully unrolled kernels; TestPropMulToMatchesMul in workspace_test.go pins
+// those kernels byte-identical to the generic loop.
 //
 //cpsdyn:allocfree the multiply inside every Padé evaluation and squaring step
 func (m *Matrix) MulTo(dst, b *Matrix) {

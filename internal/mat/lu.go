@@ -31,9 +31,6 @@ func NewLU(n int) *LU {
 	return &LU{n: n, fact: New(n, n), piv: make([]int, n), x: make([]float64, n)}
 }
 
-// N returns the factorisation order the workspace was built for.
-func (f *LU) N() int { return f.n }
-
 // Factor computes the LU factorisation of a square matrix into the
 // workspace, replacing any previous factorisation. a is not modified.
 //

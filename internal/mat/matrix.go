@@ -524,12 +524,3 @@ func VecSub(a, b []float64) []float64 {
 	}
 	return out
 }
-
-// VecScale returns s·v.
-func VecScale(s float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = s * v[i]
-	}
-	return out
-}

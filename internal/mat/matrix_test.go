@@ -179,9 +179,6 @@ func TestVecOps(t *testing.T) {
 	if got := VecSub(a, []float64{1, 1}); got[0] != 2 || got[1] != 3 {
 		t.Fatalf("VecSub = %v", got)
 	}
-	if got := VecScale(2, a); got[0] != 6 || got[1] != 8 {
-		t.Fatalf("VecScale = %v", got)
-	}
 }
 
 func randomMatrix(rng *rand.Rand, n int) *Matrix {

@@ -345,8 +345,8 @@ func TestPoolReuseAndStats(t *testing.T) {
 	pooled := map[*ExpmWorkspace]bool{} // put back and not rented since
 	get := func(n int) *ExpmWorkspace {
 		ws := p.Get(n)
-		if ws.N() != n {
-			t.Fatalf("workspace order %d, want %d", ws.N(), n)
+		if ws.n != n {
+			t.Fatalf("workspace order %d, want %d", ws.n, n)
 		}
 		if pooled[ws] {
 			delete(pooled, ws)

@@ -102,7 +102,7 @@ func TestPropCertifiedWalkMatchesFullWalk(t *testing.T) {
 		horizon := min(20000, 50+int(30/(1-rho)))
 		cert := s.certified(nil, a, horizon)
 		full := newScratch(n)
-		wantK, wantOK, _ := s.settle(nil, a, x0, horizon, full)
+		wantK, wantOK, _ := s.settle(a, x0, horizon, full)
 		before := SimSteps()
 		gotK, gotOK, _ := s.walkCertified(nil, a, horizon, cert)
 		if gotK != wantK || gotOK != wantOK {

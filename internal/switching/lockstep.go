@@ -147,7 +147,7 @@ func (s *System) walkLanes(ctx context.Context, a *mat.Matrix, cur, nxt, ax, ss 
 // the stop test's scratch). It returns settle's (k, ok, err): the first
 // step from which the threshold norm stays at most Eth, false with the
 // horizon when the state is still above Eth there, and errOverflow when
-// the state became NaN. Its steps count as settle's do.
+// the state became NaN. Its steps count in SimSteps and in ctx's trace.
 //
 //cpsdyn:allocfree every calibration probe walks one loop through it
 func (s *System) walkOne(ctx context.Context, a *mat.Matrix, cert *certificate, horizon int, lane []float64) (int, bool, error) {

@@ -223,7 +223,7 @@ func TestLockstepOverflowingLaneMatchesSweep(t *testing.T) {
 	if err != nil || fail != 0 || overflow {
 		t.Fatalf("walkLanes = (%d, %v, %v), want lane 0 unsettled", fail, overflow, err)
 	}
-	if k, ok, _ := s.settle(nil, a2, []float64{0.5, 0}, 30, newScratch(2)); !ok || kdw[2] != k {
+	if k, ok, _ := s.settle(a2, []float64{0.5, 0}, 30, newScratch(2)); !ok || kdw[2] != k {
 		t.Fatalf("lane 2 settled at %d, settle (%d, %v)", kdw[2], k, ok)
 	}
 }

@@ -139,15 +139,16 @@ func SimSteps() uint64 { return simSteps.Load() }
 // countSteps adds n simulated steps to the process-wide counter and to the
 // request trace tr (nil for an untraced walk).
 //
-//cpsdyn:allocfree called at every flush point of the settle hot path
+//cpsdyn:allocfree called at every flush point of the walks' hot paths
 func countSteps(tr *obs.Trace, n uint64) {
 	simSteps.Add(n)
 	tr.AddSimSteps(n)
 }
 
 // stepFlush is how many simulation steps run between context checks and
-// counter flushes inside one settling run. At ~40 flops per step this is a
-// sub-millisecond cancellation latency even on slow hardware.
+// counter flushes inside one certified walk (walkLanes). At ~40 flops per
+// step this is a sub-millisecond cancellation latency even on slow
+// hardware.
 const stepFlush = 4096
 
 // scratch holds the two state buffers a settling simulation ping-pongs
@@ -165,30 +166,22 @@ var errOverflow = errors.New("state overflowed to NaN")
 
 // settle returns the first step index k such that the trajectory of a from
 // x0 satisfies ‖x[j]‖ ≤ Eth for all j ∈ [k, horizon]. The state is stepped
-// in sc's buffers (x0 may alias sc.cur); a nil ctx disables cancellation
-// checks, a cancelled ctx aborts mid-run with its error. A non-finite norm
-// counts as above Eth, and a NaN one ends the walk with errOverflow. It
-// walks every step to the horizon: it is DwellSteps' uncertified
-// reference walk, and the certified walks (walkLanes, walkOne) must give
-// its (k, ok). Steps are counted in SimSteps and in ctx's trace.
+// in sc's buffers (x0 may alias sc.cur). A non-finite norm counts as above
+// Eth, and a NaN one ends the walk with errOverflow. It walks every step
+// to the horizon: it is DwellSteps' uncertified reference walk, and the
+// certified walks (walkLanes, walkOne) must give its (k, ok). Its steps
+// are counted in SimSteps once, when the walk ends.
 //
 //cpsdyn:allocfree DwellSteps walks every kwait of a reference sweep through it
-func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizon int, sc *scratch) (int, bool, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-	}
-	tr := obs.FromContext(ctx)
+func (s *System) settle(a *mat.Matrix, x0 []float64, horizon int, sc *scratch) (int, bool, error) {
 	cur, nxt := sc.cur, sc.nxt
 	copy(cur, x0)
-	lastAbove := -1
-	pending := 0 // steps not yet flushed to the counters
-	for k := 0; k <= horizon; k++ {
+	lastAbove, k := -1, 0
+	for ; k <= horizon; k++ {
 		if nrm := s.Norm(cur); nrm > s.Eth {
 			lastAbove = k
 		} else if !(nrm <= s.Eth) {
-			countSteps(tr, uint64(pending))
+			simSteps.Add(uint64(k))
 			return 0, false, errOverflow
 		}
 		if k == horizon {
@@ -196,17 +189,8 @@ func (s *System) settle(ctx context.Context, a *mat.Matrix, x0 []float64, horizo
 		}
 		a.MulVecTo(nxt, cur)
 		cur, nxt = nxt, cur
-		if pending++; pending == stepFlush {
-			countSteps(tr, stepFlush)
-			pending = 0
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return 0, false, err
-				}
-			}
-		}
 	}
-	countSteps(tr, uint64(pending))
+	simSteps.Add(uint64(k))
 	if lastAbove == horizon {
 		return horizon, false, nil
 	}
@@ -296,7 +280,7 @@ func (s *System) DwellSteps(kwait, horizon int) (int, bool) {
 		sc.cur, sc.nxt = sc.nxt, sc.cur
 	}
 	simSteps.Add(uint64(kwait))
-	k, ok, err := s.settle(nil, s.A2, sc.cur, horizon, sc)
+	k, ok, err := s.settle(s.A2, sc.cur, horizon, sc)
 	if err != nil {
 		return horizon, false
 	}
