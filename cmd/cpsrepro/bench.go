@@ -4,8 +4,8 @@ package main
 // performance trajectory (matrix exponentials, discretisation, the
 // service's warm row path, its cache key, its codec, the slot-allocation
 // race, the certified dwell-curve sampling stage, one cold derivation, the
-// persistent store's write and read, and one servo calibration)
-// hermetically via testing.Benchmark — no `go test`
+// persistent store's write and read, one servo calibration and the ordered
+// stream stage) hermetically via testing.Benchmark — no `go test`
 // subprocess — and writes them as one JSON report (BENCH_N.json is the
 // committed artefact per perf PR), together with exact work counters: the
 // simulated steps and kwait samples of one sequential curve sampling per
@@ -34,6 +34,7 @@ import (
 	"testing"
 
 	"cpsdyn/internal/casestudy"
+	"cpsdyn/internal/conc"
 	"cpsdyn/internal/core"
 	"cpsdyn/internal/lti"
 	"cpsdyn/internal/mat"
@@ -439,6 +440,29 @@ func kernelBenchmarks() []struct {
 			}
 		}
 	})})
+	// The ordered stream stage alone: 30 no-op rows through two workers
+	// and a window of four, so allocs/op is the stream's set-up plus
+	// whatever it allocates per row.
+	out = append(out, struct {
+		name string
+		fn   func(b *testing.B)
+	}{"StreamOrdered/n=30", func(b *testing.B) {
+		rows := func(yield func(int) bool) {
+			for i := 0; i < 30; i++ {
+				if !yield(i) {
+					return
+				}
+			}
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := conc.StreamOrdered(ctx, 2, 4, rows,
+				func(_ context.Context, _, item int) int { return item },
+				func(int, int) error { return nil }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}})
 	return out
 }
 

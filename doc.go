@@ -321,12 +321,14 @@
 // names, not rows). The pieces are reusable: service.DecodeLines / service.DecodeRequests iterate request
 // lines (malformed lines become typed error rows — *service.RequestError —
 // never stream aborts), service.EncodeResult writes rows, and
-// conc.StreamOrdered is the bounded pipeline stage that derives out of
-// order while emitting in order under a backpressure window. The same codec
-// drives the CLIs offline: slotalloc -stream allocates one fleet per NDJSON
-// line and cpsrepro derive -stream derives one app per line. Streamed
-// output, sorted by index, is byte-identical to the buffered endpoint's
-// rows for the same batch at any worker count; /statsz and /metrics expose
+// conc.StreamOrdered is the bounded pipeline stage: its workers pull the
+// request lines themselves and derive out of order, the handler's goroutine
+// only emits, in order, and at most the window of lines (2 × workers) is
+// past the source and not yet emitted, with nothing allocated per row. The
+// same codec drives the CLIs offline: slotalloc -stream allocates one fleet
+// per NDJSON line and cpsrepro derive -stream derives one app per line.
+// Streamed output, sorted by index, is byte-identical to the buffered
+// endpoint's rows for the same batch at any worker count; /statsz and /metrics expose
 // streams, rowsIn, rowsOut and streamCancelled counters. The same framing
 // now also serves allocation and calibration: POST /v1/allocate/stream
 // (one FleetRequest per line) and POST /v1/calibrate/stream (one

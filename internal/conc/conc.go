@@ -118,12 +118,17 @@ func ctxErr(ctx context.Context) error {
 // where the first result must reach the client while later inputs are still
 // being read.
 //
+// Each worker pulls its next item from src itself, one pull at a time, and
+// computes it. The calling goroutine only emits: it never reads src (a
+// client that sends line k+1 only after row k arrived would deadlock) and
+// never computes (a ready result must not wait behind a slow one).
+//
 // Backpressure: at most window items are past src and not yet emitted
 // (computing or waiting for an earlier item), so memory stays
 // O(workers + window) no matter how long the stream is — src is simply not
 // advanced while the window is full. workers ≤ 0 selects GOMAXPROCS;
 // window < workers is raised to workers (a smaller window would idle the
-// pool).
+// pool). Nothing is allocated per item.
 //
 // Per-item failures are fn's business: fn returns a result value, so a
 // caller that wants error rows embeds the error in R. Only two things stop
@@ -153,103 +158,95 @@ func StreamOrdered[T, R any](ctx context.Context, workers, window int, src iter.
 	if window < workers {
 		window = workers
 	}
-	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	next, stop := iter.Pull(src)
 
-	// Every item travels in a cell: the feeder queues cells on an ordered
-	// channel (capacity = window, the backpressure bound) and hands them to
-	// the worker pool; the emitter walks the ordered channel and waits for
-	// each cell's result, which restores input order without unbounded
-	// buffering. done has capacity 1 so a worker never blocks delivering a
-	// result whose reader already gave up.
+	// Item i travels in cell i mod window: in says it left src (true: src
+	// ended there) and done carries its result. A worker takes a room token
+	// before it pulls, and the emitter hands the token back once it emitted
+	// the item, so a worker holding one finds its cell drained: neither
+	// send blocks.
 	type cell struct {
-		i    int
-		item T
+		in   chan bool
 		done chan R
 	}
-	cells := make(chan *cell, window)
-	work := make(chan *cell)
+	cells := make([]cell, window)
+	room := make(chan struct{}, window)
+	for i := range cells {
+		cells[i] = cell{make(chan bool, 1), make(chan R, 1)}
+		room <- struct{}{}
+	}
+	var mu sync.Mutex // serialises next and pulled
+	pulled := 0
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range work {
-				c.done <- fn(ctx, c.i, c.item)
+			for range room {
+				mu.Lock()
+				if ctx.Err() != nil {
+					mu.Unlock()
+					return
+				}
+				item, ok := next()
+				i := pulled
+				pulled++
+				mu.Unlock()
+				c := cells[i%window]
+				c.in <- !ok
+				if !ok {
+					return
+				}
+				c.done <- fn(ctx, i, item)
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(cells)
-		defer close(work)
-		i := 0
-		for item := range src {
-			c := &cell{i: i, item: item, done: make(chan R, 1)}
-			select {
-			case cells <- c: // blocks while the window is full: backpressure
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case work <- c:
-			case <-ctx.Done():
-				// The cell is queued for emission but will never be
-				// computed; the emitter unblocks via ctx.Done instead.
-				return
-			}
-			i++
-		}
+	// However the emitter leaves, by returning or by a panic in emit or a
+	// hook, the workers pull nothing more, and src stops once they exited.
+	defer func() {
+		cancel()
+		close(room)
+		wg.Wait()
+		stop()
 	}()
-
-	wait := func() {
-		for _, f := range idle {
-			f()
+	for i := 0; ; i++ {
+		c := cells[i%window]
+		last, err := await(ctx, c.in, idle)
+		if err != nil || last {
+			// Until the deferred shutdown only the caller's context can
+			// cancel ctx, so ctx.Err() says whether the stream was cut short.
+			return ctx.Err()
 		}
-	}
-	var err error
-	for {
-		// Each receive is tried without blocking first; only a miss runs
-		// the idle hooks before the blocking receive.
-		var c *cell
-		var ok bool
-		select {
-		case c, ok = <-cells:
-		default:
-			wait()
-			c, ok = <-cells
-		}
-		if !ok {
-			break
-		}
-		var r R
-		select {
-		case r = <-c.done:
-		case <-ctx.Done():
-			err = ctx.Err()
-		default:
-			wait()
-			select {
-			case r = <-c.done:
-			case <-ctx.Done():
-				err = ctx.Err()
-			}
-		}
+		r, err := await(ctx, c.done, idle)
 		if err != nil {
-			break
+			return err
 		}
-		if err = emit(c.i, r); err != nil {
-			break
+		if err := emit(i, r); err != nil {
+			return err
 		}
+		room <- struct{}{}
 	}
-	cancel() // unblock the feeder so close(work) lets the pool drain
-	wg.Wait()
-	if err != nil {
-		return err
+}
+
+// await receives from ch for StreamOrdered's emitter. Only when nothing is
+// ready does it run the idle hooks and block; it gives up with ctx.Err()
+// once ctx is done.
+func await[V any](ctx context.Context, ch <-chan V, idle []func()) (v V, err error) {
+	select {
+	case v = <-ch:
+		return v, nil
+	case <-ctx.Done():
+		return v, ctx.Err()
+	default:
 	}
-	// The derived ctx is cancelled above on every exit path; only the
-	// caller's context says whether the stream itself was cut short.
-	return parent.Err()
+	for _, f := range idle {
+		f()
+	}
+	select {
+	case v = <-ch:
+		return v, nil
+	case <-ctx.Done():
+		return v, ctx.Err()
+	}
 }

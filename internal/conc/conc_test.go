@@ -239,10 +239,26 @@ func TestStreamOrderedBoundsReadAhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ordered queue holds at most window cells and the feeder may hold
-	// one more it is about to queue.
-	if p := peak.Load(); p > window+2 {
-		t.Fatalf("source ran %d items ahead of emission, want ≤ %d", p, window+2)
+	if p := peak.Load(); p > window {
+		t.Fatalf("source ran %d items ahead of emission, want ≤ %d", p, window)
+	}
+}
+
+// A stream allocates nothing per row: 64 rows cost no more allocations than
+// one, whatever the set-up (context, pull iterator, ring, workers) costs.
+func TestStreamOrderedAllocatesNothingPerRow(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			err := StreamOrdered(context.Background(), 2, 4, ints(n, nil),
+				func(_ context.Context, _, item int) int { return item },
+				func(int, int) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(64); many > one {
+		t.Fatalf("a 64-row stream allocates %v times, a 1-row stream %v: %.2f per row", many, one, (many-one)/63)
 	}
 }
 

@@ -100,6 +100,10 @@ func Discretize(c *Continuous, h, d float64) (*Discrete, error) {
 	cc := c.C
 	if cc == nil {
 		cc = mat.Identity(c.Order())
+	} else {
+		// A copy: a cached discretisation must not follow the caller's
+		// later writes to the plant it was derived from.
+		cc = cc.Clone()
 	}
 	return &Discrete{
 		Name:   c.Name,

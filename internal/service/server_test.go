@@ -12,12 +12,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cpsdyn/internal/core"
+	"cpsdyn/internal/mat"
 	"cpsdyn/internal/plants"
 )
 
@@ -186,6 +188,86 @@ func TestDeriveKeepsCacheWarmAcrossRequests(t *testing.T) {
 	}
 	if stats.Server.Requests != 2 || stats.Server.InFlight != 0 {
 		t.Fatalf("server stats = %+v, want 2 completed requests, none in flight", stats.Server)
+	}
+}
+
+// A warm row does not follow what an earlier caller did to its own
+// Application after deriving it: nothing the cache keeps points into a
+// row's matrices, slices or poles. The plant carries C, which every
+// discretisation keeps, and the lqr case sets every LQR weight.
+func TestWarmRowIgnoresWritesToDerivedApplication(t *testing.T) {
+	t.Cleanup(core.ResetDeriveCache)
+	spec := servoDeriveRequest(1).Apps[0]
+	spec.Plant.C = [][]float64{{1, 0}}
+	lqr := spec
+	lqr.PolesTT, lqr.PolesET = nil, nil
+	for _, c := range []struct {
+		name    string
+		spec    DeriveAppSpec
+		weights bool
+	}{{"poles", spec, false}, {"lqr", lqr, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			core.ResetDeriveCache()
+			compile := func() *core.Application {
+				app, err := c.spec.application(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.weights {
+					app.QTT, app.RTT = mat.Identity(3), mat.Identity(1)
+					app.QET, app.RET = mat.Diag(2, 1, 1), mat.Identity(1)
+				}
+				return app
+			}
+			derive := func(app *core.Application) (*core.Derived, []byte) {
+				d, err := app.DeriveContext(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := deriveResult(d)
+				row, err := appendResult(nil, StreamRow{Result: &res})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d, row
+			}
+			app := compile()
+			cold, coldRow := derive(app)
+			coldTT, coldET := cold.DiscTT.C.Clone(), cold.DiscET.C.Clone()
+			coldX0 := slices.Clone(cold.Sys.X0)
+
+			for _, m := range []*mat.Matrix{app.Plant.A, app.Plant.B, app.Plant.C, app.QTT, app.RTT, app.QET, app.RET} {
+				for i := 0; m != nil && i < m.Rows(); i++ {
+					for j := 0; j < m.Cols(); j++ {
+						m.Set(i, j, 7)
+					}
+				}
+			}
+			for i := range app.X0 {
+				app.X0[i] = 7
+			}
+			for _, ps := range [][]complex128{app.PolesTT, app.PolesET} {
+				for i := range ps {
+					ps[i] = 0.5
+				}
+			}
+
+			misses := core.DeriveCacheStats().Misses
+			warm, warmRow := derive(compile())
+			if got := core.DeriveCacheStats().Misses; got != misses {
+				t.Fatalf("the fresh app derived cold: misses %d → %d", misses, got)
+			}
+			if !bytes.Equal(warmRow, coldRow) {
+				t.Fatalf("warm row %s\ncold row %s", warmRow, coldRow)
+			}
+			if !warm.DiscTT.C.EqualBits(coldTT) || !warm.DiscET.C.EqualBits(coldET) {
+				t.Fatalf("warm DiscTT.C %v and DiscET.C %v, cold %v and %v",
+					warm.DiscTT.C.Row(0), warm.DiscET.C.Row(0), coldTT.Row(0), coldET.Row(0))
+			}
+			if !slices.Equal(warm.Sys.X0, coldX0) {
+				t.Fatalf("warm Sys.X0 %v, cold %v", warm.Sys.X0, coldX0)
+			}
+		})
 	}
 }
 
